@@ -44,7 +44,7 @@ from .earley import (
     token_leaf,
     tree_to_json,
 )
-from .grammar import Grammar, Production, Symbol, Word, render_word
+from .grammar import Grammar, Production, Symbol, Word, memo, render_word
 from .prover import (
     ProofTree,
     Prover,
@@ -116,12 +116,12 @@ def _hole_parse(g: Grammar, ctx: InjectionContext) -> tuple[ParseTree, Productio
 
 def context_tree(g: Grammar, ctx: InjectionContext) -> ParseTree:
     """The template's unique parse, hole rendered as a fresh leaf."""
-    tree, _, _ = _hole_parse(g, ctx)
+    tree, _, _ = memo(g, _hole_parse, ctx)
     return tree
 
 
 def reshaping_check(g: Grammar, ctx: InjectionContext, w: Word) -> ReshapingResult:
-    ctx_tree, hole_prod, mark = _hole_parse(g, ctx)
+    ctx_tree, hole_prod, mark = memo(g, _hole_parse, ctx)
     full = ctx.prefix + w + ctx.suffix
     out = parse_tree(g, ctx.goal, full)
     if isinstance(out, Reject):
@@ -164,13 +164,9 @@ def hole_language(g: Grammar, ctx: InjectionContext, out_len: int) -> frozenset[
     found: set[Word] = set()
     for n in range(out_len + 1):
         for w in product(sigma, repeat=n):
-            if _recognize_full(g, ctx, w):
+            if recognize(g, ctx.goal, ctx.prefix + w + ctx.suffix):
                 found.add(w)
     return frozenset(found)
-
-
-def _recognize_full(g: Grammar, ctx: InjectionContext, w: Word) -> bool:
-    return recognize(g, ctx.goal, ctx.prefix + w + ctx.suffix)
 
 
 def infer_typings(
@@ -297,7 +293,7 @@ def classify_input(
 ) -> InjectionReport:
     if ctx.goal not in g.nonterminals:
         raise ValueError(f"goal {ctx.goal.name!r} is not a nonterminal")
-    _hole_parse(g, ctx)  # reject templates with no well-formed hole
+    memo(g, _hole_parse, ctx)  # reject templates with no well-formed hole
     for sym in ctx.prefix + w + ctx.suffix:
         if sym not in g.terminals:
             raise ValueError(f"{sym.name!r} is not a terminal of the grammar")

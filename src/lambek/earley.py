@@ -9,7 +9,6 @@ of trees that are already reported.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator
 
 from .grammar import (
@@ -19,6 +18,8 @@ from .grammar import (
     Word,
     enumerate_words,
     iter_words_sorted,
+    lhs_index,
+    memo,
     terminal,
 )
 
@@ -79,17 +80,9 @@ class Reject:
 ParseOutcome = Unique | Ambiguous | Reject
 
 
-@lru_cache(maxsize=None)
-def _prods_by_lhs(g: Grammar) -> dict[Symbol, tuple[int, ...]]:
-    table: dict[Symbol, list[int]] = {n: [] for n in g.nonterminals}
-    for i, p in enumerate(g.productions):
-        table[p.lhs].append(i)
-    return {n: tuple(ids) for n, ids in table.items()}
-
-
 def _chart(g: Grammar, a: Symbol, w: Word) -> list[list[tuple[int, int, int]]]:
     """Earley chart: per input position, items (prod_index, dot, origin)."""
-    by_lhs = _prods_by_lhs(g)
+    by_lhs = memo(g, lhs_index)
     n = len(w)
     columns: list[list[tuple[int, int, int]]] = [[] for _ in range(n + 1)]
     in_col: list[set[tuple[int, int, int]]] = [set() for _ in range(n + 1)]
@@ -167,7 +160,7 @@ def _trees(
     if path.count(key) >= 2:
         return
     path = path + (key,)
-    by_lhs = _prods_by_lhs(g)
+    by_lhs = memo(g, lhs_index)
 
     def assignments(rhs: tuple[Symbol, ...], pos: int) -> Iterator[list[tuple[Symbol, int, int]]]:
         if not rhs:

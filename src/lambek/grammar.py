@@ -15,9 +15,10 @@ starts a comment that runs to the end of the line.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable, Iterator
+from dataclasses import dataclass, field
+from typing import Any, Callable, Iterable, Iterator, TypeVar
+
+T = TypeVar("T")
 
 
 class GrammarError(ValueError):
@@ -79,6 +80,8 @@ class Grammar:
     nonterminals: frozenset[Symbol]
     productions: tuple[Production, ...]
     start: Symbol
+    # derived tables, filled by memo() and freed with the grammar
+    _memo: dict[tuple, Any] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         t_names = {s.name for s in self.terminals}
@@ -103,21 +106,41 @@ class Grammar:
 
     def symbol(self, name: str) -> Symbol:
         """Look up a declared symbol by name."""
-        for pool in (self.nonterminals, self.terminals):
-            for s in pool:
-                if s.name == name:
-                    return s
-        raise GrammarError(f"unknown symbol {name!r}")
+        sym = memo(self, _symbols_by_name).get(name)
+        if sym is None:
+            raise GrammarError(f"unknown symbol {name!r}")
+        return sym
 
     def declares(self, name: str) -> bool:
-        return any(s.name == name for s in self.terminals | self.nonterminals)
+        return name in memo(self, _symbols_by_name)
 
     def productions_for(self, nt: Symbol) -> tuple[Production, ...]:
-        return tuple(p for p in self.productions if p.lhs == nt)
+        return tuple(self.productions[i] for i in memo(self, lhs_index).get(nt, ()))
 
-    def with_terminals(self, extra: Iterable[Symbol]) -> "Grammar":
-        """A copy of this grammar with additional declared terminals."""
-        return Grammar(self.terminals | frozenset(extra), self.nonterminals, self.productions, self.start)
+
+def memo(g: Grammar, fn: Callable[..., T], *args: Any) -> T:
+    """fn(g, *args), computed once per grammar and kept until g is freed.
+
+    fn must be a pure function of the grammar and its hashable arguments.
+    """
+    key = (fn, *args)
+    try:
+        return g._memo[key]
+    except KeyError:
+        out = g._memo[key] = fn(g, *args)
+        return out
+
+
+def _symbols_by_name(g: Grammar) -> dict[str, Symbol]:
+    return {s.name: s for s in g.terminals | g.nonterminals}
+
+
+def lhs_index(g: Grammar) -> dict[Symbol, tuple[int, ...]]:
+    """Production ids by left-hand side, in grammar order; reach it through memo."""
+    table: dict[Symbol, list[int]] = {n: [] for n in g.nonterminals}
+    for i, p in enumerate(g.productions):
+        table[p.lhs].append(i)
+    return {n: tuple(ids) for n, ids in table.items()}
 
 
 def render_word(w: Word) -> str:
@@ -239,16 +262,24 @@ def load_grammar(path: str) -> Grammar:
         return parse_grammar_file(fh.read())
 
 
-def _productive_set(g: Grammar) -> frozenset[Symbol]:
-    productive: set[Symbol] = set(g.terminals)
+def _witness_ids(g: Grammar, known: Iterable[Symbol]) -> dict[Symbol, int]:
+    """Nonterminals that derive a string over ``known``, each with a witness.
+
+    The witness is the id of a production whose right-hand side consists of
+    ``known`` symbols and nonterminals added strictly earlier in the
+    fixpoint, so recursing through witnesses is well-founded.
+    """
+    derived = set(known)
+    witness: dict[Symbol, int] = {}
     changed = True
     while changed:
         changed = False
-        for p in g.productions:
-            if p.lhs not in productive and all(s in productive for s in p.rhs):
-                productive.add(p.lhs)
+        for pid, p in enumerate(g.productions):
+            if p.lhs not in derived and all(s in derived for s in p.rhs):
+                derived.add(p.lhs)
+                witness[p.lhs] = pid
                 changed = True
-    return frozenset(productive)
+    return witness
 
 
 def validate(g: Grammar) -> tuple[Grammar, list[str]]:
@@ -262,7 +293,7 @@ def validate(g: Grammar) -> tuple[Grammar, list[str]]:
     is useless.
     """
     diagnostics: list[str] = []
-    productive = _productive_set(g)
+    productive = g.terminals | frozenset(_witness_ids(g, g.terminals))
     if g.start not in productive:
         raise GrammarError(f"start symbol {g.start.name!r} derives no terminal word")
 
@@ -300,28 +331,19 @@ def validate(g: Grammar) -> tuple[Grammar, list[str]]:
 
 def nullable_set(g: Grammar) -> frozenset[Symbol]:
     """Nonterminals that derive the empty word."""
-    return frozenset(nullable_witnesses(g))
+    return frozenset(memo(g, nullable_ids))
+
+
+def nullable_ids(g: Grammar) -> dict[Symbol, int]:
+    """Witness production ids of the nullable nonterminals; reach it through memo."""
+    return _witness_ids(g, ())
 
 
 def nullable_witnesses(g: Grammar) -> dict[Symbol, Production]:
-    """For each nullable nonterminal, a production witnessing an ε-derivation.
-
-    The witness's right-hand side consists of symbols that became nullable
-    strictly earlier in the fixpoint, so recursing through witnesses is
-    well-founded.
-    """
-    witness: dict[Symbol, Production] = {}
-    changed = True
-    while changed:
-        changed = False
-        for p in g.productions:
-            if p.lhs not in witness and all(s in witness for s in p.rhs):
-                witness[p.lhs] = p
-                changed = True
-    return witness
+    """For each nullable nonterminal, a well-founded ε-derivation witness (see _witness_ids)."""
+    return {a: g.productions[pid] for a, pid in memo(g, nullable_ids).items()}
 
 
-@lru_cache(maxsize=None)
 def _words_by_symbol(g: Grammar, max_len: int) -> dict[Symbol, frozenset[Word]]:
     """Bounded-exact word sets for every symbol of g, by monotone fixpoint."""
     words: dict[Symbol, set[Word]] = {t: ({(t,)} if max_len >= 1 else set()) for t in g.terminals}
@@ -357,7 +379,7 @@ def enumerate_words(g: Grammar, x: Symbol, max_len: int) -> frozenset[Word]:
         return frozenset({(x,)}) if max_len >= 1 else frozenset()
     if x not in g.nonterminals:
         raise GrammarError(f"symbol {x.name!r} is not declared in the grammar")
-    return _words_by_symbol(g, max_len)[x]
+    return memo(g, _words_by_symbol, max_len)[x]
 
 
 def length_lex_key(w: Word) -> tuple[int, tuple[str, ...]]:

@@ -28,11 +28,12 @@ over a small formula universe when enabled.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from itertools import combinations
 from typing import Iterator, Sequence
 
 from .earley import recognize
-from .grammar import Grammar, Production, Symbol, Word, nullable_witnesses, terminal
+from .grammar import Grammar, Production, Symbol, Word, lhs_index, memo, nullable_ids, terminal
 from .types import (
     Atom,
     LambekType,
@@ -188,8 +189,59 @@ def _ax(t: LambekType) -> ProofTree:
     return ProofTree(Sequent((t,), t), RuleName.AX, ())
 
 
+def _fold_templates(g: Grammar) -> list[tuple[int, tuple[int, ...], tuple[Symbol, ...], Atom]]:
+    """(production id, skipped positions, matched symbols, lhs atom) per fold.
+
+    Exact right-hand sides come before skipped ones; empty matches are
+    insertions, not folds.
+    """
+    nullable = memo(g, nullable_ids)
+    out = []
+    for pid, prod in enumerate(g.productions):
+        nullable_pos = [k for k, sym in enumerate(prod.rhs) if sym in nullable]
+        for size in range(len(nullable_pos) + 1):
+            for pattern in combinations(nullable_pos, size):
+                matched = tuple(sym for k, sym in enumerate(prod.rhs) if k not in pattern)
+                if matched:
+                    out.append((pid, pattern, matched, Atom(prod.lhs)))
+    return out
+
+
+def _insertions(g: Grammar) -> list[tuple[Atom, int, tuple[int, ...]]]:
+    """(atom, witness production id, all its positions) per nullable, by name."""
+    return [
+        (Atom(a), pid, tuple(range(len(g.productions[pid].rhs))))
+        for a, pid in sorted(memo(g, nullable_ids).items(), key=lambda item: item[0].name)
+    ]
+
+
+def _cut_universe(g: Grammar, depth: int) -> list[LambekType]:
+    syms = sorted(g.nonterminals | g.terminals, key=lambda s: s.name)
+    return type_universe(g, syms, depth)
+
+
+def _lifted(g: Grammar) -> tuple[Grammar, dict[Symbol, Symbol]]:
+    """g plus, for each nonterminal X, a fresh token 'X with X ::= 'X."""
+    taken = {s.name for s in g.terminals | g.nonterminals}
+    lift: dict[Symbol, Symbol] = {}
+    extra: list[Production] = []
+    for x in sorted(g.nonterminals, key=lambda s: s.name):
+        name = f"'{x.name}"
+        while name in taken:
+            name += "'"
+        taken.add(name)
+        lift[x] = terminal(name)
+        extra.append(Production(x, (lift[x],)))
+    g2 = Grammar(g.terminals | frozenset(lift.values()), g.nonterminals, g.productions + tuple(extra), g.start)
+    return g2, lift
+
+
 class Prover:
-    """Holds per-grammar search state; memo tables persist across prove calls."""
+    """Holds search state for one grammar; memo tables persist across prove calls.
+
+    Tables derived from the grammar alone live on the grammar (see memo), so
+    they are shared by every prover over it.
+    """
 
     def __init__(self, g: Grammar, cfg: SearchConfig = SearchConfig(), axioms: Sequence[TypingAxiom] = ()):
         self.g = g
@@ -198,34 +250,10 @@ class Prover:
         for ax in self.axioms:
             if ax.token not in g.terminals:
                 raise ValueError(f"axiom token {ax.token.name!r} is not a declared terminal")
-        self._nullable_wit = nullable_witnesses(g)
-        self._nullable = frozenset(self._nullable_wit)
-        self._nullable_sorted = sorted(self._nullable, key=lambda s: s.name)
-        self._insertion_detail = {A: self._empty_match_detail(A) for A in self._nullable_sorted}
-        self._fold_templates: list[tuple[int, tuple[int, ...], tuple[Symbol, ...], Atom]] = []
-        for pid, prod in enumerate(g.productions):
-            nullable_pos = [k for k, sym in enumerate(prod.rhs) if sym in self._nullable]
-            for pattern in _skip_patterns(nullable_pos):
-                matched = tuple(sym for k, sym in enumerate(prod.rhs) if k not in pattern)
-                if matched:
-                    self._fold_templates.append((pid, pattern, matched, Atom(prod.lhs)))
         self._ok: dict[Sequent, tuple[int, ProofTree]] = {}
         self._fail: dict[Sequent, int] = {}
-        self._cut_formulas: list[LambekType] | None = None
         self._axiom_tokens = frozenset(ax.token for ax in self.axioms)
-        self._lifted: tuple[Grammar, dict[Symbol, Symbol]] | None = None
         self._foldable_cache: dict[tuple[tuple[Symbol, ...], Symbol], bool] = {}
-
-    def _empty_match_detail(self, a: Symbol) -> ContractDetail:
-        p = self._nullable_wit[a]
-        pid = self.g.productions.index(p)
-        return ContractDetail(pid, 0, tuple(range(len(p.rhs))))
-
-    def _cut_universe(self) -> list[LambekType]:
-        if self._cut_formulas is None:
-            syms = sorted(self.g.nonterminals | self.g.terminals, key=lambda s: s.name)
-            self._cut_formulas = type_universe(self.g, syms, self.cfg.cut_formula_depth)
-        return self._cut_formulas
 
     def _fold_reachable(self, symbols: tuple[Symbol, ...], goal: Symbol) -> bool:
         """Whether the grammar derives this sentential form from goal.
@@ -240,25 +268,7 @@ class Prover:
         key = (symbols, goal)
         cached = self._foldable_cache.get(key)
         if cached is None:
-            if self._lifted is None:
-                taken = {s.name for s in self.g.terminals | self.g.nonterminals}
-                lift: dict[Symbol, Symbol] = {}
-                extra: list[Production] = []
-                for x in sorted(self.g.nonterminals, key=lambda s: s.name):
-                    name = f"'{x.name}"
-                    while name in taken:
-                        name += "'"
-                    taken.add(name)
-                    lift[x] = terminal(name)
-                    extra.append(Production(x, (lift[x],)))
-                g2 = Grammar(
-                    self.g.terminals | frozenset(lift.values()),
-                    self.g.nonterminals,
-                    self.g.productions + tuple(extra),
-                    self.g.start,
-                )
-                self._lifted = (g2, lift)
-            g2, lift = self._lifted
+            g2, lift = memo(self.g, _lifted)
             word = tuple(lift.get(x, x) for x in symbols)
             cached = recognize(g2, goal, word)
             self._foldable_cache[key] = cached
@@ -331,8 +341,8 @@ class Prover:
         if not ante and isinstance(succ, UnitType):
             return ProofTree(s, RuleName.EPS_R, ()), True
         if isinstance(succ, Atom) and not succ.symbol.is_terminal:
-            for pid, p in enumerate(self.g.productions):
-                if p.lhs == succ.symbol and ante == _atoms(p.rhs):
+            for pid in memo(self.g, lhs_index)[succ.symbol]:
+                if ante == _atoms(self.g.productions[pid].rhs):
                     return ProofTree(s, RuleName.GRAM, (), GramDetail(pid)), True
         for aid, ax in enumerate(self.axioms):
             if ante == (Atom(ax.token),) and succ == ax.type:
@@ -403,7 +413,7 @@ class Prover:
 
         # production folds, exact right-hand sides before skipped ones
         n = len(ante)
-        for pid, pattern, matched, lhs_atom in self._fold_templates:
+        for pid, pattern, matched, lhs_atom in memo(self.g, _fold_templates):
             m = len(matched)
             for q in range(n - m + 1):
                 if all(names[q + t] == matched[t] for t in range(m)):
@@ -446,30 +456,17 @@ class Prover:
         # loses no proofs and no budget.
         if budget > 0 and isinstance(succ, Atom) and all(n is not None for n in names):
             for q in range(len(ante) + 1):
-                for a in self._nullable_sorted:
-                    detail = self._insertion_detail[a]
-                    prem = Sequent(ante[:q] + (Atom(a),) + ante[q:], succ)
-                    yield (
-                        RuleName.CONTRACT,
-                        ContractDetail(detail.production, q, detail.skipped),
-                        (prem,),
-                        1,
-                    )
+                for atom, pid, skipped in memo(self.g, _insertions):
+                    prem = Sequent(ante[:q] + (atom,) + ante[q:], succ)
+                    yield (RuleName.CONTRACT, ContractDetail(pid, q, skipped), (prem,), 1)
 
         if self.cfg.enable_general_cut:
             for i in range(len(ante)):
                 for j in range(i + 1, len(ante) + 1):
-                    for chi in self._cut_universe():
+                    for chi in memo(self.g, _cut_universe, self.cfg.cut_formula_depth):
                         prem1 = Sequent(ante[i:j], chi)
                         prem2 = Sequent(ante[:i] + (chi,) + ante[j:], succ)
                         yield (RuleName.CUT, CutDetail(i, j), (prem1, prem2), 0)
-
-
-def _skip_patterns(nullable_positions: list[int]) -> Iterator[tuple[int, ...]]:
-    from itertools import combinations
-
-    for size in range(len(nullable_positions) + 1):
-        yield from combinations(nullable_positions, size)
 
 
 def prove(
@@ -495,7 +492,7 @@ def _reject(path: tuple[int, ...], reason: str) -> CheckResult:
 
 def check_proof(g: Grammar, t: ProofTree, axioms: Sequence[TypingAxiom] = ()) -> CheckResult:
     """Structural validation of every node against its rule schema."""
-    nullable = frozenset(nullable_witnesses(g))
+    nullable = memo(g, nullable_ids)
     axioms = tuple(axioms)
 
     def walk(node: ProofTree, path: tuple[int, ...]) -> CheckResult:
@@ -662,9 +659,8 @@ def _empty_word_proof(g: Grammar, a: Symbol, cache: dict[Symbol, ProofTree]) -> 
     """A pure GRAM/CUT proof of  ⊢ A  for nullable A."""
     if a in cache:
         return cache[a]
-    wit = nullable_witnesses(g)
-    p = wit[a]
-    pid = g.productions.index(p)
+    pid = memo(g, nullable_ids)[a]
+    p = g.productions[pid]
     tree = ProofTree(Sequent(_atoms(p.rhs), Atom(a)), RuleName.GRAM, (), GramDetail(pid))
     ante = list(p.rhs)
     for i in range(len(ante) - 1, -1, -1):
@@ -784,48 +780,35 @@ def dni(g: Grammar, t: ProofTree, psi: LambekType, side: Side) -> ProofTree:
     return ProofTree(Sequent(ctx, Over(psi, Under(phi, psi))), RuleName.OVER_R, (step,))
 
 
+# the detail class each rule carries; rules not listed take none
+_DETAIL_CLASS: dict[RuleName, type] = {
+    RuleName.GRAM: GramDetail,
+    RuleName.AXIOM: AxiomDetail,
+    RuleName.EPS_L: PosDetail,
+    RuleName.PROD_L: PosDetail,
+    RuleName.PROD_R: SplitDetail,
+    RuleName.UNDER_L: UnderLDetail,
+    RuleName.OVER_L: OverLDetail,
+    RuleName.CUT: CutDetail,
+    RuleName.CONTRACT: ContractDetail,
+}
+
+
 def _detail_to_json(detail: Detail) -> dict | None:
     if detail is None:
         return None
-    if isinstance(detail, GramDetail):
-        return {"production": detail.production}
-    if isinstance(detail, AxiomDetail):
-        return {"axiom": detail.axiom}
-    if isinstance(detail, PosDetail):
-        return {"pos": detail.pos}
-    if isinstance(detail, SplitDetail):
-        return {"split": detail.split}
-    if isinstance(detail, UnderLDetail):
-        return {"pos": detail.pos, "start": detail.start}
-    if isinstance(detail, OverLDetail):
-        return {"pos": detail.pos, "stop": detail.stop}
-    if isinstance(detail, CutDetail):
-        return {"start": detail.start, "stop": detail.stop}
-    if isinstance(detail, ContractDetail):
-        return {"production": detail.production, "pos": detail.pos, "skipped": list(detail.skipped)}
-    raise ValueError(f"unknown detail {detail!r}")
+    out = {f.name: getattr(detail, f.name) for f in fields(detail)}
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in out.items()}
 
 
 def _detail_from_json(rule: RuleName, obj: dict | None) -> Detail:
     if obj is None:
         return None
-    if rule is RuleName.GRAM:
-        return GramDetail(obj["production"])
-    if rule is RuleName.AXIOM:
-        return AxiomDetail(obj["axiom"])
-    if rule in (RuleName.EPS_L, RuleName.PROD_L):
-        return PosDetail(obj["pos"])
-    if rule is RuleName.PROD_R:
-        return SplitDetail(obj["split"])
-    if rule is RuleName.UNDER_L:
-        return UnderLDetail(obj["pos"], obj["start"])
-    if rule is RuleName.OVER_L:
-        return OverLDetail(obj["pos"], obj["stop"])
-    if rule is RuleName.CUT:
-        return CutDetail(obj["start"], obj["stop"])
-    if rule is RuleName.CONTRACT:
-        return ContractDetail(obj["production"], obj["pos"], tuple(obj["skipped"]))
-    raise ValueError(f"rule {rule.value} takes no detail")
+    cls = _DETAIL_CLASS.get(rule)
+    if cls is None:
+        raise ValueError(f"rule {rule.value} takes no detail")
+    args = (obj[f.name] for f in fields(cls))
+    return cls(*(tuple(v) if isinstance(v, list) else v for v in args))
 
 
 def proof_to_json(t: ProofTree) -> dict:

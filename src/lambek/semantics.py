@@ -25,12 +25,11 @@ certify passes vacuously.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 from typing import Sequence
 
 from .earley import recognize
-from .grammar import Grammar, Symbol, Word, enumerate_words, iter_words_sorted
+from .grammar import Grammar, Symbol, Word, enumerate_words, iter_words_sorted, memo
 from .prover import Prover, SearchConfig, SearchResult, SearchStatus, TypingAxiom
 from .types import Atom, LambekType, Over, Prod, Sequent, Under, UnitType
 
@@ -74,10 +73,9 @@ OracleVerdict = OraclePass | Counterexample
 
 def member_bounded(g: Grammar, w: Word, t: LambekType, b: SemBound) -> bool:
     """Is w in ⟦t⟧, quantifiers truncated per the bound?"""
-    return _member(g, w, t, b.max_len, b._alpha(g))
+    return memo(g, _member, w, t, b.max_len, b._alpha(g))
 
 
-@lru_cache(maxsize=None)
 def _member(
     g: Grammar, w: Word, t: LambekType, max_len: int, alpha: frozenset[Symbol] | None
 ) -> bool:
@@ -89,19 +87,19 @@ def _member(
         return w == ()
     if isinstance(t, Prod):
         return any(
-            _member(g, w[:k], t.left, max_len, alpha)
-            and _member(g, w[k:], t.right, max_len, alpha)
+            memo(g, _member, w[:k], t.left, max_len, alpha)
+            and memo(g, _member, w[k:], t.right, max_len, alpha)
             for k in range(len(w) + 1)
         )
     if isinstance(t, Under):
         return all(
-            _member(g, v + w, t.result, max_len, alpha)
-            for v in _denotation(g, t.arg, max_len, max_len, alpha)
+            memo(g, _member, v + w, t.result, max_len, alpha)
+            for v in memo(g, _denotation, t.arg, max_len, max_len, alpha)
         )
     if isinstance(t, Over):
         return all(
-            _member(g, w + v, t.result, max_len, alpha)
-            for v in _denotation(g, t.arg, max_len, max_len, alpha)
+            memo(g, _member, w + v, t.result, max_len, alpha)
+            for v in memo(g, _denotation, t.arg, max_len, max_len, alpha)
         )
     raise TypeError(f"unknown type {t!r}")
 
@@ -110,7 +108,7 @@ def denotation_bounded(
     g: Grammar, t: LambekType, b: SemBound, out_len: int
 ) -> frozenset[Word]:
     """All words of length at most out_len in ⟦t⟧ under the bound."""
-    return _denotation(g, t, out_len, b.max_len, b._alpha(g))
+    return memo(g, _denotation, t, out_len, b.max_len, b._alpha(g))
 
 
 def _restrict(words: frozenset[Word], alpha: frozenset[Symbol] | None) -> frozenset[Word]:
@@ -119,7 +117,6 @@ def _restrict(words: frozenset[Word], alpha: frozenset[Symbol] | None) -> frozen
     return frozenset(w for w in words if all(s in alpha for s in w))
 
 
-@lru_cache(maxsize=None)
 def _denotation(
     g: Grammar, t: LambekType, out_len: int, max_len: int, alpha: frozenset[Symbol] | None
 ) -> frozenset[Word]:
@@ -128,13 +125,13 @@ def _denotation(
     if isinstance(t, UnitType):
         return frozenset({()})
     if isinstance(t, Prod):
-        left = _denotation(g, t.left, out_len, max_len, alpha)
-        right = _denotation(g, t.right, out_len, max_len, alpha)
+        left = memo(g, _denotation, t.left, out_len, max_len, alpha)
+        right = memo(g, _denotation, t.right, out_len, max_len, alpha)
         return frozenset(
             u + v for u in left for v in right if len(u) + len(v) <= out_len
         )
     candidates = _implication_candidates(g, t, out_len, max_len, alpha)
-    return frozenset(w for w in candidates if _member(g, w, t, max_len, alpha))
+    return frozenset(w for w in candidates if memo(g, _member, w, t, max_len, alpha))
 
 
 def _implication_candidates(
@@ -151,7 +148,7 @@ def _implication_candidates(
     suffices to try prefixes (Over) or suffixes (Under) of the result's
     words; otherwise fall back to every word over the alphabet.
     """
-    dom = _denotation(g, t.arg, max_len, max_len, alpha)
+    dom = memo(g, _denotation, t.arg, max_len, max_len, alpha)
     result = t.result
     if dom and isinstance(result, (Atom, UnitType)):
         if isinstance(result, UnitType):
@@ -167,10 +164,9 @@ def _implication_candidates(
             else:
                 out.update(w[len(w) - k :] for k in range(stop + 1))
         return _restrict(frozenset(out), alpha)
-    return _all_words(g, out_len, alpha)
+    return memo(g, _all_words, out_len, alpha)
 
 
-@lru_cache(maxsize=None)
 def _all_words(
     g: Grammar, out_len: int, alpha: frozenset[Symbol] | None
 ) -> tuple[Word, ...]:
@@ -181,7 +177,6 @@ def _all_words(
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
 def _length_sup(g: Grammar, cap: int) -> dict[Symbol, int]:
     """Longest word each nonterminal derives, saturated at cap + 1."""
     big = cap + 1
@@ -204,7 +199,7 @@ def _length_sup(g: Grammar, cap: int) -> dict[Symbol, int]:
 
 def _sup(g: Grammar, t: LambekType, cap: int) -> int:
     if isinstance(t, Atom):
-        return 1 if t.symbol.is_terminal else _length_sup(g, cap)[t.symbol]
+        return 1 if t.symbol.is_terminal else memo(g, _length_sup, cap)[t.symbol]
     if isinstance(t, UnitType):
         return 0
     if isinstance(t, Prod):
@@ -246,7 +241,7 @@ def context_denotation_bounded(
     alpha = b._alpha(g)
     acc: set[Word] = {()}
     for t in ctx:
-        d = _denotation(g, t, out_len, b.max_len, alpha)
+        d = memo(g, _denotation, t, out_len, b.max_len, alpha)
         acc = {u + v for u in acc for v in d if len(u) + len(v) <= out_len}
     return frozenset(acc)
 
@@ -277,7 +272,7 @@ def soundness_check(
     dom = context_denotation_bounded(g, s.antecedent, b, out_len)
     alpha = b._alpha(g)
     for w in iter_words_sorted(dom):
-        if not _member(g, w, s.succedent, b.max_len, alpha):
+        if not memo(g, _member, w, s.succedent, b.max_len, alpha):
             return Counterexample(w)
     return OraclePass(len(dom))
 

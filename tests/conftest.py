@@ -12,6 +12,12 @@ def bundled(name):
     return g
 
 
+@pytest.fixture
+def load_bundled():
+    """Loads a bundled grammar afresh, with none of its derived tables filled."""
+    return bundled
+
+
 @pytest.fixture(scope="session")
 def bool_g():
     return bundled("bool.g")

@@ -1,5 +1,10 @@
+import gc
+import weakref
+
 import pytest
 
+from lambek.analyzer import InjectionContext, classify_input
+from lambek.earley import check_unambiguous
 from lambek.grammar import (
     GrammarError,
     enumerate_words,
@@ -12,6 +17,9 @@ from lambek.grammar import (
     validate,
     word_from_text,
 )
+from lambek.prover import Prover
+from lambek.semantics import soundness_check
+from lambek.types import parse_sequent
 
 
 def names(symbols):
@@ -161,3 +169,19 @@ def test_length_lex_order(bool_g):
     ordered = [render_word(w) for w in iter_words_sorted(ws)]
     assert ordered == ["1", "OR", "b", "1 = 1", "a = a", "a = b"]
     assert length_lex_key(()) < length_lex_key(word_from_text(bool_g, "1"))
+
+
+def test_derived_tables_are_freed_with_the_grammar(load_bundled):
+    """Every per-grammar table lives on the grammar, so none outlives it."""
+    g = load_bundled("bool.g")
+    s = parse_sequent("b , OR , 1 , = , 1 |- (T/V)\\E", g)
+    soundness_check(g, s)
+    assert Prover(g).prove(s).proved
+    ctx = InjectionContext(word_from_text(g, "a ="), (), g.symbol("E"), g.symbol("V"))
+    classify_input(g, ctx, word_from_text(g, "b OR 1 = 1"))
+    enumerate_words(g, g.start, 4)
+    check_unambiguous(g, g.start, 4)
+    ref = weakref.ref(g)
+    del g, s, ctx
+    gc.collect()
+    assert ref() is None

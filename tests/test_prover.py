@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import random
 
 import pytest
 
@@ -26,6 +27,7 @@ from lambek.prover import (
     render_proof,
 )
 from lambek.prover import ProofTree
+from lambek.semantics import soundness_check
 from lambek.types import Atom, Sequent, parse_sequent, render_sequent
 
 PROVABLE = [
@@ -332,3 +334,20 @@ def test_general_cut_changes_no_small_verdicts(bool_g):
         assert r.proved and check_proof(bool_g, r.proof).ok
     for text in ("V |- T", "E |- T"):
         assert not p.prove(parse_sequent(text, bool_g)).proved
+
+
+def test_answers_do_not_depend_on_shared_tables(load_bundled):
+    """Provers share the grammar's derived tables; a warm grammar answers as a fresh one."""
+    corpus = PROVABLE + UNPROVABLE
+
+    def answer(g, text):
+        s = parse_sequent(text, g)
+        r = Prover(g).prove(s)
+        return (proof_to_json(r.proof) if r.proved else None, soundness_check(g, s))
+
+    fresh = {text: answer(load_bundled("bool.g"), text) for text in corpus}
+    warm_g = load_bundled("bool.g")
+    shuffled = corpus[:]
+    random.Random(20).shuffle(shuffled)
+    for text in shuffled + shuffled[::-1]:
+        assert answer(warm_g, text) == fresh[text], text
