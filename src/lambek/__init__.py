@@ -72,7 +72,6 @@ from .prover import (
     parse_axiom,
     proof_from_json,
     proof_to_json,
-    prove,
     render_proof,
 )
 from .semantics import (

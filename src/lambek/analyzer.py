@@ -52,7 +52,6 @@ from .prover import (
     Side,
     proof_to_json,
 )
-from .semantics import SemBound
 from .types import Atom, LambekType, Over, Sequent, Under, render_type, type_universe
 
 
@@ -175,10 +174,9 @@ def infer_typings(
     atoms: Sequence[Symbol],
     depth: int,
     cfg: SearchConfig = SearchConfig(),
-    prover: Prover | None = None,
 ) -> list[tuple[LambekType, ProofTree]]:
     """All types in the universe over atoms at the given depth that w proves."""
-    pr = prover if prover is not None else Prover(g, cfg)
+    pr = Prover(g, cfg)
     ante = tuple(Atom(s) for s in w)
     out: list[tuple[LambekType, ProofTree]] = []
     for tau in type_universe(g, atoms, depth):
@@ -198,7 +196,6 @@ class InjectionReport:
     combined_parses: bool
     reshaping: ReshapingResult
     config: SearchConfig
-    bound: SemBound
 
     def to_json(self, g: Grammar) -> dict:
         if isinstance(self.reshaping, ConservativeExtension):
@@ -236,7 +233,6 @@ class InjectionReport:
             "bounds": {
                 "max_depth": self.config.max_depth,
                 "insert_budget": self.config.insert_budget,
-                "max_len": self.bound.max_len,
             },
         }
         if self.benign_proof is not None:
@@ -288,7 +284,6 @@ def classify_input(
     ctx: InjectionContext,
     w: Word,
     cfg: SearchConfig = SearchConfig(),
-    bound: SemBound = SemBound(),
     capture_depth: int = 0,
 ) -> InjectionReport:
     if ctx.goal not in g.nonterminals:
@@ -324,5 +319,4 @@ def classify_input(
         combined_parses=combined_parses,
         reshaping=reshaping,
         config=cfg,
-        bound=bound,
     )

@@ -17,9 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from importlib import resources
 from typing import TextIO
 
 from .analyzer import AmbiguityError, Classification, InjectionContext, classify_input, infer_typings
@@ -29,9 +27,8 @@ from .grammar import (
     GrammarError,
     enumerate_words,
     iter_words_sorted,
-    parse_grammar_file,
+    load_grammar,
     render_word,
-    validate,
     word_from_text,
 )
 from .prover import Prover, SearchConfig, SearchStatus, parse_axiom, proof_to_json, render_proof
@@ -40,28 +37,14 @@ from .types import TypeSyntaxError, parse_sequent, render_type
 
 
 def _load_grammar(spec: str, err: TextIO) -> Grammar:
-    if os.path.exists(spec):
-        with open(spec, encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        name = spec if spec.endswith(".g") else spec + ".g"
-        res = resources.files("lambek") / "grammars" / name
-        if not res.is_file():
-            raise GrammarError(f"no grammar file or bundled grammar named {spec!r}")
-        text = res.read_text(encoding="utf-8")
-    g, dropped = validate(parse_grammar_file(text))
-    for note in dropped:
+    g, notes = load_grammar(spec)
+    for note in notes:
         print(f"note: {note}", file=err)
     return g
 
 
 def _search_config(args: argparse.Namespace) -> SearchConfig:
-    return SearchConfig(
-        max_depth=args.max_depth,
-        insert_budget=args.insert_budget,
-        enable_general_cut=args.general_cut,
-        cut_formula_depth=args.cut_depth,
-    )
+    return SearchConfig(max_depth=args.max_depth, insert_budget=args.insert_budget)
 
 
 def _emit(obj: dict, out: TextIO) -> None:
@@ -77,7 +60,9 @@ def _cmd_check(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
         _emit(
             {
                 "status": res.status.value,
-                "counterexample": render_word(res.counterexample) if res.counterexample else None,
+                "counterexample": (
+                    render_word(res.counterexample) if res.counterexample is not None else None
+                ),
                 "proof": proof_to_json(res.proof) if res.proof and args.tree else None,
             },
             out,
@@ -204,7 +189,7 @@ def _cmd_analyze(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
         expected=g.symbol(args.expect),
     )
     w = word_from_text(g, args.input)
-    report = classify_input(g, ctx, w, _search_config(args), SemBound(args.max_len))
+    report = classify_input(g, ctx, w, _search_config(args))
     if args.json:
         _emit(report.to_json(g), out)
     else:
@@ -223,8 +208,6 @@ def _build_parser() -> argparse.ArgumentParser:
     search = argparse.ArgumentParser(add_help=False)
     search.add_argument("--max-depth", type=int, default=40)
     search.add_argument("--insert-budget", type=int, default=2)
-    search.add_argument("--general-cut", action="store_true")
-    search.add_argument("--cut-depth", type=int, default=1)
     search.add_argument("--axiom", action="append", default=[], metavar="'tok |- TYPE'")
 
     bound = argparse.ArgumentParser(add_help=False)
@@ -261,7 +244,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--symbol", default="", help="start symbol by default")
     c.set_defaults(fn=_cmd_ambig)
 
-    c = sub.add_parser("analyze", parents=[grammar, search, bound], help="classify a hole-filling input")
+    c = sub.add_parser("analyze", parents=[grammar, search], help="classify a hole-filling input")
     c.add_argument("--prefix", default="")
     c.add_argument("--suffix", default="")
     c.add_argument("--goal", required=True)

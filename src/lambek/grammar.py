@@ -15,7 +15,9 @@ starts a comment that runs to the end of the line.
 from __future__ import annotations
 
 import enum
+import os
 from dataclasses import dataclass, field
+from importlib import resources
 from typing import Any, Callable, Iterable, Iterator, TypeVar
 
 T = TypeVar("T")
@@ -257,11 +259,6 @@ def parse_grammar_file(text: str) -> Grammar:
     )
 
 
-def load_grammar(path: str) -> Grammar:
-    with open(path, encoding="utf-8") as fh:
-        return parse_grammar_file(fh.read())
-
-
 def _witness_ids(g: Grammar, known: Iterable[Symbol]) -> dict[Symbol, int]:
     """Nonterminals that derive a string over ``known``, each with a witness.
 
@@ -327,6 +324,23 @@ def validate(g: Grammar) -> tuple[Grammar, list[str]]:
         Grammar(g.terminals, frozenset(useful), tuple(final), g.start),
         diagnostics,
     )
+
+
+def load_grammar(spec: str) -> tuple[Grammar, list[str]]:
+    """Read, parse and validate a grammar file, or a bundled grammar by stem.
+
+    Returns the validated grammar with validate's notes on what it dropped.
+    """
+    if os.path.exists(spec):
+        with open(spec, encoding="utf-8") as fh:
+            text = fh.read()
+    else:
+        name = spec if spec.endswith(".g") else spec + ".g"
+        res = resources.files("lambek") / "grammars" / name
+        if not res.is_file():
+            raise GrammarError(f"no grammar file or bundled grammar named {spec!r}")
+        text = res.read_text(encoding="utf-8")
+    return validate(parse_grammar_file(text))
 
 
 def nullable_set(g: Grammar) -> frozenset[Symbol]:

@@ -22,8 +22,10 @@ Rules, written forward (Φ, Ψ, Π are contexts, φ, ψ, π types):
 Search runs backward, goal-directed, depth-bounded, with memoization of both
 successes and exhaustive failures.  Invertible steps (stripping units,
 splitting antecedent products, the two right rules) are applied eagerly;
-everything else backtracks.  General cut is off by default and only fires
-over a small formula universe when enabled.
+everything else backtracks.  The search never tries a general cut: the
+calculus is cut-free (Lambek 1958), so CUT appears in proofs only as the
+lexicon fold against a typing axiom and in the composites the tactics and
+expand_contract build.
 """
 from __future__ import annotations
 
@@ -46,7 +48,6 @@ from .types import (
     parse_type,
     render_sequent,
     render_type,
-    type_universe,
 )
 
 
@@ -156,8 +157,6 @@ def parse_axiom(text: str, g: Grammar) -> TypingAxiom:
 class SearchConfig:
     max_depth: int = 40
     insert_budget: int = 2
-    enable_general_cut: bool = False
-    cut_formula_depth: int = 1
 
 
 class SearchStatus(enum.Enum):
@@ -215,11 +214,6 @@ def _insertions(g: Grammar) -> list[tuple[Atom, int, tuple[int, ...]]]:
     ]
 
 
-def _cut_universe(g: Grammar, depth: int) -> list[LambekType]:
-    syms = sorted(g.nonterminals | g.terminals, key=lambda s: s.name)
-    return type_universe(g, syms, depth)
-
-
 def _lifted(g: Grammar) -> tuple[Grammar, dict[Symbol, Symbol]]:
     """g plus, for each nonterminal X, a fresh token 'X with X ::= 'X."""
     taken = {s.name for s in g.terminals | g.nonterminals}
@@ -234,6 +228,14 @@ def _lifted(g: Grammar) -> tuple[Grammar, dict[Symbol, Symbol]]:
         extra.append(Production(x, (lift[x],)))
     g2 = Grammar(g.terminals | frozenset(lift.values()), g.nonterminals, g.productions + tuple(extra), g.start)
     return g2, lift
+
+
+def require_declared(g: Grammar, s: Sequent) -> None:
+    """Raise ValueError unless every atom of s is a symbol of g."""
+    for t in (*s.antecedent, s.succedent):
+        for sym in iter_atoms(t):
+            if sym not in g.terminals and sym not in g.nonterminals:
+                raise ValueError(f"atom {sym.name!r} is not declared in the grammar")
 
 
 class Prover:
@@ -275,11 +277,7 @@ class Prover:
         return cached
 
     def prove(self, s: Sequent) -> SearchResult:
-        declared = self.g.terminals | self.g.nonterminals
-        for t in (*s.antecedent, s.succedent):
-            for sym in iter_atoms(t):
-                if sym not in declared:
-                    raise ValueError(f"atom {sym.name!r} is not declared in the grammar")
+        require_declared(self.g, s)
         tree, _ = self._search(s, self.cfg.max_depth, self.cfg.insert_budget, set())
         if tree is None:
             return SearchResult(SearchStatus.NOT_FOUND_WITHIN_BOUNDS)
@@ -350,8 +348,7 @@ class Prover:
 
         # A flat sequent (atoms over atom or unit) can only close or fold, so
         # derivability is decidable outright; settle it here instead of
-        # searching.  Cut admissibility keeps this exact even with general
-        # cut enabled.  Skipped when a typing axiom could still fire.
+        # searching.  Skipped when a typing axiom could still fire.
         if isinstance(succ, (Atom, UnitType)) and all(isinstance(t, Atom) for t in ante):
             if not any(t.symbol in self._axiom_tokens for t in ante):
                 if isinstance(succ, UnitType) or succ.symbol.is_terminal:
@@ -459,24 +456,6 @@ class Prover:
                 for atom, pid, skipped in memo(self.g, _insertions):
                     prem = Sequent(ante[:q] + (atom,) + ante[q:], succ)
                     yield (RuleName.CONTRACT, ContractDetail(pid, q, skipped), (prem,), 1)
-
-        if self.cfg.enable_general_cut:
-            for i in range(len(ante)):
-                for j in range(i + 1, len(ante) + 1):
-                    for chi in memo(self.g, _cut_universe, self.cfg.cut_formula_depth):
-                        prem1 = Sequent(ante[i:j], chi)
-                        prem2 = Sequent(ante[:i] + (chi,) + ante[j:], succ)
-                        yield (RuleName.CUT, CutDetail(i, j), (prem1, prem2), 0)
-
-
-def prove(
-    g: Grammar,
-    s: Sequent,
-    cfg: SearchConfig = SearchConfig(),
-    axioms: Sequence[TypingAxiom] = (),
-) -> SearchResult:
-    """Search for a proof of s; a fresh prover (and memo table) per call."""
-    return Prover(g, cfg, axioms).prove(s)
 
 
 @dataclass(frozen=True)
@@ -705,7 +684,7 @@ class Side(enum.Enum):
     RIGHT = "Right"
 
 
-def elim_under(g: Grammar, left: ProofTree, right: ProofTree) -> ProofTree:
+def elim_under(left: ProofTree, right: ProofTree) -> ProofTree:
     """From Φ ⊢ φ and Ψ ⊢ φ\\ψ build Φ Ψ ⊢ ψ."""
     fun = right.conclusion.succedent
     if not isinstance(fun, Under):
@@ -730,7 +709,7 @@ def elim_under(g: Grammar, left: ProofTree, right: ProofTree) -> ProofTree:
     )
 
 
-def elim_over(g: Grammar, left: ProofTree, right: ProofTree) -> ProofTree:
+def elim_over(left: ProofTree, right: ProofTree) -> ProofTree:
     """From Φ ⊢ ψ/φ and Ψ ⊢ φ build Φ Ψ ⊢ ψ."""
     fun = left.conclusion.succedent
     if not isinstance(fun, Over):
@@ -755,7 +734,7 @@ def elim_over(g: Grammar, left: ProofTree, right: ProofTree) -> ProofTree:
     )
 
 
-def dni(g: Grammar, t: ProofTree, psi: LambekType, side: Side) -> ProofTree:
+def dni(t: ProofTree, psi: LambekType, side: Side) -> ProofTree:
     """Double-negation introduction.
 
     Left:  from Φ ⊢ φ build Φ ⊢ (ψ/φ)\\ψ  (the value fits where a rightward
@@ -837,13 +816,8 @@ def proof_from_json(obj: dict, g: Grammar) -> ProofTree:
     )
 
 
-def render_proof(t: ProofTree, fmt: str = "text") -> str:
-    if fmt == "json":
-        import json
-
-        return json.dumps(proof_to_json(t), indent=2, ensure_ascii=False)
-    if fmt != "text":
-        raise ValueError(f"unknown proof format {fmt!r}")
+def render_proof(t: ProofTree) -> str:
+    """The proof as indented text, one sequent per line, premises below."""
     lines: list[str] = []
 
     def walk(node: ProofTree, depth: int) -> None:

@@ -30,32 +30,19 @@ from typing import Sequence
 
 from .earley import recognize
 from .grammar import Grammar, Symbol, Word, enumerate_words, iter_words_sorted, memo
-from .prover import Prover, SearchConfig, SearchResult, SearchStatus, TypingAxiom
+from .prover import Prover, SearchConfig, SearchResult, SearchStatus, TypingAxiom, require_declared
 from .types import Atom, LambekType, Over, Prod, Sequent, Under, UnitType
 
 
 @dataclass(frozen=True)
 class SemBound:
-    """Cap on the test words fed to the universal quantifiers.
-
-    alphabet, when given, restricts enumerated words to those terminals;
-    None means the whole terminal alphabet of the grammar at hand.
-    """
+    """Cap on the test words fed to the universal quantifiers."""
 
     max_len: int = 5
-    alphabet: frozenset[Symbol] | None = None
 
     def __post_init__(self) -> None:
         if self.max_len < 0:
             raise ValueError("max_len must be nonnegative")
-        if self.alphabet is not None:
-            object.__setattr__(self, "alphabet", frozenset(self.alphabet))
-
-    def _alpha(self, g: Grammar) -> frozenset[Symbol] | None:
-        # normalized so the full alphabet hits the same caches as None
-        if self.alphabet is None or self.alphabet >= g.terminals:
-            return None
-        return self.alphabet
 
 
 @dataclass(frozen=True)
@@ -73,12 +60,10 @@ OracleVerdict = OraclePass | Counterexample
 
 def member_bounded(g: Grammar, w: Word, t: LambekType, b: SemBound) -> bool:
     """Is w in ⟦t⟧, quantifiers truncated per the bound?"""
-    return memo(g, _member, w, t, b.max_len, b._alpha(g))
+    return memo(g, _member, w, t, b.max_len)
 
 
-def _member(
-    g: Grammar, w: Word, t: LambekType, max_len: int, alpha: frozenset[Symbol] | None
-) -> bool:
+def _member(g: Grammar, w: Word, t: LambekType, max_len: int) -> bool:
     if isinstance(t, Atom):
         if t.symbol.is_terminal:
             return w == (t.symbol,)
@@ -87,19 +72,19 @@ def _member(
         return w == ()
     if isinstance(t, Prod):
         return any(
-            memo(g, _member, w[:k], t.left, max_len, alpha)
-            and memo(g, _member, w[k:], t.right, max_len, alpha)
+            memo(g, _member, w[:k], t.left, max_len)
+            and memo(g, _member, w[k:], t.right, max_len)
             for k in range(len(w) + 1)
         )
     if isinstance(t, Under):
         return all(
-            memo(g, _member, v + w, t.result, max_len, alpha)
-            for v in memo(g, _denotation, t.arg, max_len, max_len, alpha)
+            memo(g, _member, v + w, t.result, max_len)
+            for v in memo(g, _denotation, t.arg, max_len, max_len)
         )
     if isinstance(t, Over):
         return all(
-            memo(g, _member, w + v, t.result, max_len, alpha)
-            for v in memo(g, _denotation, t.arg, max_len, max_len, alpha)
+            memo(g, _member, w + v, t.result, max_len)
+            for v in memo(g, _denotation, t.arg, max_len, max_len)
         )
     raise TypeError(f"unknown type {t!r}")
 
@@ -108,47 +93,33 @@ def denotation_bounded(
     g: Grammar, t: LambekType, b: SemBound, out_len: int
 ) -> frozenset[Word]:
     """All words of length at most out_len in ⟦t⟧ under the bound."""
-    return memo(g, _denotation, t, out_len, b.max_len, b._alpha(g))
+    return memo(g, _denotation, t, out_len, b.max_len)
 
 
-def _restrict(words: frozenset[Word], alpha: frozenset[Symbol] | None) -> frozenset[Word]:
-    if alpha is None:
-        return words
-    return frozenset(w for w in words if all(s in alpha for s in w))
-
-
-def _denotation(
-    g: Grammar, t: LambekType, out_len: int, max_len: int, alpha: frozenset[Symbol] | None
-) -> frozenset[Word]:
+def _denotation(g: Grammar, t: LambekType, out_len: int, max_len: int) -> frozenset[Word]:
     if isinstance(t, Atom):
-        return _restrict(frozenset(enumerate_words(g, t.symbol, out_len)), alpha)
+        return frozenset(enumerate_words(g, t.symbol, out_len))
     if isinstance(t, UnitType):
         return frozenset({()})
     if isinstance(t, Prod):
-        left = memo(g, _denotation, t.left, out_len, max_len, alpha)
-        right = memo(g, _denotation, t.right, out_len, max_len, alpha)
+        left = memo(g, _denotation, t.left, out_len, max_len)
+        right = memo(g, _denotation, t.right, out_len, max_len)
         return frozenset(
             u + v for u in left for v in right if len(u) + len(v) <= out_len
         )
-    candidates = _implication_candidates(g, t, out_len, max_len, alpha)
-    return frozenset(w for w in candidates if memo(g, _member, w, t, max_len, alpha))
+    candidates = _implication_candidates(g, t, out_len, max_len)
+    return frozenset(w for w in candidates if memo(g, _member, w, t, max_len))
 
 
-def _implication_candidates(
-    g: Grammar,
-    t: Under | Over,
-    out_len: int,
-    max_len: int,
-    alpha: frozenset[Symbol] | None,
-):
+def _implication_candidates(g: Grammar, t: Under | Over, out_len: int, max_len: int):
     """A superset of the implication's bounded denotation, kept small.
 
     With a nonempty quantifier domain, any member w extends by some test
     word v to a word of the result type, so when the result is an atom it
     suffices to try prefixes (Over) or suffixes (Under) of the result's
-    words; otherwise fall back to every word over the alphabet.
+    words; otherwise fall back to every word over the terminals.
     """
-    dom = memo(g, _denotation, t.arg, max_len, max_len, alpha)
+    dom = memo(g, _denotation, t.arg, max_len, max_len)
     result = t.result
     if dom and isinstance(result, (Atom, UnitType)):
         if isinstance(result, UnitType):
@@ -163,14 +134,12 @@ def _implication_candidates(
                 out.update(w[:k] for k in range(stop + 1))
             else:
                 out.update(w[len(w) - k :] for k in range(stop + 1))
-        return _restrict(frozenset(out), alpha)
-    return memo(g, _all_words, out_len, alpha)
+        return frozenset(out)
+    return memo(g, _all_words, out_len)
 
 
-def _all_words(
-    g: Grammar, out_len: int, alpha: frozenset[Symbol] | None
-) -> tuple[Word, ...]:
-    sigma = sorted(alpha if alpha is not None else g.terminals, key=lambda s: s.name)
+def _all_words(g: Grammar, out_len: int) -> tuple[Word, ...]:
+    sigma = sorted(g.terminals, key=lambda s: s.name)
     out: list[Word] = []
     for n in range(out_len + 1):
         out.extend(product(sigma, repeat=n))
@@ -238,10 +207,9 @@ def context_denotation_bounded(
     g: Grammar, ctx: Sequence[LambekType], b: SemBound, out_len: int
 ) -> frozenset[Word]:
     """Concatenations of member words, total length capped at out_len."""
-    alpha = b._alpha(g)
     acc: set[Word] = {()}
     for t in ctx:
-        d = memo(g, _denotation, t, out_len, b.max_len, alpha)
+        d = memo(g, _denotation, t, out_len, b.max_len)
         acc = {u + v for u in acc for v in d if len(u) + len(v) <= out_len}
     return frozenset(acc)
 
@@ -270,9 +238,8 @@ def soundness_check(
     ):
         return OraclePass(0)
     dom = context_denotation_bounded(g, s.antecedent, b, out_len)
-    alpha = b._alpha(g)
     for w in iter_words_sorted(dom):
-        if not memo(g, _member, w, s.succedent, b.max_len, alpha):
+        if not memo(g, _member, w, s.succedent, b.max_len):
             return Counterexample(w)
     return OraclePass(len(dom))
 
@@ -287,8 +254,10 @@ def prove_with_prescreen(
     """Run the oracle before searching; a counterexample skips the search.
 
     Typing axioms are not reflected in the language semantics, so the
-    prescreen is skipped whenever axioms are supplied.
+    prescreen is skipped whenever axioms are supplied.  A sequent naming an
+    atom the grammar does not declare raises ValueError, as the search does.
     """
+    require_declared(g, s)
     if not axioms:
         verdict = soundness_check(g, s, b)
         if isinstance(verdict, Counterexample):

@@ -1,31 +1,23 @@
-from importlib import resources
-
 import pytest
 
-from lambek.grammar import parse_grammar_file, validate
+from lambek.grammar import load_grammar, parse_grammar_file
 from lambek.prover import SearchConfig
-
-
-def bundled(name):
-    text = (resources.files("lambek") / "grammars" / name).read_text(encoding="utf-8")
-    g, _ = validate(parse_grammar_file(text))
-    return g
 
 
 @pytest.fixture
 def load_bundled():
     """Loads a bundled grammar afresh, with none of its derived tables filled."""
-    return bundled
+    return lambda name: load_grammar(name)[0]
 
 
 @pytest.fixture(scope="session")
 def bool_g():
-    return bundled("bool.g")
+    return load_grammar("bool")[0]
 
 
 @pytest.fixture(scope="session")
 def eng_g():
-    return bundled("eng.g")
+    return load_grammar("eng")[0]
 
 
 @pytest.fixture(scope="session")

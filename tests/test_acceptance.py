@@ -25,7 +25,6 @@ from lambek.prover import (
     elim_over,
     elim_under,
     parse_axiom,
-    prove,
 )
 from lambek.semantics import (
     Counterexample,
@@ -139,7 +138,7 @@ def test_criterion_01_core_judgments(bool_g, or_on_tests_g, tmp_path):
 
 def test_criterion_02_attack_is_not_a_value(bool_g):
     s = parse_sequent("b , OR , 1 , = , 1 |- V", bool_g)
-    assert not prove(bool_g, s).proved
+    assert not Prover(bool_g).prove(s).proved
     code, out, _ = _cli(
         "oracle", "b , OR , 1 , = , 1 |- V", "--grammar", "bool", "--max-len", "5"
     )
@@ -237,15 +236,15 @@ def test_criterion_06_tactics_on_a_proved_corpus(bool_g):
         _register(bool_g, s)
         a = s.succedent
 
-        for raised in (dni(bool_g, r.proof, T, Side.LEFT), dni(bool_g, r.proof, E, Side.RIGHT)):
+        for raised in (dni(r.proof, T, Side.LEFT), dni(r.proof, E, Side.RIGHT)):
             assert check_proof(bool_g, raised).ok
             assert pr.prove(raised.conclusion).proved, render_sequent(raised.conclusion)
             _register(bool_g, raised.conclusion)
 
         ident_over = pr.prove(Sequent((), Over(a, a))).proof
         ident_under = pr.prove(Sequent((), Under(a, a))).proof
-        via_over = elim_over(bool_g, ident_over, r.proof)
-        via_under = elim_under(bool_g, r.proof, ident_under)
+        via_over = elim_over(ident_over, r.proof)
+        via_under = elim_under(r.proof, ident_under)
         for t in (via_over, via_under):
             assert t.conclusion == s
             assert check_proof(bool_g, t).ok

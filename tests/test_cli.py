@@ -1,10 +1,13 @@
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import lambek
 from lambek.cli import run
 
 
@@ -33,6 +36,14 @@ def test_check_refuted_by_oracle():
     code, out, _ = cli("check", "V |- T", "--grammar", "bool")
     assert code == 1
     assert out.strip() == "RefutedByOracle: 1"
+
+
+def test_check_empty_word_counterexample():
+    code, out, _ = cli("check", "|- T", "--grammar", "bool")
+    assert code == 1 and out.strip() == "RefutedByOracle: ε"
+    code, out, _ = cli("check", "|- T", "--grammar", "bool", "--json")
+    assert code == 1
+    assert json.loads(out) == {"status": "RefutedByOracle", "counterexample": "ε", "proof": None}
 
 
 def test_check_json():
@@ -204,6 +215,11 @@ def test_validate_notes_go_to_stderr():
         ("analyze", "--grammar", "bool", "--goal", "E", "--expect", "V",
          "--input", "nope"),
         ("nosuchcommand",),
+        # analyze runs no oracle, and the search has no general-cut mode
+        ("analyze", "--grammar", "bool", "--prefix", "a =", "--input", "b",
+         "--goal", "E", "--expect", "V", "--max-len", "5"),
+        ("check", "a , = , b |- T", "--grammar", "bool", "--general-cut"),
+        ("prove", "a , = , b |- T", "--grammar", "bool", "--cut-depth", "2"),
     ],
 )
 def test_errors_exit_2(argv):
@@ -223,10 +239,14 @@ def test_help_exits_0():
 
 
 def test_module_entry_point():
+    # the child imports the package under test, wherever pytest found it
+    src = str(Path(lambek.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     proc = subprocess.run(
         [sys.executable, "-m", "lambek.cli", "check", "b |- V", "--grammar", "bool"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "Proved"

@@ -1,10 +1,9 @@
 import dataclasses
-import json
 import random
 
 import pytest
 
-from lambek.grammar import parse_grammar_file
+from lambek.grammar import nonterminal, parse_grammar_file
 from lambek.prover import (
     ContractDetail,
     CutDetail,
@@ -23,11 +22,10 @@ from lambek.prover import (
     parse_axiom,
     proof_from_json,
     proof_to_json,
-    prove,
     render_proof,
 )
 from lambek.prover import ProofTree
-from lambek.semantics import soundness_check
+from lambek.semantics import prove_with_prescreen, soundness_check
 from lambek.types import Atom, Sequent, parse_sequent, render_sequent
 
 PROVABLE = [
@@ -73,8 +71,8 @@ def test_unprovable_judgments(bool_g, prover, text):
 
 def test_search_is_deterministic(bool_g):
     s = parse_sequent("a , = , b , OR , 1 , = , 1 |- E", bool_g)
-    first = prove(bool_g, s)
-    second = prove(bool_g, s)
+    first = Prover(bool_g).prove(s)
+    second = Prover(bool_g).prove(s)
     assert render_proof(first.proof) == render_proof(second.proof)
 
 
@@ -91,9 +89,6 @@ def test_proof_json_round_trip(bool_g, prover):
     r = prover.prove(parse_sequent("b , OR , 1 , = , 1 |- (T/V)\\E", bool_g))
     obj = proof_to_json(r.proof)
     assert proof_from_json(obj, bool_g) == r.proof
-    assert json.loads(render_proof(r.proof, fmt="json")) == obj
-    with pytest.raises(ValueError, match="format"):
-        render_proof(r.proof, fmt="latex")
 
 
 def test_flagship_proof_skips_nullable_tail(bool_g, prover):
@@ -138,20 +133,28 @@ def test_expand_contract(bool_g, prover):
 def test_insert_budget_gates_empty_folds():
     g = parse_grammar_file("start S\nS ::= A x ;\nA ::= B B ;\nB ::= ;\n")
     empty_a = parse_sequent("|- A", g)
-    assert not prove(g, empty_a, SearchConfig(insert_budget=0)).proved
-    r = prove(g, empty_a, SearchConfig(insert_budget=1))
+    assert not Prover(g, SearchConfig(insert_budget=0)).prove(empty_a).proved
+    r = Prover(g, SearchConfig(insert_budget=1)).prove(empty_a)
     assert r.proved and check_proof(g, r.proof).ok
     # the budget is charged per branch, so two empty folds still fit in 1
-    assert prove(g, parse_sequent("|- A*A", g), SearchConfig(insert_budget=1)).proved
+    assert Prover(g, SearchConfig(insert_budget=1)).prove(parse_sequent("|- A*A", g)).proved
     # folds that consume at least one token are free
-    assert prove(g, parse_sequent("x |- S", g), SearchConfig(insert_budget=0)).proved
+    assert Prover(g, SearchConfig(insert_budget=0)).prove(parse_sequent("x |- S", g)).proved
 
 
 def test_prove_rejects_undeclared_atoms(bool_g):
     other = parse_grammar_file("start Z\nZ ::= y ;\n")
     s = Sequent((Atom(other.symbol("y")),), Atom(bool_g.symbol("T")))
     with pytest.raises(ValueError, match="not declared"):
-        prove(bool_g, s)
+        Prover(bool_g).prove(s)
+
+
+def test_prescreen_rejects_undeclared_atoms(bool_g):
+    """The oracle must not refute a sequent the search refuses to read."""
+    s = Sequent((Atom(bool_g.symbol("T")),), Atom(nonterminal("Z")))
+    for entry in (Prover(bool_g).prove, lambda s: prove_with_prescreen(bool_g, s)):
+        with pytest.raises(ValueError, match="'Z' is not declared"):
+            entry(s)
 
 
 # --- proof checker rejections -------------------------------------------
@@ -220,7 +223,7 @@ def test_check_rejects_non_nullable_skip(bool_g):
 def test_check_rejects_cut_segment_mismatch(bool_g, prover):
     left = prover.prove(parse_sequent("a , = |- T/V", bool_g)).proof
     right = prover.prove(parse_sequent("b |- V", bool_g)).proof
-    good = elim_over(bool_g, left, right)
+    good = elim_over(left, right)
     assert check_proof(bool_g, good).ok
     bad = dataclasses.replace(good, detail=CutDetail(1, 2))
     res = check_proof(bool_g, bad)
@@ -243,7 +246,7 @@ def test_check_reports_failure_path(bool_g, prover):
 def test_elim_over(bool_g, prover):
     left = prover.prove(parse_sequent("a , = |- T/V", bool_g)).proof
     right = prover.prove(parse_sequent("b |- V", bool_g)).proof
-    t = elim_over(bool_g, left, right)
+    t = elim_over(left, right)
     assert render_sequent(t.conclusion) == "a , = , b |- T"
     assert check_proof(bool_g, t).ok
 
@@ -251,7 +254,7 @@ def test_elim_over(bool_g, prover):
 def test_elim_under(bool_g, prover):
     left = prover.prove(parse_sequent("a , = |- T/V", bool_g)).proof
     right = prover.prove(parse_sequent("b , OR , 1 , = , 1 |- (T/V)\\E", bool_g)).proof
-    t = elim_under(bool_g, left, right)
+    t = elim_under(left, right)
     assert render_sequent(t.conclusion) == 'a , = , b , OR , "1" , = , "1" |- E'
     assert check_proof(bool_g, t).ok
 
@@ -260,11 +263,11 @@ def test_elim_argument_mismatch(bool_g, prover):
     tv = prover.prove(parse_sequent("a , = |- T/V", bool_g)).proof
     not_v = prover.prove(parse_sequent("a , = , b |- T", bool_g)).proof
     with pytest.raises(TacticError, match="does not match"):
-        elim_over(bool_g, tv, not_v)
+        elim_over(tv, not_v)
     with pytest.raises(TacticError, match="must conclude"):
-        elim_under(bool_g, not_v, not_v)
+        elim_under(not_v, not_v)
     with pytest.raises(TacticError, match="must conclude"):
-        elim_over(bool_g, not_v, tv)
+        elim_over(not_v, tv)
 
 
 @pytest.mark.parametrize(
@@ -273,11 +276,11 @@ def test_elim_argument_mismatch(bool_g, prover):
 )
 def test_dni(bool_g, prover, side, expect):
     base = prover.prove(parse_sequent("b |- V", bool_g)).proof
-    t = dni(bool_g, base, Atom(bool_g.symbol("T")), side)
+    t = dni(base, Atom(bool_g.symbol("T")), side)
     assert render_sequent(t.conclusion) == expect
     assert check_proof(bool_g, t).ok
     # the raised typing is also findable by search from scratch
-    assert prove(bool_g, t.conclusion).proved
+    assert Prover(bool_g).prove(t.conclusion).proved
 
 
 # --- typing axioms --------------------------------------------------------
@@ -313,7 +316,7 @@ def test_axioms_extend_the_lexicon(eng_g):
 
 def test_axiom_leaf_requires_the_axiom_list(eng_g):
     axioms = (parse_axiom("he |- Sent/(Noun\\Sent)", eng_g),)
-    r = prove(eng_g, parse_sequent("he , knows , Alice |- Sent", eng_g), axioms=axioms)
+    r = Prover(eng_g, axioms=axioms).prove(parse_sequent("he , knows , Alice |- Sent", eng_g))
 
     def rules(t):
         yield t.rule
@@ -324,16 +327,6 @@ def test_axiom_leaf_requires_the_axiom_list(eng_g):
     assert check_proof(eng_g, r.proof, axioms).ok
     res = check_proof(eng_g, r.proof)  # same tree, axiom list withheld
     assert not res.ok and "axiom" in res.reason.lower()
-
-
-def test_general_cut_changes_no_small_verdicts(bool_g):
-    # opt-in and exponential, so exercise it only at small widths
-    p = Prover(bool_g, SearchConfig(enable_general_cut=True))
-    for text in ("a , = |- T/V", "a , = , b |- T", "b |- V", "|- 1"):
-        r = p.prove(parse_sequent(text, bool_g))
-        assert r.proved and check_proof(bool_g, r.proof).ok
-    for text in ("V |- T", "E |- T"):
-        assert not p.prove(parse_sequent(text, bool_g)).proved
 
 
 def test_answers_do_not_depend_on_shared_tables(load_bundled):

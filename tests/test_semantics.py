@@ -114,24 +114,6 @@ def test_membership_antitone_in_bound(bool_g):
                 assert member_bounded(bool_g, u, t, SemBound(3)), (text, u)
 
 
-def test_alphabet_restriction(bool_g):
-    alpha = frozenset({bool_g.symbol("a"), bool_g.symbol("=")})
-    b = SemBound(3, alpha)
-    V, T = parse_type("V", bool_g), parse_type("T", bool_g)
-    assert denotation_bounded(bool_g, V, b, 2) == {w(bool_g, "a")}
-    assert denotation_bounded(bool_g, T, b, 3) == {w(bool_g, "a = a")}
-    # membership of a concrete word stays exact under any alphabet
-    assert member_bounded(bool_g, w(bool_g, "b"), V, b)
-
-
-def test_full_alphabet_normalizes_to_none(bool_g):
-    full = SemBound(4, frozenset(bool_g.terminals))
-    T = parse_type("T", bool_g)
-    assert denotation_bounded(bool_g, T, full, 3) == denotation_bounded(
-        bool_g, T, SemBound(4), 3
-    )
-
-
 def test_bound_validation():
     with pytest.raises(ValueError, match="nonnegative"):
         SemBound(-1)
