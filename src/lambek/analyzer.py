@@ -230,10 +230,7 @@ class InjectionReport:
             ],
             "combined_parses": self.combined_parses,
             "reshaping": reshaping,
-            "bounds": {
-                "max_depth": self.config.max_depth,
-                "insert_budget": self.config.insert_budget,
-            },
+            "bounds": {"max_depth": self.config.max_depth},
         }
         if self.benign_proof is not None:
             out["benign_proof"] = proof_to_json(self.benign_proof)

@@ -44,7 +44,7 @@ def _load_grammar(spec: str, err: TextIO) -> Grammar:
 
 
 def _search_config(args: argparse.Namespace) -> SearchConfig:
-    return SearchConfig(max_depth=args.max_depth, insert_budget=args.insert_budget)
+    return SearchConfig(max_depth=args.max_depth)
 
 
 def _emit(obj: dict, out: TextIO) -> None:
@@ -207,7 +207,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     search = argparse.ArgumentParser(add_help=False)
     search.add_argument("--max-depth", type=int, default=40)
-    search.add_argument("--insert-budget", type=int, default=2)
     search.add_argument("--axiom", action="append", default=[], metavar="'tok |- TYPE'")
 
     bound = argparse.ArgumentParser(add_help=False)
@@ -263,7 +262,8 @@ def run(argv: list[str], out: TextIO = sys.stdout, err: TextIO = sys.stderr) -> 
         return 2 if e.code not in (0, None) else 0
     try:
         return args.fn(args, out, err)
-    except (GrammarError, TypeSyntaxError, AmbiguityError, ValueError, OSError) as e:
+    except (GrammarError, TypeSyntaxError, AmbiguityError, ValueError, OSError, RecursionError) as e:
+        # a RecursionError is an input too deep to handle, not a negative answer
         print(f"error: {e}", file=err)
         return 2
 

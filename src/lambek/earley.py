@@ -20,6 +20,7 @@ from .grammar import (
     iter_words_sorted,
     lhs_index,
     memo,
+    production_ids,
     terminal,
 )
 
@@ -285,7 +286,7 @@ def render_tree_text(t: ParseTree) -> str:
 
 
 def tree_to_json(t: ParseTree, g: Grammar) -> dict:
-    index = {p: i for i, p in enumerate(g.productions)}
+    index = memo(g, production_ids)
 
     def conv(node: ParseTree) -> dict:
         return {

@@ -145,6 +145,11 @@ def lhs_index(g: Grammar) -> dict[Symbol, tuple[int, ...]]:
     return {n: tuple(ids) for n, ids in table.items()}
 
 
+def production_ids(g: Grammar) -> dict[Production, int]:
+    """Each production's index in g.productions; reach it through memo."""
+    return {p: i for i, p in enumerate(g.productions)}
+
+
 def render_word(w: Word) -> str:
     return " ".join(s.name for s in w) if w else "ε"
 

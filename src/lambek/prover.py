@@ -16,8 +16,7 @@ Rules, written forward (Φ, Ψ, Π are contexts, φ, ψ, π types):
     CUT       Φ ⊢ φ  and  Ψ φ Π ⊢ ψ  =>  Ψ Φ Π ⊢ ψ
     CONTRACT  admissible composite: cut against a production, matching the
               right-hand side with nullable symbols optionally skipped; an
-              empty match inserts the nonterminal and is charged against the
-              insertion budget
+              empty match inserts the nonterminal
 
 Search runs backward, goal-directed, depth-bounded, with memoization of both
 successes and exhaustive failures.  Invertible steps (stripping units,
@@ -26,16 +25,20 @@ everything else backtracks.  The search never tries a general cut: the
 calculus is cut-free (Lambek 1958), so CUT appears in proofs only as the
 lexicon fold against a typing axiom and in the composites the tactics and
 expand_contract build.
+
+Folds happen only at flat sequents (atoms over an atom): a fold is a cut
+between atoms, so it commutes upward past every other rule (as in focused
+proof search, Andreoli 1992).  There the Earley parse of the antecedent
+decides the sequent and lays out the whole fold chain.
 """
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, fields
-from itertools import combinations
 from typing import Iterator, Sequence
 
-from .earley import recognize
-from .grammar import Grammar, Production, Symbol, Word, lhs_index, memo, nullable_ids, terminal
+from .earley import Ambiguous, ParseTree, parse_tree, recognize
+from .grammar import Grammar, Production, Symbol, Word, lhs_index, memo, nullable_ids, production_ids, terminal
 from .types import (
     Atom,
     LambekType,
@@ -156,7 +159,10 @@ def parse_axiom(text: str, g: Grammar) -> TypingAxiom:
 @dataclass(frozen=True)
 class SearchConfig:
     max_depth: int = 40
-    insert_budget: int = 2
+
+    def __post_init__(self) -> None:
+        if self.max_depth < 0:
+            raise ValueError(f"max_depth must be at least 0, got {self.max_depth}")
 
 
 class SearchStatus(enum.Enum):
@@ -188,32 +194,6 @@ def _ax(t: LambekType) -> ProofTree:
     return ProofTree(Sequent((t,), t), RuleName.AX, ())
 
 
-def _fold_templates(g: Grammar) -> list[tuple[int, tuple[int, ...], tuple[Symbol, ...], Atom]]:
-    """(production id, skipped positions, matched symbols, lhs atom) per fold.
-
-    Exact right-hand sides come before skipped ones; empty matches are
-    insertions, not folds.
-    """
-    nullable = memo(g, nullable_ids)
-    out = []
-    for pid, prod in enumerate(g.productions):
-        nullable_pos = [k for k, sym in enumerate(prod.rhs) if sym in nullable]
-        for size in range(len(nullable_pos) + 1):
-            for pattern in combinations(nullable_pos, size):
-                matched = tuple(sym for k, sym in enumerate(prod.rhs) if k not in pattern)
-                if matched:
-                    out.append((pid, pattern, matched, Atom(prod.lhs)))
-    return out
-
-
-def _insertions(g: Grammar) -> list[tuple[Atom, int, tuple[int, ...]]]:
-    """(atom, witness production id, all its positions) per nullable, by name."""
-    return [
-        (Atom(a), pid, tuple(range(len(g.productions[pid].rhs))))
-        for a, pid in sorted(memo(g, nullable_ids).items(), key=lambda item: item[0].name)
-    ]
-
-
 def _lifted(g: Grammar) -> tuple[Grammar, dict[Symbol, Symbol]]:
     """g plus, for each nonterminal X, a fresh token 'X with X ::= 'X."""
     taken = {s.name for s in g.terminals | g.nonterminals}
@@ -228,6 +208,44 @@ def _lifted(g: Grammar) -> tuple[Grammar, dict[Symbol, Symbol]]:
         extra.append(Production(x, (lift[x],)))
     g2 = Grammar(g.terminals | frozenset(lift.values()), g.nonterminals, g.productions + tuple(extra), g.start)
     return g2, lift
+
+
+def _fold_chain(g: Grammar, s: Sequent, tree: ParseTree) -> ProofTree:
+    """The proof of flat s that folds tree, a parse of its lifted antecedent.
+
+    Each node of a production of g folds once, bottom-up and left to right;
+    children with an empty yield are skipped, and lift nodes X ::= 'X are
+    the antecedent atoms themselves.  An empty antecedent is one insertion
+    of the goal.
+    """
+    ids = memo(g, production_ids)
+    folds: list[ContractDetail] = []
+    # (node, the slot of its first child, children folded); a folded child
+    # takes one slot, a child with an empty yield none
+    stack = [(tree, 0, False)]
+    while stack:
+        node, pos, children_done = stack.pop()
+        if children_done:
+            skipped = tuple(k for k in range(len(node.production.rhs)) if not node.children[k].word)
+            folds.append(ContractDetail(ids[node.production], pos, skipped))
+            continue
+        stack.append((node, pos, True))
+        kept = [c for c in node.children if c.word]
+        stack.extend((c, pos + k, False) for k, c in reversed(list(enumerate(kept))) if c.production in ids)
+
+    sequents = [s]
+    ante = list(s.antecedent)
+    for d in folds:
+        p = g.productions[d.production]
+        ante[d.pos : d.pos + len(p.rhs) - len(d.skipped)] = [Atom(p.lhs)]
+        sequents.append(Sequent(tuple(ante), s.succedent))
+    if folds[-1].skipped:
+        proof = _ax(s.succedent)
+    else:
+        proof = ProofTree(sequents[-2], RuleName.GRAM, (), GramDetail(folds.pop().production))
+    for k in range(len(folds) - 1, -1, -1):
+        proof = ProofTree(sequents[k], RuleName.CONTRACT, (proof,), folds[k])
+    return proof
 
 
 def require_declared(g: Grammar, s: Sequent) -> None:
@@ -252,86 +270,57 @@ class Prover:
         for ax in self.axioms:
             if ax.token not in g.terminals:
                 raise ValueError(f"axiom token {ax.token.name!r} is not a declared terminal")
-        self._ok: dict[Sequent, tuple[int, ProofTree]] = {}
-        self._fail: dict[Sequent, int] = {}
+        self._ok: dict[Sequent, ProofTree] = {}
+        self._fail: set[Sequent] = set()
         self._axiom_tokens = frozenset(ax.token for ax in self.axioms)
-        self._foldable_cache: dict[tuple[tuple[Symbol, ...], Symbol], bool] = {}
 
-    def _fold_reachable(self, symbols: tuple[Symbol, ...], goal: Symbol) -> bool:
-        """Whether the grammar derives this sentential form from goal.
+    def _flat_proof(self, s: Sequent) -> ProofTree | None:
+        """A fold chain proving flat s, or None when folds cannot prove it.
 
         Folds read backward are derivation steps, and skips and insertions
-        are ordinary empty derivations, so an all-atom sequent is derivable
-        (at an unlimited insertion budget) exactly when the goal derives the
-        antecedent as a sentential form.  That is recognition in a lifted
+        are ordinary empty derivations, so s folds exactly when the goal
+        derives the antecedent as a sentential form: recognition in a lifted
         grammar where each nonterminal also matches a private token standing
         for itself.
         """
-        key = (symbols, goal)
-        cached = self._foldable_cache.get(key)
-        if cached is None:
-            g2, lift = memo(self.g, _lifted)
-            word = tuple(lift.get(x, x) for x in symbols)
-            cached = recognize(g2, goal, word)
-            self._foldable_cache[key] = cached
-        return cached
+        g2, lift = memo(self.g, _lifted)
+        goal = s.succedent.symbol
+        word = tuple(lift.get(t.symbol, t.symbol) for t in s.antecedent)
+        if not recognize(g2, goal, word):
+            return None
+        outcome = parse_tree(g2, goal, word)
+        return _fold_chain(self.g, s, outcome.first if isinstance(outcome, Ambiguous) else outcome.tree)
 
     def prove(self, s: Sequent) -> SearchResult:
         require_declared(self.g, s)
-        tree, _ = self._search(s, self.cfg.max_depth, self.cfg.insert_budget, set())
+        tree, _ = self._search(s, self.cfg.max_depth, set())
         if tree is None:
             return SearchResult(SearchStatus.NOT_FOUND_WITHIN_BOUNDS)
         return SearchResult(SearchStatus.PROVED, proof=tree)
 
-    def _insertions_used(self, t: ProofTree) -> int:
-        own = 0
-        if t.rule is RuleName.CONTRACT:
-            d = t.detail
-            if len(self.g.productions[d.production].rhs) == len(d.skipped):
-                own = 1
-        return own + max((self._insertions_used(p) for p in t.premises), default=0)
-
-    def _search(
-        self,
-        s: Sequent,
-        depth_left: int,
-        budget: int,
-        path: set[tuple[Sequent, int]],
-    ) -> tuple[ProofTree | None, bool]:
+    def _search(self, s: Sequent, depth_left: int, path: set[Sequent]) -> tuple[ProofTree | None, bool]:
         hit = self._ok.get(s)
-        if hit is not None and hit[0] <= budget:
-            return hit[1], True
-        known_fail = self._fail.get(s)
-        if known_fail is not None and known_fail >= budget:
-            return None, True
-        key = (s, budget)
-        if key in path:
-            # cycles never occur in a minimal proof, so pruning stays exhaustive
+        if hit is not None:
+            return hit, True
+        if s in self._fail or s in path:
+            # a known failure, or a cycle, which never occurs in a minimal
+            # proof, so pruning it stays exhaustive
             return None, True
         if depth_left <= 0:
             return None, False
-        path.add(key)
+        path.add(s)
         try:
-            tree, exhaustive = self._step(s, depth_left, budget, path)
+            tree, exhaustive = self._step(s, depth_left, path)
         finally:
-            path.discard(key)
+            path.discard(s)
         if tree is not None:
-            used = self._insertions_used(tree)
-            prev = self._ok.get(s)
-            if prev is None or used < prev[0]:
-                self._ok[s] = (used, tree)
+            self._ok[s] = tree
             return tree, True
-        if exhaustive and budget > self._fail.get(s, -1):
-            self._fail[s] = budget
+        if exhaustive:
+            self._fail.add(s)
         return None, exhaustive
 
-    def _step(
-        self,
-        s: Sequent,
-        depth_left: int,
-        budget: int,
-        path: set[tuple[Sequent, int]],
-    ) -> tuple[ProofTree | None, bool]:
+    def _step(self, s: Sequent, depth_left: int, path: set[Sequent]) -> tuple[ProofTree | None, bool]:
         ante, succ = s.antecedent, s.succedent
 
         if ante == (succ,):
@@ -346,52 +335,52 @@ class Prover:
             if ante == (Atom(ax.token),) and succ == ax.type:
                 return ProofTree(s, RuleName.AXIOM, (), AxiomDetail(aid)), True
 
-        # A flat sequent (atoms over atom or unit) can only close or fold, so
-        # derivability is decidable outright; settle it here instead of
-        # searching.  Skipped when a typing axiom could still fire.
+        # A flat sequent (atoms over atom or unit) is decided here, the only
+        # place that folds: folds commute upward past every other rule, so no
+        # proof needs them elsewhere.  Folds cannot reach a unit or terminal
+        # succedent; only a lexicon cut can still help where they fail.
         if isinstance(succ, (Atom, UnitType)) and all(isinstance(t, Atom) for t in ante):
+            if isinstance(succ, Atom) and not succ.symbol.is_terminal:
+                tree = self._flat_proof(s)
+                if tree is not None:
+                    return tree, True
             if not any(t.symbol in self._axiom_tokens for t in ante):
-                if isinstance(succ, UnitType) or succ.symbol.is_terminal:
-                    # closers above were the only chance; folds cannot erase
-                    # atoms or mint terminal ones
-                    return None, True
-                if not self._fold_reachable(tuple(t.symbol for t in ante), succ.symbol):
-                    return None, True
+                return None, True
 
         # invertible steps, applied eagerly
         for i, t in enumerate(ante):
             if isinstance(t, UnitType):
                 prem = Sequent(ante[:i] + ante[i + 1 :], succ)
-                sub, ex = self._search(prem, depth_left - 1, budget, path)
+                sub, ex = self._search(prem, depth_left - 1, path)
                 if sub is None:
                     return None, ex
                 return ProofTree(s, RuleName.EPS_L, (sub,), PosDetail(i)), True
         for i, t in enumerate(ante):
             if isinstance(t, Prod):
                 prem = Sequent(ante[:i] + (t.left, t.right) + ante[i + 1 :], succ)
-                sub, ex = self._search(prem, depth_left - 1, budget, path)
+                sub, ex = self._search(prem, depth_left - 1, path)
                 if sub is None:
                     return None, ex
                 return ProofTree(s, RuleName.PROD_L, (sub,), PosDetail(i)), True
         if isinstance(succ, Under):
             prem = Sequent((succ.arg,) + ante, succ.result)
-            sub, ex = self._search(prem, depth_left - 1, budget, path)
+            sub, ex = self._search(prem, depth_left - 1, path)
             if sub is None:
                 return None, ex
             return ProofTree(s, RuleName.UNDER_R, (sub,)), True
         if isinstance(succ, Over):
             prem = Sequent(ante + (succ.arg,), succ.result)
-            sub, ex = self._search(prem, depth_left - 1, budget, path)
+            sub, ex = self._search(prem, depth_left - 1, path)
             if sub is None:
                 return None, ex
             return ProofTree(s, RuleName.OVER_R, (sub,)), True
 
         exhaustive = True
-        for rule, detail, premises, cost in self._moves(ante, succ, budget):
+        for rule, detail, premises in self._moves(ante, succ):
             subs: list[ProofTree] = []
             ok = True
             for prem in premises:
-                sub, ex = self._search(prem, depth_left - 1, budget - cost, path)
+                sub, ex = self._search(prem, depth_left - 1, path)
                 if sub is None:
                     ok = False
                     exhaustive = exhaustive and ex
@@ -402,21 +391,8 @@ class Prover:
         return None, exhaustive
 
     def _moves(
-        self, ante: tuple[LambekType, ...], succ: LambekType, budget: int
-    ) -> Iterator[tuple[RuleName, Detail, tuple[Sequent, ...], int]]:
-        names: list[Symbol | None] = [
-            t.symbol if isinstance(t, Atom) else None for t in ante
-        ]
-
-        # production folds, exact right-hand sides before skipped ones
-        n = len(ante)
-        for pid, pattern, matched, lhs_atom in memo(self.g, _fold_templates):
-            m = len(matched)
-            for q in range(n - m + 1):
-                if all(names[q + t] == matched[t] for t in range(m)):
-                    prem = Sequent(ante[:q] + (lhs_atom,) + ante[q + m :], succ)
-                    yield (RuleName.CONTRACT, ContractDetail(pid, q, pattern), (prem,), 0)
-
+        self, ante: tuple[LambekType, ...], succ: LambekType
+    ) -> Iterator[tuple[RuleName, Detail, tuple[Sequent, ...]]]:
         # lexicon folds: cut a token against its typing axiom
         for i, t in enumerate(ante):
             if isinstance(t, Atom):
@@ -424,19 +400,19 @@ class Prover:
                     if t.symbol == ax.token:
                         prem1 = Sequent((t,), ax.type)
                         prem2 = Sequent(ante[:i] + (ax.type,) + ante[i + 1 :], succ)
-                        yield (RuleName.CUT, CutDetail(i, i + 1), (prem1, prem2), 0)
+                        yield (RuleName.CUT, CutDetail(i, i + 1), (prem1, prem2))
 
         for i, t in enumerate(ante):
             if isinstance(t, Under):
                 for j in range(i + 1):
                     prem1 = Sequent(ante[j:i], t.arg)
                     prem2 = Sequent(ante[:j] + (t.result,) + ante[i + 1 :], succ)
-                    yield (RuleName.UNDER_L, UnderLDetail(i, j), (prem1, prem2), 0)
+                    yield (RuleName.UNDER_L, UnderLDetail(i, j), (prem1, prem2))
             elif isinstance(t, Over):
                 for j in range(i + 1, len(ante) + 1):
                     prem1 = Sequent(ante[i + 1 : j], t.arg)
                     prem2 = Sequent(ante[:i] + (t.result,) + ante[j:], succ)
-                    yield (RuleName.OVER_L, OverLDetail(i, j), (prem1, prem2), 0)
+                    yield (RuleName.OVER_L, OverLDetail(i, j), (prem1, prem2))
 
         if isinstance(succ, Prod):
             for k in range(len(ante) + 1):
@@ -444,18 +420,7 @@ class Prover:
                     RuleName.PROD_R,
                     SplitDetail(k),
                     (Sequent(ante[:k], succ.left), Sequent(ante[k:], succ.right)),
-                    0,
                 )
-
-        # Insertions commute upward past any rule that does not consume the
-        # inserted atom, and an insertion a fold consumes is the same fold
-        # with the atom skipped, so offering them at flat sequents only
-        # loses no proofs and no budget.
-        if budget > 0 and isinstance(succ, Atom) and all(n is not None for n in names):
-            for q in range(len(ante) + 1):
-                for atom, pid, skipped in memo(self.g, _insertions):
-                    prem = Sequent(ante[:q] + (atom,) + ante[q:], succ)
-                    yield (RuleName.CONTRACT, ContractDetail(pid, q, skipped), (prem,), 1)
 
 
 @dataclass(frozen=True)
@@ -474,7 +439,7 @@ def check_proof(g: Grammar, t: ProofTree, axioms: Sequence[TypingAxiom] = ()) ->
     nullable = memo(g, nullable_ids)
     axioms = tuple(axioms)
 
-    def walk(node: ProofTree, path: tuple[int, ...]) -> CheckResult:
+    def check_node(node: ProofTree, path: tuple[int, ...]) -> CheckResult | None:
         ante, succ = node.conclusion.antecedent, node.conclusion.succedent
         rule, detail, prems = node.rule, node.detail, node.premises
 
@@ -624,14 +589,17 @@ def check_proof(g: Grammar, t: ProofTree, axioms: Sequence[TypingAxiom] = ()) ->
                 return _reject(path, "CONTRACT premise mismatch")
         else:
             return _reject(path, f"unknown rule {rule!r}")
+        return None
 
-        for idx, prem in enumerate(prems):
-            res = walk(prem, path + (idx,))
-            if not res.ok:
-                return res
-        return CheckResult(True)
-
-    return walk(t, ())
+    # preorder, premises left to right, so the first failure is reported;
+    # a stack, because flat proofs are as deep as their antecedents are long
+    stack: list[tuple[ProofTree, tuple[int, ...]]] = [(t, ())]
+    while stack:
+        node, path = stack.pop()
+        if (err := check_node(node, path)) is not None:
+            return err
+        stack.extend((node.premises[k], path + (k,)) for k in range(len(node.premises) - 1, -1, -1))
+    return CheckResult(True)
 
 
 def _empty_word_proof(g: Grammar, a: Symbol, cache: dict[Symbol, ProofTree]) -> ProofTree:
@@ -790,7 +758,7 @@ def _detail_from_json(rule: RuleName, obj: dict | None) -> Detail:
     return cls(*(tuple(v) if isinstance(v, list) else v for v in args))
 
 
-def proof_to_json(t: ProofTree) -> dict:
+def _node_to_json(t: ProofTree) -> dict:
     return {
         "conclusion": {
             "antecedent": [render_type(x) for x in t.conclusion.antecedent],
@@ -798,32 +766,49 @@ def proof_to_json(t: ProofTree) -> dict:
         },
         "rule": t.rule.value,
         "detail": _detail_to_json(t.detail),
-        "premises": [proof_to_json(p) for p in t.premises],
+        "premises": [],
     }
 
 
+def proof_to_json(t: ProofTree) -> dict:
+    root = _node_to_json(t)
+    stack = [(t, root)]
+    while stack:
+        node, obj = stack.pop()
+        for p in node.premises:
+            obj["premises"].append(_node_to_json(p))
+            stack.append((p, obj["premises"][-1]))
+    return root
+
+
 def proof_from_json(obj: dict, g: Grammar) -> ProofTree:
-    rule = RuleName(obj["rule"])
-    conclusion = Sequent(
-        tuple(parse_type(x, g) for x in obj["conclusion"]["antecedent"]),
-        parse_type(obj["conclusion"]["succedent"], g),
-    )
-    return ProofTree(
-        conclusion,
-        rule,
-        tuple(proof_from_json(p, g) for p in obj["premises"]),
-        _detail_from_json(rule, obj.get("detail")),
-    )
+    # postorder: a node is built once its premises sit on top of `built`
+    built: list[ProofTree] = []
+    stack = [(obj, False)]
+    while stack:
+        o, premises_built = stack.pop()
+        if not premises_built:
+            stack.append((o, True))
+            stack.extend((p, False) for p in reversed(o["premises"]))
+            continue
+        rule = RuleName(o["rule"])
+        conclusion = Sequent(
+            tuple(parse_type(x, g) for x in o["conclusion"]["antecedent"]),
+            parse_type(o["conclusion"]["succedent"], g),
+        )
+        first = len(built) - len(o["premises"])
+        premises = tuple(built[first:])
+        del built[first:]
+        built.append(ProofTree(conclusion, rule, premises, _detail_from_json(rule, o.get("detail"))))
+    return built[0]
 
 
 def render_proof(t: ProofTree) -> str:
     """The proof as indented text, one sequent per line, premises below."""
     lines: list[str] = []
-
-    def walk(node: ProofTree, depth: int) -> None:
+    stack = [(t, 0)]
+    while stack:
+        node, depth = stack.pop()
         lines.append("  " * depth + f"{render_sequent(node.conclusion)}   [{node.rule.value}]")
-        for p in node.premises:
-            walk(p, depth + 1)
-
-    walk(t, 0)
+        stack.extend((p, depth + 1) for p in reversed(node.premises))
     return "\n".join(lines)

@@ -295,6 +295,8 @@ def type_universe(g: Grammar, atoms: Sequence[Symbol], depth: int) -> list[Lambe
     The unit type is a member but is not used as an operand.  The result is
     duplicate-free and ordered by (size, rendered text).
     """
+    if depth < 0:
+        raise ValueError(f"depth must be at least 0, got {depth}")
     for a in atoms:
         if a not in g.terminals and a not in g.nonterminals:
             raise GrammarError(f"atom {a.name!r} is not declared in the grammar")

@@ -244,7 +244,7 @@ def test_report_json(bool_g, tmpl):
     assert obj["combined_parses"] is True
     assert obj["reshaping"]["verdict"] == "Reshaped"
     assert {"context_tree", "combined_tree"} <= obj["reshaping"].keys()
-    assert obj["bounds"] == {"max_depth": 40, "insert_budget": 2}
+    assert obj["bounds"] == {"max_depth": 40}
     assert "benign_proof" not in obj
 
     benign = classify_input(bool_g, tmpl, word_from_text(bool_g, "b")).to_json(bool_g)

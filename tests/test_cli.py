@@ -220,11 +220,23 @@ def test_validate_notes_go_to_stderr():
          "--goal", "E", "--expect", "V", "--max-len", "5"),
         ("check", "a , = , b |- T", "--grammar", "bool", "--general-cut"),
         ("prove", "a , = , b |- T", "--grammar", "bool", "--cut-depth", "2"),
+        # bounds are not negative, and folds take no insertion budget
+        ("check", "b |- V", "--grammar", "bool", "--max-depth", "-1"),
+        ("infer", "b", "--grammar", "bool", "--depth", "-1"),
+        ("check", "b |- V", "--grammar", "bool", "--insert-budget", "2"),
     ],
 )
 def test_errors_exit_2(argv):
     code, _, _ = cli(*argv)
     assert code == 2
+
+
+def test_too_deep_input_is_an_error_not_a_negative():
+    """Exit 1 is a sound negative; an input too deep to parse is an error."""
+    sequent = " , AND , ".join(['"1" , = , "1"'] * 300) + " |- E"
+    code, out, err = cli("check", sequent, "--grammar", "bool")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "recursion" in err
 
 
 def test_input_errors_are_reported():

@@ -130,16 +130,33 @@ def test_expand_contract(bool_g, prover):
         expand_contract(bool_g, _find(r.proof, RuleName.GRAM))
 
 
-def test_insert_budget_gates_empty_folds():
-    g = parse_grammar_file("start S\nS ::= A x ;\nA ::= B B ;\nB ::= ;\n")
-    empty_a = parse_sequent("|- A", g)
-    assert not Prover(g, SearchConfig(insert_budget=0)).prove(empty_a).proved
-    r = Prover(g, SearchConfig(insert_budget=1)).prove(empty_a)
+def test_empty_folds():
+    g = parse_grammar_file(PINNED_GRAMMARS["empty_folds"])
+    r = Prover(g).prove(parse_sequent("|- A", g))
     assert r.proved and check_proof(g, r.proof).ok
-    # the budget is charged per branch, so two empty folds still fit in 1
-    assert Prover(g, SearchConfig(insert_budget=1)).prove(parse_sequent("|- A*A", g)).proved
-    # folds that consume at least one token are free
-    assert Prover(g, SearchConfig(insert_budget=0)).prove(parse_sequent("x |- S", g)).proved
+    assert Prover(g).prove(parse_sequent("|- A*A", g)).proved
+    assert Prover(g).prove(parse_sequent("x |- S", g)).proved
+
+
+def _nodes(t):
+    """(conclusion, rule, detail) of every node in preorder, without recursion."""
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        yield node.conclusion, node.rule, node.detail
+        stack.extend(reversed(node.premises))
+
+
+def test_long_flat_proof(bool_g):
+    """A flat proof is as deep as its antecedent is long; no proof walker recurses."""
+    s = parse_sequent(" , AND , ".join(['"1" , = , "1"'] * 150) + " |- E", bool_g)
+    assert len(s.antecedent) == 599
+    r = Prover(bool_g).prove(s)
+    assert r.proved and r.proof.conclusion == s
+    assert check_proof(bool_g, r.proof).ok
+    nodes = list(_nodes(r.proof))
+    assert list(_nodes(proof_from_json(proof_to_json(r.proof), bool_g))) == nodes
+    assert len(render_proof(r.proof).splitlines()) == len(nodes)
 
 
 def test_prove_rejects_undeclared_atoms(bool_g):
@@ -344,3 +361,370 @@ def test_answers_do_not_depend_on_shared_tables(load_bundled):
     random.Random(20).shuffle(shuffled)
     for text in shuffled + shuffled[::-1]:
         assert answer(warm_g, text) == fresh[text], text
+
+
+# --- pinned verdicts ------------------------------------------------------
+
+PINNED_GRAMMARS = {
+    "bool": None,  # the bundled grammar
+    "unit_cycle": "start S\nS ::= A x | S S | B ;\nA ::= B B | S ;\nB ::= y | ;\n",
+    "empty_folds": "start S\nS ::= A x ;\nA ::= B B ;\nB ::= ;\n",
+}
+
+# "<status> <sequent>" per line, as answered by the depth-first fold search
+# that Earley-built fold chains replaced (max_depth 40, two insertions per
+# branch): P = Proved, N = NotFoundWithinBounds.
+PINNED = {
+    "bool": r"""
+P "1" , = , "1" , AND , "1" , = , "1" |- C
+P "1" , = , "1" , AND , "1" , = , b |- E
+P "1" , = , "1" , AND , a , = , a |- C
+P "1" , = , "1" , OR , "1" , = , a |- E
+N "1" , = , "1" , OR , b , = , "1" |- C
+P "1" , = , a , AND , a , = , a |- E
+N "1" , = , a , AND , a , = |- V\E
+P "1" , = , a , AND , b , = , "1" |- C
+P "1" , = , a , AND , b , = , "1" |- E
+P "1" , = , a , OR , "1" , = , a |- E
+P "1" , = , a , OR , "1" , = , b |- E
+N "1" , = , a , OR , "1" , = , b |- V
+P "1" , = , a , OR , a , = , a |- E
+N "1" , = , a , OR , b , = , "1" |- F
+P "1" , = , b , AND , "1" , = , a |- E
+N "1" , = , b , AND , "1" , = , a |- T
+N "1" , = , b , AND , "1" , = , a |- V
+P "1" , = , b , AND , a , = , b |- C
+P "1" , = , b , OR , "1" , = , "1" |- E
+P "1" , = , b , OR , "1" , = , b |- E
+P "1" , = , b , OR , a , = , "1" |- E
+N "1" , = , b , OR , a , = , "1" |- F
+N "1" , = , b , OR , a , = , b |- V
+P "1" , = , b |- E
+P "1" , = , b |- T
+N "1" , = |- C*V
+N "1" |- D
+N "1" |- T\C
+P "1" |- V
+N (C*T) , OR , b |- C
+N (C/E) , OR , F , AND |- V*E
+N (C/T) , "1" , T |- C\C
+N (C/T) |- E/V
+N (C\E) |- V\V
+N (C\T) , C |- C\C
+N (C\T) |- E\T
+N (C\T) |- T
+N (C\T) |- V*E
+N (E*T) , "1" |- C*V
+N (T*E) |- C*C
+P (T*T) |- C*E
+N (T*T) |- V/V
+N (T/E) , AND , b , OR |- E/C
+N (T/V) |- V*V
+N (T\E) |- E
+N (V*T) , C |- E*E
+N (V/V) |- V\C
+P (V\C) |- V\C
+N = , F |- V*V
+N AND , "1" , "1" , a |- T
+N AND , AND |- F
+N AND , F , = , V |- D
+P AND , a , = , a |- D
+N AND |- E\V
+N C , AND , E |- T*C
+N C , C , C , OR |- F
+N C , F , (T*T) |- V\E
+P C , b |- E*V
+N D , C , AND |- V/T
+N D , C , V |- T\V
+N D , V |- F
+N D , a , E , (E*C) |- E*C
+N D , a , F |- F
+P D |- D
+N E , "1" , "1" , (E/C) |- C*T
+N F , F |- C*V
+P F |- F
+P OR , a , = , "1" |- F
+N OR , b , = , "1" |- T
+P OR , b , = , b |- F
+N OR |- C
+N T , C , OR , E |- D
+N T , F , V , = |- C
+N T , OR , a , "1" |- F
+N T , b , a |- C
+P T |- C
+N T |- C\T
+N V , "1" , (T/V) |- T/C
+N V , (T\V) , = |- E*V
+P V , = , a |- C
+N V , F |- V*E
+N V , b , C , C |- D
+N V |- C*C
+N V |- E\E
+P V |- V
+N V |- V\T
+P a , = , "1" , AND , "1" , = , a |- E
+P a , = , "1" , OR , a , = , "1" |- E
+N a , = , "1" , OR , a , = , a |- D
+P a , = , "1" , OR , b , = , a |- E
+N a , = , C |- T
+P a , = , a , AND , "1" , = , "1" |- E
+N a , = , a , AND , "1" , = , a |- D
+P a , = , a , AND , "1" , = , a |- E
+P a , = , a , AND , b , = , "1" |- C
+P a , = , a , AND , b , = , "1" |- E
+P a , = , a , AND , b , = , b |- E
+N a , = , a , AND , b , = , b |- V
+N a , = , a |- D
+P a , = , a |- E
+P a , = , a |- T
+P a , = , b , AND , "1" , = , b |- C
+P a , = , b , AND , "1" , = , b |- E
+P a , = , b , AND , a , = , "1" |- C
+P a , = , b , AND , a , = , "1" |- E
+N a , T , "1" |- C
+N a , a , "1" |- V\V
+N a |- C*T
+N a |- C\T
+N a |- D
+P a |- V
+P b , = , "1" , AND , "1" , = , a |- E
+P b , = , "1" , AND , "1" , = , b |- C
+N b , = , "1" , AND , "1" , = , b |- V
+P b , = , "1" , OR , "1" , = , b |- E
+P b , = , "1" , OR , b , = , "1" |- E
+P b , = , a , AND , "1" , = , b |- C
+P b , = , a , AND , a , = , "1" |- C
+P b , = , a , AND , a , = , b |- E
+P b , = , a , OR , "1" , = , a |- E
+P b , = , b , AND , b , = , a |- E
+N b , = , b , AND , b , = , a |- T
+P b , = , b , AND , b , = , b |- E
+P b , = , b , OR , a , = , a |- E
+P b , = , b , OR , a , = , b |- E
+N b , = , b , OR , a , = , b |- T
+P b |- V
+P |- C/C
+P |- D
+P |- E/E
+P |- F
+P |- V\V
+""",
+    "unit_cycle": r"""
+P (A/A) , x |- S/B
+N (A\A) , y |- S
+P (A\B) |- A*S
+N (B) , A |- B\A
+P (B) |- A*B
+P (B*B) |- B*A
+P (B/S) , y |- B/B
+P (B\A) |- A*A
+N (B\A) |- B/B
+P (B\B) |- A
+P (B\S) |- A*A
+N (S/B) , y |- B\B
+N (S\A) , y , A |- A/A
+N (S\A) |- S
+N (S\B) , S , S , y |- A/A
+N A , (A*S) , S |- A*S
+N A , (S/A) , A |- B/A
+N A , A , S |- S
+N A , A , x |- B/S
+N A , A , y |- A
+N A , B , x |- B
+N A , B |- A\S
+N A , S , S |- B
+N A , S , x |- S
+N A , S |- B
+N A , x , A |- B
+P A , x , B |- A
+P A , x , x |- A
+P A , x , y , (B\S) |- A*S
+P A , x |- S/S
+N A , y |- B\A
+N A |- A\A
+N A |- S
+N B , A , A |- B
+P B , A , x |- A
+N B , A |- S/S
+N B , B , B |- B
+P B , B , S |- S
+P B , B , x |- S
+P B , B , y |- S
+P B , B |- A
+P B , B |- S
+N B , S , A |- A
+N B , S , B |- B
+P B , S , y |- A
+P B , S |- S
+P B , x , (S) |- S
+P B , x , S |- S
+N B , x , x , (S*A) |- S
+P B , x , x |- S
+N B , x , y |- B
+P B , x |- A
+P B , x |- A/S
+N B , x |- A\B
+P B , x |- S
+P B , y , x |- A
+P B , y , y |- A
+P B , y |- A/B
+P B , y |- S*A
+P B |- A
+P B |- B\S
+P B |- S/S
+N S , (A/A) , x , y |- S\B
+P S , (B*S) , B |- A/B
+P S , (S/A) , y |- B*S
+N S , A , x |- B
+N S , A |- B
+N S , B , A |- S
+P S , B , B |- S
+P S , B , x |- A
+P S , B , y |- S
+P S , B |- A
+P S , S , (B\S) |- A/B
+P S , S , A |- A*A
+P S , S , B |- A
+P S , S |- S
+N S , x , A |- A
+P S , x , B |- A
+P S , x , y |- S
+P S , x |- S
+N S , y , A |- B
+P S , y , B |- S
+P S , y , B |- S/S
+P S , y , S |- A
+N S , y , x |- B
+P S , y |- A
+N S |- A\S
+P S |- B\A
+P S |- B\S
+P S |- S
+N S |- S/A
+P S |- S/B
+P S |- S\A
+N x , (A*A) , A |- S/S
+N x , (B\A) |- S/B
+N x , (B\B) , A |- S\A
+P x , (S/A) , y |- B*S
+N x , (S/B) , y |- A\B
+N x , A , B |- B
+N x , A , S |- A\B
+N x , A , S |- S
+P x , A , x |- A
+P x , B , B |- A
+N x , B , S |- B
+P x , B , x |- A
+N x , B , y , (A/A) |- B/S
+P x , B |- S
+P x , S , S |- S
+P x , S , y |- A
+P x , S |- A
+N x , x , A |- B
+P x , x , S , (B\B) |- A/B
+N x , x , x |- B
+P x , x , y |- A
+P x , x |- A
+P x , y , B |- A\A
+P x , y , B |- S
+P x , y , x |- A
+P x , y , y |- A
+P x , y |- S
+P x , y |- S/S
+P x |- A*S
+P x |- A/S
+N x |- B
+P x |- S\S
+N y , (A*B) |- S
+N y , (A*S) |- B\S
+P y , (A\B) |- S/S
+N y , A , A , (A/A) |- S\S
+P y , A , x |- S
+N y , A , y |- S
+P y , B , B |- A
+P y , B , S |- S
+N y , B , x |- B
+P y , B , y |- B*A
+N y , B |- B
+P y , S , B |- A
+P y , S , S |- A
+P y , S , x |- S
+P y , S |- A
+N y , x , B |- B
+N y , x , S |- B
+P y , x , x |- A
+N y , x , x |- A\S
+P y , x , y |- S
+P y , x |- A
+P y , y , (B*S) |- A/B
+P y , y , B |- S
+P y , y , B |- S/B
+N y , y |- B
+P y |- S
+P y |- S*S
+P |- 1
+P |- A
+P |- A*A
+P |- B*S
+P |- B\S
+P |- S
+P |- S*A
+P |- S*B
+P |- S/B
+""",
+    "empty_folds": r"""
+N (A) , S |- S/A
+P (A\S) |- B\S
+N (B/S) , B , S |- S\S
+P (B\A) |- A*B
+P (S) |- S*A
+P (S/A) , B |- S
+P (S/B) |- S*A
+N A , (A*A) |- B*A
+N A , A , x |- A
+N A , A |- B
+N A , B |- A
+N A , S , x |- A
+P A , S |- A*S
+N A , x , S |- B\S
+P A , x |- S
+N B , B , x |- A
+P B , B |- A
+N B , S , x |- A
+N B , x , B |- B
+P B , x |- S
+P B |- A
+P B |- B*B
+N B |- B/S
+N S , (A*S) |- A/A
+N S , (B\S) , B |- B\B
+N S , A , B |- S
+P S , B , x |- S*S
+N S , x |- B
+N S |- A\B
+P S |- S
+P x , (S\A) , x |- S*B
+N x , S , A |- A
+N x , x , A |- S
+P x |- B\S
+P x |- S
+N x |- S/B
+P |- A
+P |- A*B
+P |- A\A
+""",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_pinned_verdicts(bool_g, name):
+    """No Proved verdict is lost; a new one comes with a checked proof."""
+    g = bool_g if name == "bool" else parse_grammar_file(PINNED_GRAMMARS[name])
+    pr = Prover(g)
+    for line in PINNED[name].strip().splitlines():
+        status, text = line.split(" ", 1)
+        s = parse_sequent(text, g)
+        r = pr.prove(s)
+        assert r.proved or status == "N", text
+        if r.proved:
+            assert r.proof.conclusion == s and check_proof(g, r.proof).ok, text
