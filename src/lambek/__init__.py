@@ -27,11 +27,9 @@ from .earley import (
     Reject,
     Unique,
     check_unambiguous,
-    extend_with_hole,
     parse_tree,
     recognize,
     render_tree_text,
-    shape_equal,
     tree_to_json,
 )
 from .grammar import (

@@ -31,20 +31,8 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Sequence
 
-from .earley import (
-    Ambiguous,
-    HoleMark,
-    ParseTree,
-    Reject,
-    extend_with_hole,
-    internal_node,
-    parse_tree,
-    recognize,
-    shape_equal,
-    token_leaf,
-    tree_to_json,
-)
-from .grammar import Grammar, Production, Symbol, Word, memo, render_word
+from .earley import Ambiguous, ParseTree, Reject, parse_tree, recognize, tree_to_json
+from .grammar import Grammar, Symbol, Word, memo, render_word, require_word
 from .prover import (
     ProofTree,
     Prover,
@@ -100,9 +88,11 @@ class Unparseable:
 ReshapingResult = ConservativeExtension | Reshaped | Unparseable
 
 
-def _hole_parse(g: Grammar, ctx: InjectionContext) -> tuple[ParseTree, Production, HoleMark]:
-    g2, mark = extend_with_hole(g, ctx.expected)
-    out = parse_tree(g2, ctx.goal, ctx.prefix + (mark.token,) + ctx.suffix)
+def _hole_parse(g: Grammar, ctx: InjectionContext) -> ParseTree:
+    if ctx.expected not in g.nonterminals:
+        raise ValueError(f"hole type {ctx.expected.name!r} is not a nonterminal of the grammar")
+    require_word(g, ctx.prefix + ctx.suffix)
+    out = parse_tree(g, ctx.goal, ctx.prefix + (ctx.expected,) + ctx.suffix)
     if isinstance(out, Reject):
         raise ValueError(
             f"template {render_word(ctx.prefix)!r} _ {render_word(ctx.suffix)!r} does not "
@@ -110,55 +100,39 @@ def _hole_parse(g: Grammar, ctx: InjectionContext) -> tuple[ParseTree, Productio
         )
     if isinstance(out, Ambiguous):
         raise AmbiguityError("the template parses ambiguously around its hole")
-    return out.tree, g2.productions[-1], mark
+    return out.tree
 
 
 def context_tree(g: Grammar, ctx: InjectionContext) -> ParseTree:
-    """The template's unique parse, hole rendered as a fresh leaf."""
-    tree, _, _ = memo(g, _hole_parse, ctx)
-    return tree
+    """The template's unique parse; its hole is a leaf labelled ctx.expected."""
+    return memo(g, _hole_parse, ctx)
 
 
 def reshaping_check(g: Grammar, ctx: InjectionContext, w: Word) -> ReshapingResult:
-    ctx_tree, hole_prod, mark = memo(g, _hole_parse, ctx)
+    ctx_tree = memo(g, _hole_parse, ctx)
+    require_word(g, w)
     full = ctx.prefix + w + ctx.suffix
     out = parse_tree(g, ctx.goal, full)
     if isinstance(out, Reject):
         return Unparseable()
     if isinstance(out, Ambiguous):
         raise AmbiguityError(f"{render_word(full)!r} parses ambiguously")
-    tree = out.tree
-    lo, hi = len(ctx.prefix), len(ctx.prefix) + len(w)
-    hole_node = internal_node(hole_prod, (token_leaf(mark.token),))
-
-    def variants(node: ParseTree, offset: int):
-        # every way of replacing one expected-labeled node over exactly the
-        # input's span by the hole leaf
-        if (
-            node.production is not None
-            and node.root == ctx.expected
-            and offset == lo
-            and offset + len(node.word) == hi
-        ):
-            yield hole_node
-        if node.production is None:
-            return
-        o = offset
-        for i, child in enumerate(node.children):
-            for v in variants(child, o):
-                yield internal_node(
-                    node.production, node.children[:i] + (v,) + node.children[i + 1 :]
-                )
-            o += len(child.word)
-
-    for candidate in variants(tree, 0):
-        if shape_equal(candidate, ctx_tree):
-            return ConservativeExtension(tree)
-    return Reshaped(ctx_tree, tree)
+    # node for node, the combined tree must be the template's; the hole leaf
+    # stands for any node of its label, and the yields force that node to
+    # span exactly the input
+    stack = [(ctx_tree, out.tree)]
+    while stack:
+        t, c = stack.pop()
+        hole = t.production is None and t.root == ctx.expected
+        if t.label() != c.label() or (len(t.children) != len(c.children) and not hole):
+            return Reshaped(ctx_tree, out.tree)
+        stack.extend(zip(t.children, c.children))
+    return ConservativeExtension(out.tree)
 
 
 def hole_language(g: Grammar, ctx: InjectionContext, out_len: int) -> frozenset[Word]:
     """Every word of length at most out_len the hole accepts syntactically."""
+    require_word(g, ctx.prefix + ctx.suffix)
     sigma = sorted(g.terminals, key=lambda s: s.name)
     found: set[Word] = set()
     for n in range(out_len + 1):
@@ -286,9 +260,7 @@ def classify_input(
     if ctx.goal not in g.nonterminals:
         raise ValueError(f"goal {ctx.goal.name!r} is not a nonterminal")
     memo(g, _hole_parse, ctx)  # reject templates with no well-formed hole
-    for sym in ctx.prefix + w + ctx.suffix:
-        if sym not in g.terminals:
-            raise ValueError(f"{sym.name!r} is not a terminal of the grammar")
+    require_word(g, w)
 
     prover = Prover(g, cfg)
     benign = prover.prove(Sequent(tuple(Atom(s) for s in w), Atom(ctx.expected)))

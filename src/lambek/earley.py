@@ -1,27 +1,30 @@
 """Earley recognition, parse-tree extraction, bounded ambiguity checks.
 
-Recognition handles ε-productions and unit cycles without grammar
-preprocessing.  Tree extraction walks the completed-span table top-down;
-derivations that pass through the same (symbol, span) pair more than twice on
-one path are not enumerated, which only suppresses pumped unit-cycle variants
-of trees that are already reported.
+The input is a sentential form: a nonterminal X in it stands for itself, so
+an item waiting on X scans it like a token (Earley 1970), and parse trees
+hold X as a leaf.  Recognition handles ε-productions and unit cycles without
+grammar preprocessing.  Tree extraction walks the completed-span table
+top-down; derivations that pass through the same (symbol, span) pair more
+than twice on one path are not enumerated, which only suppresses pumped
+unit-cycle variants of trees that are already reported.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterator
 
 from .grammar import (
     Grammar,
     Production,
     Symbol,
+    SymbolKind,
     Word,
     enumerate_words,
     iter_words_sorted,
     lhs_index,
     memo,
     production_ids,
-    terminal,
 )
 
 EPS_LABEL = "·eps"
@@ -82,9 +85,11 @@ ParseOutcome = Unique | Ambiguous | Reject
 
 
 def _chart(g: Grammar, a: Symbol, w: Word) -> list[list[tuple[int, int, int]]]:
-    """Earley chart: per input position, items (prod_index, dot, origin)."""
+    """Earley chart of sentential form w: per position, items (prod_index, dot, origin)."""
     by_lhs = memo(g, lhs_index)
     n = len(w)
+    # tested once, in C: a word of terminals pays nothing per column below
+    sentential = SymbolKind.NONTERMINAL in map(attrgetter("kind"), w)
     columns: list[list[tuple[int, int, int]]] = [[] for _ in range(n + 1)]
     in_col: list[set[tuple[int, int, int]]] = [set() for _ in range(n + 1)]
 
@@ -123,11 +128,17 @@ def _chart(g: Grammar, a: Symbol, w: Word) -> list[list[tuple[int, int, int]]]:
                 # an ε-completion of sym may already have been processed
                 if sym in completed_empty:
                     add(i, (pid, dot + 1, origin))
+        # a nonterminal of the input is scanned once its column is closed
+        if sentential and i < n and w[i].kind is SymbolKind.NONTERMINAL:
+            for pid, dot, origin in col:
+                rhs = g.productions[pid].rhs
+                if dot < len(rhs) and rhs[dot] == w[i]:
+                    add(i + 1, (pid, dot + 1, origin))
     return columns
 
 
 def recognize(g: Grammar, a: Symbol, w: Word) -> bool:
-    """Exact recognition: does nonterminal a derive w?"""
+    """Exact recognition: does a derive the sentential form w?"""
     if a.is_terminal:
         return w == (a,)
     columns = _chart(g, a, w)
@@ -135,11 +146,12 @@ def recognize(g: Grammar, a: Symbol, w: Word) -> bool:
     return any(
         dot == len(g.productions[pid].rhs) and origin == 0 and g.productions[pid].lhs == a
         for pid, dot, origin in columns[n]
-    )
+    ) or (n == 1 and w[0] == a)  # a derivation in zero steps
 
 
-def _completed_spans(g: Grammar, columns: list[list[tuple[int, int, int]]]) -> set[tuple[Symbol, int, int]]:
-    spans: set[tuple[Symbol, int, int]] = set()
+def _completed_spans(g: Grammar, w: Word, columns: list[list[tuple[int, int, int]]]) -> set[tuple[Symbol, int, int]]:
+    # a nonterminal of the input spans itself
+    spans = {(s, k, k + 1) for k, s in enumerate(w) if s.kind is SymbolKind.NONTERMINAL}
     for j, col in enumerate(columns):
         for pid, dot, origin in col:
             prod = g.productions[pid]
@@ -200,14 +212,19 @@ def _trees(
                     yield from expand(k + 1, acc + (sub,))
 
             yield from expand(0, ())
+    if j == i + 1 and w[i].kind is SymbolKind.NONTERMINAL and w[i] == sym:
+        yield token_leaf(sym)
 
 
 def parse_tree(g: Grammar, a: Symbol, w: Word) -> ParseOutcome:
-    """Parse w from nonterminal a, detecting ambiguity up to two witnesses."""
+    """Parse sentential form w from a, detecting ambiguity up to two witnesses.
+
+    A nonterminal of w is a leaf; its span's other trees come first.
+    """
     if a.is_terminal:
         return Unique(token_leaf(a)) if w == (a,) else Reject()
     columns = _chart(g, a, w)
-    spans = _completed_spans(g, columns)
+    spans = _completed_spans(g, w, columns)
     if (a, 0, len(w)) not in spans:
         return Reject()
     found: list[ParseTree] = []
@@ -242,37 +259,6 @@ def check_unambiguous(g: Grammar, a: Symbol, max_len: int) -> Pass | Witness:
     return Pass(max_len)
 
 
-@dataclass(frozen=True)
-class HoleMark:
-    hole_type: Symbol
-    token: Symbol
-
-
-def extend_with_hole(g: Grammar, hole_type: Symbol) -> tuple[Grammar, HoleMark]:
-    """Add a fresh terminal produced only by hole_type.
-
-    The fresh token is the lexically smallest of __HOLE, __HOLE1, __HOLE2, ...
-    that does not collide with a declared symbol.  The new production is
-    appended, so production indices of g are preserved.
-    """
-    if hole_type not in g.nonterminals:
-        raise ValueError(f"hole type {hole_type.name!r} is not a nonterminal of the grammar")
-    taken = {s.name for s in g.terminals | g.nonterminals}
-    name = "__HOLE"
-    k = 0
-    while name in taken:
-        k += 1
-        name = f"__HOLE{k}"
-    tok = terminal(name)
-    g2 = Grammar(
-        terminals=g.terminals | {tok},
-        nonterminals=g.nonterminals,
-        productions=g.productions + (Production(hole_type, (tok,)),),
-        start=g.start,
-    )
-    return g2, HoleMark(hole_type, tok)
-
-
 def render_tree_text(t: ParseTree) -> str:
     lines: list[str] = []
 
@@ -291,17 +277,8 @@ def tree_to_json(t: ParseTree, g: Grammar) -> dict:
     def conv(node: ParseTree) -> dict:
         return {
             "sym": node.label(),
-            # None for leaves and for nodes built from productions outside
-            # this grammar (hole extensions)
-            "prod_index": index.get(node.production) if node.production is not None else None,
+            "prod_index": None if node.production is None else index[node.production],
             "children": [conv(c) for c in node.children],
         }
 
     return conv(t)
-
-
-def shape_equal(t1: ParseTree, t2: ParseTree) -> bool:
-    """Structural equality on labels, ignoring cached yields."""
-    if t1.label() != t2.label() or len(t1.children) != len(t2.children):
-        return False
-    return all(shape_equal(a, b) for a, b in zip(t1.children, t2.children))

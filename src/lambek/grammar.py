@@ -165,6 +165,13 @@ def word_from_text(g: Grammar, text: str) -> Word:
     return tuple(out)
 
 
+def require_word(g: Grammar, w: Word) -> None:
+    """Raise ValueError unless w is a word: every symbol a terminal of g."""
+    for sym in w:
+        if sym not in g.terminals:
+            raise ValueError(f"{sym.name!r} is not a terminal of the grammar")
+
+
 def _strip_comment(line: str) -> str:
     cut = line.find("#")
     return line if cut < 0 else line[:cut]

@@ -38,7 +38,7 @@ from dataclasses import dataclass, fields
 from typing import Iterator, Sequence
 
 from .earley import Ambiguous, ParseTree, parse_tree, recognize
-from .grammar import Grammar, Production, Symbol, Word, lhs_index, memo, nullable_ids, production_ids, terminal
+from .grammar import Grammar, Symbol, Word, lhs_index, memo, nullable_ids, production_ids
 from .types import (
     Atom,
     LambekType,
@@ -194,28 +194,12 @@ def _ax(t: LambekType) -> ProofTree:
     return ProofTree(Sequent((t,), t), RuleName.AX, ())
 
 
-def _lifted(g: Grammar) -> tuple[Grammar, dict[Symbol, Symbol]]:
-    """g plus, for each nonterminal X, a fresh token 'X with X ::= 'X."""
-    taken = {s.name for s in g.terminals | g.nonterminals}
-    lift: dict[Symbol, Symbol] = {}
-    extra: list[Production] = []
-    for x in sorted(g.nonterminals, key=lambda s: s.name):
-        name = f"'{x.name}"
-        while name in taken:
-            name += "'"
-        taken.add(name)
-        lift[x] = terminal(name)
-        extra.append(Production(x, (lift[x],)))
-    g2 = Grammar(g.terminals | frozenset(lift.values()), g.nonterminals, g.productions + tuple(extra), g.start)
-    return g2, lift
-
-
 def _fold_chain(g: Grammar, s: Sequent, tree: ParseTree) -> ProofTree:
-    """The proof of flat s that folds tree, a parse of its lifted antecedent.
+    """The proof of flat s that folds tree, a parse of its antecedent's symbols.
 
     Each node of a production of g folds once, bottom-up and left to right;
-    children with an empty yield are skipped, and lift nodes X ::= 'X are
-    the antecedent atoms themselves.  An empty antecedent is one insertion
+    children with an empty yield are skipped, and nonterminal leaves are the
+    antecedent atoms themselves.  An empty antecedent is one insertion
     of the goal.
     """
     ids = memo(g, production_ids)
@@ -279,16 +263,13 @@ class Prover:
 
         Folds read backward are derivation steps, and skips and insertions
         are ordinary empty derivations, so s folds exactly when the goal
-        derives the antecedent as a sentential form: recognition in a lifted
-        grammar where each nonterminal also matches a private token standing
-        for itself.
+        derives the antecedent's symbols as a sentential form.
         """
-        g2, lift = memo(self.g, _lifted)
         goal = s.succedent.symbol
-        word = tuple(lift.get(t.symbol, t.symbol) for t in s.antecedent)
-        if not recognize(g2, goal, word):
+        form = tuple(t.symbol for t in s.antecedent)
+        if not recognize(self.g, goal, form):
             return None
-        outcome = parse_tree(g2, goal, word)
+        outcome = parse_tree(self.g, goal, form)
         return _fold_chain(self.g, s, outcome.first if isinstance(outcome, Ambiguous) else outcome.tree)
 
     def prove(self, s: Sequent) -> SearchResult:

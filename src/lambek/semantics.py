@@ -29,7 +29,7 @@ from itertools import product
 from typing import Sequence
 
 from .earley import recognize
-from .grammar import Grammar, Symbol, Word, enumerate_words, iter_words_sorted, memo
+from .grammar import Grammar, Symbol, Word, enumerate_words, iter_words_sorted, memo, require_word
 from .prover import Prover, SearchConfig, SearchResult, SearchStatus, TypingAxiom, require_declared
 from .types import Atom, LambekType, Over, Prod, Sequent, Under, UnitType
 
@@ -60,6 +60,7 @@ OracleVerdict = OraclePass | Counterexample
 
 def member_bounded(g: Grammar, w: Word, t: LambekType, b: SemBound) -> bool:
     """Is w in ⟦t⟧, quantifiers truncated per the bound?"""
+    require_word(g, w)
     return memo(g, _member, w, t, b.max_len)
 
 

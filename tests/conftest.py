@@ -1,7 +1,12 @@
 import pytest
+from hypothesis import settings
 
 from lambek.grammar import load_grammar, parse_grammar_file
 from lambek.prover import SearchConfig
+
+# property tests run the same examples every time and never fail on timing
+settings.register_profile("lambek", deadline=None, derandomize=True)
+settings.load_profile("lambek")
 
 
 @pytest.fixture

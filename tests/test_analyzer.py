@@ -19,8 +19,8 @@ from lambek.analyzer import (
 from lambek.earley import recognize, render_tree_text
 from lambek.grammar import parse_grammar_file, word_from_text
 from lambek.prover import Prover, SearchConfig, Side, check_proof
-from lambek.semantics import OraclePass, SemBound, soundness_check
-from lambek.types import Sequent, mirror_type, parse_type, render_type
+from lambek.semantics import OraclePass, SemBound, member_bounded, soundness_check
+from lambek.types import Atom, Sequent, mirror_type, parse_type, render_type
 
 
 @pytest.fixture(scope="module")
@@ -76,9 +76,12 @@ def test_hole_language_matches_brute_force(bool_g, tmpl):
 
 
 def test_context_tree(bool_g, tmpl):
-    lines = render_tree_text(context_tree(bool_g, tmpl)).splitlines()
+    tree = context_tree(bool_g, tmpl)
+    assert tree.word == tmpl.prefix + (tmpl.expected,)
+    lines = render_tree_text(tree).splitlines()
     assert lines[0] == "E"
-    assert any(ln.strip() == "__HOLE" for ln in lines)
+    # the hole is a leaf labelled with the expected symbol
+    assert lines[3:8] == ["      V", "        a", "      =", "      V", "    D"]
 
 
 def test_context_tree_rejects_broken_template(bool_g):
@@ -87,6 +90,21 @@ def test_context_tree_rejects_broken_template(bool_g):
     )
     with pytest.raises(ValueError, match="does not parse"):
         context_tree(bool_g, bad)
+
+
+def test_words_hold_only_terminals(bool_g, tmpl):
+    V = bool_g.symbol("V")
+    with pytest.raises(ValueError, match="not a terminal"):
+        reshaping_check(bool_g, tmpl, (V,))
+    with pytest.raises(ValueError, match="not a terminal"):
+        classify_input(bool_g, tmpl, (V,))
+    with pytest.raises(ValueError, match="not a terminal"):
+        member_bounded(bool_g, (V,), Atom(V), SemBound(2))
+    template = InjectionContext((V,), (), bool_g.symbol("T"), V)
+    with pytest.raises(ValueError, match="not a terminal"):
+        context_tree(bool_g, template)
+    with pytest.raises(ValueError, match="not a terminal"):
+        hole_language(bool_g, template, 1)
 
 
 def test_reshaping_three_verdicts(bool_g, tmpl):
@@ -99,6 +117,14 @@ def test_reshaping_three_verdicts(bool_g, tmpl):
     assert isinstance(
         reshaping_check(bool_g, tmpl, word_from_text(bool_g, "b OR")), Unparseable
     )
+
+
+def test_reshaping_hole_keeps_its_label():
+    g = parse_grammar_file("start S\nS ::= A x | B x ;\nA ::= y ;\nB ::= y y ;\n")
+    ctx = InjectionContext((), word_from_text(g, "x"), g.symbol("S"), g.symbol("A"))
+    assert isinstance(reshaping_check(g, ctx, word_from_text(g, "y")), ConservativeExtension)
+    # same shape around the hole, but a B stands where the template holds an A
+    assert isinstance(reshaping_check(g, ctx, word_from_text(g, "y y")), Reshaped)
 
 
 def test_infer_typings_benign_word(bool_g):

@@ -1,6 +1,8 @@
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lambek.earley import (
     Ambiguous,
@@ -9,16 +11,23 @@ from lambek.earley import (
     Unique,
     Witness,
     check_unambiguous,
-    extend_with_hole,
     internal_node,
     parse_tree,
     recognize,
     render_tree_text,
-    shape_equal,
     token_leaf,
     tree_to_json,
 )
-from lambek.grammar import enumerate_words, parse_grammar_file, word_from_text
+from lambek.grammar import (
+    Grammar,
+    Production,
+    enumerate_words,
+    nonterminal,
+    parse_grammar_file,
+    terminal,
+    word_from_text,
+)
+from test_prover import PINNED_GRAMMARS
 
 
 def w(g, text):
@@ -72,7 +81,7 @@ def test_parse_tree_ambiguous(ambiguous_g):
     assert isinstance(parse_tree(ambiguous_g, S, w(ambiguous_g, "x x")), Unique)
     out = parse_tree(ambiguous_g, S, w(ambiguous_g, "x x x"))
     assert isinstance(out, Ambiguous)
-    assert not shape_equal(out.first, out.second)
+    assert out.first != out.second
     assert out.first.word == out.second.word == w(ambiguous_g, "x x x")
 
 
@@ -85,25 +94,84 @@ def test_check_unambiguous_witness(ambiguous_g):
     out = check_unambiguous(ambiguous_g, ambiguous_g.symbol("S"), 5)
     assert isinstance(out, Witness)
     assert len(out.word) == 3
-    assert not shape_equal(out.first, out.second)
+    assert out.first != out.second
 
 
-def test_extend_with_hole(bool_g):
-    g2, mark = extend_with_hole(bool_g, bool_g.symbol("V"))
-    assert mark.hole_type == bool_g.symbol("V")
-    assert mark.token in g2.terminals
-    # base production table is a stable prefix
-    assert g2.productions[: len(bool_g.productions)] == bool_g.productions
-    assert g2.productions[-1].lhs == bool_g.symbol("V")
-    assert g2.productions[-1].rhs == (mark.token,)
-    assert recognize(g2, bool_g.symbol("E"), w(bool_g, "a =") + (mark.token,))
+def test_sentential_forms(bool_g):
+    E, T, V = bool_g.symbol("E"), bool_g.symbol("T"), bool_g.symbol("V")
+    # a nonterminal of the input stands for itself
+    assert recognize(bool_g, E, w(bool_g, "a =") + (V,))
+    assert recognize(bool_g, E, (T,))
+    assert recognize(bool_g, V, (V,))  # a derivation in zero steps
+    assert not recognize(bool_g, T, (E,))
+    assert not recognize(bool_g, T, (V, V))
+    out = parse_tree(bool_g, T, w(bool_g, "a =") + (V,))
+    assert isinstance(out, Unique)
+    assert out.tree.word == w(bool_g, "a =") + (V,)
+    assert out.tree.children[2] == token_leaf(V)
+    assert parse_tree(bool_g, V, (V,)) == Unique(token_leaf(V))
+    assert isinstance(parse_tree(bool_g, T, (E,)), Reject)
 
 
-def test_extend_with_hole_avoids_name_clash():
-    g = parse_grammar_file("start S\nS ::= __HOLE ;\n")
-    g2, mark = extend_with_hole(g, g.symbol("S"))
-    assert mark.token.name != "__HOLE"
-    assert mark.token in g2.terminals
+def _lifted(g):
+    """The reference: g plus, for each nonterminal X, a fresh token 'X and a rule X ::= 'X."""
+    lift = {x: terminal(f"'{x.name}") for x in sorted(g.nonterminals, key=lambda s: s.name)}
+    extra = tuple(Production(x, (tok,)) for x, tok in lift.items())
+    return Grammar(g.terminals | frozenset(lift.values()), g.nonterminals, g.productions + extra, g.start), lift
+
+
+def _lowered(t, g):
+    """A parse tree of the lifted grammar with each lift node X ::= 'X read as the leaf X."""
+    if t.production is None:
+        return t
+    if t.production not in g.productions:
+        return token_leaf(t.root)
+    return internal_node(t.production, tuple(_lowered(c, g) for c in t.children))
+
+
+@st.composite
+def cyclic_grammars(draw):
+    nts = ["S", "A", "B"]
+    rhs = st.lists(st.sampled_from(nts + ["x", "y"]), max_size=3).map(tuple)
+    rules = set(draw(st.lists(st.tuples(st.sampled_from(nts), rhs), max_size=6)))
+    # at least one ε-rule and one unit cycle
+    x, y, e = draw(st.sampled_from(nts)), draw(st.sampled_from(nts)), draw(st.sampled_from(nts))
+    rules |= {(x, (y,)), (y, (x,)), (e, ())}
+    sym = {n: nonterminal(n) for n in nts} | {t: terminal(t) for t in ("x", "y")}
+    prods = tuple(Production(sym[lhs], tuple(sym[s] for s in body)) for lhs, body in sorted(rules))
+    return Grammar(frozenset({sym["x"], sym["y"]}), frozenset(sym[n] for n in nts), prods, sym["S"])
+
+
+@settings(max_examples=300)
+@given(
+    cyclic_grammars(),
+    st.sampled_from(["S", "A", "B"]),
+    st.lists(st.sampled_from(["S", "A", "B", "x", "y"]), max_size=4),
+)
+def test_sentential_forms_match_the_lifted_grammar(g, goal, names):
+    a = g.symbol(goal)
+    form = tuple(g.symbol(n) for n in names)
+    g2, lift = _lifted(g)
+    assert recognize(g, a, form) == recognize(g2, a, tuple(lift.get(s, s) for s in form))
+    if all(s.is_terminal for s in form):
+        assert recognize(g, a, form) == (form in enumerate_words(g, a, len(form)))
+
+
+@pytest.mark.parametrize("name", ["unit_cycle", "empty_folds"])
+def test_sentential_form_trees_match_the_lifted_grammar(name):
+    g = parse_grammar_file(PINNED_GRAMMARS[name])
+    g2, lift = _lifted(g)
+    symbols = sorted(g.terminals | g.nonterminals, key=lambda s: s.name)
+    for a in sorted(g.nonterminals, key=lambda s: s.name):
+        for n in range(4):
+            for form in product(symbols, repeat=n):
+                got = parse_tree(g, a, form)
+                ref = parse_tree(g2, a, tuple(lift.get(s, s) for s in form))
+                assert type(got) is type(ref), (a, form)
+                if isinstance(ref, Unique):
+                    assert got.tree == _lowered(ref.tree, g), (a, form)
+                elif isinstance(ref, Ambiguous):
+                    assert (got.first, got.second) == (_lowered(ref.first, g), _lowered(ref.second, g)), (a, form)
 
 
 def test_render_tree_text(bool_g):
@@ -122,26 +190,12 @@ def test_tree_to_json(bool_g):
     assert leaf == {"sym": "=", "prod_index": None, "children": []}
 
 
-def test_tree_to_json_foreign_production(bool_g):
-    g2, mark = extend_with_hole(bool_g, bool_g.symbol("V"))
-    out = parse_tree(g2, bool_g.symbol("E"), w(bool_g, "a =") + (mark.token,))
+def test_tree_to_json_nonterminal_leaf(bool_g):
+    V = bool_g.symbol("V")
+    out = parse_tree(bool_g, bool_g.symbol("T"), w(bool_g, "a =") + (V,))
     obj = tree_to_json(out.tree, bool_g)
-
-    def holes(node):
-        if node["sym"] == mark.token.name:
-            yield node
-        for c in node["children"]:
-            yield from holes(c)
-
-    assert list(holes(obj))  # present, serialized with prod_index None above it
-
-
-def test_shape_equal_ignores_spans(bool_g):
-    first = parse_tree(bool_g, bool_g.symbol("V"), w(bool_g, "a")).tree
-    second = parse_tree(bool_g, bool_g.symbol("V"), w(bool_g, "a")).tree
-    third = parse_tree(bool_g, bool_g.symbol("V"), w(bool_g, "b")).tree
-    assert shape_equal(first, second)
-    assert not shape_equal(first, third)
+    assert obj["children"][0]["prod_index"] is not None
+    assert obj["children"][2] == {"sym": "V", "prod_index": None, "children": []}
 
 
 def test_internal_node_concatenates_yields(bool_g):
