@@ -3,7 +3,10 @@
 The input is a sentential form: a nonterminal X in it stands for itself, so
 an item waiting on X scans it like a token (Earley 1970), and parse trees
 hold X as a leaf.  Recognition handles ε-productions and unit cycles without
-grammar preprocessing.  Tree extraction walks the completed-span table
+grammar preprocessing.  Each column indexes its items by the symbol they wait
+on, and Leo's transitive items (Leo 1991) complete a deterministic right
+recursion in one step, so recognition is linear on such grammars.  Tree
+extraction walks an index of the completed spans, (symbol, start) -> ends,
 top-down; derivations that pass through the same (symbol, span) pair more
 than twice on one path are not enumerated, which only suppresses pumped
 unit-cycle variants of trees that are already reported.
@@ -11,7 +14,6 @@ unit-cycle variants of trees that are already reported.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Iterator
 
 from .grammar import (
@@ -84,86 +86,206 @@ class Reject:
 ParseOutcome = Unique | Ambiguous | Reject
 
 
-def _chart(g: Grammar, a: Symbol, w: Word) -> list[list[tuple[int, int, int]]]:
-    """Earley chart of sentential form w: per position, items (prod_index, dot, origin)."""
-    by_lhs = memo(g, lhs_index)
+def _dotted_rules(
+    g: Grammar,
+) -> tuple[list[Symbol | None], list[Symbol | None], dict[Symbol, tuple[int, ...]], int]:
+    """Per-grammar tables over dotted rules; reach them through memo.
+
+    Production p with the dot before position d is rule ``first[p] + d``.
+    ``nxt[r]`` is the symbol after the dot (None once complete) and
+    ``lhs[r]`` the production's left-hand side; ``predict[X]`` holds the
+    rules of X's productions at dot 0, in grammar order.  The last two rules
+    are the augmented start S' → •a and S' → a•: their lhs is None, and the
+    chart seeds S' → •a as a waiter on the goal a, so one rule serves every
+    goal.
+    """
+    nxt: list[Symbol | None] = []
+    lhs: list[Symbol | None] = []
+    first: list[int] = []
+    for p in g.productions:
+        first.append(len(nxt))
+        nxt.extend(p.rhs)
+        nxt.append(None)
+        lhs.extend([p.lhs] * (len(p.rhs) + 1))
+    goal = len(nxt)
+    nxt += [None, None]
+    lhs += [None, None]
+    predict = {x: tuple(first[p] for p in ids) for x, ids in memo(g, lhs_index).items()}
+    return nxt, lhs, predict, goal
+
+
+# an Earley item: (dotted rule, origin column)
+Item = tuple[int, int]
+# the columns of items; per column, the items waiting on each symbol; and
+# the memo of _leo_top, None until a completion looks for a Leo path
+_Chart = tuple[
+    list[list[Item]],
+    list[dict[Symbol, list[Item]]],
+    dict[tuple[Symbol, int], Item | None] | None,
+]
+
+
+def _leo_top(
+    leo: dict[tuple[Symbol, int], Item | None],
+    waits: list[dict[Symbol, list[Item]]],
+    nxt: list[Symbol | None],
+    lhs: list[Symbol | None],
+    x: Symbol,
+    o: int,
+) -> Item | None:
+    """The top of the deterministic reduction path from (x, o), memoized; None on a cycle.
+
+    A node (X, o) is on the path while column o holds exactly one item
+    waiting on X and X is that item's last symbol; completing X with origin o
+    then completes the waiting item, whose own (lhs, origin) node comes next.
+    The top is the item that the last node's completion completes (Leo 1991).
+    """
+    path = []
+    top = None
+    node = (x, o)
+    while True:
+        if node in leo:
+            top = leo[node]
+            break
+        ws = waits[node[1]].get(node[0])
+        if ws is None or len(ws) != 1:
+            break
+        r, o2 = ws[0]
+        if nxt[r + 1] is not None:
+            break
+        leo[node] = None  # a revisit is a cycle
+        path.append(node)
+        top = (r + 1, o2)
+        node = (lhs[r], o2)
+    for node in path:
+        leo[node] = top
+    return top
+
+
+def _chart(g: Grammar, a: Symbol, w: Word) -> _Chart:
+    """Earley chart of sentential form w from a.
+
+    Items waiting on a symbol are indexed by it, so a completion reads only
+    its waiters and a scan reads only the items waiting on the next input
+    symbol, terminal or nonterminal alike.  A completion with origin o < i
+    whose path is deterministic adds the path's top item at once, which
+    keeps right recursion linear.  ε-completions (origin i) are remembered
+    per column, so a waiter that arrives after them still advances (Aycock &
+    Horspool 2002).
+    """
+    nxt, lhs, predict, goal = memo(g, _dotted_rules)
     n = len(w)
-    # tested once, in C: a word of terminals pays nothing per column below
-    sentential = SymbolKind.NONTERMINAL in map(attrgetter("kind"), w)
-    columns: list[list[tuple[int, int, int]]] = [[] for _ in range(n + 1)]
-    in_col: list[set[tuple[int, int, int]]] = [set() for _ in range(n + 1)]
-
-    def add(col: int, item: tuple[int, int, int]) -> None:
-        if item not in in_col[col]:
-            in_col[col].add(item)
-            columns[col].append(item)
-
-    for pid in by_lhs.get(a, ()):
-        add(0, (pid, 0, 0))
-
+    col: list[Item] = [(r, 0) for r in predict.get(a, ())]
+    wait: dict[Symbol, list[Item]] = {a: [(goal, 0)]}
+    columns, waits = [col], [wait]
+    leo: dict[tuple[Symbol, int], Item | None] | None = None
     for i in range(n + 1):
-        completed_empty: set[Symbol] = set()
-        idx = 0
-        col = columns[i]
-        while idx < len(col):
-            pid, dot, origin = col[idx]
-            idx += 1
-            prod = g.productions[pid]
-            if dot == len(prod.rhs):
-                if origin == i:
-                    completed_empty.add(prod.lhs)
-                # advance every item waiting on prod.lhs at the origin column
-                for pid2, dot2, origin2 in list(columns[origin]):
-                    rhs2 = g.productions[pid2].rhs
-                    if dot2 < len(rhs2) and rhs2[dot2] == prod.lhs:
-                        add(i, (pid2, dot2 + 1, origin2))
+        seen = set(col)
+        done: set[Symbol] | None = None  # symbols completed empty at i
+        for item in col:  # the column grows while it is read
+            r, o = item
+            x = nxt[r]
+            if x is None:
+                x = lhs[r]
+                if o == i:
+                    if done is None:
+                        done = {x}
+                    else:
+                        done.add(x)
+                    ws = wait.get(x)
+                else:
+                    ws = waits[o].get(x)
+                    # one waiter, which x completes: a deterministic path starts
+                    if ws is not None and len(ws) == 1 and nxt[ws[0][0] + 1] is None:
+                        if leo is None:
+                            leo = {}
+                        top = _leo_top(leo, waits, nxt, lhs, x, o)
+                        if top is not None:
+                            if top not in seen:
+                                seen.add(top)
+                                col.append(top)
+                            continue
+                if ws:
+                    for r2, o2 in ws:
+                        adv = (r2 + 1, o2)
+                        if adv not in seen:
+                            seen.add(adv)
+                            col.append(adv)
                 continue
-            sym = prod.rhs[dot]
-            if sym.is_terminal:
-                if i < n and w[i] == sym:
-                    add(i + 1, (pid, dot + 1, origin))
+            ws = wait.get(x)
+            if ws is None:
+                wait[x] = [item]
+                col.extend([(p, i) for p in predict.get(x, ())])
             else:
-                for pid2 in by_lhs.get(sym, ()):
-                    add(i, (pid2, 0, i))
-                # an ε-completion of sym may already have been processed
-                if sym in completed_empty:
-                    add(i, (pid, dot + 1, origin))
-        # a nonterminal of the input is scanned once its column is closed
-        if sentential and i < n and w[i].kind is SymbolKind.NONTERMINAL:
-            for pid, dot, origin in col:
-                rhs = g.productions[pid].rhs
-                if dot < len(rhs) and rhs[dot] == w[i]:
-                    add(i + 1, (pid, dot + 1, origin))
-    return columns
+                ws.append(item)
+            if done is not None and x in done:
+                adv = (r + 1, o)
+                if adv not in seen:
+                    seen.add(adv)
+                    col.append(adv)
+        if i < n:
+            ws = wait.get(w[i])
+            col = [(r + 1, o) for r, o in ws] if ws else []
+            wait = {}
+            columns.append(col)
+            waits.append(wait)
+    return columns, waits, leo
 
 
 def recognize(g: Grammar, a: Symbol, w: Word) -> bool:
     """Exact recognition: does a derive the sentential form w?"""
-    if a.is_terminal:
-        return w == (a,)
-    columns = _chart(g, a, w)
-    n = len(w)
-    return any(
-        dot == len(g.productions[pid].rhs) and origin == 0 and g.productions[pid].lhs == a
-        for pid, dot, origin in columns[n]
-    ) or (n == 1 and w[0] == a)  # a derivation in zero steps
+    return _accepts(g, _chart(g, a, w))
 
 
-def _completed_spans(g: Grammar, w: Word, columns: list[list[tuple[int, int, int]]]) -> set[tuple[Symbol, int, int]]:
-    # a nonterminal of the input spans itself
-    spans = {(s, k, k + 1) for k, s in enumerate(w) if s.kind is SymbolKind.NONTERMINAL}
+def _accepts(g: Grammar, chart: _Chart) -> bool:
+    """Does the last column hold the completed augmented start S' → a•?"""
+    return (memo(g, _dotted_rules)[3] + 1, 0) in chart[0][-1]
+
+
+def _span_ends(g: Grammar, w: Word, chart: _Chart) -> dict[tuple[Symbol, int], list[int]]:
+    """(symbol, start) -> the ascending ends of its completed spans.
+
+    Read off the columns in order, with each Leo path expanded for the spans
+    it skipped.  A nonterminal of the input spans itself.
+    """
+    nxt, lhs, _, _ = memo(g, _dotted_rules)
+    columns, waits, leo = chart
+    ends: dict[tuple[Symbol, int], list[int]] = {}
     for j, col in enumerate(columns):
-        for pid, dot, origin in col:
-            prod = g.productions[pid]
-            if dot == len(prod.rhs):
-                spans.add((prod.lhs, origin, j))
-    return spans
+        if j and w[j - 1].kind is SymbolKind.NONTERMINAL:
+            ends.setdefault((w[j - 1], j - 1), []).append(j)
+        for r, o in col:
+            if nxt[r] is not None or lhs[r] is None:
+                continue
+            key = (lhs[r], o)
+            e = ends.get(key)
+            if e is None:
+                ends[key] = [j]
+            elif e[-1] != j:
+                e.append(j)
+            top = leo.get(key) if leo and o < j else None
+            while top is not None:
+                # the path from key completes its waiter's (lhs, origin) at j
+                r2, o2 = waits[key[1]][key[0]][0]
+                key = (lhs[r2], o2)
+                if key[0] is None:
+                    break
+                e = ends.get(key)
+                if e is None:
+                    ends[key] = [j]
+                elif e[-1] != j:
+                    e.append(j)
+                else:
+                    break  # the rest of this path is expanded already
+                if (r2 + 1, o2) == top:
+                    break
+    return ends
 
 
 def _trees(
     g: Grammar,
     w: Word,
-    spans: set[tuple[Symbol, int, int]],
+    ends: dict[tuple[Symbol, int], list[int]],
     sym: Symbol,
     i: int,
     j: int,
@@ -172,7 +294,9 @@ def _trees(
     key = (sym, i, j)
     if path.count(key) >= 2:
         return
-    path = path + (key,)
+    # a child spans part of its parent's span, so a key can recur on a path
+    # only among the ancestors that share its span
+    path = path + (key,) if path and path[-1][1] == i and path[-1][2] == j else (key,)
     by_lhs = memo(g, lhs_index)
 
     def assignments(rhs: tuple[Symbol, ...], pos: int) -> Iterator[list[tuple[Symbol, int, int]]]:
@@ -186,12 +310,12 @@ def _trees(
                 for tail in assignments(rest, pos + 1):
                     yield [(head, pos, pos + 1)] + tail
             return
-        lo = pos
         hi = j - sum(1 for s in rest if s.is_terminal)
-        for mid in range(lo, hi + 1):
-            if (head, pos, mid) in spans:
-                for tail in assignments(rest, mid):
-                    yield [(head, pos, mid)] + tail
+        for mid in ends.get((head, pos), ()):
+            if mid > hi:
+                break
+            for tail in assignments(rest, mid):
+                yield [(head, pos, mid)] + tail
 
     for pid in by_lhs.get(sym, ()):
         prod = g.productions[pid]
@@ -208,7 +332,7 @@ def _trees(
                 if s.is_terminal:
                     yield from expand(k + 1, acc + (token_leaf(s),))
                     return
-                for sub in _trees(g, w, spans, s, p, q, path):
+                for sub in _trees(g, w, ends, s, p, q, path):
                     yield from expand(k + 1, acc + (sub,))
 
             yield from expand(0, ())
@@ -223,12 +347,12 @@ def parse_tree(g: Grammar, a: Symbol, w: Word) -> ParseOutcome:
     """
     if a.is_terminal:
         return Unique(token_leaf(a)) if w == (a,) else Reject()
-    columns = _chart(g, a, w)
-    spans = _completed_spans(g, w, columns)
-    if (a, 0, len(w)) not in spans:
+    chart = _chart(g, a, w)
+    if not _accepts(g, chart):
         return Reject()
+    ends = _span_ends(g, w, chart)
     found: list[ParseTree] = []
-    for t in _trees(g, w, spans, a, 0, len(w), ()):
+    for t in _trees(g, w, ends, a, 0, len(w), ()):
         if t not in found:
             found.append(t)
         if len(found) == 2:

@@ -78,16 +78,19 @@ def _member(g: Grammar, w: Word, t: LambekType, max_len: int) -> bool:
             for k in range(len(w) + 1)
         )
     if isinstance(t, Under):
-        return all(
-            memo(g, _member, v + w, t.result, max_len)
-            for v in memo(g, _denotation, t.arg, max_len, max_len)
-        )
+        return all(memo(g, _member, v + w, t.result, max_len) for v in memo(g, _domain, t.arg, max_len))
     if isinstance(t, Over):
-        return all(
-            memo(g, _member, w + v, t.result, max_len)
-            for v in memo(g, _denotation, t.arg, max_len, max_len)
-        )
+        return all(memo(g, _member, w + v, t.result, max_len) for v in memo(g, _domain, t.arg, max_len))
     raise TypeError(f"unknown type {t!r}")
+
+
+def _domain(g: Grammar, arg: LambekType, max_len: int) -> tuple[Word, ...]:
+    """An implication's quantifier domain, shortest first.
+
+    A fixed order makes the first failing test word, and so the memberships
+    computed before it, independent of the string-hash seed.
+    """
+    return tuple(iter_words_sorted(memo(g, _denotation, arg, max_len, max_len)))
 
 
 def denotation_bounded(

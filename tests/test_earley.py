@@ -1,4 +1,5 @@
 from itertools import product
+from math import log2
 
 import pytest
 from hypothesis import given, settings
@@ -17,11 +18,16 @@ from lambek.earley import (
     render_tree_text,
     token_leaf,
     tree_to_json,
+    _chart,
+    _span_ends,
 )
 from lambek.grammar import (
     Grammar,
     Production,
+    SymbolKind,
     enumerate_words,
+    lhs_index,
+    memo,
     nonterminal,
     parse_grammar_file,
     terminal,
@@ -132,14 +138,16 @@ def _lowered(t, g):
 @st.composite
 def cyclic_grammars(draw):
     nts = ["S", "A", "B"]
-    rhs = st.lists(st.sampled_from(nts + ["x", "y"]), max_size=3).map(tuple)
+    rhs = st.lists(st.sampled_from(nts + ["R", "x", "y"]), max_size=3).map(tuple)
     rules = set(draw(st.lists(st.tuples(st.sampled_from(nts), rhs), max_size=6)))
     # at least one ε-rule and one unit cycle
     x, y, e = draw(st.sampled_from(nts)), draw(st.sampled_from(nts)), draw(st.sampled_from(nts))
     rules |= {(x, (y,)), (y, (x,)), (e, ())}
-    sym = {n: nonterminal(n) for n in nts} | {t: terminal(t) for t in ("x", "y")}
+    # and a right recursion R, whose completions take Leo's transitive items
+    rules |= {("S", ("R",)), ("R", ("x", "R")), ("R", draw(st.sampled_from([("y",), ()])))}
+    sym = {n: nonterminal(n) for n in nts + ["R"]} | {t: terminal(t) for t in ("x", "y")}
     prods = tuple(Production(sym[lhs], tuple(sym[s] for s in body)) for lhs, body in sorted(rules))
-    return Grammar(frozenset({sym["x"], sym["y"]}), frozenset(sym[n] for n in nts), prods, sym["S"])
+    return Grammar(frozenset({sym["x"], sym["y"]}), frozenset(sym[n] for n in nts + ["R"]), prods, sym["S"])
 
 
 @settings(max_examples=300)
@@ -155,6 +163,132 @@ def test_sentential_forms_match_the_lifted_grammar(g, goal, names):
     assert recognize(g, a, form) == recognize(g2, a, tuple(lift.get(s, s) for s in form))
     if all(s.is_terminal for s in form):
         assert recognize(g, a, form) == (form in enumerate_words(g, a, len(form)))
+
+
+def _textbook_chart(g, a, w):
+    """The reference: an Earley chart that scans each origin column in full on completion."""
+    by_lhs = memo(g, lhs_index)
+    n = len(w)
+    columns = [[] for _ in range(n + 1)]
+    in_col = [set() for _ in range(n + 1)]
+
+    def add(col, item):
+        if item not in in_col[col]:
+            in_col[col].add(item)
+            columns[col].append(item)
+
+    for pid in by_lhs.get(a, ()):
+        add(0, (pid, 0, 0))
+    for i in range(n + 1):
+        completed_empty = set()
+        idx = 0
+        col = columns[i]
+        while idx < len(col):
+            pid, dot, origin = col[idx]
+            idx += 1
+            prod = g.productions[pid]
+            if dot == len(prod.rhs):
+                if origin == i:
+                    completed_empty.add(prod.lhs)
+                for pid2, dot2, origin2 in list(columns[origin]):
+                    rhs2 = g.productions[pid2].rhs
+                    if dot2 < len(rhs2) and rhs2[dot2] == prod.lhs:
+                        add(i, (pid2, dot2 + 1, origin2))
+                continue
+            sym = prod.rhs[dot]
+            if sym.is_terminal:
+                if i < n and w[i] == sym:
+                    add(i + 1, (pid, dot + 1, origin))
+            else:
+                for pid2 in by_lhs.get(sym, ()):
+                    add(i, (pid2, 0, i))
+                if sym in completed_empty:
+                    add(i, (pid, dot + 1, origin))
+        if i < n and w[i].kind is SymbolKind.NONTERMINAL:
+            for pid, dot, origin in col:
+                rhs = g.productions[pid].rhs
+                if dot < len(rhs) and rhs[dot] == w[i]:
+                    add(i + 1, (pid, dot + 1, origin))
+    return columns
+
+
+def _textbook_spans(g, w, columns):
+    """Every completed (symbol, start, end) of the reference chart; an input nonterminal spans itself."""
+    spans = {(s, k, k + 1) for k, s in enumerate(w) if s.kind is SymbolKind.NONTERMINAL}
+    for j, col in enumerate(columns):
+        for pid, dot, origin in col:
+            prod = g.productions[pid]
+            if dot == len(prod.rhs):
+                spans.add((prod.lhs, origin, j))
+    return spans
+
+
+def _assert_textbook_spans(g, a, form):
+    ends = _span_ends(g, form, _chart(g, a, form))
+    assert all(e == sorted(set(e)) for e in ends.values())
+    spans = {(x, o, e) for (x, o), es in ends.items() for e in es}
+    ref = _textbook_spans(g, form, _textbook_chart(g, a, form))
+    assert spans == ref, (a, form)
+    assert recognize(g, a, form) == ((a, 0, len(form)) in ref)
+
+
+_SYMBOLS = ["S", "A", "B", "R", "x", "y"]
+
+
+@settings(max_examples=400)
+@given(
+    cyclic_grammars(),
+    st.sampled_from(["S", "A", "B", "R"]),
+    st.one_of(
+        st.lists(st.sampled_from(_SYMBOLS), max_size=6),
+        # a run of x, so that R's right recursion builds Leo paths
+        st.builds(lambda k, tail: ["x"] * k + tail, st.integers(1, 4), st.lists(st.sampled_from(_SYMBOLS), max_size=2)),
+    ),
+)
+def test_chart_matches_the_textbook_chart(g, goal, names):
+    a = g.symbol(goal)
+    form = tuple(g.symbol(n) for n in names)
+    _assert_textbook_spans(g, a, form)
+    if all(s.is_terminal for s in form):
+        assert recognize(g, a, form) == (form in enumerate_words(g, a, len(form)))
+
+
+@pytest.mark.parametrize(
+    "text", ["start S\nS ::= x S | A ;\nA ::= S y | ;\n", "start S\nS ::= x S | y ;\n"], ids=["with_A", "plain"]
+)
+def test_right_recursion_matches_the_textbook_chart(text):
+    g = parse_grammar_file(text)
+    symbols = sorted(g.terminals | g.nonterminals, key=lambda s: s.name)
+    for a in sorted(g.nonterminals, key=lambda s: s.name):
+        for n in range(6):
+            for form in product(symbols, repeat=n):
+                _assert_textbook_spans(g, a, form)
+
+
+def test_long_chains_match_the_textbook_chart(bool_g):
+    E = bool_g.symbol("E")
+    for text in ("1 = a AND 1 = a AND 1 = a", "1 = a AND b = b OR a = 1 AND 1 = 1 AND a = a", "1 = a AND 1 = a AND"):
+        chain = w(bool_g, text)
+        for k in range(len(chain) + 1):
+            _assert_textbook_spans(bool_g, E, chain[:k])
+
+
+def test_chart_grows_linearly_on_right_recursion(bool_g):
+    """`D ::= AND T D` completes through one transitive item per column."""
+    E = bool_g.symbol("E")
+    lengths, items = [], []
+    for tests in (25, 50, 100, 200, 400, 800, 1200):  # 99 … 4799 tokens
+        chain = w(bool_g, " AND ".join(["1 = a"] * tests))
+        lengths.append(len(chain))
+        columns, _, _ = _chart(bool_g, E, chain)
+        items.append(sum(len(col) for col in columns))
+    for k in range(1, len(items)):
+        assert items[k] / items[k - 1] <= 2.1 ** log2(lengths[k] / lengths[k - 1]), (lengths, items)
+    assert recognize(bool_g, E, chain)
+    eq = len(chain) // 2 - (len(chain) // 2) % 4 + 1  # an `=`
+    broken = chain[:eq] + (bool_g.symbol("AND"),) + chain[eq + 1 :]
+    assert chain[eq] == bool_g.symbol("=")
+    assert not recognize(bool_g, E, broken)
 
 
 @pytest.mark.parametrize("name", ["unit_cycle", "empty_folds"])

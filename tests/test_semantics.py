@@ -1,7 +1,13 @@
+import json
+import os
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 
+import lambek
 from lambek.earley import recognize
 from lambek.grammar import enumerate_words, word_from_text
 from lambek.prover import SearchConfig, SearchStatus, parse_axiom
@@ -204,3 +210,33 @@ def test_prescreen_skipped_under_axioms(eng_g):
     with_ax = prove_with_prescreen(eng_g, s, SearchConfig(), SemBound(4), ax)
     # axioms are not part of the word semantics, so no oracle verdict here
     assert with_ax.status is SearchStatus.NOT_FOUND_WITHIN_BOUNDS
+
+
+# soundness_check queries whose implications fail on some test words
+_SEED_QUERIES = ("1 , = |- E\\E", "1 , = |- T/E", "1 , = |- V/E", "OR , 1 , = , 1 |- T\\T", "b |- E/V")
+_MEMBER_KEYS = """
+import json, sys
+from lambek import semantics
+from lambek.grammar import load_grammar
+from lambek.types import parse_sequent, render_type
+g = load_grammar("bool")[0]
+for text in sys.argv[1:]:
+    semantics.soundness_check(g, parse_sequent(text, g), semantics.SemBound(5))
+keys = [[[s.name for s in k[1]], render_type(k[2]), k[3]] for k in g._memo if k[0] is semantics._member]
+print(json.dumps(sorted(keys)))
+"""
+
+
+def test_oracle_work_does_not_depend_on_the_hash_seed():
+    """The same queries compute the same memberships under any string-hash seed."""
+    src = str(Path(lambek.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    keys = [
+        json.loads(subprocess.run(
+            [sys.executable, "-c", _MEMBER_KEYS, *_SEED_QUERIES],
+            capture_output=True, text=True, env={**env, "PYTHONHASHSEED": seed}, check=True,
+        ).stdout)
+        for seed in ("0", "1")
+    ]
+    assert keys[0]
+    assert keys[0] == keys[1]
