@@ -237,6 +237,16 @@ def recognize(g: Grammar, a: Symbol, w: Word) -> bool:
     return _accepts(g, _chart(g, a, w))
 
 
+def prefix_ends(g: Grammar, a: Symbol, w: Word) -> list[int]:
+    """The ascending k for which a derives the sentential form w[:k].
+
+    Read off one chart over w: column k holds the completed augmented start
+    S' → a• exactly then, and no Leo path skips it.
+    """
+    done = (memo(g, _dotted_rules)[3] + 1, 0)
+    return [k for k, col in enumerate(_chart(g, a, w)[0]) if done in col]
+
+
 def _accepts(g: Grammar, chart: _Chart) -> bool:
     """Does the last column hold the completed augmented start S' → a•?"""
     return (memo(g, _dotted_rules)[3] + 1, 0) in chart[0][-1]

@@ -35,10 +35,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, fields
-from typing import Iterator, Sequence
+from itertools import chain
+from typing import Iterable, Iterator, Sequence
 
-from .earley import Ambiguous, ParseTree, parse_tree, recognize
-from .grammar import Grammar, Symbol, Word, lhs_index, memo, nullable_ids, production_ids
+from .earley import Ambiguous, ParseTree, parse_tree, prefix_ends, recognize
+from .grammar import Grammar, Symbol, Word, lhs_index, memo, mirror, nullable_ids, production_ids
 from .types import (
     Atom,
     LambekType,
@@ -190,6 +191,11 @@ def _atoms(rhs: Sequence[Symbol]) -> tuple[LambekType, ...]:
     return tuple(Atom(s) for s in rhs)
 
 
+def _rhs_atoms(g: Grammar) -> list[tuple[LambekType, ...]]:
+    """Each production's right-hand side as atoms, by id; reach it through memo."""
+    return [_atoms(p.rhs) for p in g.productions]
+
+
 def _ax(t: LambekType) -> ProofTree:
     return ProofTree(Sequent((t,), t), RuleName.AX, ())
 
@@ -257,6 +263,7 @@ class Prover:
         self._ok: dict[Sequent, ProofTree] = {}
         self._fail: set[Sequent] = set()
         self._axiom_tokens = frozenset(ax.token for ax in self.axioms)
+        self._ends: dict[tuple[Symbol, tuple[LambekType, ...], bool], list[int]] = {}
 
     def _flat_proof(self, s: Sequent) -> ProofTree | None:
         """A fold chain proving flat s, or None when folds cannot prove it.
@@ -309,8 +316,9 @@ class Prover:
         if not ante and isinstance(succ, UnitType):
             return ProofTree(s, RuleName.EPS_R, ()), True
         if isinstance(succ, Atom) and not succ.symbol.is_terminal:
+            rhs = memo(self.g, _rhs_atoms)
             for pid in memo(self.g, lhs_index)[succ.symbol]:
-                if ante == _atoms(self.g.productions[pid].rhs):
+                if ante == rhs[pid]:
                     return ProofTree(s, RuleName.GRAM, (), GramDetail(pid)), True
         for aid, ax in enumerate(self.axioms):
             if ante == (Atom(ax.token),) and succ == ax.type:
@@ -371,6 +379,51 @@ class Prover:
                 return ProofTree(s, rule, tuple(subs), detail), True
         return None, exhaustive
 
+    # A split of an L-rule whose argument premise lies inside a run of plain
+    # atoms (atoms that are not axiom tokens) gives a flat premise that
+    # Earley alone decides, so when the argument is a nonterminal atom the
+    # splits are read off one chart over the run; a split that reaches past
+    # the run, or an argument of any other type, is tried as is.
+
+    def _plain(self, t: LambekType) -> bool:
+        return isinstance(t, Atom) and t.symbol not in self._axiom_tokens
+
+    def _starts(self, ante: tuple[LambekType, ...], i: int, arg: LambekType) -> Iterable[int]:
+        """The ascending starts j worth trying for UNDER_L at i: ante[j:i] ⊢ arg."""
+        if not (isinstance(arg, Atom) and not arg.symbol.is_terminal):
+            return range(i + 1)
+        lo = i
+        while lo and self._plain(ante[lo - 1]):
+            lo -= 1
+        ks = self._run_ends(arg.symbol, ante[lo:i], True)
+        return chain(range(lo), (i - k for k in reversed(ks)))
+
+    def _stops(self, ante: tuple[LambekType, ...], i: int, arg: LambekType) -> Iterable[int]:
+        """The ascending stops j worth trying for OVER_L at i: ante[i + 1:j] ⊢ arg."""
+        if not (isinstance(arg, Atom) and not arg.symbol.is_terminal):
+            return range(i + 1, len(ante) + 1)
+        hi = i + 1
+        while hi < len(ante) and self._plain(ante[hi]):
+            hi += 1
+        ks = self._run_ends(arg.symbol, ante[i + 1 : hi], False)
+        return chain((i + 1 + k for k in ks), range(hi + 1, len(ante) + 1))
+
+    def _run_ends(self, x: Symbol, run: tuple[LambekType, ...], left: bool) -> list[int]:
+        """The ascending k for which x derives the first k atoms of run, or its last k when left.
+
+        The last k come from the mirror grammar over the reversed run.  One
+        chart per (x, run, side) serves every goal of the prover.
+        """
+        key = (x, run, left)
+        ks = self._ends.get(key)
+        if ks is None:
+            if left:
+                ks = prefix_ends(memo(self.g, mirror), x, tuple(t.symbol for t in reversed(run)))
+            else:
+                ks = prefix_ends(self.g, x, tuple(t.symbol for t in run))
+            self._ends[key] = ks
+        return ks
+
     def _moves(
         self, ante: tuple[LambekType, ...], succ: LambekType
     ) -> Iterator[tuple[RuleName, Detail, tuple[Sequent, ...]]]:
@@ -385,12 +438,12 @@ class Prover:
 
         for i, t in enumerate(ante):
             if isinstance(t, Under):
-                for j in range(i + 1):
+                for j in self._starts(ante, i, t.arg):
                     prem1 = Sequent(ante[j:i], t.arg)
                     prem2 = Sequent(ante[:j] + (t.result,) + ante[i + 1 :], succ)
                     yield (RuleName.UNDER_L, UnderLDetail(i, j), (prem1, prem2))
             elif isinstance(t, Over):
-                for j in range(i + 1, len(ante) + 1):
+                for j in self._stops(ante, i, t.arg):
                     prem1 = Sequent(ante[i + 1 : j], t.arg)
                     prem2 = Sequent(ante[:i] + (t.result,) + ante[j:], succ)
                     yield (RuleName.OVER_L, OverLDetail(i, j), (prem1, prem2))

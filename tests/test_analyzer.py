@@ -284,3 +284,25 @@ def test_shared_prover_reuses_its_memo(bool_g, tmpl):
     a = capture_typings(bool_g, tmpl, attack, prover=shared)
     b = capture_typings(bool_g, tmpl, attack, prover=shared)
     assert [(c.direction, c.type) for c in a] == [(c.direction, c.type) for c in b]
+
+
+def test_attack_ladder_search_does_not_grow_with_the_input(bool_g, tmpl, monkeypatch):
+    """The capture goals of  b (OR 1 = 1)^k  read their splits off one chart per run,
+    so the search expands the same nodes at every k."""
+    calls = []
+    search = Prover._search
+
+    def counted(self, *args):
+        calls.append(1)
+        return search(self, *args)
+
+    monkeypatch.setattr(Prover, "_search", counted)
+    counts, captures = [], []
+    for k in (8, 16, 32, 64):
+        calls.clear()
+        r = classify_input(bool_g, tmpl, word_from_text(bool_g, "b" + " OR 1 = 1" * k))
+        assert r.classification is Classification.CAPTURING
+        counts.append(len(calls))
+        captures.append([render_type(c.type) for c in r.captures])
+    assert len(set(counts)) == 1, counts
+    assert captures == [captures[0]] * 4 and len(captures[0]) == 2

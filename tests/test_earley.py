@@ -14,6 +14,7 @@ from lambek.earley import (
     check_unambiguous,
     internal_node,
     parse_tree,
+    prefix_ends,
     recognize,
     render_tree_text,
     token_leaf,
@@ -28,12 +29,12 @@ from lambek.grammar import (
     enumerate_words,
     lhs_index,
     memo,
-    nonterminal,
+    mirror,
     parse_grammar_file,
     terminal,
     word_from_text,
 )
-from test_prover import PINNED_GRAMMARS
+from test_prover import PINNED_GRAMMARS, cyclic_grammars
 
 
 def w(g, text):
@@ -133,21 +134,6 @@ def _lowered(t, g):
     if t.production not in g.productions:
         return token_leaf(t.root)
     return internal_node(t.production, tuple(_lowered(c, g) for c in t.children))
-
-
-@st.composite
-def cyclic_grammars(draw):
-    nts = ["S", "A", "B"]
-    rhs = st.lists(st.sampled_from(nts + ["R", "x", "y"]), max_size=3).map(tuple)
-    rules = set(draw(st.lists(st.tuples(st.sampled_from(nts), rhs), max_size=6)))
-    # at least one ε-rule and one unit cycle
-    x, y, e = draw(st.sampled_from(nts)), draw(st.sampled_from(nts)), draw(st.sampled_from(nts))
-    rules |= {(x, (y,)), (y, (x,)), (e, ())}
-    # and a right recursion R, whose completions take Leo's transitive items
-    rules |= {("S", ("R",)), ("R", ("x", "R")), ("R", draw(st.sampled_from([("y",), ()])))}
-    sym = {n: nonterminal(n) for n in nts + ["R"]} | {t: terminal(t) for t in ("x", "y")}
-    prods = tuple(Production(sym[lhs], tuple(sym[s] for s in body)) for lhs, body in sorted(rules))
-    return Grammar(frozenset({sym["x"], sym["y"]}), frozenset(sym[n] for n in nts + ["R"]), prods, sym["S"])
 
 
 @settings(max_examples=300)
@@ -289,6 +275,54 @@ def test_chart_grows_linearly_on_right_recursion(bool_g):
     broken = chain[:eq] + (bool_g.symbol("AND"),) + chain[eq + 1 :]
     assert chain[eq] == bool_g.symbol("=")
     assert not recognize(bool_g, E, broken)
+
+
+def _assert_prefix_ends(g, a, form):
+    """prefix_ends reads prefix recognition off one chart; over the mirror grammar, suffix recognition."""
+    n = len(form)
+    assert prefix_ends(g, a, form) == [k for k in range(n + 1) if recognize(g, a, form[:k])], (a, form)
+    suffixes = [k for k in range(n + 1) if recognize(g, a, form[n - k :])]
+    assert prefix_ends(memo(g, mirror), a, form[::-1]) == suffixes, (a, form)
+
+
+@settings(max_examples=300)
+@given(
+    cyclic_grammars(),
+    st.sampled_from(["S", "A", "B", "R", "x"]),
+    st.one_of(
+        st.lists(st.sampled_from(_SYMBOLS), max_size=6),
+        st.builds(lambda k, tail: ["x"] * k + tail, st.integers(1, 5), st.lists(st.sampled_from(_SYMBOLS), max_size=2)),
+    ),
+)
+def test_prefix_ends_match_recognize(g, goal, names):
+    _assert_prefix_ends(g, g.symbol(goal), tuple(g.symbol(n) for n in names))
+
+
+@pytest.mark.parametrize(
+    "text", ["start S\nS ::= x S | A ;\nA ::= S y | ;\n", "start S\nS ::= x S | y ;\n"], ids=["with_A", "plain"]
+)
+def test_prefix_ends_on_right_recursion(text):
+    g = parse_grammar_file(text)
+    symbols = sorted(g.terminals | g.nonterminals, key=lambda s: s.name)
+    for a in sorted(g.nonterminals, key=lambda s: s.name):
+        for n in range(6):
+            for form in product(symbols, repeat=n):
+                _assert_prefix_ends(g, a, form)
+
+
+def test_prefix_ends_on_long_chains(bool_g):
+    """The chains complete through Leo's transitive items, the augmented start included."""
+    for text in ("1 = a AND 1 = a AND 1 = a", "1 = a AND b = b OR a = 1 AND 1 = 1 AND a = a", "1 = a AND 1 = a AND"):
+        chain = w(bool_g, text)
+        _, _, leo = _chart(bool_g, bool_g.symbol("E"), chain)
+        assert any(top is not None for top in leo.values())
+        for sym in ("E", "C", "D", "F", "T"):
+            for k in range(len(chain)):
+                _assert_prefix_ends(bool_g, bool_g.symbol(sym), chain[k:])
+    E = bool_g.symbol("E")
+    chain = w(bool_g, " AND ".join(["1 = a"] * 200))
+    assert prefix_ends(bool_g, E, chain) == list(range(3, len(chain) + 1, 4))
+    assert prefix_ends(memo(bool_g, mirror), E, chain[::-1]) == list(range(3, len(chain) + 1, 4))
 
 
 @pytest.mark.parametrize("name", ["unit_cycle", "empty_folds"])
