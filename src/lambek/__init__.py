@@ -1,7 +1,7 @@
 """Grammar-parameterized Lambek calculus with a bounded semantic oracle.
 
 Types classify string fragments over a context-free grammar; the sequent
-calculus decides (within bounds) which fragments fit where, and the
+calculus decides which fragments fit where, and the
 analyzer uses doubly-negated typings to flag inputs that capture their
 surrounding template: the shape a syntactic injection takes.
 """
@@ -56,7 +56,6 @@ from .prover import (
     ProofTree,
     Prover,
     RuleName,
-    SearchConfig,
     SearchResult,
     SearchStatus,
     Side,

@@ -13,7 +13,7 @@ order:
              an expected-value only long enough to swallow an adjacent
              producer or consumer, then yields something bigger.
   IllFormed  the spliced string does not even parse as the goal
-  Unknown    the spliced string parses, but no typing was found in bounds
+  Unknown    the spliced string parses, but no candidate typing is provable
 
 Capturing is the syntactic fingerprint of an injection: "b OR 1 = 1" in the
 hole of "a = _" does not carry the expected value type, yet composes with
@@ -36,7 +36,6 @@ from .grammar import Grammar, Symbol, Word, memo, render_word, require_word
 from .prover import (
     ProofTree,
     Prover,
-    SearchConfig,
     Side,
     proof_to_json,
 )
@@ -147,10 +146,9 @@ def infer_typings(
     w: Word,
     atoms: Sequence[Symbol],
     depth: int,
-    cfg: SearchConfig = SearchConfig(),
 ) -> list[tuple[LambekType, ProofTree]]:
     """All types in the universe over atoms at the given depth that w proves."""
-    pr = Prover(g, cfg)
+    pr = Prover(g)
     ante = tuple(Atom(s) for s in w)
     out: list[tuple[LambekType, ProofTree]] = []
     for tau in type_universe(g, atoms, depth):
@@ -169,7 +167,6 @@ class InjectionReport:
     captures: tuple[CaptureTyping, ...]
     combined_parses: bool
     reshaping: ReshapingResult
-    config: SearchConfig
 
     def to_json(self, g: Grammar) -> dict:
         if isinstance(self.reshaping, ConservativeExtension):
@@ -204,7 +201,6 @@ class InjectionReport:
             ],
             "combined_parses": self.combined_parses,
             "reshaping": reshaping,
-            "bounds": {"max_depth": self.config.max_depth},
         }
         if self.benign_proof is not None:
             out["benign_proof"] = proof_to_json(self.benign_proof)
@@ -215,7 +211,6 @@ def capture_typings(
     g: Grammar,
     ctx: InjectionContext,
     w: Word,
-    cfg: SearchConfig = SearchConfig(),
     prover: Prover | None = None,
     capture_depth: int = 0,
 ) -> tuple[CaptureTyping, ...]:
@@ -226,7 +221,7 @@ def capture_typings(
     π range over the grammar's nonterminals; capture_depth > 0 widens them
     to the full type universe at that depth.
     """
-    pr = prover if prover is not None else Prover(g, cfg)
+    pr = prover if prover is not None else Prover(g)
     ante = tuple(Atom(s) for s in w)
     hole = Atom(ctx.expected)
     nts = sorted(g.nonterminals, key=lambda s: s.name)
@@ -254,7 +249,6 @@ def classify_input(
     g: Grammar,
     ctx: InjectionContext,
     w: Word,
-    cfg: SearchConfig = SearchConfig(),
     capture_depth: int = 0,
 ) -> InjectionReport:
     if ctx.goal not in g.nonterminals:
@@ -262,11 +256,11 @@ def classify_input(
     memo(g, _hole_parse, ctx)  # reject templates with no well-formed hole
     require_word(g, w)
 
-    prover = Prover(g, cfg)
+    prover = Prover(g)
     benign = prover.prove(Sequent(tuple(Atom(s) for s in w), Atom(ctx.expected)))
     captures: tuple[CaptureTyping, ...] = ()
     if not benign.proved:
-        captures = capture_typings(g, ctx, w, cfg, prover, capture_depth)
+        captures = capture_typings(g, ctx, w, prover, capture_depth)
     reshaping = reshaping_check(g, ctx, w)
     combined_parses = not isinstance(reshaping, Unparseable)
 
@@ -287,5 +281,4 @@ def classify_input(
         captures=captures,
         combined_parses=combined_parses,
         reshaping=reshaping,
-        config=cfg,
     )

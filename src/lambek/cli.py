@@ -31,7 +31,7 @@ from .grammar import (
     render_word,
     word_from_text,
 )
-from .prover import Prover, SearchConfig, SearchStatus, parse_axiom, proof_to_json, render_proof
+from .prover import Prover, SearchStatus, parse_axiom, proof_to_json, render_proof
 from .semantics import Counterexample, SemBound, prove_with_prescreen, soundness_check
 from .types import TypeSyntaxError, parse_sequent, render_type
 
@@ -43,10 +43,6 @@ def _load_grammar(spec: str, err: TextIO) -> Grammar:
     return g
 
 
-def _search_config(args: argparse.Namespace) -> SearchConfig:
-    return SearchConfig(max_depth=args.max_depth)
-
-
 def _emit(obj: dict, out: TextIO) -> None:
     print(json.dumps(obj, indent=2, ensure_ascii=False), file=out)
 
@@ -55,7 +51,7 @@ def _cmd_check(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     g = _load_grammar(args.grammar, err)
     axioms = tuple(parse_axiom(a, g) for a in args.axiom)
     s = parse_sequent(args.sequent, g)
-    res = prove_with_prescreen(g, s, _search_config(args), SemBound(args.max_len), axioms)
+    res = prove_with_prescreen(g, s, SemBound(args.max_len), axioms)
     if args.json:
         _emit(
             {
@@ -82,7 +78,7 @@ def _cmd_prove(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     g = _load_grammar(args.grammar, err)
     axioms = tuple(parse_axiom(a, g) for a in args.axiom)
     s = parse_sequent(args.sequent, g)
-    res = Prover(g, _search_config(args), axioms).prove(s)
+    res = Prover(g, axioms).prove(s)
     if args.json:
         _emit(
             {
@@ -105,7 +101,7 @@ def _cmd_infer(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
         atoms = tuple(g.symbol(name.strip()) for name in args.atoms.split(","))
     else:
         atoms = tuple(sorted(g.nonterminals, key=lambda s: s.name))
-    typings = infer_typings(g, w, atoms, args.depth, _search_config(args))
+    typings = infer_typings(g, w, atoms, args.depth)
     if args.json:
         _emit(
             {
@@ -189,7 +185,7 @@ def _cmd_analyze(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
         expected=g.symbol(args.expect),
     )
     w = word_from_text(g, args.input)
-    report = classify_input(g, ctx, w, _search_config(args))
+    report = classify_input(g, ctx, w)
     if args.json:
         _emit(report.to_json(g), out)
     else:
@@ -205,9 +201,8 @@ def _build_parser() -> argparse.ArgumentParser:
     grammar.add_argument("--grammar", required=True, help="grammar file or bundled name")
     grammar.add_argument("--json", action="store_true", help="machine-readable output")
 
-    search = argparse.ArgumentParser(add_help=False)
-    search.add_argument("--max-depth", type=int, default=40)
-    search.add_argument("--axiom", action="append", default=[], metavar="'tok |- TYPE'")
+    axiom = argparse.ArgumentParser(add_help=False)
+    axiom.add_argument("--axiom", action="append", default=[], metavar="'tok |- TYPE'")
 
     bound = argparse.ArgumentParser(add_help=False)
     bound.add_argument("--max-len", type=int, default=5)
@@ -215,16 +210,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="lambek", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
 
-    c = sub.add_parser("check", parents=[grammar, search, bound], help="oracle then proof search")
+    c = sub.add_parser("check", parents=[grammar, axiom, bound], help="oracle then proof search")
     c.add_argument("sequent")
     c.add_argument("--tree", action="store_true", help="print the proof when found")
     c.set_defaults(fn=_cmd_check)
 
-    c = sub.add_parser("prove", parents=[grammar, search], help="proof search, print the proof")
+    c = sub.add_parser("prove", parents=[grammar, axiom], help="proof search, print the proof")
     c.add_argument("sequent")
     c.set_defaults(fn=_cmd_prove)
 
-    c = sub.add_parser("infer", parents=[grammar, search], help="enumerate provable typings of a word")
+    c = sub.add_parser("infer", parents=[grammar], help="enumerate provable typings of a word")
     c.add_argument("word")
     c.add_argument("--atoms", default="", help="comma-separated atom names (default: all nonterminals)")
     c.add_argument("--depth", type=int, default=1)
@@ -243,7 +238,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--symbol", default="", help="start symbol by default")
     c.set_defaults(fn=_cmd_ambig)
 
-    c = sub.add_parser("analyze", parents=[grammar, search], help="classify a hole-filling input")
+    c = sub.add_parser("analyze", parents=[grammar], help="classify a hole-filling input")
     c.add_argument("--prefix", default="")
     c.add_argument("--suffix", default="")
     c.add_argument("--goal", required=True)

@@ -18,13 +18,23 @@ Rules, written forward (Φ, Ψ, Π are contexts, φ, ψ, π types):
               right-hand side with nullable symbols optionally skipped; an
               empty match inserts the nonterminal
 
-Search runs backward, goal-directed, depth-bounded, with memoization of both
-successes and exhaustive failures.  Invertible steps (stripping units,
-splitting antecedent products, the two right rules) are applied eagerly;
-everything else backtracks.  The search never tries a general cut: the
-calculus is cut-free (Lambek 1958), so CUT appears in proofs only as the
-lexicon fold against a typing axiom and in the composites the tactics and
-expand_contract build.
+Search runs backward and goal-directed, with no depth bound and no cycle
+check, and memoizes every answer, proof or failure.  Invertible steps
+(stripping units, splitting antecedent products, the two right rules) are
+applied eagerly; everything else backtracks.  The search never tries a
+general cut: the calculus is cut-free (Lambek 1958), so CUT appears in
+proofs only as the lexicon fold against a typing axiom and in the
+composites the tactics and expand_contract build.
+
+The search terminates by construction.  No typing axiom's type may name an
+axiom token (Prover rejects one that does), so every premise the search
+recurses on is smaller than its conclusion in (axiom-token occurrences,
+connectives + units), compared lexicographically: a lexicon cut trades one
+token for a type without tokens, and every other rule uses up a connective
+or a unit.  The one exception, a lexicon cut's premise  tok ⊢ τ,  is closed
+by AXIOM at once.  A failure is therefore always exhaustive.  The search
+recurses once per proof step, so a proof deeper than about 450 steps
+raises RecursionError instead of answering.
 
 Folds happen only at flat sequents (atoms over an atom): a fold is a cut
 between atoms, so it commutes upward past every other rule (as in focused
@@ -157,16 +167,12 @@ def parse_axiom(text: str, g: Grammar) -> TypingAxiom:
     return TypingAxiom(tok, s.succedent)
 
 
-@dataclass(frozen=True)
-class SearchConfig:
-    max_depth: int = 40
-
-    def __post_init__(self) -> None:
-        if self.max_depth < 0:
-            raise ValueError(f"max_depth must be at least 0, got {self.max_depth}")
-
-
 class SearchStatus(enum.Enum):
+    """PROVED carries a proof.  NOT_FOUND_WITHIN_BOUNDS means the search failed
+    exhaustively: the sequent is underivable under the grammar and axioms
+    (the name predates the unbounded search).  REFUTED_BY_ORACLE carries a
+    certified counterexample from prove_with_prescreen."""
+
     PROVED = "Proved"
     NOT_FOUND_WITHIN_BOUNDS = "NotFoundWithinBounds"
     REFUTED_BY_ORACLE = "RefutedByOracle"
@@ -253,16 +259,19 @@ class Prover:
     they are shared by every prover over it.
     """
 
-    def __init__(self, g: Grammar, cfg: SearchConfig = SearchConfig(), axioms: Sequence[TypingAxiom] = ()):
+    def __init__(self, g: Grammar, axioms: Sequence[TypingAxiom] = ()):
         self.g = g
-        self.cfg = cfg
         self.axioms = tuple(axioms)
+        self._axiom_tokens = frozenset(ax.token for ax in self.axioms)
         for ax in self.axioms:
             if ax.token not in g.terminals:
                 raise ValueError(f"axiom token {ax.token.name!r} is not a declared terminal")
-        self._ok: dict[Sequent, ProofTree] = {}
-        self._fail: set[Sequent] = set()
-        self._axiom_tokens = frozenset(ax.token for ax in self.axioms)
+            named = next((a for a in iter_atoms(ax.type) if a in self._axiom_tokens), None)
+            if named is not None:
+                # a lexicon cut must trade its token for a type free of tokens,
+                # or the search need not terminate
+                raise ValueError(f"axiom type {render_type(ax.type)!r} names the axiom token {named.name!r}")
+        self._proofs: dict[Sequent, ProofTree | None] = {}
         self._ends: dict[tuple[Symbol, tuple[LambekType, ...], bool], list[int]] = {}
 
     def _flat_proof(self, s: Sequent) -> ProofTree | None:
@@ -281,48 +290,31 @@ class Prover:
 
     def prove(self, s: Sequent) -> SearchResult:
         require_declared(self.g, s)
-        tree, _ = self._search(s, self.cfg.max_depth, set())
+        tree = self._search(s)
         if tree is None:
             return SearchResult(SearchStatus.NOT_FOUND_WITHIN_BOUNDS)
         return SearchResult(SearchStatus.PROVED, proof=tree)
 
-    def _search(self, s: Sequent, depth_left: int, path: set[Sequent]) -> tuple[ProofTree | None, bool]:
-        hit = self._ok.get(s)
-        if hit is not None:
-            return hit, True
-        if s in self._fail or s in path:
-            # a known failure, or a cycle, which never occurs in a minimal
-            # proof, so pruning it stays exhaustive
-            return None, True
-        if depth_left <= 0:
-            return None, False
-        path.add(s)
-        try:
-            tree, exhaustive = self._step(s, depth_left, path)
-        finally:
-            path.discard(s)
-        if tree is not None:
-            self._ok[s] = tree
-            return tree, True
-        if exhaustive:
-            self._fail.add(s)
-        return None, exhaustive
+    def _search(self, s: Sequent) -> ProofTree | None:
+        if s not in self._proofs:
+            self._proofs[s] = self._step(s)
+        return self._proofs[s]
 
-    def _step(self, s: Sequent, depth_left: int, path: set[Sequent]) -> tuple[ProofTree | None, bool]:
+    def _step(self, s: Sequent) -> ProofTree | None:
         ante, succ = s.antecedent, s.succedent
 
         if ante == (succ,):
-            return ProofTree(s, RuleName.AX, ()), True
+            return ProofTree(s, RuleName.AX, ())
         if not ante and isinstance(succ, UnitType):
-            return ProofTree(s, RuleName.EPS_R, ()), True
+            return ProofTree(s, RuleName.EPS_R, ())
         if isinstance(succ, Atom) and not succ.symbol.is_terminal:
             rhs = memo(self.g, _rhs_atoms)
             for pid in memo(self.g, lhs_index)[succ.symbol]:
                 if ante == rhs[pid]:
-                    return ProofTree(s, RuleName.GRAM, (), GramDetail(pid)), True
+                    return ProofTree(s, RuleName.GRAM, (), GramDetail(pid))
         for aid, ax in enumerate(self.axioms):
             if ante == (Atom(ax.token),) and succ == ax.type:
-                return ProofTree(s, RuleName.AXIOM, (), AxiomDetail(aid)), True
+                return ProofTree(s, RuleName.AXIOM, (), AxiomDetail(aid))
 
         # A flat sequent (atoms over atom or unit) is decided here, the only
         # place that folds: folds commute upward past every other rule, so no
@@ -332,52 +324,36 @@ class Prover:
             if isinstance(succ, Atom) and not succ.symbol.is_terminal:
                 tree = self._flat_proof(s)
                 if tree is not None:
-                    return tree, True
+                    return tree
             if not any(t.symbol in self._axiom_tokens for t in ante):
-                return None, True
+                return None
 
         # invertible steps, applied eagerly
         for i, t in enumerate(ante):
             if isinstance(t, UnitType):
-                prem = Sequent(ante[:i] + ante[i + 1 :], succ)
-                sub, ex = self._search(prem, depth_left - 1, path)
-                if sub is None:
-                    return None, ex
-                return ProofTree(s, RuleName.EPS_L, (sub,), PosDetail(i)), True
+                sub = self._search(Sequent(ante[:i] + ante[i + 1 :], succ))
+                return None if sub is None else ProofTree(s, RuleName.EPS_L, (sub,), PosDetail(i))
         for i, t in enumerate(ante):
             if isinstance(t, Prod):
-                prem = Sequent(ante[:i] + (t.left, t.right) + ante[i + 1 :], succ)
-                sub, ex = self._search(prem, depth_left - 1, path)
-                if sub is None:
-                    return None, ex
-                return ProofTree(s, RuleName.PROD_L, (sub,), PosDetail(i)), True
+                sub = self._search(Sequent(ante[:i] + (t.left, t.right) + ante[i + 1 :], succ))
+                return None if sub is None else ProofTree(s, RuleName.PROD_L, (sub,), PosDetail(i))
         if isinstance(succ, Under):
-            prem = Sequent((succ.arg,) + ante, succ.result)
-            sub, ex = self._search(prem, depth_left - 1, path)
-            if sub is None:
-                return None, ex
-            return ProofTree(s, RuleName.UNDER_R, (sub,)), True
+            sub = self._search(Sequent((succ.arg,) + ante, succ.result))
+            return None if sub is None else ProofTree(s, RuleName.UNDER_R, (sub,))
         if isinstance(succ, Over):
-            prem = Sequent(ante + (succ.arg,), succ.result)
-            sub, ex = self._search(prem, depth_left - 1, path)
-            if sub is None:
-                return None, ex
-            return ProofTree(s, RuleName.OVER_R, (sub,)), True
+            sub = self._search(Sequent(ante + (succ.arg,), succ.result))
+            return None if sub is None else ProofTree(s, RuleName.OVER_R, (sub,))
 
-        exhaustive = True
         for rule, detail, premises in self._moves(ante, succ):
             subs: list[ProofTree] = []
-            ok = True
             for prem in premises:
-                sub, ex = self._search(prem, depth_left - 1, path)
+                sub = self._search(prem)
                 if sub is None:
-                    ok = False
-                    exhaustive = exhaustive and ex
                     break
                 subs.append(sub)
-            if ok:
-                return ProofTree(s, rule, tuple(subs), detail), True
-        return None, exhaustive
+            else:
+                return ProofTree(s, rule, tuple(subs), detail)
+        return None
 
     # A split of an L-rule whose argument premise lies inside a run of plain
     # atoms (atoms that are not axiom tokens) gives a flat premise that

@@ -30,7 +30,7 @@ from typing import Sequence
 
 from .earley import recognize
 from .grammar import Grammar, Symbol, Word, enumerate_words, iter_words_sorted, memo, require_word
-from .prover import Prover, SearchConfig, SearchResult, SearchStatus, TypingAxiom, require_declared
+from .prover import Prover, SearchResult, SearchStatus, TypingAxiom, require_declared
 from .types import Atom, LambekType, Over, Prod, Sequent, Under, UnitType
 
 
@@ -251,11 +251,14 @@ def soundness_check(
 def prove_with_prescreen(
     g: Grammar,
     s: Sequent,
-    cfg: SearchConfig = SearchConfig(),
     b: SemBound = SemBound(),
     axioms: Sequence[TypingAxiom] = (),
 ) -> SearchResult:
     """Run the oracle before searching; a counterexample skips the search.
+
+    The answer is PROVED with a proof, REFUTED_BY_ORACLE with a certified
+    counterexample, or NOT_FOUND_WITHIN_BOUNDS when the search failed
+    exhaustively.
 
     Typing axioms are not reflected in the language semantics, so the
     prescreen is skipped whenever axioms are supplied.  A sequent naming an
@@ -268,4 +271,4 @@ def prove_with_prescreen(
             return SearchResult(
                 SearchStatus.REFUTED_BY_ORACLE, counterexample=verdict.word
             )
-    return Prover(g, cfg, axioms).prove(s)
+    return Prover(g, axioms).prove(s)

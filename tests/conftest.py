@@ -2,7 +2,6 @@ import pytest
 from hypothesis import settings
 
 from lambek.grammar import load_grammar, parse_grammar_file
-from lambek.prover import SearchConfig
 
 # property tests run the same examples every time and never fail on timing
 settings.register_profile("lambek", deadline=None, derandomize=True)
@@ -30,8 +29,3 @@ def ambiguous_g():
     # the classic square grammar: every word of three or more tokens
     # associates in more than one way
     return parse_grammar_file("start S\nS ::= S S | x ;\n")
-
-
-@pytest.fixture(scope="session")
-def cfg():
-    return SearchConfig()

@@ -18,7 +18,6 @@ from lambek.grammar import enumerate_words, parse_grammar_file, validate, word_f
 from lambek.prover import (
     Prover,
     RuleName,
-    SearchConfig,
     Side,
     check_proof,
     dni,
@@ -199,7 +198,7 @@ def test_criterion_05_pronoun_axioms(eng_g):
         parse_axiom("he |- Sent/(Noun\\Sent)", eng_g),
         parse_axiom("him |- (Sent/Noun)\\Sent", eng_g),
     )
-    p = Prover(eng_g, SearchConfig(), axioms)
+    p = Prover(eng_g, axioms)
     for text in (
         "Alice , knows , Bob |- Sent",
         "he , knows , Alice |- Sent",
@@ -228,7 +227,7 @@ def test_criterion_06_tactics_on_a_proved_corpus(bool_g):
             corpus.append(Sequent(tuple(Atom(s) for s in w), Atom(sym)))
     assert len(corpus) >= 50
 
-    pr = Prover(bool_g, SearchConfig(max_depth=40))
+    pr = Prover(bool_g)
     T, E = Atom(bool_g.symbol("T")), Atom(bool_g.symbol("E"))
     for s in corpus:
         r = pr.prove(s)
@@ -255,7 +254,7 @@ def test_criterion_07_residuation(bool_g):
     uni = type_universe(bool_g, atoms, 1)
     n = len(uni)
     assert n == 31
-    pr = Prover(bool_g, SearchConfig(max_depth=40))
+    pr = Prover(bool_g)
     checked = 0
     for k in range(0, n**3, 59):
         phi, psi, pi = uni[k // (n * n)], uni[(k // n) % n], uni[k % n]

@@ -18,7 +18,7 @@ from lambek.analyzer import (
 )
 from lambek.earley import recognize, render_tree_text
 from lambek.grammar import parse_grammar_file, word_from_text
-from lambek.prover import Prover, SearchConfig, Side, check_proof
+from lambek.prover import Prover, Side, check_proof
 from lambek.semantics import OraclePass, SemBound, member_bounded, soundness_check
 from lambek.types import Atom, Sequent, mirror_type, parse_type, render_type
 
@@ -270,7 +270,7 @@ def test_report_json(bool_g, tmpl):
     assert obj["combined_parses"] is True
     assert obj["reshaping"]["verdict"] == "Reshaped"
     assert {"context_tree", "combined_tree"} <= obj["reshaping"].keys()
-    assert obj["bounds"] == {"max_depth": 40}
+    assert "bounds" not in obj
     assert "benign_proof" not in obj
 
     benign = classify_input(bool_g, tmpl, word_from_text(bool_g, "b")).to_json(bool_g)
@@ -280,7 +280,7 @@ def test_report_json(bool_g, tmpl):
 
 def test_shared_prover_reuses_its_memo(bool_g, tmpl):
     attack = word_from_text(bool_g, "b OR 1 = 1")
-    shared = Prover(bool_g, SearchConfig())
+    shared = Prover(bool_g)
     a = capture_typings(bool_g, tmpl, attack, prover=shared)
     b = capture_typings(bool_g, tmpl, attack, prover=shared)
     assert [(c.direction, c.type) for c in a] == [(c.direction, c.type) for c in b]

@@ -220,10 +220,16 @@ def test_validate_notes_go_to_stderr():
          "--goal", "E", "--expect", "V", "--max-len", "5"),
         ("check", "a , = , b |- T", "--grammar", "bool", "--general-cut"),
         ("prove", "a , = , b |- T", "--grammar", "bool", "--cut-depth", "2"),
-        # bounds are not negative, and folds take no insertion budget
-        ("check", "b |- V", "--grammar", "bool", "--max-depth", "-1"),
+        # the search takes no depth bound, and folds no insertion budget
+        ("check", "b |- V", "--grammar", "bool", "--max-depth", "40"),
         ("infer", "b", "--grammar", "bool", "--depth", "-1"),
         ("check", "b |- V", "--grammar", "bool", "--insert-budget", "2"),
+        # typing axioms belong to check and prove only
+        ("infer", "b", "--grammar", "bool", "--atoms", "V", "--axiom", "b |- T"),
+        ("analyze", "--grammar", "bool", "--prefix", "a =", "--input", "b",
+         "--goal", "E", "--expect", "V", "--axiom", "b |- T"),
+        # an axiom whose type names an axiom token would never stop cutting
+        ("check", "he |- Sent", "--grammar", "eng", "--axiom", "he |- he*he"),
     ],
 )
 def test_errors_exit_2(argv):

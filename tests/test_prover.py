@@ -25,7 +25,6 @@ from lambek.prover import (
     OverLDetail,
     Prover,
     RuleName,
-    SearchConfig,
     SearchStatus,
     Side,
     SplitDetail,
@@ -84,7 +83,7 @@ UNPROVABLE = [
 
 @pytest.fixture(scope="module")
 def prover(bool_g):
-    return Prover(bool_g, SearchConfig())
+    return Prover(bool_g)
 
 
 @pytest.mark.parametrize("text", PROVABLE)
@@ -100,6 +99,15 @@ def test_unprovable_judgments(bool_g, prover, text):
     r = prover.prove(parse_sequent(text, bool_g))
     assert r.status is SearchStatus.NOT_FOUND_WITHIN_BOUNDS
     assert r.proof is None
+
+
+@pytest.mark.parametrize("units", [41, 300])
+def test_proof_deeper_than_the_old_depth_bound(bool_g, prover, units):
+    """One EPS_L step per unit: the search once gave up at depth 40."""
+    s = parse_sequent(" , ".join(["(1)"] * units) + " , b |- V", bool_g)
+    r = prover.prove(s)
+    assert r.proved and r.proof.conclusion == s
+    assert check_proof(bool_g, r.proof).ok
 
 
 def test_search_is_deterministic(bool_g):
@@ -350,7 +358,7 @@ def test_axioms_extend_the_lexicon(eng_g):
         parse_axiom("he |- Sent/(Noun\\Sent)", eng_g),
         parse_axiom("him |- (Sent/Noun)\\Sent", eng_g),
     )
-    p = Prover(eng_g, SearchConfig(), axioms)
+    p = Prover(eng_g, axioms)
     proved = [
         "Alice , knows , Bob |- Sent",
         "he , knows , Alice |- Sent",
@@ -362,6 +370,28 @@ def test_axioms_extend_the_lexicon(eng_g):
         assert check_proof(eng_g, r.proof, axioms).ok
     r = p.prove(parse_sequent("him , knows , Alice |- Sent", eng_g))
     assert r.status is SearchStatus.NOT_FOUND_WITHIN_BOUNDS
+
+
+@pytest.mark.parametrize(
+    "texts, token",
+    [
+        (["he |- he*he"], "he"),
+        (["he |- Sent/he"], "he"),
+        (["he |- him\\Sent", "him |- Noun"], "him"),
+    ],
+)
+def test_axiom_type_may_not_name_an_axiom_token(eng_g, texts, token):
+    """Such an axiom would let lexicon cuts run forever."""
+    axioms = tuple(parse_axiom(text, eng_g) for text in texts)
+    with pytest.raises(ValueError, match=f"names the axiom token '{token}'"):
+        Prover(eng_g, axioms)
+
+
+def test_axiom_type_may_name_a_token_without_an_axiom(eng_g):
+    axioms = (parse_axiom("he |- him\\Sent", eng_g),)
+    r = Prover(eng_g, axioms).prove(parse_sequent("him , he |- Sent", eng_g))
+    assert r.proved and check_proof(eng_g, r.proof, axioms).ok
+    Prover(eng_g, ENG_AXIOMS)  # the pronoun axioms name no token
 
 
 def test_axiom_leaf_requires_the_axiom_list(eng_g):
@@ -1004,26 +1034,54 @@ def _connectives(s):
     return sum(type_size(t) - len(list(iter_atoms(t))) for t in (*s.antecedent, s.succedent))
 
 
-def _assert_depth_suffices(g, sequents):
-    """Without typing axioms every step outside a flat sequent removes a connective,
-    so a search of depth connectives + 1 is exhaustive and answers as one of depth 40."""
-    deep = Prover(g)
+def _measure(s, tokens):
+    """(axiom-token occurrences, connectives + units) of s."""
+    occurrences = sum(a in tokens for t in (*s.antecedent, s.succedent) for a in iter_atoms(t))
+    return occurrences, _connectives(s)
+
+
+def _assert_premises_shrink(g, sequents, axioms=()):
+    """Each sequent the search recurses on is lexicographically below its caller
+    in _measure, except a lexicon cut's premise tok ⊢ τ, which recurses no further."""
+    pr = Prover(g, axioms)
+    tokens = {ax.token for ax in axioms}
+    lexicon = {Sequent((Atom(ax.token),), ax.type) for ax in axioms}
+    search, stack = pr._search, []
+
+    def recorded(s):
+        if stack:
+            caller = stack[-1]
+            assert caller not in lexicon, render_sequent(caller)
+            assert s in lexicon or _measure(s, tokens) < _measure(caller, tokens), (
+                f"{render_sequent(s)} under {render_sequent(caller)}"
+            )
+        stack.append(s)
+        try:
+            return search(s)
+        finally:
+            stack.pop()
+
+    pr._search = recorded
     for s in sequents:
-        r = Prover(g, SearchConfig(_connectives(s) + 1)).prove(s)
-        ref = deep.prove(s)
-        assert r.status is ref.status, render_sequent(s)
-        assert not r.proved or proof_to_json(r.proof) == proof_to_json(ref.proof), render_sequent(s)
+        pr.prove(s)
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
-def test_depth_of_connectives_plus_one_suffices_on_the_pinned_corpus(bool_g, name):
+def test_search_premises_shrink_on_the_pinned_corpus(bool_g, name):
     g = bool_g if name == "bool" else parse_grammar_file(PINNED_GRAMMARS[name])
-    _assert_depth_suffices(g, [parse_sequent(line.split(" ", 1)[1], g) for line in PINNED[name].strip().splitlines()])
+    _assert_premises_shrink(g, [parse_sequent(line.split(" ", 1)[1], g) for line in PINNED[name].strip().splitlines()])
 
 
 @ignore_swallowed_alarms
 @settings(max_examples=100)
 @given(st.data())
-def test_depth_of_connectives_plus_one_suffices(data):
-    g = data.draw(st.sampled_from([BOOL_G, data.draw(cyclic_grammars())]))
-    _unless_tree_walk_blows_up(_assert_depth_suffices, g, data.draw(sequent_lists(g)))
+def test_search_premises_shrink(data):
+    """The search terminates by construction: no depth bound, no cycle check."""
+    g, axioms = data.draw(
+        st.one_of(
+            st.just((BOOL_G, ())),
+            st.just((ENG_G, ENG_AXIOMS)),
+            cyclic_grammars().map(lambda g: (g, ())),
+        )
+    )
+    _unless_tree_walk_blows_up(_assert_premises_shrink, g, data.draw(sequent_lists(g)), axioms)

@@ -10,7 +10,7 @@ import pytest
 import lambek
 from lambek.earley import recognize
 from lambek.grammar import enumerate_words, word_from_text
-from lambek.prover import SearchConfig, SearchStatus, parse_axiom
+from lambek.prover import SearchStatus, parse_axiom
 from lambek.semantics import (
     Counterexample,
     OraclePass,
@@ -204,10 +204,10 @@ def test_certified_sequents_are_still_refutable(bool_g):
 
 def test_prescreen_skipped_under_axioms(eng_g):
     s = parse_sequent("him , knows , Alice |- Sent", eng_g)
-    plain = prove_with_prescreen(eng_g, s, SearchConfig(), SemBound(4))
+    plain = prove_with_prescreen(eng_g, s, SemBound(4))
     assert plain.status is SearchStatus.REFUTED_BY_ORACLE
     ax = (parse_axiom("him |- (Sent/Noun)\\Sent", eng_g),)
-    with_ax = prove_with_prescreen(eng_g, s, SearchConfig(), SemBound(4), ax)
+    with_ax = prove_with_prescreen(eng_g, s, SemBound(4), ax)
     # axioms are not part of the word semantics, so no oracle verdict here
     assert with_ax.status is SearchStatus.NOT_FOUND_WITHIN_BOUNDS
 
