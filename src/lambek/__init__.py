@@ -97,7 +97,6 @@ from .types import (
     render_context,
     render_sequent,
     render_type,
-    subtype_as_sequent,
     type_size,
     type_universe,
 )

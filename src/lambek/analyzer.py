@@ -212,23 +212,17 @@ def capture_typings(
     ctx: InjectionContext,
     w: Word,
     prover: Prover | None = None,
-    capture_depth: int = 0,
 ) -> tuple[CaptureTyping, ...]:
     """Doubly-negated typings of w that swallow template material.
 
     Left captures need material on the left, so they are only searched when
     the prefix is nonempty; right captures likewise require a suffix.  ψ and
-    π range over the grammar's nonterminals; capture_depth > 0 widens them
-    to the full type universe at that depth.
+    π range over the grammar's nonterminals.
     """
     pr = prover if prover is not None else Prover(g)
     ante = tuple(Atom(s) for s in w)
     hole = Atom(ctx.expected)
-    nts = sorted(g.nonterminals, key=lambda s: s.name)
-    if capture_depth == 0:
-        candidates: list[LambekType] = [Atom(s) for s in nts]
-    else:
-        candidates = type_universe(g, nts, capture_depth)
+    candidates = [Atom(s) for s in sorted(g.nonterminals, key=lambda s: s.name)]
     found: list[CaptureTyping] = []
     for psi in candidates:
         for pi in candidates:
@@ -249,7 +243,6 @@ def classify_input(
     g: Grammar,
     ctx: InjectionContext,
     w: Word,
-    capture_depth: int = 0,
 ) -> InjectionReport:
     if ctx.goal not in g.nonterminals:
         raise ValueError(f"goal {ctx.goal.name!r} is not a nonterminal")
@@ -260,7 +253,7 @@ def classify_input(
     benign = prover.prove(Sequent(tuple(Atom(s) for s in w), Atom(ctx.expected)))
     captures: tuple[CaptureTyping, ...] = ()
     if not benign.proved:
-        captures = capture_typings(g, ctx, w, prover, capture_depth)
+        captures = capture_typings(g, ctx, w, prover)
     reshaping = reshaping_check(g, ctx, w)
     combined_parses = not isinstance(reshaping, Unparseable)
 

@@ -45,10 +45,6 @@ class ParseTree:
     children: tuple["ParseTree", ...]
     word: Word
 
-    @property
-    def is_eps_leaf(self) -> bool:
-        return self.root is None
-
     def label(self) -> str:
         return EPS_LABEL if self.root is None else self.root.name
 

@@ -116,9 +116,6 @@ class Grammar:
     def declares(self, name: str) -> bool:
         return name in memo(self, _symbols_by_name)
 
-    def productions_for(self, nt: Symbol) -> tuple[Production, ...]:
-        return tuple(self.productions[i] for i in memo(self, lhs_index).get(nt, ()))
-
 
 def memo(g: Grammar, fn: Callable[..., T], *args: Any) -> T:
     """fn(g, *args), computed once per grammar and kept until g is freed.
@@ -373,11 +370,6 @@ def nullable_set(g: Grammar) -> frozenset[Symbol]:
 def nullable_ids(g: Grammar) -> dict[Symbol, int]:
     """Witness production ids of the nullable nonterminals; reach it through memo."""
     return _witness_ids(g, ())
-
-
-def nullable_witnesses(g: Grammar) -> dict[Symbol, Production]:
-    """For each nullable nonterminal, a well-founded ε-derivation witness (see _witness_ids)."""
-    return {a: g.productions[pid] for a, pid in memo(g, nullable_ids).items()}
 
 
 def _words_by_symbol(g: Grammar, max_len: int) -> dict[Symbol, frozenset[Word]]:

@@ -48,7 +48,9 @@ from dataclasses import dataclass, fields
 from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
-from .earley import Ambiguous, ParseTree, parse_tree, prefix_ends, recognize
+from .earley import Ambiguous, ParseTree, Reject, parse_tree, prefix_ends
+# not called here, but perfbench/spans.py rebinds lambek.prover.recognize and fails without it
+from .earley import recognize  # noqa: F401
 from .grammar import Grammar, Symbol, Word, lhs_index, memo, mirror, nullable_ids, production_ids
 from .types import (
     Atom,
@@ -137,6 +139,19 @@ Detail = (
     | ContractDetail
     | None
 )
+
+# the detail class each rule carries; rules not listed take none
+_DETAIL_CLASS: dict[RuleName, type] = {
+    RuleName.GRAM: GramDetail,
+    RuleName.AXIOM: AxiomDetail,
+    RuleName.EPS_L: PosDetail,
+    RuleName.PROD_L: PosDetail,
+    RuleName.PROD_R: SplitDetail,
+    RuleName.UNDER_L: UnderLDetail,
+    RuleName.OVER_L: OverLDetail,
+    RuleName.CUT: CutDetail,
+    RuleName.CONTRACT: ContractDetail,
+}
 
 
 @dataclass(frozen=True)
@@ -283,9 +298,9 @@ class Prover:
         """
         goal = s.succedent.symbol
         form = tuple(t.symbol for t in s.antecedent)
-        if not recognize(self.g, goal, form):
-            return None
         outcome = parse_tree(self.g, goal, form)
+        if isinstance(outcome, Reject):
+            return None
         return _fold_chain(self.g, s, outcome.first if isinstance(outcome, Ambiguous) else outcome.tree)
 
     def prove(self, s: Sequent) -> SearchResult:
@@ -444,171 +459,116 @@ def _reject(path: tuple[int, ...], reason: str) -> CheckResult:
     return CheckResult(False, path, reason)
 
 
+def _replay(g: Grammar, axioms: tuple[TypingAxiom, ...], node: ProofTree) -> tuple[Sequent, ...] | str:
+    """The premises that node's conclusion, rule and detail fix, or why they do not fit.
+
+    The caller has checked that the detail is of the rule's class.  Only CUT
+    reads a premise: its cut formula is the first premise's succedent.
+    """
+    ante, succ = node.conclusion.antecedent, node.conclusion.succedent
+    rule, d = node.rule, node.detail
+    if rule is RuleName.AX:
+        return () if ante == (succ,) else "conclusion must be phi |- phi"
+    if rule is RuleName.EPS_R:
+        return () if not ante and isinstance(succ, UnitType) else "conclusion must be |- 1"
+    if rule is RuleName.GRAM:
+        if not 0 <= d.production < len(g.productions):
+            return "needs a valid production index"
+        p = g.productions[d.production]
+        if ante != _atoms(p.rhs) or succ != Atom(p.lhs):
+            return "conclusion does not match the cited production"
+        return ()
+    if rule is RuleName.AXIOM:
+        if not 0 <= d.axiom < len(axioms):
+            return "needs a valid axiom index"
+        ax = axioms[d.axiom]
+        if ante != (Atom(ax.token),) or succ != ax.type:
+            return "conclusion does not match the cited axiom"
+        return ()
+    if rule is RuleName.EPS_L:
+        i = d.pos
+        if not (0 <= i < len(ante) and isinstance(ante[i], UnitType)):
+            return "position must hold the unit type"
+        return (Sequent(ante[:i] + ante[i + 1 :], succ),)
+    if rule is RuleName.PROD_L:
+        i = d.pos
+        if not (0 <= i < len(ante) and isinstance(ante[i], Prod)):
+            return "position must hold a product"
+        return (Sequent(ante[:i] + (ante[i].left, ante[i].right) + ante[i + 1 :], succ),)
+    if rule is RuleName.UNDER_R:
+        if not isinstance(succ, Under):
+            return "succedent must be an Under type"
+        return (Sequent((succ.arg,) + ante, succ.result),)
+    if rule is RuleName.OVER_R:
+        if not isinstance(succ, Over):
+            return "succedent must be an Over type"
+        return (Sequent(ante + (succ.arg,), succ.result),)
+    if rule is RuleName.PROD_R:
+        k = d.split
+        if not (isinstance(succ, Prod) and 0 <= k <= len(ante)):
+            return "needs a product succedent and a split of the antecedent"
+        return (Sequent(ante[:k], succ.left), Sequent(ante[k:], succ.right))
+    if rule is RuleName.UNDER_L:
+        i, j = d.pos, d.start
+        if not (0 <= j <= i < len(ante) and isinstance(ante[i], Under)):
+            return "position must hold an Under type, at or after the start"
+        return (Sequent(ante[j:i], ante[i].arg), Sequent(ante[:j] + (ante[i].result,) + ante[i + 1 :], succ))
+    if rule is RuleName.OVER_L:
+        i, j = d.pos, d.stop
+        if not (0 <= i < j <= len(ante) and isinstance(ante[i], Over)):
+            return "position must hold an Over type, before the stop"
+        return (Sequent(ante[i + 1 : j], ante[i].arg), Sequent(ante[:i] + (ante[i].result,) + ante[j:], succ))
+    if rule is RuleName.CUT:
+        if len(node.premises) != 2:
+            return f"expects 2 premises, got {len(node.premises)}"
+        i, j = d.start, d.stop
+        if not 0 <= i <= j <= len(ante):
+            return "needs a valid segment"
+        chi = node.premises[0].conclusion.succedent
+        return (Sequent(ante[i:j], chi), Sequent(ante[:i] + (chi,) + ante[j:], succ))
+    # CONTRACT, the one rule left
+    if not 0 <= d.production < len(g.productions):
+        return "needs a valid production index"
+    p = g.productions[d.production]
+    if not set(d.skipped) <= set(range(len(p.rhs))) or len(set(d.skipped)) != len(d.skipped):
+        return "skip positions must be distinct positions of the production"
+    if any(p.rhs[k] not in memo(g, nullable_ids) for k in d.skipped):
+        return "may only skip nullable symbols"
+    matched = _atoms([sym for k, sym in enumerate(p.rhs) if k not in d.skipped])
+    q, m = d.pos, len(matched)
+    if not (0 <= q <= len(ante) - m and ante[q : q + m] == matched):
+        return "segment does not match the production"
+    return (Sequent(ante[:q] + (Atom(p.lhs),) + ante[q + m :], succ),)
+
+
 def check_proof(g: Grammar, t: ProofTree, axioms: Sequence[TypingAxiom] = ()) -> CheckResult:
-    """Structural validation of every node against its rule schema."""
-    nullable = memo(g, nullable_ids)
+    """Replay every node: its premises must conclude what its rule and detail fix.
+
+    Returns the first failure in preorder, with its path and reason.
+    """
     axioms = tuple(axioms)
-
-    def check_node(node: ProofTree, path: tuple[int, ...]) -> CheckResult | None:
-        ante, succ = node.conclusion.antecedent, node.conclusion.succedent
-        rule, detail, prems = node.rule, node.detail, node.premises
-
-        def arity(n: int) -> CheckResult | None:
-            if len(prems) != n:
-                return _reject(path, f"{rule.value} expects {n} premises, got {len(prems)}")
-            return None
-
-        if rule is RuleName.AX:
-            if err := arity(0):
-                return err
-            if ante != (succ,):
-                return _reject(path, "AX conclusion must be phi |- phi")
-        elif rule is RuleName.EPS_R:
-            if err := arity(0):
-                return err
-            if ante or not isinstance(succ, UnitType):
-                return _reject(path, "EPS_R conclusion must be |- 1")
-        elif rule is RuleName.GRAM:
-            if err := arity(0):
-                return err
-            if not isinstance(detail, GramDetail) or not 0 <= detail.production < len(g.productions):
-                return _reject(path, "GRAM needs a valid production index")
-            p = g.productions[detail.production]
-            if succ != Atom(p.lhs) or ante != _atoms(p.rhs):
-                return _reject(path, "GRAM conclusion does not match the cited production")
-        elif rule is RuleName.AXIOM:
-            if err := arity(0):
-                return err
-            if not isinstance(detail, AxiomDetail) or not 0 <= detail.axiom < len(axioms):
-                return _reject(path, "AXIOM needs a valid axiom index")
-            ax = axioms[detail.axiom]
-            if ante != (Atom(ax.token),) or succ != ax.type:
-                return _reject(path, "AXIOM conclusion does not match the cited axiom")
-        elif rule is RuleName.EPS_L:
-            if err := arity(1):
-                return err
-            if not isinstance(detail, PosDetail) or not 0 <= detail.pos < len(ante):
-                return _reject(path, "EPS_L needs a valid position")
-            if not isinstance(ante[detail.pos], UnitType):
-                return _reject(path, "EPS_L position must hold the unit type")
-            want = Sequent(ante[: detail.pos] + ante[detail.pos + 1 :], succ)
-            if prems[0].conclusion != want:
-                return _reject(path, "EPS_L premise mismatch")
-        elif rule is RuleName.PROD_L:
-            if err := arity(1):
-                return err
-            if not isinstance(detail, PosDetail) or not 0 <= detail.pos < len(ante):
-                return _reject(path, "PROD_L needs a valid position")
-            item = ante[detail.pos]
-            if not isinstance(item, Prod):
-                return _reject(path, "PROD_L position must hold a product")
-            want = Sequent(
-                ante[: detail.pos] + (item.left, item.right) + ante[detail.pos + 1 :], succ
-            )
-            if prems[0].conclusion != want:
-                return _reject(path, "PROD_L premise mismatch")
-        elif rule is RuleName.UNDER_R:
-            if err := arity(1):
-                return err
-            if not isinstance(succ, Under):
-                return _reject(path, "UNDER_R succedent must be an Under type")
-            if prems[0].conclusion != Sequent((succ.arg,) + ante, succ.result):
-                return _reject(path, "UNDER_R premise mismatch")
-        elif rule is RuleName.OVER_R:
-            if err := arity(1):
-                return err
-            if not isinstance(succ, Over):
-                return _reject(path, "OVER_R succedent must be an Over type")
-            if prems[0].conclusion != Sequent(ante + (succ.arg,), succ.result):
-                return _reject(path, "OVER_R premise mismatch")
-        elif rule is RuleName.PROD_R:
-            if err := arity(2):
-                return err
-            if not isinstance(succ, Prod):
-                return _reject(path, "PROD_R succedent must be a product")
-            if not isinstance(detail, SplitDetail) or not 0 <= detail.split <= len(ante):
-                return _reject(path, "PROD_R needs a valid split")
-            k = detail.split
-            if prems[0].conclusion != Sequent(ante[:k], succ.left):
-                return _reject(path, "PROD_R left premise mismatch")
-            if prems[1].conclusion != Sequent(ante[k:], succ.right):
-                return _reject(path, "PROD_R right premise mismatch")
-        elif rule is RuleName.UNDER_L:
-            if err := arity(2):
-                return err
-            if not isinstance(detail, UnderLDetail):
-                return _reject(path, "UNDER_L needs (pos, start)")
-            i, j = detail.pos, detail.start
-            if not (0 <= j <= i < len(ante)) or not isinstance(ante[i], Under):
-                return _reject(path, "UNDER_L position must hold an Under type")
-            item = ante[i]
-            if prems[0].conclusion != Sequent(ante[j:i], item.arg):
-                return _reject(path, "UNDER_L argument premise mismatch")
-            want = Sequent(ante[:j] + (item.result,) + ante[i + 1 :], succ)
-            if prems[1].conclusion != want:
-                return _reject(path, "UNDER_L main premise mismatch")
-        elif rule is RuleName.OVER_L:
-            if err := arity(2):
-                return err
-            if not isinstance(detail, OverLDetail):
-                return _reject(path, "OVER_L needs (pos, stop)")
-            i, j = detail.pos, detail.stop
-            if not (0 <= i < len(ante)) or not (i + 1 <= j <= len(ante)) or not isinstance(ante[i], Over):
-                return _reject(path, "OVER_L position must hold an Over type")
-            item = ante[i]
-            if prems[0].conclusion != Sequent(ante[i + 1 : j], item.arg):
-                return _reject(path, "OVER_L argument premise mismatch")
-            want = Sequent(ante[:i] + (item.result,) + ante[j:], succ)
-            if prems[1].conclusion != want:
-                return _reject(path, "OVER_L main premise mismatch")
-        elif rule is RuleName.CUT:
-            if err := arity(2):
-                return err
-            if not isinstance(detail, CutDetail) or not (
-                0 <= detail.start <= detail.stop <= len(ante)
-            ):
-                return _reject(path, "CUT needs a valid segment")
-            chi = prems[0].conclusion.succedent
-            if prems[0].conclusion.antecedent != ante[detail.start : detail.stop]:
-                return _reject(path, "CUT left premise antecedent mismatch")
-            want = Sequent(ante[: detail.start] + (chi,) + ante[detail.stop :], succ)
-            if prems[1].conclusion != want:
-                return _reject(path, "CUT right premise mismatch")
-        elif rule is RuleName.CONTRACT:
-            if err := arity(1):
-                return err
-            if not isinstance(detail, ContractDetail) or not 0 <= detail.production < len(
-                g.productions
-            ):
-                return _reject(path, "CONTRACT needs a valid production index")
-            p = g.productions[detail.production]
-            if any(not 0 <= k < len(p.rhs) for k in detail.skipped):
-                return _reject(path, "CONTRACT skip positions out of range")
-            if len(set(detail.skipped)) != len(detail.skipped):
-                return _reject(path, "CONTRACT skip positions must be distinct")
-            if any(p.rhs[k] not in nullable for k in detail.skipped):
-                return _reject(path, "CONTRACT may only skip nullable symbols")
-            matched = [sym for k, sym in enumerate(p.rhs) if k not in detail.skipped]
-            q, m = detail.pos, len(matched)
-            if not 0 <= q <= len(ante) - m:
-                return _reject(path, "CONTRACT position out of range")
-            if ante[q : q + m] != _atoms(matched):
-                return _reject(path, "CONTRACT segment does not match the production")
-            want = Sequent(ante[:q] + (Atom(p.lhs),) + ante[q + m :], succ)
-            if prems[0].conclusion != want:
-                return _reject(path, "CONTRACT premise mismatch")
-        else:
-            return _reject(path, f"unknown rule {rule!r}")
-        return None
-
-    # preorder, premises left to right, so the first failure is reported;
-    # a stack, because flat proofs are as deep as their antecedents are long
+    # premises left to right; a stack, because flat proofs are as deep as
+    # their antecedents are long
     stack: list[tuple[ProofTree, tuple[int, ...]]] = [(t, ())]
     while stack:
         node, path = stack.pop()
-        if (err := check_node(node, path)) is not None:
-            return err
-        stack.extend((node.premises[k], path + (k,)) for k in range(len(node.premises) - 1, -1, -1))
+        if not isinstance(node.rule, RuleName):
+            return _reject(path, f"unknown rule {node.rule!r}")
+        name, prems = node.rule.value, node.premises
+        cls = _DETAIL_CLASS.get(node.rule)
+        if cls is None and node.detail is not None:
+            return _reject(path, f"{name} takes no detail")
+        if cls is not None and not isinstance(node.detail, cls):
+            return _reject(path, f"{name} needs a {cls.__name__}")
+        want = _replay(g, axioms, node)
+        if isinstance(want, str):
+            return _reject(path, f"{name} {want}")
+        if len(prems) != len(want):
+            return _reject(path, f"{name} expects {len(want)} premises, got {len(prems)}")
+        for k, (prem, w) in enumerate(zip(prems, want)):
+            if prem.conclusion != w:
+                return _reject(path, f"{name} premise {k} does not conclude its replayed sequent")
+        stack.extend((prems[k], path + (k,)) for k in range(len(prems) - 1, -1, -1))
     return CheckResult(True)
 
 
@@ -737,25 +697,15 @@ def dni(t: ProofTree, psi: LambekType, side: Side) -> ProofTree:
     return ProofTree(Sequent(ctx, Over(psi, Under(phi, psi))), RuleName.OVER_R, (step,))
 
 
-# the detail class each rule carries; rules not listed take none
-_DETAIL_CLASS: dict[RuleName, type] = {
-    RuleName.GRAM: GramDetail,
-    RuleName.AXIOM: AxiomDetail,
-    RuleName.EPS_L: PosDetail,
-    RuleName.PROD_L: PosDetail,
-    RuleName.PROD_R: SplitDetail,
-    RuleName.UNDER_L: UnderLDetail,
-    RuleName.OVER_L: OverLDetail,
-    RuleName.CUT: CutDetail,
-    RuleName.CONTRACT: ContractDetail,
-}
-
-
 def _detail_to_json(detail: Detail) -> dict | None:
     if detail is None:
         return None
     out = {f.name: getattr(detail, f.name) for f in fields(detail)}
     return {k: list(v) if isinstance(v, tuple) else v for k, v in out.items()}
+
+
+def _is_int(v: object) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _detail_from_json(rule: RuleName, obj: dict | None) -> Detail:
@@ -764,8 +714,17 @@ def _detail_from_json(rule: RuleName, obj: dict | None) -> Detail:
     cls = _DETAIL_CLASS.get(rule)
     if cls is None:
         raise ValueError(f"rule {rule.value} takes no detail")
-    args = (obj[f.name] for f in fields(cls))
-    return cls(*(tuple(v) if isinstance(v, list) else v for v in args))
+    args = []
+    for f in fields(cls):
+        v = obj.get(f.name)
+        if f.name == "skipped":
+            if not (isinstance(v, list) and all(map(_is_int, v))):
+                raise ValueError(f"rule {rule.value} needs a list of integers as {f.name!r}")
+            v = tuple(v)
+        elif not _is_int(v):
+            raise ValueError(f"rule {rule.value} needs an integer as {f.name!r}")
+        args.append(v)
+    return cls(*args)
 
 
 def _node_to_json(t: ProofTree) -> dict:

@@ -126,13 +126,6 @@ def _render_atom(name: str) -> str:
 def render_type(t: LambekType) -> str:
     """Canonical rendering; parse_type inverts it."""
 
-    def level(x: LambekType) -> int:
-        if isinstance(x, (Under, Over)):
-            return 0
-        if isinstance(x, Prod):
-            return 1
-        return 2
-
     def rec(x: LambekType, min_level: int) -> str:
         if isinstance(x, Atom):
             return _render_atom(x.symbol.name)
@@ -282,11 +275,6 @@ def parse_sequent(text: str, g: Grammar) -> Sequent:
                 antecedent.append(parse_type(item, g))
     succedent = parse_type(right.strip(), g)
     return Sequent(tuple(antecedent), succedent)
-
-
-def subtype_as_sequent(phi: LambekType, psi: LambekType) -> Sequent:
-    """phi is a subtype of psi exactly when this sequent is derivable."""
-    return Sequent((phi,), psi)
 
 
 def type_universe(g: Grammar, atoms: Sequence[Symbol], depth: int) -> list[LambekType]:

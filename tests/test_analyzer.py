@@ -171,21 +171,6 @@ def test_capture_proofs_check_and_pass_the_oracle(bool_g, tmpl):
         assert isinstance(soundness_check(bool_g, s, SemBound(5)), OraclePass)
 
 
-def test_capture_depth_widens_the_candidates():
-    # two nonterminals keep the depth-1 candidate square small
-    g = parse_grammar_file("start S\nS ::= x A x | x x ;\nA ::= y ;\n")
-    ctx = InjectionContext(
-        word_from_text(g, "x"), word_from_text(g, "x"), g.symbol("S"), g.symbol("A")
-    )
-    word = word_from_text(g, "y")
-    shallow = {render_type(c.type) for c in capture_typings(g, ctx, word)}
-    deep = {
-        render_type(c.type)
-        for c in capture_typings(g, ctx, word, capture_depth=1)
-    }
-    assert shallow <= deep and shallow < deep
-
-
 def test_classify_benign(bool_g, tmpl):
     rep = classify_input(bool_g, tmpl, word_from_text(bool_g, "b"))
     assert rep.classification is Classification.BENIGN

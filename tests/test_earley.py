@@ -367,7 +367,7 @@ def test_tree_to_json_nonterminal_leaf(bool_g):
 
 
 def test_internal_node_concatenates_yields(bool_g):
-    p = bool_g.productions_for(bool_g.symbol("V"))[1]
+    p = bool_g.productions[memo(bool_g, lhs_index)[bool_g.symbol("V")][1]]
     node = internal_node(p, (token_leaf(p.rhs[0]),))
     assert node.word == (p.rhs[0],)
     assert node.label() == "V"

@@ -10,8 +10,9 @@ from lambek.grammar import (
     enumerate_words,
     iter_words_sorted,
     length_lex_key,
+    memo,
+    nullable_ids,
     nullable_set,
-    nullable_witnesses,
     parse_grammar_file,
     render_word,
     validate,
@@ -108,14 +109,14 @@ def test_validate_prunes_unproductive():
 
 def test_nullable_set(bool_g):
     assert names(nullable_set(bool_g)) == ["D", "F"]
-    wit = nullable_witnesses(bool_g)
-    assert all(w.rhs == () for w in wit.values())
+    wit = memo(bool_g, nullable_ids)
+    assert all(bool_g.productions[pid].rhs == () for pid in wit.values())
 
 
 def test_nullable_indirect():
     g = parse_grammar_file("start S\nS ::= A x ;\nA ::= B B ;\nB ::= ;\n")
     assert names(nullable_set(g)) == ["A", "B"]
-    assert nullable_witnesses(g)[g.symbol("A")].rhs != ()
+    assert g.productions[memo(g, nullable_ids)[g.symbol("A")]].rhs != ()
 
 
 def test_enumerate_words_frozen(bool_g):

@@ -19,10 +19,12 @@ from lambek.grammar import (
     terminal,
 )
 from lambek.prover import (
+    AxiomDetail,
     ContractDetail,
     CutDetail,
     GramDetail,
     OverLDetail,
+    PosDetail,
     Prover,
     RuleName,
     SearchStatus,
@@ -296,6 +298,121 @@ def test_check_reports_failure_path(bool_g, prover):
     assert not res.ok
     assert res.path  # deep failure, not the root
     assert "AX" in res.reason
+
+
+def _preorder(t):
+    stack = [(t, ())]
+    while stack:
+        node, path = stack.pop()
+        yield node, path
+        stack.extend((node.premises[k], path + (k,)) for k in reversed(range(len(node.premises))))
+
+
+def _replace_at(t, path, new):
+    if not path:
+        return new
+    k = path[0]
+    sub = _replace_at(t.premises[k], path[1:], new)
+    return dataclasses.replace(t, premises=t.premises[:k] + (sub,) + t.premises[k + 1 :])
+
+
+def _proof_holding(g, prover, rule):
+    """A proof from the search, a tactic or expand_contract that uses rule."""
+    def proof(text):
+        return prover.prove(parse_sequent(text, g)).proof
+
+    if rule is RuleName.UNDER_L:
+        return elim_under(proof("a , = |- T/V"), proof("b , OR , 1 , = , 1 |- (T/V)\\E"))
+    if rule is RuleName.OVER_L:
+        return elim_over(proof("a , = |- T/V"), proof("b |- V"))
+    if rule is RuleName.CUT:
+        return expand_contract(g, proof("a , = , b |- T"))
+    text = {
+        RuleName.EPS_L: "(1) , b |- V",
+        RuleName.PROD_L: "(a*=) , b |- T",
+        RuleName.UNDER_R: "b , OR , 1 , = , 1 |- (T/V)\\E",
+        RuleName.OVER_R: "a , = |- T/V",
+        RuleName.PROD_R: "b , b |- V*V",
+        RuleName.CONTRACT: "a , = , b |- T",
+    }[rule]
+    return proof(text)
+
+
+@pytest.mark.parametrize(
+    "rule",
+    [
+        RuleName.EPS_L,
+        RuleName.PROD_L,
+        RuleName.UNDER_R,
+        RuleName.OVER_R,
+        RuleName.PROD_R,
+        RuleName.UNDER_L,
+        RuleName.OVER_L,
+        RuleName.CUT,
+        RuleName.CONTRACT,
+    ],
+)
+def test_check_replays_every_premise(bool_g, prover, rule):
+    """A premise that concludes anything but its replayed sequent is caught at its parent."""
+    proof = _proof_holding(bool_g, prover, rule)
+    assert check_proof(bool_g, proof).ok
+    node, path = next((n, p) for n, p in _preorder(proof) if n.rule is rule)
+    extra = Atom(bool_g.symbol("T"))
+    for k, prem in enumerate(node.premises):
+        c = prem.conclusion
+        moved = dataclasses.replace(prem, conclusion=Sequent(c.antecedent + (extra,), c.succedent))
+        res = check_proof(bool_g, _replace_at(proof, path + (k,), moved))
+        assert not res.ok and res.path == path, (k, res)
+        assert rule.value in res.reason and "premise" in res.reason
+
+
+def test_check_rejects_a_detail_of_the_wrong_class(bool_g, prover):
+    proof = prover.prove(parse_sequent("b |- V", bool_g)).proof
+    assert proof.rule is RuleName.GRAM
+    res = check_proof(bool_g, dataclasses.replace(proof, detail=PosDetail(proof.detail.production)))
+    assert not res.ok and res.path == () and "GramDetail" in res.reason
+
+
+@pytest.mark.parametrize(
+    "detail",
+    [
+        GramDetail(0),
+        AxiomDetail(0),
+        PosDetail(0),
+        SplitDetail(0),
+        UnderLDetail(0, 0),
+        OverLDetail(0, 1),
+        CutDetail(0, 0),
+        ContractDetail(0, 0, ()),
+    ],
+)
+def test_check_rejects_a_detail_on_ax(bool_g, prover, detail):
+    proof = _proof_holding(bool_g, prover, RuleName.OVER_L)  # its main premise is an AX leaf
+    node, path = next((n, p) for n, p in _preorder(proof) if n.rule is RuleName.AX)
+    res = check_proof(bool_g, _replace_at(proof, path, dataclasses.replace(node, detail=detail)))
+    assert not res.ok and res.path == path and res.reason == "AX takes no detail"
+
+
+@pytest.mark.parametrize("kept", [0, 1])
+def test_check_rejects_a_cut_without_two_premises(bool_g, prover, kept):
+    """The cut formula is read off the first premise, so the count comes first."""
+    proof = _proof_holding(bool_g, prover, RuleName.CUT)
+    assert proof.rule is RuleName.CUT
+    res = check_proof(bool_g, dataclasses.replace(proof, premises=proof.premises[:kept]))
+    assert not res.ok and res.path == () and "CUT" in res.reason and "premises" in res.reason
+
+
+@pytest.mark.parametrize(
+    "detail",
+    [{}, {"production": "0"}, {"production": 7.0}, {"production": True}],
+    ids=["empty", "string", "float", "bool"],
+)
+def test_proof_from_json_rejects_a_malformed_detail(bool_g, prover, detail):
+    obj = proof_to_json(prover.prove(parse_sequent("b |- V", bool_g)).proof)
+    assert obj["rule"] == "GRAM"
+    obj["detail"] = detail
+    with pytest.raises(ValueError, match="GRAM.*'production'"):
+        proof_from_json(obj, bool_g)
 
 
 # --- derived-rule tactics -------------------------------------------------

@@ -20,7 +20,6 @@ from lambek.types import (
     parse_type,
     render_sequent,
     render_type,
-    subtype_as_sequent,
     type_size,
     type_universe,
 )
@@ -159,11 +158,6 @@ def test_type_size():
 def test_iter_atoms_order():
     t = parse_type("(T/V)\\E", GRAMMAR)
     assert [s.name for s in iter_atoms(t)] == ["T", "V", "E"]
-
-
-def test_subtype_as_sequent():
-    V, T = Atom(GRAMMAR.symbol("V")), Atom(GRAMMAR.symbol("T"))
-    assert subtype_as_sequent(V, T) == Sequent((V,), T)
 
 
 def test_type_universe_depth0():
