@@ -19,6 +19,12 @@ Capturing is the syntactic fingerprint of an injection: "b OR 1 = 1" in the
 hole of "a = _" does not carry the expected value type, yet composes with
 the prefix to a full expression.
 
+The capture candidates are read off the grammar at the hole's splits of the
+input: a left capture  (ψ/expected)\\π  exists where expected derives a
+prefix w[:k] of the input and π derives ψ w[k:], so one Earley chart per
+(k, ψ) names every π at once; right captures mirror this on suffixes.  The
+prover then proves only the pairs found (see capture_typings).
+
 The reshaping check is the parse-tree view of the same phenomenon: splice
 the input, parse, and see whether the result still contains the template's
 tree with the hole filled (a conservative extension) or the input stole
@@ -31,8 +37,8 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Sequence
 
-from .earley import Ambiguous, ParseTree, Reject, parse_tree, recognize, tree_to_json
-from .grammar import Grammar, Symbol, Word, memo, render_word, require_word
+from .earley import Ambiguous, ParseTree, Reject, derivers, parse_tree, prefix_ends, recognize, tree_to_json
+from .grammar import Grammar, Symbol, Word, memo, mirror, render_word, require_word
 from .prover import (
     ProofTree,
     Prover,
@@ -207,35 +213,56 @@ class InjectionReport:
         return out
 
 
-def capture_typings(
-    g: Grammar,
-    ctx: InjectionContext,
-    w: Word,
-    prover: Prover | None = None,
-) -> tuple[CaptureTyping, ...]:
+def capture_typings(g: Grammar, ctx: InjectionContext, w: Word) -> tuple[CaptureTyping, ...]:
     """Doubly-negated typings of w that swallow template material.
 
     Left captures need material on the left, so they are only searched when
     the prefix is nonempty; right captures likewise require a suffix.  ψ and
-    π range over the grammar's nonterminals.
+    π range over the grammar's nonterminals.  Write V for the hole's symbol
+    and n for len(w).
+
+    The candidates are read off the grammar, exactly.  With no typing axioms
+    and a word w, the only proof of  w ⊢ (ψ/V)\\π  is UNDER_R, leaving
+    (ψ/V) w ⊢ π,  and then OVER_L at position 0, its only compound type.
+    OVER_L's stops (Prover._stops) are the k at which V derives w[:k]
+    (prefix_ends), so its premise  w[:k] ⊢ V  proves, and its other premise
+    ψ w[k:] ⊢ π  is flat: it proves exactly when π derives the sentential
+    form ψ w[k:].  One all-goals chart per (k, ψ) names every such π
+    (derivers).  The right side is the mirror: OVER_R leaves  w (V\\ψ) ⊢ π,
+    UNDER_L's starts (Prover._starts) are the k at which V derives the last
+    k symbols of w (prefix_ends over the mirror grammar and reversed w), and
+    π must derive w[:n-k] ψ.  Only the pairs found go to the prover, in the
+    order ψ, π, Left before Right, so each capture carries its own proof.
     """
-    pr = prover if prover is not None else Prover(g)
+    require_word(g, w)
+    n = len(w)
+    nts = sorted(g.nonterminals, key=lambda s: s.name)
+    left: dict[Symbol, set[Symbol]] = {psi: set() for psi in nts}
+    right: dict[Symbol, set[Symbol]] = {psi: set() for psi in nts}
+    if ctx.prefix:
+        for k in prefix_ends(g, ctx.expected, w):
+            for psi in nts:
+                left[psi] |= derivers(g, (psi,) + w[k:])
+    if ctx.suffix:
+        for k in prefix_ends(memo(g, mirror), ctx.expected, w[::-1]):
+            for psi in nts:
+                right[psi] |= derivers(g, w[: n - k] + (psi,))
+
+    pr = Prover(g)
     ante = tuple(Atom(s) for s in w)
     hole = Atom(ctx.expected)
-    candidates = [Atom(s) for s in sorted(g.nonterminals, key=lambda s: s.name)]
     found: list[CaptureTyping] = []
-    for psi in candidates:
-        for pi in candidates:
-            if ctx.prefix:
-                t = Under(Over(psi, hole), pi)
+    for psi in nts:
+        for pi in nts:
+            candidates = []
+            if pi in left[psi]:
+                candidates.append((Side.LEFT, Under(Over(Atom(psi), hole), Atom(pi))))
+            if pi in right[psi]:
+                candidates.append((Side.RIGHT, Over(Atom(pi), Under(hole, Atom(psi)))))
+            for side, t in candidates:
                 r = pr.prove(Sequent(ante, t))
                 if r.proved:
-                    found.append(CaptureTyping(Side.LEFT, t, r.proof))
-            if ctx.suffix:
-                t = Over(pi, Under(hole, psi))
-                r = pr.prove(Sequent(ante, t))
-                if r.proved:
-                    found.append(CaptureTyping(Side.RIGHT, t, r.proof))
+                    found.append(CaptureTyping(side, t, r.proof))
     return tuple(found)
 
 
@@ -253,7 +280,7 @@ def classify_input(
     benign = prover.prove(Sequent(tuple(Atom(s) for s in w), Atom(ctx.expected)))
     captures: tuple[CaptureTyping, ...] = ()
     if not benign.proved:
-        captures = capture_typings(g, ctx, w, prover)
+        captures = capture_typings(g, ctx, w)
     reshaping = reshaping_check(g, ctx, w)
     combined_parses = not isinstance(reshaping, Unparseable)
 

@@ -9,7 +9,9 @@ recursion in one step, so recognition is linear on such grammars.  Tree
 extraction walks an index of the completed spans, (symbol, start) -> ends,
 top-down; derivations that pass through the same (symbol, span) pair more
 than twice on one path are not enumerated, which only suppresses pumped
-unit-cycle variants of trees that are already reported.
+unit-cycle variants of trees that are already reported.  One chart that
+predicts every nonterminal at column 0 names all the nonterminals that
+derive the input at once (derivers).
 """
 from __future__ import annotations
 
@@ -30,6 +32,8 @@ from .grammar import (
 )
 
 EPS_LABEL = "·eps"
+# the start of the all-goals chart; no grammar token holds a space
+_ALL = Symbol(SymbolKind.NONTERMINAL, "all goals")
 
 
 @dataclass(frozen=True)
@@ -93,7 +97,9 @@ def _dotted_rules(
     rules of X's productions at dot 0, in grammar order.  The last two rules
     are the augmented start S' → •a and S' → a•: their lhs is None, and the
     chart seeds S' → •a as a waiter on the goal a, so one rule serves every
-    goal.
+    goal.  Before them come the rules _ALL → X, one per nonterminal X, which
+    ``predict[_ALL]`` holds at dot 0: a chart from _ALL predicts every
+    nonterminal at column 0 (see derivers).
     """
     nxt: list[Symbol | None] = []
     lhs: list[Symbol | None] = []
@@ -103,10 +109,16 @@ def _dotted_rules(
         nxt.extend(p.rhs)
         nxt.append(None)
         lhs.extend([p.lhs] * (len(p.rhs) + 1))
+    predict = {x: tuple(first[p] for p in ids) for x, ids in memo(g, lhs_index).items()}
+    every = []
+    for x in sorted(g.nonterminals, key=lambda s: s.name):
+        every.append(len(nxt))
+        nxt += [x, None]
+        lhs += [_ALL, _ALL]
+    predict[_ALL] = tuple(every)
     goal = len(nxt)
     nxt += [None, None]
     lhs += [None, None]
-    predict = {x: tuple(first[p] for p in ids) for x, ids in memo(g, lhs_index).items()}
     return nxt, lhs, predict, goal
 
 
@@ -243,13 +255,26 @@ def prefix_ends(g: Grammar, a: Symbol, w: Word) -> list[int]:
     return [k for k, col in enumerate(_chart(g, a, w)[0]) if done in col]
 
 
+def derivers(g: Grammar, w: Word) -> frozenset[Symbol]:
+    """The nonterminals that derive the sentential form w, off one chart.
+
+    The chart starts from _ALL, which predicts every nonterminal at column
+    0, so X ⇒* w exactly when the span (X, 0, len(w)) completes; only the
+    last column's spans are read.
+    """
+    ends = _span_ends(g, w, _chart(g, _ALL, w), len(w))
+    return frozenset(x for x, o in ends if o == 0 and x is not _ALL)
+
+
 def _accepts(g: Grammar, chart: _Chart) -> bool:
     """Does the last column hold the completed augmented start S' → a•?"""
     return (memo(g, _dotted_rules)[3] + 1, 0) in chart[0][-1]
 
 
-def _span_ends(g: Grammar, w: Word, chart: _Chart) -> dict[tuple[Symbol, int], list[int]]:
-    """(symbol, start) -> the ascending ends of its completed spans.
+def _span_ends(
+    g: Grammar, w: Word, chart: _Chart, first: int = 0
+) -> dict[tuple[Symbol, int], list[int]]:
+    """(symbol, start) -> the ascending ends of its completed spans, from column first on.
 
     Read off the columns in order, with each Leo path expanded for the spans
     it skipped.  A nonterminal of the input spans itself.
@@ -257,7 +282,7 @@ def _span_ends(g: Grammar, w: Word, chart: _Chart) -> dict[tuple[Symbol, int], l
     nxt, lhs, _, _ = memo(g, _dotted_rules)
     columns, waits, leo = chart
     ends: dict[tuple[Symbol, int], list[int]] = {}
-    for j, col in enumerate(columns):
+    for j, col in enumerate(columns[first:], first):
         if j and w[j - 1].kind is SymbolKind.NONTERMINAL:
             ends.setdefault((w[j - 1], j - 1), []).append(j)
         for r, o in col:

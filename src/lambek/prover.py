@@ -708,9 +708,11 @@ def _is_int(v: object) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _detail_from_json(rule: RuleName, obj: dict | None) -> Detail:
+def _detail_from_json(rule: RuleName, obj: object) -> Detail:
     if obj is None:
         return None
+    if not isinstance(obj, dict):
+        raise ValueError(f"rule {rule.value} needs an object or null as its detail")
     cls = _DETAIL_CLASS.get(rule)
     if cls is None:
         raise ValueError(f"rule {rule.value} takes no detail")
@@ -750,22 +752,33 @@ def proof_to_json(t: ProofTree) -> dict:
     return root
 
 
+def _field(obj: object, key: str, kind: type, what: str):
+    """obj[key], which must be of kind; ValueError unless obj is an object that holds one."""
+    if not isinstance(obj, dict) or not isinstance(obj.get(key), kind):
+        raise ValueError(f"a proof node needs {what} as {key!r}")
+    return obj[key]
+
+
 def proof_from_json(obj: dict, g: Grammar) -> ProofTree:
+    """The proof that proof_to_json wrote; ValueError on JSON of any other shape."""
     # postorder: a node is built once its premises sit on top of `built`
     built: list[ProofTree] = []
     stack = [(obj, False)]
     while stack:
         o, premises_built = stack.pop()
+        prems = _field(o, "premises", list, "a list")
         if not premises_built:
             stack.append((o, True))
-            stack.extend((p, False) for p in reversed(o["premises"]))
+            stack.extend((p, False) for p in reversed(prems))
             continue
-        rule = RuleName(o["rule"])
-        conclusion = Sequent(
-            tuple(parse_type(x, g) for x in o["conclusion"]["antecedent"]),
-            parse_type(o["conclusion"]["succedent"], g),
-        )
-        first = len(built) - len(o["premises"])
+        rule = RuleName(_field(o, "rule", str, "a string"))
+        c = _field(o, "conclusion", dict, "an object")
+        ante = _field(c, "antecedent", list, "a list")
+        if not all(isinstance(x, str) for x in ante):
+            raise ValueError("a proof node needs a list of strings as 'antecedent'")
+        succ = parse_type(_field(c, "succedent", str, "a string"), g)
+        conclusion = Sequent(tuple(parse_type(x, g) for x in ante), succ)
+        first = len(built) - len(prems)
         premises = tuple(built[first:])
         del built[first:]
         built.append(ProofTree(conclusion, rule, premises, _detail_from_json(rule, o.get("detail"))))

@@ -1,9 +1,12 @@
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lambek.analyzer import (
     AmbiguityError,
+    CaptureTyping,
     Classification,
     ConservativeExtension,
     InjectionContext,
@@ -17,10 +20,11 @@ from lambek.analyzer import (
     reshaping_check,
 )
 from lambek.earley import recognize, render_tree_text
-from lambek.grammar import parse_grammar_file, word_from_text
+from lambek.grammar import memo, nullable_ids, parse_grammar_file, word_from_text
 from lambek.prover import Prover, Side, check_proof
 from lambek.semantics import OraclePass, SemBound, member_bounded, soundness_check
-from lambek.types import Atom, Sequent, mirror_type, parse_type, render_type
+from lambek.types import Atom, Over, Sequent, Under, mirror_type, parse_type, render_type
+from test_prover import _unless_tree_walk_blows_up, cyclic_grammars, ignore_swallowed_alarms
 
 
 @pytest.fixture(scope="module")
@@ -263,12 +267,81 @@ def test_report_json(bool_g, tmpl):
     assert benign["reshaping"]["verdict"] == "ConservativeExtension"
 
 
-def test_shared_prover_reuses_its_memo(bool_g, tmpl):
+def test_capture_typings_repeat_exactly(bool_g, tmpl):
     attack = word_from_text(bool_g, "b OR 1 = 1")
-    shared = Prover(bool_g)
-    a = capture_typings(bool_g, tmpl, attack, prover=shared)
-    b = capture_typings(bool_g, tmpl, attack, prover=shared)
-    assert [(c.direction, c.type) for c in a] == [(c.direction, c.type) for c in b]
+    assert capture_typings(bool_g, tmpl, attack) == capture_typings(bool_g, tmpl, attack)
+
+
+def _capture_pair_loop(g, ctx, w):
+    """The reference: ask one prover every (ψ, π) pair over the nonterminals."""
+    pr = Prover(g)
+    ante = tuple(Atom(s) for s in w)
+    hole = Atom(ctx.expected)
+    candidates = [Atom(s) for s in sorted(g.nonterminals, key=lambda s: s.name)]
+    found = []
+    for psi in candidates:
+        for pi in candidates:
+            if ctx.prefix:
+                t = Under(Over(psi, hole), pi)
+                r = pr.prove(Sequent(ante, t))
+                if r.proved:
+                    found.append(CaptureTyping(Side.LEFT, t, r.proof))
+            if ctx.suffix:
+                t = Over(pi, Under(hole, psi))
+                r = pr.prove(Sequent(ante, t))
+                if r.proved:
+                    found.append(CaptureTyping(Side.RIGHT, t, r.proof))
+    return tuple(found)
+
+
+def _assert_captures_match_the_pair_loop(g, ctx, w):
+    found = capture_typings(g, ctx, w)
+    assert found == _capture_pair_loop(g, ctx, w), (ctx, w)
+    assert all(check_proof(g, c.proof).ok for c in found)
+
+
+# the benchmark's templates: a value hole at either end, a value hole inside
+# a longer expression, and a conjunction hole
+TEMPLATES = {
+    "A": ("a =", "", "E", "V"),
+    "B": ("", "= a", "E", "V"),
+    "M": ("1 = b AND a =", "OR b = 1", "E", "V"),
+    "O": ("a = 1 OR", "", "E", "C"),
+}
+# benign, attack and token-soup inputs; each is tried in every template
+INPUTS = (
+    "", "b", "1 = a", "1 = a AND b = b",
+    "b OR 1 = 1", "1 = 1 OR b", "b AND 1 = 1", "1 = 1 AND b", "b = 1 OR a = a",
+    "b OR 1 = 1 OR a = b", "1 = 1 AND a = a AND b",
+    "b b", "= b", "b = = a", "b AND", "AND OR b", "b = a =", "= 1 = b OR",
+)
+
+
+@pytest.mark.parametrize("name", sorted(TEMPLATES))
+def test_captures_match_the_pair_loop_on_the_templates(bool_g, name):
+    prefix, suffix, goal, expected = TEMPLATES[name]
+    ctx = InjectionContext(
+        word_from_text(bool_g, prefix), word_from_text(bool_g, suffix), bool_g.symbol(goal), bool_g.symbol(expected)
+    )
+    for text in INPUTS:
+        _assert_captures_match_the_pair_loop(bool_g, ctx, word_from_text(bool_g, text))
+
+
+def _by_name(symbols):
+    return sorted(symbols, key=lambda s: s.name)
+
+
+@ignore_swallowed_alarms
+@settings(max_examples=150)
+@given(cyclic_grammars(), st.data())
+def test_captures_match_the_pair_loop_on_random_grammars(g, data):
+    """Every grammar has a nullable symbol, a unit cycle and a right recursion."""
+    words = st.lists(st.sampled_from(_by_name(g.terminals)), max_size=3).map(tuple)
+    holes = st.one_of(st.sampled_from(_by_name(memo(g, nullable_ids))), st.sampled_from(_by_name(g.nonterminals)))
+    hole = data.draw(holes)
+    ctx = InjectionContext(data.draw(words), data.draw(words), g.start, hole)
+    w = data.draw(st.one_of(st.just(()), words))
+    _unless_tree_walk_blows_up(_assert_captures_match_the_pair_loop, g, ctx, w)
 
 
 def test_attack_ladder_search_does_not_grow_with_the_input(bool_g, tmpl, monkeypatch):

@@ -12,6 +12,7 @@ from lambek.earley import (
     Unique,
     Witness,
     check_unambiguous,
+    derivers,
     internal_node,
     parse_tree,
     prefix_ends,
@@ -34,7 +35,7 @@ from lambek.grammar import (
     terminal,
     word_from_text,
 )
-from test_prover import PINNED_GRAMMARS, cyclic_grammars
+from test_prover import NESTED_NULLABLE_CYCLES, PINNED_GRAMMARS, cyclic_grammars
 
 
 def w(g, text):
@@ -371,3 +372,42 @@ def test_internal_node_concatenates_yields(bool_g):
     node = internal_node(p, (token_leaf(p.rhs[0]),))
     assert node.word == (p.rhs[0],)
     assert node.label() == "V"
+
+
+def _assert_derivers(g, form):
+    """The all-goals chart names exactly the nonterminals that recognize the form."""
+    assert derivers(g, form) == {x for x in g.nonterminals if recognize(g, x, form)}, form
+
+
+@settings(max_examples=300)
+@given(
+    cyclic_grammars(),
+    st.one_of(
+        st.lists(st.sampled_from(_SYMBOLS), max_size=6),
+        st.builds(lambda k, tail: ["x"] * k + tail, st.integers(1, 5), st.lists(st.sampled_from(_SYMBOLS), max_size=2)),
+    ),
+)
+def test_derivers_match_recognize(g, names):
+    _assert_derivers(g, tuple(g.symbol(n) for n in names))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [NESTED_NULLABLE_CYCLES, "start S\nS ::= x S | A ;\nA ::= S y | ;\n"],
+    ids=["nested_nullable_cycles", "right_recursion"],
+)
+def test_derivers_match_recognize_on_every_short_form(text):
+    g = parse_grammar_file(text)
+    symbols = sorted(g.terminals | g.nonterminals, key=lambda s: s.name)
+    for n in range(5):
+        for form in product(symbols, repeat=n):
+            _assert_derivers(g, form)
+
+
+def test_derivers_on_long_chains(bool_g):
+    """Leo paths skip the completions of D and C; derivers reads them back."""
+    chain = w(bool_g, "1 = a AND b = b OR a = 1 AND 1 = 1 AND a = a")
+    for k in range(len(chain) + 1):
+        _assert_derivers(bool_g, chain[:k])
+        _assert_derivers(bool_g, chain[k:])
+        _assert_derivers(bool_g, (bool_g.symbol("T"),) + chain[k:])

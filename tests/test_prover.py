@@ -415,6 +415,24 @@ def test_proof_from_json_rejects_a_malformed_detail(bool_g, prover, detail):
         proof_from_json(obj, bool_g)
 
 
+@pytest.mark.parametrize(
+    "damage, field",
+    [
+        (lambda obj: obj.pop("premises"), "premises"),
+        (lambda obj: obj.update(detail=[0]), "detail"),
+        (lambda obj: obj["conclusion"].update(antecedent="b"), "antecedent"),
+    ],
+    ids=["no_premises", "list_detail", "string_antecedent"],
+)
+def test_proof_from_json_rejects_a_malformed_node(bool_g, prover, damage, field):
+    """A node of the wrong shape is a ValueError, not a crash or a misreading:
+    a string antecedent was once read one character per type."""
+    obj = proof_to_json(prover.prove(parse_sequent("b |- V", bool_g)).proof)
+    damage(obj)
+    with pytest.raises(ValueError, match=field):
+        proof_from_json(obj, bool_g)
+
+
 # --- derived-rule tactics -------------------------------------------------
 
 
