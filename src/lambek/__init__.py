@@ -61,6 +61,7 @@ from .prover import (
     Side,
     TacticError,
     TypingAxiom,
+    capture,
     check_proof,
     dni,
     elim_over,

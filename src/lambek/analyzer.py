@@ -22,8 +22,9 @@ the prefix to a full expression.
 The capture candidates are read off the grammar at the hole's splits of the
 input: a left capture  (ψ/expected)\\π  exists where expected derives a
 prefix w[:k] of the input and π derives ψ w[k:], so one Earley chart per
-(k, ψ) names every π at once; right captures mirror this on suffixes.  The
-prover then proves only the pairs found (see capture_typings).
+(k, ψ) names every π at once; right captures do the same on suffixes.  Each
+capture is then composed from its split: the prover proves only the two flat
+premises, and the capture tactic builds the rest (see capture_typings).
 
 The reshaping check is the parse-tree view of the same phenomenon: splice
 the input, parse, and see whether the result still contains the template's
@@ -37,15 +38,12 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Sequence
 
-from .earley import Ambiguous, ParseTree, Reject, derivers, parse_tree, prefix_ends, recognize, tree_to_json
-from .grammar import Grammar, Symbol, Word, memo, mirror, render_word, require_word
-from .prover import (
-    ProofTree,
-    Prover,
-    Side,
-    proof_to_json,
+from .earley import (
+    Ambiguous, ParseTree, Reject, derivers, parse_tree, prefix_ends, recognize, suffix_starts, tree_to_json
 )
-from .types import Atom, LambekType, Over, Sequent, Under, render_type, type_universe
+from .grammar import Grammar, Symbol, Word, memo, render_word, require_word
+from .prover import ProofTree, Prover, Side, capture, proof_to_json
+from .types import Atom, LambekType, Sequent, render_type, type_universe
 
 
 class AmbiguityError(ValueError):
@@ -93,10 +91,16 @@ class Unparseable:
 ReshapingResult = ConservativeExtension | Reshaped | Unparseable
 
 
-def _hole_parse(g: Grammar, ctx: InjectionContext) -> ParseTree:
-    if ctx.expected not in g.nonterminals:
-        raise ValueError(f"hole type {ctx.expected.name!r} is not a nonterminal of the grammar")
+def _require_context(g: Grammar, ctx: InjectionContext) -> None:
+    """Raise ValueError unless goal and hole are nonterminals and prefix and suffix are words."""
+    for role, sym in (("goal", ctx.goal), ("hole type", ctx.expected)):
+        if sym not in g.nonterminals:
+            raise ValueError(f"{role} {sym.name!r} is not a nonterminal of the grammar")
     require_word(g, ctx.prefix + ctx.suffix)
+
+
+def _hole_parse(g: Grammar, ctx: InjectionContext) -> ParseTree:
+    _require_context(g, ctx)
     out = parse_tree(g, ctx.goal, ctx.prefix + (ctx.expected,) + ctx.suffix)
     if isinstance(out, Reject):
         raise ValueError(
@@ -137,7 +141,9 @@ def reshaping_check(g: Grammar, ctx: InjectionContext, w: Word) -> ReshapingResu
 
 def hole_language(g: Grammar, ctx: InjectionContext, out_len: int) -> frozenset[Word]:
     """Every word of length at most out_len the hole accepts syntactically."""
-    require_word(g, ctx.prefix + ctx.suffix)
+    _require_context(g, ctx)
+    if out_len < 0:
+        raise ValueError(f"out_len must be nonnegative, got {out_len}")
     sigma = sorted(g.terminals, key=lambda s: s.name)
     found: set[Word] = set()
     for n in range(out_len + 1):
@@ -218,51 +224,42 @@ def capture_typings(g: Grammar, ctx: InjectionContext, w: Word) -> tuple[Capture
 
     Left captures need material on the left, so they are only searched when
     the prefix is nonempty; right captures likewise require a suffix.  ψ and
-    π range over the grammar's nonterminals.  Write V for the hole's symbol
-    and n for len(w).
+    π range over the grammar's nonterminals.  Write V for the hole's symbol.
 
-    The candidates are read off the grammar, exactly.  With no typing axioms
-    and a word w, the only proof of  w ⊢ (ψ/V)\\π  is UNDER_R, leaving
-    (ψ/V) w ⊢ π,  and then OVER_L at position 0, its only compound type.
-    OVER_L's stops (Prover._stops) are the k at which V derives w[:k]
-    (prefix_ends), so its premise  w[:k] ⊢ V  proves, and its other premise
-    ψ w[k:] ⊢ π  is flat: it proves exactly when π derives the sentential
-    form ψ w[k:].  One all-goals chart per (k, ψ) names every such π
-    (derivers).  The right side is the mirror: OVER_R leaves  w (V\\ψ) ⊢ π,
-    UNDER_L's starts (Prover._starts) are the k at which V derives the last
-    k symbols of w (prefix_ends over the mirror grammar and reversed w), and
-    π must derive w[:n-k] ψ.  Only the pairs found go to the prover, in the
-    order ψ, π, Left before Right, so each capture carries its own proof.
+    The candidates are read off the grammar, exactly.  A left capture
+    w ⊢ (ψ/V)\\π  splits w where V derives w[:k] (prefix_ends) and π
+    derives the continuation ψ w[k:]; one all-goals chart per (k, ψ) names
+    every such π (derivers).  A right capture  w ⊢ π/(V\\ψ)  splits w where
+    V derives w[j:] (suffix_starts) and π derives w[:j] ψ.  At the smallest such
+    k or j, the prover proves the two flat premises, and capture composes
+    them.  Captures come in the order ψ, π, Left before Right.
     """
+    _require_context(g, ctx)
     require_word(g, w)
-    n = len(w)
     nts = sorted(g.nonterminals, key=lambda s: s.name)
-    left: dict[Symbol, set[Symbol]] = {psi: set() for psi in nts}
-    right: dict[Symbol, set[Symbol]] = {psi: set() for psi in nts}
-    if ctx.prefix:
-        for k in prefix_ends(g, ctx.expected, w):
-            for psi in nts:
-                left[psi] |= derivers(g, (psi,) + w[k:])
-    if ctx.suffix:
-        for k in prefix_ends(memo(g, mirror), ctx.expected, w[::-1]):
-            for psi in nts:
-                right[psi] |= derivers(g, w[: n - k] + (psi,))
+
+    def split(share: Word, before: Word, after: Word):
+        # the hole's share of w, the rest around ψ, and the π per ψ
+        return share, before, after, {psi: derivers(g, before + (psi,) + after) for psi in nts}
+
+    left = [split(w[:k], (), w[k:]) for k in prefix_ends(g, ctx.expected, w)] if ctx.prefix else []
+    right = [split(w[j:], w[:j], ()) for j in suffix_starts(g, ctx.expected, w)] if ctx.suffix else []
 
     pr = Prover(g)
-    ante = tuple(Atom(s) for s in w)
     hole = Atom(ctx.expected)
     found: list[CaptureTyping] = []
     for psi in nts:
         for pi in nts:
-            candidates = []
-            if pi in left[psi]:
-                candidates.append((Side.LEFT, Under(Over(Atom(psi), hole), Atom(pi))))
-            if pi in right[psi]:
-                candidates.append((Side.RIGHT, Over(Atom(pi), Under(hole, Atom(psi)))))
-            for side, t in candidates:
-                r = pr.prove(Sequent(ante, t))
-                if r.proved:
-                    found.append(CaptureTyping(side, t, r.proof))
+            for side, splits in ((Side.LEFT, left), (Side.RIGHT, right)):
+                for share, before, after, pis in splits:
+                    if pi not in pis[psi]:
+                        continue
+                    arg = pr.prove(Sequent(tuple(map(Atom, share)), hole))
+                    cont = pr.prove(Sequent(tuple(map(Atom, before + (psi,) + after)), Atom(pi)))
+                    if arg.proved and cont.proved:
+                        proof = capture(arg.proof, cont.proof, side)
+                        found.append(CaptureTyping(side, proof.conclusion.succedent, proof))
+                        break
     return tuple(found)
 
 
@@ -271,8 +268,6 @@ def classify_input(
     ctx: InjectionContext,
     w: Word,
 ) -> InjectionReport:
-    if ctx.goal not in g.nonterminals:
-        raise ValueError(f"goal {ctx.goal.name!r} is not a nonterminal")
     memo(g, _hole_parse, ctx)  # reject templates with no well-formed hole
     require_word(g, w)
 

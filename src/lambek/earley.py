@@ -255,6 +255,22 @@ def prefix_ends(g: Grammar, a: Symbol, w: Word) -> list[int]:
     return [k for k, col in enumerate(_chart(g, a, w)[0]) if done in col]
 
 
+def _mirror(g: Grammar) -> Grammar:
+    """g with every right-hand side reversed; reach it through memo."""
+    reversed_rules = tuple(Production(p.lhs, p.rhs[::-1]) for p in g.productions)
+    return Grammar(g.terminals, g.nonterminals, reversed_rules, g.start)
+
+
+def suffix_starts(g: Grammar, a: Symbol, w: Word) -> list[int]:
+    """The ascending j for which a derives the sentential form w[j:].
+
+    The mirror grammar derives exactly the reversals of g's sentential
+    forms, so one chart of it over reversed w reads the suffixes: a derives
+    w[j:] when it derives there the prefix of length len(w) - j.
+    """
+    return [len(w) - k for k in reversed(prefix_ends(memo(g, _mirror), a, w[::-1]))]
+
+
 def derivers(g: Grammar, w: Word) -> frozenset[Symbol]:
     """The nonterminals that derive the sentential form w, off one chart.
 

@@ -147,16 +147,6 @@ def production_ids(g: Grammar) -> dict[Production, int]:
     return {p: i for i, p in enumerate(g.productions)}
 
 
-def mirror(g: Grammar) -> Grammar:
-    """g with every right-hand side reversed; reach it through memo.
-
-    It derives exactly the reversals of g's sentential forms, so a chart
-    over a reversed form reads g's derivations of suffixes.
-    """
-    reversed_rules = tuple(Production(p.lhs, p.rhs[::-1]) for p in g.productions)
-    return Grammar(g.terminals, g.nonterminals, reversed_rules, g.start)
-
-
 def render_word(w: Word) -> str:
     return " ".join(s.name for s in w) if w else "ε"
 

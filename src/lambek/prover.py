@@ -48,10 +48,10 @@ from dataclasses import dataclass, fields
 from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
-from .earley import Ambiguous, ParseTree, Reject, parse_tree, prefix_ends
+from .earley import Ambiguous, ParseTree, Reject, parse_tree, prefix_ends, suffix_starts
 # not called here, but perfbench/spans.py rebinds lambek.prover.recognize and fails without it
 from .earley import recognize  # noqa: F401
-from .grammar import Grammar, Symbol, Word, lhs_index, memo, mirror, nullable_ids, production_ids
+from .grammar import Grammar, Symbol, Word, lhs_index, memo, nullable_ids, production_ids
 from .types import (
     Atom,
     LambekType,
@@ -287,7 +287,7 @@ class Prover:
                 # or the search need not terminate
                 raise ValueError(f"axiom type {render_type(ax.type)!r} names the axiom token {named.name!r}")
         self._proofs: dict[Sequent, ProofTree | None] = {}
-        self._ends: dict[tuple[Symbol, tuple[LambekType, ...], bool], list[int]] = {}
+        self._splits: dict[tuple[Symbol, tuple[LambekType, ...], bool], list[int]] = {}
 
     def _flat_proof(self, s: Sequent) -> ProofTree | None:
         """A fold chain proving flat s, or None when folds cannot prove it.
@@ -386,8 +386,8 @@ class Prover:
         lo = i
         while lo and self._plain(ante[lo - 1]):
             lo -= 1
-        ks = self._run_ends(arg.symbol, ante[lo:i], True)
-        return chain(range(lo), (i - k for k in reversed(ks)))
+        js = self._run_splits(arg.symbol, ante[lo:i], True)
+        return chain(range(lo), (lo + j for j in js))
 
     def _stops(self, ante: tuple[LambekType, ...], i: int, arg: LambekType) -> Iterable[int]:
         """The ascending stops j worth trying for OVER_L at i: ante[i + 1:j] ⊢ arg."""
@@ -396,23 +396,19 @@ class Prover:
         hi = i + 1
         while hi < len(ante) and self._plain(ante[hi]):
             hi += 1
-        ks = self._run_ends(arg.symbol, ante[i + 1 : hi], False)
+        ks = self._run_splits(arg.symbol, ante[i + 1 : hi], False)
         return chain((i + 1 + k for k in ks), range(hi + 1, len(ante) + 1))
 
-    def _run_ends(self, x: Symbol, run: tuple[LambekType, ...], left: bool) -> list[int]:
-        """The ascending k for which x derives the first k atoms of run, or its last k when left.
+    def _run_splits(self, x: Symbol, run: tuple[LambekType, ...], suffix: bool) -> list[int]:
+        """The ascending k for which x derives run[k:] when suffix, else run[:k].
 
-        The last k come from the mirror grammar over the reversed run.  One
-        chart per (x, run, side) serves every goal of the prover.
+        One chart per (x, run, side) serves every goal of the prover.
         """
-        key = (x, run, left)
-        ks = self._ends.get(key)
+        key = (x, run, suffix)
+        ks = self._splits.get(key)
         if ks is None:
-            if left:
-                ks = prefix_ends(memo(self.g, mirror), x, tuple(t.symbol for t in reversed(run)))
-            else:
-                ks = prefix_ends(self.g, x, tuple(t.symbol for t in run))
-            self._ends[key] = ks
+            form = tuple(t.symbol for t in run)
+            ks = self._splits[key] = suffix_starts(self.g, x, form) if suffix else prefix_ends(self.g, x, form)
         return ks
 
     def _moves(
@@ -622,29 +618,39 @@ class Side(enum.Enum):
     RIGHT = "Right"
 
 
+def _l_step(t: ProofTree, k: ProofTree, side: Side) -> ProofTree:
+    """Feed t's conclusion Φ ⊢ φ to the edge ψ of the continuation k.
+
+    Left:  from ψ Π ⊢ π build (ψ/φ) Φ Π ⊢ π by OVER_L.
+    Right: from Π ψ ⊢ π build Π Φ (φ\\ψ) ⊢ π by UNDER_L.
+    """
+    ctx, phi = t.conclusion.antecedent, t.conclusion.succedent
+    rest, pi = k.conclusion.antecedent, k.conclusion.succedent
+    if not rest:
+        raise TacticError("the continuation's antecedent is empty, so it has no type to consume")
+    if side is Side.LEFT:
+        ante = (Over(rest[0], phi),) + ctx + rest[1:]
+        return ProofTree(Sequent(ante, pi), RuleName.OVER_L, (t, k), OverLDetail(pos=0, stop=1 + len(ctx)))
+    ante = rest[:-1] + ctx + (Under(phi, rest[-1]),)
+    return ProofTree(Sequent(ante, pi), RuleName.UNDER_L, (t, k), UnderLDetail(len(ante) - 1, len(rest) - 1))
+
+
+def _cut_functor(f: ProofTree, step: ProofTree, i: int) -> ProofTree:
+    """Cut f, a proof of Ψ ⊢ fun, into the L-step whose functor at position i must be fun."""
+    fun, ante = f.conclusion.succedent, step.conclusion.antecedent
+    if ante[i] != fun:
+        raise TacticError(f"argument type {render_type(ante[i].arg)} does not match {render_type(fun)}")
+    ctx = f.conclusion.antecedent
+    conclusion = Sequent(ante[:i] + ctx + ante[i + 1 :], step.conclusion.succedent)
+    return ProofTree(conclusion, RuleName.CUT, (f, step), CutDetail(i, i + len(ctx)))
+
+
 def elim_under(left: ProofTree, right: ProofTree) -> ProofTree:
     """From Φ ⊢ φ and Ψ ⊢ φ\\ψ build Φ Ψ ⊢ ψ."""
     fun = right.conclusion.succedent
     if not isinstance(fun, Under):
         raise TacticError(f"right proof must conclude an Under type, got {render_type(fun)}")
-    if left.conclusion.succedent != fun.arg:
-        raise TacticError(
-            f"argument type {render_type(left.conclusion.succedent)} does not match {render_type(fun)}"
-        )
-    phi_ctx = left.conclusion.antecedent
-    psi_ctx = right.conclusion.antecedent
-    step = ProofTree(
-        Sequent(phi_ctx + (fun,), fun.result),
-        RuleName.UNDER_L,
-        (left, _ax(fun.result)),
-        UnderLDetail(pos=len(phi_ctx), start=0),
-    )
-    return ProofTree(
-        Sequent(phi_ctx + psi_ctx, fun.result),
-        RuleName.CUT,
-        (right, step),
-        CutDetail(len(phi_ctx), len(phi_ctx) + len(psi_ctx)),
-    )
+    return _cut_functor(right, _l_step(left, _ax(fun.result), Side.RIGHT), len(left.conclusion.antecedent))
 
 
 def elim_over(left: ProofTree, right: ProofTree) -> ProofTree:
@@ -652,49 +658,29 @@ def elim_over(left: ProofTree, right: ProofTree) -> ProofTree:
     fun = left.conclusion.succedent
     if not isinstance(fun, Over):
         raise TacticError(f"left proof must conclude an Over type, got {render_type(fun)}")
-    if right.conclusion.succedent != fun.arg:
-        raise TacticError(
-            f"argument type {render_type(right.conclusion.succedent)} does not match {render_type(fun)}"
-        )
-    phi_ctx = left.conclusion.antecedent
-    psi_ctx = right.conclusion.antecedent
-    step = ProofTree(
-        Sequent((fun,) + psi_ctx, fun.result),
-        RuleName.OVER_L,
-        (right, _ax(fun.result)),
-        OverLDetail(pos=0, stop=1 + len(psi_ctx)),
-    )
-    return ProofTree(
-        Sequent(phi_ctx + psi_ctx, fun.result),
-        RuleName.CUT,
-        (left, step),
-        CutDetail(0, len(phi_ctx)),
-    )
+    return _cut_functor(left, _l_step(right, _ax(fun.result), Side.LEFT), 0)
+
+
+def capture(t: ProofTree, k: ProofTree, side: Side) -> ProofTree:
+    """Double negation with the continuation k: one L-step under an R-rule.
+
+    Left:  from Φ ⊢ φ and ψ Π ⊢ π build Φ Π ⊢ (ψ/φ)\\π  (the value fits
+    where a rightward ψ-producer expects a φ).  Right: from Φ ⊢ φ and
+    Π ψ ⊢ π build Π Φ ⊢ π/(φ\\ψ).
+    """
+    step = _l_step(t, k, side)
+    ante, pi = step.conclusion.antecedent, step.conclusion.succedent
+    if side is Side.LEFT:
+        return ProofTree(Sequent(ante[1:], Under(ante[0], pi)), RuleName.UNDER_R, (step,))
+    return ProofTree(Sequent(ante[:-1], Over(pi, ante[-1])), RuleName.OVER_R, (step,))
 
 
 def dni(t: ProofTree, psi: LambekType, side: Side) -> ProofTree:
-    """Double-negation introduction.
+    """Double-negation introduction: capture with the identity continuation ψ ⊢ ψ.
 
-    Left:  from Φ ⊢ φ build Φ ⊢ (ψ/φ)\\ψ  (the value fits where a rightward
-    ψ-producer expects a φ).  Right: from Φ ⊢ φ build Φ ⊢ ψ/(φ\\ψ).
+    Left:  from Φ ⊢ φ build Φ ⊢ (ψ/φ)\\ψ.  Right: from Φ ⊢ φ build Φ ⊢ ψ/(φ\\ψ).
     """
-    phi = t.conclusion.succedent
-    ctx = t.conclusion.antecedent
-    if side is Side.LEFT:
-        step = ProofTree(
-            Sequent((Over(psi, phi),) + ctx, psi),
-            RuleName.OVER_L,
-            (t, _ax(psi)),
-            OverLDetail(pos=0, stop=1 + len(ctx)),
-        )
-        return ProofTree(Sequent(ctx, Under(Over(psi, phi), psi)), RuleName.UNDER_R, (step,))
-    step = ProofTree(
-        Sequent(ctx + (Under(phi, psi),), psi),
-        RuleName.UNDER_L,
-        (t, _ax(psi)),
-        UnderLDetail(pos=len(ctx), start=0),
-    )
-    return ProofTree(Sequent(ctx, Over(psi, Under(phi, psi))), RuleName.OVER_R, (step,))
+    return capture(t, _ax(psi), side)
 
 
 def _detail_to_json(detail: Detail) -> dict | None:

@@ -24,7 +24,7 @@ from lambek.grammar import memo, nullable_ids, parse_grammar_file, word_from_tex
 from lambek.prover import Prover, Side, check_proof
 from lambek.semantics import OraclePass, SemBound, member_bounded, soundness_check
 from lambek.types import Atom, Over, Sequent, Under, mirror_type, parse_type, render_type
-from test_prover import _unless_tree_walk_blows_up, cyclic_grammars, ignore_swallowed_alarms
+from test_prover import _unless_tree_walk_blows_up, assert_capture_shape, cyclic_grammars, ignore_swallowed_alarms
 
 
 @pytest.fixture(scope="module")
@@ -228,6 +228,32 @@ def test_classify_validates_its_inputs(bool_g, tmpl):
         classify_input(bool_g, tmpl, (bool_g.symbol("E"),))
 
 
+@pytest.mark.parametrize("entry", ["context_tree", "capture_typings", "hole_language"])
+def test_entry_points_check_their_template_alike(bool_g, entry):
+    """Goal and hole must be nonterminals, prefix and suffix words, at every entry point."""
+    call = {
+        "context_tree": lambda ctx: context_tree(bool_g, ctx),
+        "capture_typings": lambda ctx: capture_typings(bool_g, ctx, word_from_text(bool_g, "b OR 1 = 1")),
+        "hole_language": lambda ctx: hole_language(bool_g, ctx, 1),
+    }[entry]
+    a, b, E, V = (bool_g.symbol(n) for n in ("a", "b", "E", "V"))
+    eq = bool_g.symbol("=")
+    with pytest.raises(ValueError, match="not a nonterminal"):
+        call(InjectionContext((a, eq), (), E, b))  # a terminal hole
+    with pytest.raises(ValueError, match="not a nonterminal"):
+        call(InjectionContext((a, eq), (), a, V))  # a terminal goal
+    with pytest.raises(ValueError, match="not a terminal"):
+        call(InjectionContext((V, eq), (), E, V))
+    with pytest.raises(ValueError, match="not a terminal"):
+        call(InjectionContext((), (eq, E), E, V))
+
+
+def test_hole_language_rejects_a_negative_length(bool_g, tmpl):
+    with pytest.raises(ValueError, match="nonnegative"):
+        hole_language(bool_g, tmpl, -1)
+    assert hole_language(bool_g, tmpl, 0) == frozenset()
+
+
 def test_ambiguous_combined_string_is_an_error(ambiguous_g):
     g = ambiguous_g
     x = word_from_text(g, "x")
@@ -298,6 +324,26 @@ def _assert_captures_match_the_pair_loop(g, ctx, w):
     found = capture_typings(g, ctx, w)
     assert found == _capture_pair_loop(g, ctx, w), (ctx, w)
     assert all(check_proof(g, c.proof).ok for c in found)
+
+
+def test_capture_proofs_are_composed_from_flat_premises(bool_g, tmpl, mirrored, monkeypatch):
+    """The prover sees only flat sequents, atoms over an atom; capture builds the rest."""
+    asked = []
+    prove = Prover.prove
+
+    def spy(self, s):
+        asked.append(s)
+        return prove(self, s)
+
+    monkeypatch.setattr(Prover, "prove", spy)
+    for ctx, text in ((tmpl, "b OR 1 = 1"), (mirrored, "1 = 1 OR b")):
+        found = capture_typings(bool_g, ctx, word_from_text(bool_g, text))
+        assert len(found) == 2
+        for c in found:
+            assert_capture_shape(c.proof)
+            assert c.proof.conclusion == Sequent(tuple(map(Atom, word_from_text(bool_g, text))), c.type)
+    assert asked
+    assert all(isinstance(t, Atom) for s in asked for t in (*s.antecedent, s.succedent)), asked
 
 
 # the benchmark's templates: a value hole at either end, a value hole inside

@@ -230,6 +230,9 @@ def test_validate_notes_go_to_stderr():
          "--goal", "E", "--expect", "V", "--axiom", "b |- T"),
         # an axiom whose type names an axiom token would never stop cutting
         ("check", "he |- Sent", "--grammar", "eng", "--axiom", "he |- he*he"),
+        # a negative cap on the antecedent words, whether or not the sequent is certifiable
+        ("oracle", "|- F", "--grammar", "bool", "--out-len", "-1"),
+        ("oracle", "a , = , b |- T", "--grammar", "bool", "--out-len", "-1"),
     ],
 )
 def test_errors_exit_2(argv):

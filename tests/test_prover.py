@@ -32,6 +32,7 @@ from lambek.prover import (
     SplitDetail,
     TacticError,
     UnderLDetail,
+    capture,
     check_proof,
     dni,
     elim_over,
@@ -474,6 +475,51 @@ def test_dni(bool_g, prover, side, expect):
     assert check_proof(bool_g, t).ok
     # the raised typing is also findable by search from scratch
     assert Prover(bool_g).prove(t.conclusion).proved
+
+
+def assert_capture_shape(t):
+    """An UNDER_R or OVER_R root over one two-premise L-step."""
+    step_rule = {RuleName.UNDER_R: RuleName.OVER_L, RuleName.OVER_R: RuleName.UNDER_L}[t.rule]
+    (step,) = t.premises
+    assert step.rule is step_rule and len(step.premises) == 2
+
+
+@pytest.mark.parametrize(
+    "side,cont,expect",
+    [
+        (Side.LEFT, "T , OR , 1 , = , 1 |- E", "b , OR , 1 , = , 1 |- (T/V)\\E"),
+        (Side.RIGHT, "1 , = , 1 , OR , T |- E", "1 , = , 1 , OR , b |- E/(V\\T)"),
+    ],
+)
+def test_capture(bool_g, prover, side, cont, expect):
+    """Φ ⊢ φ and a continuation compose to the capture; the search finds the same proof."""
+    base = prover.prove(parse_sequent("b |- V", bool_g)).proof
+    k = prover.prove(parse_sequent(cont, bool_g)).proof
+    t = capture(base, k, side)
+    assert t.conclusion == parse_sequent(expect, bool_g)
+    assert check_proof(bool_g, t).ok
+    assert_capture_shape(t)
+    assert t.premises[0].premises == (base, k)
+    assert Prover(bool_g).prove(t.conclusion).proof == t
+
+
+@pytest.mark.parametrize("side", [Side.LEFT, Side.RIGHT])
+def test_capture_needs_a_continuation_with_an_antecedent(bool_g, prover, side):
+    base = prover.prove(parse_sequent("b |- V", bool_g)).proof
+    empty = prover.prove(parse_sequent("|- F", bool_g)).proof
+    with pytest.raises(TacticError, match="empty"):
+        capture(base, empty, side)
+
+
+@pytest.mark.parametrize("side", [Side.LEFT, Side.RIGHT])
+def test_dni_is_capture_with_the_identity_continuation(bool_g, prover, side):
+    for text in ("b |- V", "a , = , b |- T", "|- F"):
+        base = prover.prove(parse_sequent(text, bool_g)).proof
+        for name in ("T", "E"):
+            psi = Atom(bool_g.symbol(name))
+            t = dni(base, psi, side)
+            assert t == capture(base, prover.prove(Sequent((psi,), psi)).proof, side)
+            assert_capture_shape(t)
 
 
 # --- typing axioms --------------------------------------------------------

@@ -125,6 +125,19 @@ def test_bound_validation():
         SemBound(-1)
 
 
+def test_negative_out_len_is_rejected(bool_g):
+    """A negative length cap is an error, not the empty word's singleton."""
+    b = SemBound(3)
+    with pytest.raises(ValueError, match="out_len"):
+        denotation_bounded(bool_g, UNIT, b, -1)
+    with pytest.raises(ValueError, match="out_len"):
+        context_denotation_bounded(bool_g, (), b, -1)
+    for text in ("|- F", "a , = , b |- T"):
+        with pytest.raises(ValueError, match="out_len"):
+            soundness_check(bool_g, parse_sequent(text, bool_g), b, -1)
+    assert soundness_check(bool_g, parse_sequent("|- F", bool_g), b, 0) == OraclePass(1)
+
+
 def test_context_denotation(bool_g):
     b = SemBound(5)
     ctx = [parse_type('"a"', bool_g), parse_type('"="', bool_g), parse_type("V", bool_g)]
