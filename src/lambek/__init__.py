@@ -66,7 +66,6 @@ from .prover import (
     dni,
     elim_over,
     elim_under,
-    expand_contract,
     parse_axiom,
     proof_from_json,
     proof_to_json,

@@ -230,31 +230,33 @@ def capture_typings(g: Grammar, ctx: InjectionContext, w: Word) -> tuple[Capture
     w ⊢ (ψ/V)\\π  splits w where V derives w[:k] (prefix_ends) and π
     derives the continuation ψ w[k:]; one all-goals chart per (k, ψ) names
     every such π (derivers).  A right capture  w ⊢ π/(V\\ψ)  splits w where
-    V derives w[j:] (suffix_starts) and π derives w[:j] ψ.  At the smallest such
-    k or j, the prover proves the two flat premises, and capture composes
-    them.  Captures come in the order ψ, π, Left before Right.
+    V derives w[j:] (suffix_starts) and π derives w[:j] ψ.  The prover proves
+    the hole's share once per split that has a π and, at the smallest such k
+    or j, the continuation; capture composes the two.  Captures come in the
+    order ψ, π, Left before Right.
     """
     _require_context(g, ctx)
     require_word(g, w)
     nts = sorted(g.nonterminals, key=lambda s: s.name)
+    pr = Prover(g)
 
     def split(share: Word, before: Word, after: Word):
-        # the hole's share of w, the rest around ψ, and the π per ψ
-        return share, before, after, {psi: derivers(g, before + (psi,) + after) for psi in nts}
+        # the π per ψ around the rest of w, and the proof of the hole's share
+        # of w, asked once and only when some π is found
+        pis = {psi: derivers(g, before + (psi,) + after) for psi in nts}
+        arg = pr.prove(Sequent(tuple(map(Atom, share)), Atom(ctx.expected))) if any(pis.values()) else None
+        return arg, before, after, pis
 
     left = [split(w[:k], (), w[k:]) for k in prefix_ends(g, ctx.expected, w)] if ctx.prefix else []
     right = [split(w[j:], w[:j], ()) for j in suffix_starts(g, ctx.expected, w)] if ctx.suffix else []
 
-    pr = Prover(g)
-    hole = Atom(ctx.expected)
     found: list[CaptureTyping] = []
     for psi in nts:
         for pi in nts:
             for side, splits in ((Side.LEFT, left), (Side.RIGHT, right)):
-                for share, before, after, pis in splits:
+                for arg, before, after, pis in splits:
                     if pi not in pis[psi]:
                         continue
-                    arg = pr.prove(Sequent(tuple(map(Atom, share)), hole))
                     cont = pr.prove(Sequent(tuple(map(Atom, before + (psi,) + after)), Atom(pi)))
                     if arg.proved and cont.proved:
                         proof = capture(arg.proof, cont.proof, side)

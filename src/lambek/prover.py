@@ -14,17 +14,14 @@ Rules, written forward (Φ, Ψ, Π are contexts, φ, ψ, π types):
     PROD_L    Φ φ ψ Ψ ⊢ π      =>  Φ (φ*ψ) Ψ ⊢ π
     PROD_R    Φ ⊢ φ  and  Ψ ⊢ ψ  =>  Φ Ψ ⊢ φ*ψ
     CUT       Φ ⊢ φ  and  Ψ φ Π ⊢ ψ  =>  Ψ Φ Π ⊢ ψ
-    CONTRACT  admissible composite: cut against a production, matching the
-              right-hand side with nullable symbols optionally skipped; an
-              empty match inserts the nonterminal
 
 Search runs backward and goal-directed, with no depth bound and no cycle
 check, and memoizes every answer, proof or failure.  Invertible steps
 (stripping units, splitting antecedent products, the two right rules) are
 applied eagerly; everything else backtracks.  The search never tries a
 general cut: the calculus is cut-free (Lambek 1958), so CUT appears in
-proofs only as the lexicon fold against a typing axiom and in the
-composites the tactics and expand_contract build.
+proofs only as a fold against a production or a typing axiom, and in the
+composites the tactics build.
 
 The search terminates by construction.  No typing axiom's type may name an
 axiom token (Prover rejects one that does), so every premise the search
@@ -39,7 +36,9 @@ raises RecursionError instead of answering.
 Folds happen only at flat sequents (atoms over an atom): a fold is a cut
 between atoms, so it commutes upward past every other rule (as in focused
 proof search, Andreoli 1992).  There the Earley parse of the antecedent
-decides the sequent and lays out the whole fold chain.
+decides the sequent and lays out the whole fold chain.  A production's fold
+cuts the production's GRAM axiom in where its right-hand side stands, with
+a proof of  ⊢ X  cut in for each nullable X the parse leaves out.
 """
 from __future__ import annotations
 
@@ -79,7 +78,6 @@ class RuleName(enum.Enum):
     GRAM = "GRAM"
     EPS_L = "EPS_L"
     EPS_R = "EPS_R"
-    CONTRACT = "CONTRACT"
     AXIOM = "AXIOM"
 
 
@@ -121,13 +119,6 @@ class CutDetail:
     stop: int
 
 
-@dataclass(frozen=True)
-class ContractDetail:
-    production: int
-    pos: int
-    skipped: tuple[int, ...]
-
-
 Detail = (
     GramDetail
     | AxiomDetail
@@ -136,7 +127,6 @@ Detail = (
     | UnderLDetail
     | OverLDetail
     | CutDetail
-    | ContractDetail
     | None
 )
 
@@ -150,7 +140,6 @@ _DETAIL_CLASS: dict[RuleName, type] = {
     RuleName.UNDER_L: UnderLDetail,
     RuleName.OVER_L: OverLDetail,
     RuleName.CUT: CutDetail,
-    RuleName.CONTRACT: ContractDetail,
 }
 
 
@@ -221,16 +210,34 @@ def _ax(t: LambekType) -> ProofTree:
     return ProofTree(Sequent((t,), t), RuleName.AX, ())
 
 
+def _segment_proof(g: Grammar, pid: int, skipped: tuple[int, ...]) -> ProofTree:
+    """The fold of production pid, A ::= X1 ... Xn, with the nullable Xk at
+    the ascending positions skipped left out: a proof of the rest ⊢ A.
+
+    It is GRAM with a proof of  ⊢ Xk  cut in for each skipped Xk, that proof
+    being the fold of Xk's nullable witness with every position skipped.
+    Reach it through memo.
+    """
+    p = g.productions[pid]
+    proof = ProofTree(Sequent(_atoms(p.rhs), Atom(p.lhs)), RuleName.GRAM, (), GramDetail(pid))
+    ante = list(p.rhs)
+    for k in reversed(skipped):
+        wid = memo(g, nullable_ids)[ante.pop(k)]
+        empty = memo(g, _segment_proof, wid, tuple(range(len(g.productions[wid].rhs))))
+        proof = ProofTree(Sequent(_atoms(ante), Atom(p.lhs)), RuleName.CUT, (empty, proof), CutDetail(k, k))
+    return proof
+
+
 def _fold_chain(g: Grammar, s: Sequent, tree: ParseTree) -> ProofTree:
     """The proof of flat s that folds tree, a parse of its antecedent's symbols.
 
-    Each node of a production of g folds once, bottom-up and left to right;
-    children with an empty yield are skipped, and nonterminal leaves are the
-    antecedent atoms themselves.  An empty antecedent is one insertion
-    of the goal.
+    Each node of a production of g folds once, bottom-up and left to right,
+    as a cut against its segment proof; children with an empty yield are
+    skipped, and nonterminal leaves are the antecedent atoms themselves.
+    The root folds last, and its segment proof proves what is left.
     """
     ids = memo(g, production_ids)
-    folds: list[ContractDetail] = []
+    folds: list[tuple[int, ProofTree]] = []  # (slot, segment proof)
     # (node, the slot of its first child, children folded); a folded child
     # takes one slot, a child with an empty yield none
     stack = [(tree, 0, False)]
@@ -238,24 +245,19 @@ def _fold_chain(g: Grammar, s: Sequent, tree: ParseTree) -> ProofTree:
         node, pos, children_done = stack.pop()
         if children_done:
             skipped = tuple(k for k in range(len(node.production.rhs)) if not node.children[k].word)
-            folds.append(ContractDetail(ids[node.production], pos, skipped))
+            folds.append((pos, memo(g, _segment_proof, ids[node.production], skipped)))
             continue
         stack.append((node, pos, True))
         kept = [c for c in node.children if c.word]
         stack.extend((c, pos + k, False) for k, c in reversed(list(enumerate(kept))) if c.production in ids)
 
-    sequents = [s]
-    ante = list(s.antecedent)
-    for d in folds:
-        p = g.productions[d.production]
-        ante[d.pos : d.pos + len(p.rhs) - len(d.skipped)] = [Atom(p.lhs)]
-        sequents.append(Sequent(tuple(ante), s.succedent))
-    if folds[-1].skipped:
-        proof = _ax(s.succedent)
-    else:
-        proof = ProofTree(sequents[-2], RuleName.GRAM, (), GramDetail(folds.pop().production))
-    for k in range(len(folds) - 1, -1, -1):
-        proof = ProofTree(sequents[k], RuleName.CONTRACT, (proof,), folds[k])
+    # below the root's fold, each cut's conclusion unfolds its premise's
+    # nonterminal at pos back into the segment
+    *cuts, (_, proof) = folds
+    for pos, seg in reversed(cuts):
+        ante, segment = proof.conclusion.antecedent, seg.conclusion.antecedent
+        conclusion = Sequent(ante[:pos] + segment + ante[pos + 1 :], s.succedent)
+        proof = ProofTree(conclusion, RuleName.CUT, (seg, proof), CutDetail(pos, pos + len(segment)))
     return proof
 
 
@@ -455,11 +457,16 @@ def _reject(path: tuple[int, ...], reason: str) -> CheckResult:
     return CheckResult(False, path, reason)
 
 
+def _is_int(v: object) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _replay(g: Grammar, axioms: tuple[TypingAxiom, ...], node: ProofTree) -> tuple[Sequent, ...] | str:
     """The premises that node's conclusion, rule and detail fix, or why they do not fit.
 
-    The caller has checked that the detail is of the rule's class.  Only CUT
-    reads a premise: its cut formula is the first premise's succedent.
+    The caller has checked that the detail is of the rule's class and holds
+    integers.  Only CUT reads a premise: its cut formula is the first
+    premise's succedent.
     """
     ante, succ = node.conclusion.antecedent, node.conclusion.succedent
     rule, d = node.rule, node.detail
@@ -514,27 +521,14 @@ def _replay(g: Grammar, axioms: tuple[TypingAxiom, ...], node: ProofTree) -> tup
         if not (0 <= i < j <= len(ante) and isinstance(ante[i], Over)):
             return "position must hold an Over type, before the stop"
         return (Sequent(ante[i + 1 : j], ante[i].arg), Sequent(ante[:i] + (ante[i].result,) + ante[j:], succ))
-    if rule is RuleName.CUT:
-        if len(node.premises) != 2:
-            return f"expects 2 premises, got {len(node.premises)}"
-        i, j = d.start, d.stop
-        if not 0 <= i <= j <= len(ante):
-            return "needs a valid segment"
-        chi = node.premises[0].conclusion.succedent
-        return (Sequent(ante[i:j], chi), Sequent(ante[:i] + (chi,) + ante[j:], succ))
-    # CONTRACT, the one rule left
-    if not 0 <= d.production < len(g.productions):
-        return "needs a valid production index"
-    p = g.productions[d.production]
-    if not set(d.skipped) <= set(range(len(p.rhs))) or len(set(d.skipped)) != len(d.skipped):
-        return "skip positions must be distinct positions of the production"
-    if any(p.rhs[k] not in memo(g, nullable_ids) for k in d.skipped):
-        return "may only skip nullable symbols"
-    matched = _atoms([sym for k, sym in enumerate(p.rhs) if k not in d.skipped])
-    q, m = d.pos, len(matched)
-    if not (0 <= q <= len(ante) - m and ante[q : q + m] == matched):
-        return "segment does not match the production"
-    return (Sequent(ante[:q] + (Atom(p.lhs),) + ante[q + m :], succ),)
+    # CUT, the one rule left
+    if len(node.premises) != 2:
+        return f"expects 2 premises, got {len(node.premises)}"
+    i, j = d.start, d.stop
+    if not 0 <= i <= j <= len(ante):
+        return "needs a valid segment"
+    chi = node.premises[0].conclusion.succedent
+    return (Sequent(ante[i:j], chi), Sequent(ante[:i] + (chi,) + ante[j:], succ))
 
 
 def check_proof(g: Grammar, t: ProofTree, axioms: Sequence[TypingAxiom] = ()) -> CheckResult:
@@ -556,6 +550,8 @@ def check_proof(g: Grammar, t: ProofTree, axioms: Sequence[TypingAxiom] = ()) ->
             return _reject(path, f"{name} takes no detail")
         if cls is not None and not isinstance(node.detail, cls):
             return _reject(path, f"{name} needs a {cls.__name__}")
+        if cls is not None and not all(_is_int(getattr(node.detail, f.name)) for f in fields(cls)):
+            return _reject(path, f"{name} needs integers in its {cls.__name__}")
         want = _replay(g, axioms, node)
         if isinstance(want, str):
             return _reject(path, f"{name} {want}")
@@ -566,51 +562,6 @@ def check_proof(g: Grammar, t: ProofTree, axioms: Sequence[TypingAxiom] = ()) ->
                 return _reject(path, f"{name} premise {k} does not conclude its replayed sequent")
         stack.extend((prems[k], path + (k,)) for k in range(len(prems) - 1, -1, -1))
     return CheckResult(True)
-
-
-def _empty_word_proof(g: Grammar, a: Symbol, cache: dict[Symbol, ProofTree]) -> ProofTree:
-    """A pure GRAM/CUT proof of  ⊢ A  for nullable A."""
-    if a in cache:
-        return cache[a]
-    pid = memo(g, nullable_ids)[a]
-    p = g.productions[pid]
-    tree = ProofTree(Sequent(_atoms(p.rhs), Atom(a)), RuleName.GRAM, (), GramDetail(pid))
-    ante = list(p.rhs)
-    for i in range(len(ante) - 1, -1, -1):
-        sub = _empty_word_proof(g, ante[i], cache)
-        rest = ante[:i] + ante[i + 1 :]
-        tree = ProofTree(
-            Sequent(_atoms(rest), Atom(a)), RuleName.CUT, (sub, tree), CutDetail(i, i)
-        )
-        ante = rest
-    cache[a] = tree
-    return tree
-
-
-def expand_contract(g: Grammar, node: ProofTree) -> ProofTree:
-    """Rewrite a CONTRACT node into the CUT/GRAM composite it abbreviates."""
-    if node.rule is not RuleName.CONTRACT:
-        raise ValueError("not a CONTRACT node")
-    d = node.detail
-    p = g.productions[d.production]
-    matched = [sym for k, sym in enumerate(p.rhs) if k not in d.skipped]
-    cache: dict[Symbol, ProofTree] = {}
-    seg_proof = ProofTree(
-        Sequent(_atoms(p.rhs), Atom(p.lhs)), RuleName.GRAM, (), GramDetail(d.production)
-    )
-    ante = list(p.rhs)
-    for k in sorted(d.skipped, reverse=True):
-        sub = _empty_word_proof(g, p.rhs[k], cache)
-        ante.pop(k)
-        seg_proof = ProofTree(
-            Sequent(_atoms(ante), Atom(p.lhs)), RuleName.CUT, (sub, seg_proof), CutDetail(k, k)
-        )
-    return ProofTree(
-        node.conclusion,
-        RuleName.CUT,
-        (seg_proof, node.premises[0]),
-        CutDetail(d.pos, d.pos + len(matched)),
-    )
 
 
 class Side(enum.Enum):
@@ -686,12 +637,7 @@ def dni(t: ProofTree, psi: LambekType, side: Side) -> ProofTree:
 def _detail_to_json(detail: Detail) -> dict | None:
     if detail is None:
         return None
-    out = {f.name: getattr(detail, f.name) for f in fields(detail)}
-    return {k: list(v) if isinstance(v, tuple) else v for k, v in out.items()}
-
-
-def _is_int(v: object) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
+    return {f.name: getattr(detail, f.name) for f in fields(detail)}
 
 
 def _detail_from_json(rule: RuleName, obj: object) -> Detail:
@@ -705,11 +651,7 @@ def _detail_from_json(rule: RuleName, obj: object) -> Detail:
     args = []
     for f in fields(cls):
         v = obj.get(f.name)
-        if f.name == "skipped":
-            if not (isinstance(v, list) and all(map(_is_int, v))):
-                raise ValueError(f"rule {rule.value} needs a list of integers as {f.name!r}")
-            v = tuple(v)
-        elif not _is_int(v):
+        if not _is_int(v):
             raise ValueError(f"rule {rule.value} needs an integer as {f.name!r}")
         args.append(v)
     return cls(*args)

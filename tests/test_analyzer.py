@@ -23,7 +23,7 @@ from lambek.earley import recognize, render_tree_text
 from lambek.grammar import memo, nullable_ids, parse_grammar_file, word_from_text
 from lambek.prover import Prover, Side, check_proof
 from lambek.semantics import OraclePass, SemBound, member_bounded, soundness_check
-from lambek.types import Atom, Over, Sequent, Under, mirror_type, parse_type, render_type
+from lambek.types import Atom, Over, Sequent, Under, mirror_type, parse_type, render_sequent, render_type
 from test_prover import _unless_tree_walk_blows_up, assert_capture_shape, cyclic_grammars, ignore_swallowed_alarms
 
 
@@ -344,6 +344,22 @@ def test_capture_proofs_are_composed_from_flat_premises(bool_g, tmpl, mirrored, 
             assert c.proof.conclusion == Sequent(tuple(map(Atom, word_from_text(bool_g, text))), c.type)
     assert asked
     assert all(isinstance(t, Atom) for s in asked for t in (*s.antecedent, s.succedent)), asked
+
+
+def test_capture_typings_asks_no_sequent_twice(bool_g, tmpl, mirrored, monkeypatch):
+    """The hole's share of a split is proved once, when the split is read."""
+    asked = []
+    prove = Prover.prove
+
+    def spy(self, s):
+        asked.append(s)
+        return prove(self, s)
+
+    monkeypatch.setattr(Prover, "prove", spy)
+    for ctx, text in ((tmpl, "b OR 1 = 1"), (mirrored, "1 = 1 OR b")):
+        asked.clear()
+        assert capture_typings(bool_g, ctx, word_from_text(bool_g, text))
+        assert len(asked) == len(set(asked)), [render_sequent(s) for s in asked]
 
 
 # the benchmark's templates: a value hole at either end, a value hole inside

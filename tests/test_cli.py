@@ -29,7 +29,7 @@ def test_check_tree_output_is_deterministic():
     assert first == second
     code, out, _ = first
     assert code == 0
-    assert "a , = , b |- T   [CONTRACT]" in out
+    assert "a , = , b |- T   [CUT]" in out
 
 
 def test_check_refuted_by_oracle():

@@ -20,7 +20,6 @@ from lambek.grammar import (
 )
 from lambek.prover import (
     AxiomDetail,
-    ContractDetail,
     CutDetail,
     GramDetail,
     OverLDetail,
@@ -37,7 +36,6 @@ from lambek.prover import (
     dni,
     elim_over,
     elim_under,
-    expand_contract,
     parse_axiom,
     proof_from_json,
     proof_to_json,
@@ -123,7 +121,7 @@ def test_search_is_deterministic(bool_g):
 def test_render_proof_text(bool_g, prover):
     r = prover.prove(parse_sequent("a , = , b |- T", bool_g))
     lines = render_proof(r.proof).splitlines()
-    assert lines[0] == "a , = , b |- T   [CONTRACT]"
+    assert lines[0] == "a , = , b |- T   [CUT]"
     # premises indent two spaces per level and carry their rule tag
     assert all("   [" in ln for ln in lines)
     assert any(ln.startswith("  ") for ln in lines[1:])
@@ -136,42 +134,15 @@ def test_proof_json_round_trip(bool_g, prover):
 
 
 def test_flagship_proof_skips_nullable_tail(bool_g, prover):
-    """The E-derivation folds F ::= OR C F with its trailing F skipped."""
+    """The E-derivation folds F ::= OR C F with its trailing F skipped: the
+    fold cuts a proof of  |- F  into the production's GRAM axiom."""
     r = prover.prove(parse_sequent("a , = , b , OR , 1 , = , 1 |- E", bool_g))
-
-    def contracts(t):
-        if t.rule is RuleName.CONTRACT:
-            yield t.detail
-        for p in t.premises:
-            yield from contracts(p)
-
-    details = list(contracts(r.proof))
-    assert details
-    assert any(d.skipped for d in details)
-    for d in details:
-        prod = bool_g.productions[d.production]
-        assert len(d.skipped) < len(prod.rhs)  # every fold here consumes tokens
-
-
-def test_expand_contract(bool_g, prover):
-    r = prover.prove(parse_sequent("a , = , b |- T", bool_g))
-
-    def expand_all(t):
-        t = dataclasses.replace(t, premises=tuple(expand_all(p) for p in t.premises))
-        return expand_contract(bool_g, t) if t.rule is RuleName.CONTRACT else t
-
-    def rules(t):
-        yield t.rule
-        for p in t.premises:
-            yield from rules(p)
-
-    assert RuleName.CONTRACT in rules(r.proof)
-    plain = expand_all(r.proof)
-    assert RuleName.CONTRACT not in rules(plain)
-    assert plain.conclusion == r.proof.conclusion
-    assert check_proof(bool_g, plain).ok
-    with pytest.raises(ValueError, match="CONTRACT"):
-        expand_contract(bool_g, _find(r.proof, RuleName.GRAM))
+    assert check_proof(bool_g, r.proof).ok
+    empty_f = Sequent((), Atom(bool_g.symbol("F")))
+    assert any(
+        t.rule is RuleName.CUT and t.detail.start == t.detail.stop and t.premises[0].conclusion == empty_f
+        for t, _ in _preorder(r.proof)
+    )
 
 
 def test_empty_folds():
@@ -258,7 +229,7 @@ def test_check_rejects_wrong_production_index(bool_g, prover):
 
 def test_check_rejects_dropped_premise(bool_g, prover):
     r = prover.prove(parse_sequent("a , = , b |- T", bool_g))
-    node = _find(r.proof, RuleName.CONTRACT)
+    node = _find(r.proof, RuleName.CUT)
     bad = _replace_node(r.proof, node, dataclasses.replace(node, premises=()))
     res = check_proof(bool_g, bad)
     assert not res.ok and "premises" in res.reason
@@ -269,16 +240,17 @@ def test_check_rejects_non_nullable_skip(bool_g):
         i for i, p in enumerate(bool_g.productions)
         if p.lhs.name == "T" and len(p.rhs) == 3
     )
-    v, t = Atom(bool_g.symbol("V")), Atom(bool_g.symbol("T"))
-    # pretend T ::= V = V matched with the "=" skipped
+    t = Atom(bool_g.symbol("T"))
+    # pretend T, which is not nullable, is skipped: an empty segment cut
+    # against a GRAM leaf that claims |- T by T ::= V = V
     bad = ProofTree(
-        Sequent((v, v), t),
-        RuleName.CONTRACT,
-        (ProofTree(Sequent((t,), t), RuleName.AX, ()),),
-        ContractDetail(six, 0, (1,)),
+        Sequent((), t),
+        RuleName.CUT,
+        (ProofTree(Sequent((), t), RuleName.GRAM, (), GramDetail(six)), ProofTree(Sequent((t,), t), RuleName.AX, ())),
+        CutDetail(0, 0),
     )
     res = check_proof(bool_g, bad)
-    assert not res.ok and "nullable" in res.reason
+    assert not res.ok and res.path == (0,) and "GRAM" in res.reason and "production" in res.reason
 
 
 def test_check_rejects_cut_segment_mismatch(bool_g, prover):
@@ -318,7 +290,7 @@ def _replace_at(t, path, new):
 
 
 def _proof_holding(g, prover, rule):
-    """A proof from the search, a tactic or expand_contract that uses rule."""
+    """A proof from the search or a tactic that uses rule."""
     def proof(text):
         return prover.prove(parse_sequent(text, g)).proof
 
@@ -326,15 +298,14 @@ def _proof_holding(g, prover, rule):
         return elim_under(proof("a , = |- T/V"), proof("b , OR , 1 , = , 1 |- (T/V)\\E"))
     if rule is RuleName.OVER_L:
         return elim_over(proof("a , = |- T/V"), proof("b |- V"))
-    if rule is RuleName.CUT:
-        return expand_contract(g, proof("a , = , b |- T"))
     text = {
+        RuleName.GRAM: "b |- V",
         RuleName.EPS_L: "(1) , b |- V",
         RuleName.PROD_L: "(a*=) , b |- T",
         RuleName.UNDER_R: "b , OR , 1 , = , 1 |- (T/V)\\E",
         RuleName.OVER_R: "a , = |- T/V",
         RuleName.PROD_R: "b , b |- V*V",
-        RuleName.CONTRACT: "a , = , b |- T",
+        RuleName.CUT: "a , = , b |- T",
     }[rule]
     return proof(text)
 
@@ -350,7 +321,6 @@ def _proof_holding(g, prover, rule):
         RuleName.UNDER_L,
         RuleName.OVER_L,
         RuleName.CUT,
-        RuleName.CONTRACT,
     ],
 )
 def test_check_replays_every_premise(bool_g, prover, rule):
@@ -384,7 +354,6 @@ def test_check_rejects_a_detail_of_the_wrong_class(bool_g, prover):
         UnderLDetail(0, 0),
         OverLDetail(0, 1),
         CutDetail(0, 0),
-        ContractDetail(0, 0, ()),
     ],
 )
 def test_check_rejects_a_detail_on_ax(bool_g, prover, detail):
@@ -392,6 +361,49 @@ def test_check_rejects_a_detail_on_ax(bool_g, prover, detail):
     node, path = next((n, p) for n, p in _preorder(proof) if n.rule is RuleName.AX)
     res = check_proof(bool_g, _replace_at(proof, path, dataclasses.replace(node, detail=detail)))
     assert not res.ok and res.path == path and res.reason == "AX takes no detail"
+
+
+@pytest.mark.parametrize(
+    "rule",
+    [
+        RuleName.GRAM,
+        RuleName.AXIOM,
+        RuleName.EPS_L,
+        RuleName.PROD_L,
+        RuleName.PROD_R,
+        RuleName.UNDER_L,
+        RuleName.OVER_L,
+        RuleName.CUT,
+    ],
+)
+def test_check_rejects_a_detail_that_is_not_integers(bool_g, prover, rule):
+    """A detail field that is not an integer is a rejection at its node, not a crash."""
+    if rule is RuleName.AXIOM:
+        g, axioms = ENG_G, ENG_AXIOMS
+        proof = Prover(g, axioms).prove(parse_sequent("he , knows , Alice |- Sent", g)).proof
+    else:
+        g, axioms = bool_g, ()
+        proof = _proof_holding(g, prover, rule)
+    assert check_proof(g, proof, axioms).ok
+    node, path = next((n, p) for n, p in _preorder(proof) if n.rule is rule)
+    for f in dataclasses.fields(node.detail):
+        for value in ("0", 1.0, True, None):
+            bad = dataclasses.replace(node, detail=dataclasses.replace(node.detail, **{f.name: value}))
+            res = check_proof(g, _replace_at(proof, path, bad), axioms)
+            assert not res.ok and res.path == path, (f.name, value, res)
+            assert rule.value in res.reason and "integers" in res.reason
+
+
+def test_checker_reads_no_derived_table(load_bundled):
+    """Replaying a proof reads the grammar's productions alone, never a table derived from them."""
+    g = load_bundled("bool.g")
+    # the proof skips the nullable F (see test_flagship_proof_skips_nullable_tail)
+    s = parse_sequent("a , = , b , OR , 1 , = , 1 |- E", g)
+    obj = proof_to_json(Prover(load_bundled("bool.g")).prove(s).proof)
+    proof = proof_from_json(obj, g)
+    before = dict(g._memo)
+    assert check_proof(g, proof).ok
+    assert g._memo == before
 
 
 @pytest.mark.parametrize("kept", [0, 1])

@@ -1,4 +1,4 @@
-"""The README's command-line tour, run command by command.
+"""The README's command-line tour, run command by command, and its names.
 
 Every `$ lambek ...` line of the README's `text` blocks runs through the CLI,
 with lines ending in a backslash joined, and its stdout must be the lines
@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import lambek
 from lambek.cli import run
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -32,6 +33,17 @@ def _tour() -> list[tuple[str, list[str]]]:
 
 
 TOUR = _tour()
+
+
+def test_readme_names_are_exported():
+    """Every name the README calls like a function, and every entry point it
+    lists, is importable from lambek."""
+    text = README.read_text(encoding="utf-8")
+    called = set(re.findall(r"`([A-Za-z_]\w*)\(", text))
+    (entry,) = re.findall(r"^Other entry points:.*?(?=\n\n)", text, re.M | re.S)
+    listed = set(re.findall(r"`([A-Za-z_]\w*)`", entry))
+    assert called and len(listed) >= 10
+    assert sorted(n for n in called | listed if not hasattr(lambek, n)) == []
 
 
 def test_the_tour_is_found():
