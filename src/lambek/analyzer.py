@@ -21,10 +21,12 @@ the prefix to a full expression.
 
 The capture candidates are read off the grammar at the hole's splits of the
 input: a left capture  (ψ/expected)\\π  exists where expected derives a
-prefix w[:k] of the input and π derives ψ w[k:], so one Earley chart per
-(k, ψ) names every π at once; right captures do the same on suffixes.  Each
-capture is then composed from its split: the prover proves only the two flat
-premises, and the capture tactic builds the rest (see capture_typings).
+prefix w[:k] of the input and π derives ψ w[k:].  One all-goals Earley chart
+per side, continued at each split by each ψ, names every π of every split;
+right captures do the same on suffixes.  Each capture is then composed from
+its split: the prover proves only the two flat premises, the hole's share
+only where a capture uses it, and the capture tactic builds the rest (see
+capture_typings).
 
 The reshaping check is the parse-tree view of the same phenomenon: splice
 the input, parse, and see whether the result still contains the template's
@@ -39,10 +41,11 @@ from itertools import product
 from typing import Sequence
 
 from .earley import (
-    Ambiguous, ParseTree, Reject, derivers, parse_tree, prefix_ends, recognize, suffix_starts, tree_to_json
+    Ambiguous, ParseTree, Reject, goals_after_prefix, goals_before_suffix, parse_tree, prefix_ends, recognize,
+    suffix_starts, tree_to_json,
 )
 from .grammar import Grammar, Symbol, Word, memo, render_word, require_word
-from .prover import ProofTree, Prover, Side, capture, proof_to_json
+from .prover import ProofTree, Prover, SearchResult, Side, capture, proof_to_json
 from .types import Atom, LambekType, Sequent, render_type, type_universe
 
 
@@ -228,36 +231,45 @@ def capture_typings(g: Grammar, ctx: InjectionContext, w: Word) -> tuple[Capture
 
     The candidates are read off the grammar, exactly.  A left capture
     w ⊢ (ψ/V)\\π  splits w where V derives w[:k] (prefix_ends) and π
-    derives the continuation ψ w[k:]; one all-goals chart per (k, ψ) names
-    every such π (derivers).  A right capture  w ⊢ π/(V\\ψ)  splits w where
-    V derives w[j:] (suffix_starts) and π derives w[:j] ψ.  The prover proves
-    the hole's share once per split that has a π and, at the smallest such k
-    or j, the continuation; capture composes the two.  Captures come in the
-    order ψ, π, Left before Right.
+    derives the continuation ψ w[k:] (goals_before_suffix).  A right capture
+    w ⊢ π/(V\\ψ)  splits w where V derives w[j:] (suffix_starts) and π
+    derives w[:j] ψ (goals_after_prefix).  Each side that has a split builds
+    one all-goals chart and continues it at every split by each ψ.  The
+    prover proves, at the smallest such k or j, the continuation and the
+    hole's share; a share is proved once, and only at a split that a capture
+    uses.  capture composes the two.  Captures come in the order ψ, π, Left
+    before Right.
     """
     _require_context(g, ctx)
     require_word(g, w)
     nts = sorted(g.nonterminals, key=lambda s: s.name)
     pr = Prover(g)
 
-    def split(share: Word, before: Word, after: Word):
-        # the π per ψ around the rest of w, and the proof of the hole's share
-        # of w, asked once and only when some π is found
-        pis = {psi: derivers(g, before + (psi,) + after) for psi in nts}
-        arg = pr.prove(Sequent(tuple(map(Atom, share)), Atom(ctx.expected))) if any(pis.values()) else None
-        return arg, before, after, pis
+    # per split, the π that derive its continuation, per ψ
+    left: list[tuple[int, dict[Symbol, frozenset[Symbol]]]] = []
+    right: list[tuple[int, dict[Symbol, frozenset[Symbol]]]] = []
+    ks = prefix_ends(g, ctx.expected, w) if ctx.prefix else []
+    if ks:
+        read = goals_before_suffix(g, w)
+        left = [(k, {psi: read(k, psi) for psi in nts}) for k in ks]
+    js = suffix_starts(g, ctx.expected, w) if ctx.suffix else []
+    if js:
+        read = goals_after_prefix(g, w)
+        right = [(j, {psi: read(j, psi) for psi in nts}) for j in js]
 
-    left = [split(w[:k], (), w[k:]) for k in prefix_ends(g, ctx.expected, w)] if ctx.prefix else []
-    right = [split(w[j:], w[:j], ()) for j in suffix_starts(g, ctx.expected, w)] if ctx.suffix else []
-
+    shares: dict[Word, SearchResult] = {}  # the hole's share, proved where a capture uses it
     found: list[CaptureTyping] = []
     for psi in nts:
         for pi in nts:
-            for side, splits in ((Side.LEFT, left), (Side.RIGHT, right)):
-                for arg, before, after, pis in splits:
+            for side, cuts in ((Side.LEFT, left), (Side.RIGHT, right)):
+                for c, pis in cuts:
                     if pi not in pis[psi]:
                         continue
-                    cont = pr.prove(Sequent(tuple(map(Atom, before + (psi,) + after)), Atom(pi)))
+                    share, rest = (w[:c], (psi,) + w[c:]) if side is Side.LEFT else (w[c:], w[:c] + (psi,))
+                    if share not in shares:
+                        shares[share] = pr.prove(Sequent(tuple(map(Atom, share)), Atom(ctx.expected)))
+                    arg = shares[share]
+                    cont = pr.prove(Sequent(tuple(map(Atom, rest)), Atom(pi)))
                     if arg.proved and cont.proved:
                         proof = capture(arg.proof, cont.proof, side)
                         found.append(CaptureTyping(side, proof.conclusion.succedent, proof))

@@ -9,14 +9,20 @@ recursion in one step, so recognition is linear on such grammars.  Tree
 extraction walks an index of the completed spans, (symbol, start) -> ends,
 top-down; derivations that pass through the same (symbol, span) pair more
 than twice on one path are not enumerated, which only suppresses pumped
-unit-cycle variants of trees that are already reported.  One chart that
-predicts every nonterminal at column 0 names all the nonterminals that
-derive the input at once (derivers).
+unit-cycle variants of trees that are already reported.
+
+Column j of a chart depends only on the first j input symbols (Earley
+1970), so a closed chart can be continued at any column by one more
+symbol without touching the rest.  One chart that predicts every
+nonterminal at column 0, continued at j by x, names all the nonterminals
+that derive w[:j] x; on the mirror grammar over reversed w it names those
+that derive x w[k:] (goals_after_prefix, goals_before_suffix).  So one
+chart per side answers every split of w.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .grammar import (
     Grammar,
@@ -99,7 +105,7 @@ def _dotted_rules(
     chart seeds S' → •a as a waiter on the goal a, so one rule serves every
     goal.  Before them come the rules _ALL → X, one per nonterminal X, which
     ``predict[_ALL]`` holds at dot 0: a chart from _ALL predicts every
-    nonterminal at column 0 (see derivers).
+    nonterminal at column 0 (see goals_after_prefix).
     """
     nxt: list[Symbol | None] = []
     lhs: list[Symbol | None] = []
@@ -125,11 +131,11 @@ def _dotted_rules(
 # an Earley item: (dotted rule, origin column)
 Item = tuple[int, int]
 # the columns of items; per column, the items waiting on each symbol; and
-# the memo of _leo_top, None until a completion looks for a Leo path
+# the memo of _leo_top
 _Chart = tuple[
     list[list[Item]],
     list[dict[Symbol, list[Item]]],
-    dict[tuple[Symbol, int], Item | None] | None,
+    dict[tuple[Symbol, int], Item | None],
 ]
 
 
@@ -170,24 +176,32 @@ def _leo_top(
     return top
 
 
-def _chart(g: Grammar, a: Symbol, w: Word) -> _Chart:
-    """Earley chart of sentential form w from a.
+def _run(
+    tables: tuple,
+    columns: list[list[Item]],
+    waits: list[dict[Symbol, list[Item]]],
+    leo: dict[tuple[Symbol, int], Item | None],
+    col: list[Item],
+    wait: dict[Symbol, list[Item]],
+    i: int,
+    w: Word,
+) -> None:
+    """Close column i, then scan each symbol of w[i:] into a new column and close it.
 
-    Items waiting on a symbol are indexed by it, so a completion reads only
-    its waiters and a scan reads only the items waiting on the next input
-    symbol, terminal or nonterminal alike.  A completion with origin o < i
-    whose path is deterministic adds the path's top item at once, which
-    keeps right recursion linear.  ε-completions (origin i) are remembered
-    per column, so a waiter that arrives after them still advances (Aycock &
-    Horspool 2002).
+    col holds column i's kernel and wait its (empty) waiters; each new column
+    is appended to columns and waits.  Items waiting on a symbol are indexed
+    by it, so a completion reads only its waiters and a scan reads only the
+    items waiting on the next input symbol, terminal or nonterminal alike.  A
+    completion with origin o < i whose path is deterministic adds the path's
+    top item at once, which keeps right recursion linear.  ε-completions
+    (origin i) are remembered per column, so a waiter that arrives after them
+    still advances (Aycock & Horspool 2002).  Closing column i reads only the
+    columns before it from waits, and only their paths enter the Leo memo
+    leo, so a closed chart and its memo serve any column continued from it.
     """
-    nxt, lhs, predict, goal = memo(g, _dotted_rules)
+    nxt, lhs, predict, _ = tables
     n = len(w)
-    col: list[Item] = [(r, 0) for r in predict.get(a, ())]
-    wait: dict[Symbol, list[Item]] = {a: [(goal, 0)]}
-    columns, waits = [col], [wait]
-    leo: dict[tuple[Symbol, int], Item | None] | None = None
-    for i in range(n + 1):
+    while True:
         seen = set(col)
         done: set[Symbol] | None = None  # symbols completed empty at i
         for item in col:  # the column grows while it is read
@@ -205,8 +219,6 @@ def _chart(g: Grammar, a: Symbol, w: Word) -> _Chart:
                     ws = waits[o].get(x)
                     # one waiter, which x completes: a deterministic path starts
                     if ws is not None and len(ws) == 1 and nxt[ws[0][0] + 1] is None:
-                        if leo is None:
-                            leo = {}
                         top = _leo_top(leo, waits, nxt, lhs, x, o)
                         if top is not None:
                             if top not in seen:
@@ -231,12 +243,23 @@ def _chart(g: Grammar, a: Symbol, w: Word) -> _Chart:
                 if adv not in seen:
                     seen.add(adv)
                     col.append(adv)
-        if i < n:
-            ws = wait.get(w[i])
-            col = [(r + 1, o) for r, o in ws] if ws else []
-            wait = {}
-            columns.append(col)
-            waits.append(wait)
+        if i >= n:
+            return
+        ws = wait.get(w[i])
+        col = [(r + 1, o) for r, o in ws] if ws else []
+        wait = {}
+        columns.append(col)
+        waits.append(wait)
+        i += 1
+
+
+def _chart(g: Grammar, a: Symbol, w: Word) -> _Chart:
+    """Earley chart of sentential form w from a."""
+    tables = memo(g, _dotted_rules)
+    col: list[Item] = [(r, 0) for r in tables[2].get(a, ())]
+    wait: dict[Symbol, list[Item]] = {a: [(tables[3], 0)]}
+    columns, waits, leo = [col], [wait], {}
+    _run(tables, columns, waits, leo, col, wait, 0, w)
     return columns, waits, leo
 
 
@@ -271,15 +294,39 @@ def suffix_starts(g: Grammar, a: Symbol, w: Word) -> list[int]:
     return [len(w) - k for k in reversed(prefix_ends(memo(g, _mirror), a, w[::-1]))]
 
 
-def derivers(g: Grammar, w: Word) -> frozenset[Symbol]:
-    """The nonterminals that derive the sentential form w, off one chart.
+def goals_after_prefix(g: Grammar, w: Word) -> Callable[[int, Symbol], frozenset[Symbol]]:
+    """A reader of the nonterminals that derive w[:j] x, for every j and nonterminal x.
 
-    The chart starts from _ALL, which predicts every nonterminal at column
-    0, so X ⇒* w exactly when the span (X, 0, len(w)) completes; only the
-    last column's spans are read.
+    One chart over w starts from _ALL, which predicts every nonterminal at
+    column 0.  Column j depends only on w[:j], so continuing it by x reads
+    the answer for j: X ⇒* w[:j] x exactly when the span (X, 0, j + 1)
+    completes in the continued column.
     """
-    ends = _span_ends(g, w, _chart(g, _ALL, w), len(w))
-    return frozenset(x for x, o in ends if o == 0 and x is not _ALL)
+    chart = _chart(g, _ALL, w)
+    tables = memo(g, _dotted_rules)
+
+    def read(j: int, x: Symbol) -> frozenset[Symbol]:
+        # column j + 1 had the input held x at j; with no more input to scan,
+        # the chart keeps its columns
+        ws = chart[1][j].get(x)
+        col = [(r + 1, o) for r, o in ws] if ws else []
+        _run(tables, chart[0], chart[1], chart[2], col, {}, j + 1, ())
+        ends = {(x, j): [j + 1]}  # x spans itself
+        _column_spans(tables, chart, col, j + 1, ends)
+        return frozenset(y for y, o in ends if o == 0 and y is not _ALL)
+
+    return read
+
+
+def goals_before_suffix(g: Grammar, w: Word) -> Callable[[int, Symbol], frozenset[Symbol]]:
+    """A reader of the nonterminals that derive x w[k:], for every k and nonterminal x.
+
+    It reads goals_after_prefix of the mirror grammar over reversed w: X
+    derives x w[k:] when it derives there the prefix of length len(w) - k
+    followed by x.
+    """
+    read = goals_after_prefix(memo(g, _mirror), w[::-1])
+    return lambda k, x: read(len(w) - k, x)
 
 
 def _accepts(g: Grammar, chart: _Chart) -> bool:
@@ -288,45 +335,55 @@ def _accepts(g: Grammar, chart: _Chart) -> bool:
 
 
 def _span_ends(
-    g: Grammar, w: Word, chart: _Chart, first: int = 0
+    g: Grammar, w: Word, chart: _Chart
 ) -> dict[tuple[Symbol, int], list[int]]:
-    """(symbol, start) -> the ascending ends of its completed spans, from column first on.
+    """(symbol, start) -> the ascending ends of its completed spans.
 
-    Read off the columns in order, with each Leo path expanded for the spans
-    it skipped.  A nonterminal of the input spans itself.
+    Read off the columns in order.  A nonterminal of the input spans itself.
     """
-    nxt, lhs, _, _ = memo(g, _dotted_rules)
-    columns, waits, leo = chart
+    tables = memo(g, _dotted_rules)
     ends: dict[tuple[Symbol, int], list[int]] = {}
-    for j, col in enumerate(columns[first:], first):
+    for j, col in enumerate(chart[0]):
         if j and w[j - 1].kind is SymbolKind.NONTERMINAL:
             ends.setdefault((w[j - 1], j - 1), []).append(j)
-        for r, o in col:
-            if nxt[r] is not None or lhs[r] is None:
-                continue
-            key = (lhs[r], o)
+        _column_spans(tables, chart, col, j, ends)
+    return ends
+
+
+def _column_spans(
+    tables: tuple, chart: _Chart, col: list[Item], j: int, ends: dict[tuple[Symbol, int], list[int]]
+) -> None:
+    """Append j to the ends of every span that completes in column col at j.
+
+    Each Leo path is expanded for the spans it skipped.
+    """
+    nxt, lhs, _, _ = tables
+    _, waits, leo = chart
+    for r, o in col:
+        if nxt[r] is not None or lhs[r] is None:
+            continue
+        key = (lhs[r], o)
+        e = ends.get(key)
+        if e is None:
+            ends[key] = [j]
+        elif e[-1] != j:
+            e.append(j)
+        top = leo.get(key) if leo and o < j else None
+        while top is not None:
+            # the path from key completes its waiter's (lhs, origin) at j
+            r2, o2 = waits[key[1]][key[0]][0]
+            key = (lhs[r2], o2)
+            if key[0] is None:
+                break
             e = ends.get(key)
             if e is None:
                 ends[key] = [j]
             elif e[-1] != j:
                 e.append(j)
-            top = leo.get(key) if leo and o < j else None
-            while top is not None:
-                # the path from key completes its waiter's (lhs, origin) at j
-                r2, o2 = waits[key[1]][key[0]][0]
-                key = (lhs[r2], o2)
-                if key[0] is None:
-                    break
-                e = ends.get(key)
-                if e is None:
-                    ends[key] = [j]
-                elif e[-1] != j:
-                    e.append(j)
-                else:
-                    break  # the rest of this path is expanded already
-                if (r2 + 1, o2) == top:
-                    break
-    return ends
+            else:
+                break  # the rest of this path is expanded already
+            if (r2 + 1, o2) == top:
+                break
 
 
 def _trees(

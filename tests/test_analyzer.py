@@ -19,7 +19,8 @@ from lambek.analyzer import (
     infer_typings,
     reshaping_check,
 )
-from lambek.earley import recognize, render_tree_text
+from lambek import earley
+from lambek.earley import prefix_ends, recognize, render_tree_text
 from lambek.grammar import memo, nullable_ids, parse_grammar_file, word_from_text
 from lambek.prover import Prover, Side, check_proof
 from lambek.semantics import OraclePass, SemBound, member_bounded, soundness_check
@@ -375,6 +376,8 @@ INPUTS = (
     "", "b", "1 = a", "1 = a AND b = b",
     "b OR 1 = 1", "1 = 1 OR b", "b AND 1 = 1", "1 = 1 AND b", "b = 1 OR a = a",
     "b OR 1 = 1 OR a = b", "1 = 1 AND a = a AND b",
+    # more than one split for a C hole, so captures past the first split are checked
+    "1 = 1 AND 1 = 1 OR 1 = 1", "1 = 1 OR 1 = 1 AND b",
     "b b", "= b", "b = = a", "b AND", "AND OR b", "b = a =", "= 1 = b OR",
 )
 
@@ -426,3 +429,35 @@ def test_attack_ladder_search_does_not_grow_with_the_input(bool_g, tmpl, monkeyp
         captures.append([render_type(c.type) for c in r.captures])
     assert len(set(counts)) == 1, counts
     assert captures == [captures[0]] * 4 and len(captures[0]) == 2
+
+
+def test_many_split_search_does_not_grow_with_the_splits(bool_g, monkeypatch):
+    """A C hole splits  (1 = 1 AND)^k 1 = 1 OR 1 = 1  after every  1 = 1; the
+    search reads all k + 1 splits off one chart and proves only the shares
+    that a capture uses, so it asks as many proofs and builds as many charts
+    at every k."""
+    ctx = InjectionContext(word_from_text(bool_g, "a = 1 OR"), (), bool_g.symbol("E"), bool_g.symbol("C"))
+    proves, charts = [], []
+    prove, chart = Prover.prove, earley._chart
+
+    def counted_prove(self, s):
+        proves.append(s)
+        return prove(self, s)
+
+    def counted_chart(*args):
+        charts.append(args[1])
+        return chart(*args)
+
+    monkeypatch.setattr(Prover, "prove", counted_prove)
+    monkeypatch.setattr(earley, "_chart", counted_chart)
+    counts, captures = [], []
+    for k in (8, 16, 32, 64):
+        w = word_from_text(bool_g, "1 = 1 AND " * k + "1 = 1 OR 1 = 1")
+        assert len(prefix_ends(bool_g, ctx.expected, w)) == k + 1
+        proves.clear()
+        charts.clear()
+        found = capture_typings(bool_g, ctx, w)
+        counts.append((len(proves), len(charts)))
+        captures.append([(c.direction, render_type(c.type)) for c in found])
+    assert len(set(counts)) == 1, counts
+    assert captures == [[(Side.LEFT, "(C/C)\\E"), (Side.LEFT, "(T/C)\\E")]] * 4

@@ -12,7 +12,8 @@ from lambek.earley import (
     Unique,
     Witness,
     check_unambiguous,
-    derivers,
+    goals_after_prefix,
+    goals_before_suffix,
     internal_node,
     parse_tree,
     prefix_ends,
@@ -373,12 +374,18 @@ def test_internal_node_concatenates_yields(bool_g):
     assert node.label() == "V"
 
 
-def _assert_derivers(g, form):
-    """The all-goals chart names exactly the nonterminals that recognize the form."""
-    assert derivers(g, form) == {x for x in g.nonterminals if recognize(g, x, form)}, form
+def _assert_continued_columns(g, form):
+    """At every split and for every nonterminal ψ, the continued columns name
+    exactly the nonterminals that recognize w[:j] ψ and ψ w[k:]."""
+    nts = sorted(g.nonterminals, key=lambda s: s.name)
+    after, before = goals_after_prefix(g, form), goals_before_suffix(g, form)
+    for j in range(len(form) + 1):
+        for psi in nts:
+            assert after(j, psi) == {x for x in nts if recognize(g, x, form[:j] + (psi,))}, (form, j, psi)
+            assert before(j, psi) == {x for x in nts if recognize(g, x, (psi,) + form[j:])}, (form, j, psi)
 
 
-@settings(max_examples=300)
+@settings(max_examples=200)
 @given(
     cyclic_grammars(),
     st.one_of(
@@ -386,8 +393,8 @@ def _assert_derivers(g, form):
         st.builds(lambda k, tail: ["x"] * k + tail, st.integers(1, 5), st.lists(st.sampled_from(_SYMBOLS), max_size=2)),
     ),
 )
-def test_derivers_match_recognize(g, names):
-    _assert_derivers(g, tuple(g.symbol(n) for n in names))
+def test_continued_columns_match_recognize(g, names):
+    _assert_continued_columns(g, tuple(g.symbol(n) for n in names))
 
 
 @pytest.mark.parametrize(
@@ -395,18 +402,27 @@ def test_derivers_match_recognize(g, names):
     [NESTED_NULLABLE_CYCLES, "start S\nS ::= x S | A ;\nA ::= S y | ;\n"],
     ids=["nested_nullable_cycles", "right_recursion"],
 )
-def test_derivers_match_recognize_on_every_short_form(text):
+def test_continued_columns_match_recognize_on_every_short_form(text):
     g = parse_grammar_file(text)
     symbols = sorted(g.terminals | g.nonterminals, key=lambda s: s.name)
-    for n in range(5):
+    for n in range(4):
         for form in product(symbols, repeat=n):
-            _assert_derivers(g, form)
+            _assert_continued_columns(g, form)
 
 
-def test_derivers_on_long_chains(bool_g):
-    """Leo paths skip the completions of D and C; derivers reads them back."""
+def test_continued_columns_on_long_chains(bool_g):
+    """Leo paths skip the completions of D and C; the continued columns read them back."""
     chain = w(bool_g, "1 = a AND b = b OR a = 1 AND 1 = 1 AND a = a")
     for k in range(len(chain) + 1):
-        _assert_derivers(bool_g, chain[:k])
-        _assert_derivers(bool_g, chain[k:])
-        _assert_derivers(bool_g, (bool_g.symbol("T"),) + chain[k:])
+        _assert_continued_columns(bool_g, chain[k:])
+
+
+def test_continued_columns_leave_the_chart_as_it_was(bool_g):
+    """Reading every split twice, in either order, gives the same answers."""
+    chain = w(bool_g, "1 = a AND b = b OR a = 1")
+    nts = sorted(bool_g.nonterminals, key=lambda s: s.name)
+    for goals in (goals_after_prefix, goals_before_suffix):
+        read = goals(bool_g, chain)
+        splits = [(j, psi) for j in range(len(chain) + 1) for psi in nts]
+        first = [read(j, psi) for j, psi in splits]
+        assert [read(j, psi) for j, psi in reversed(splits)] == first[::-1]
