@@ -28,10 +28,15 @@ its split: the prover proves only the two flat premises, the hole's share
 only where a capture uses it, and the capture tactic builds the rest (see
 capture_typings).
 
-The reshaping check is the parse-tree view of the same phenomenon: splice
-the input, parse, and see whether the result still contains the template's
-tree with the hole filled (a conservative extension) or the input stole
-parts of the template into its own subtree (reshaped).
+The reshaping check is the parse-tree view of the same phenomenon, and the
+analyzer's first step: splice the input and parse once.  When that parse is
+unique, the input is benign exactly when one node of it, labelled with the
+hole's symbol, spans the input: the template's tree with that node's
+subtree plugged into the hole is then the parse (a conservative
+extension), and the subtree's fold chain proves  input ⊢ expected.
+Otherwise the input stole parts of the template into its own subtree
+(reshaped), or the spliced string does not parse at all.  Only then is the
+template itself parsed.
 """
 from __future__ import annotations
 
@@ -41,11 +46,11 @@ from itertools import product
 from typing import Sequence
 
 from .earley import (
-    Ambiguous, ParseTree, Reject, goals_after_prefix, goals_before_suffix, parse_tree, prefix_ends, recognize,
-    suffix_starts, tree_to_json,
+    Ambiguous, ParseTree, Reject, Unique, goals_after_prefix, goals_before_suffix, parse_tree, prefix_ends,
+    recognize, suffix_starts, tree_to_json,
 )
 from .grammar import Grammar, Symbol, Word, memo, render_word, require_word
-from .prover import ProofTree, Prover, SearchResult, Side, capture, proof_to_json
+from .prover import ProofTree, Prover, SearchResult, Side, capture, fold_chain, proof_to_json
 from .types import Atom, LambekType, Sequent, render_type, type_universe
 
 
@@ -120,26 +125,52 @@ def context_tree(g: Grammar, ctx: InjectionContext) -> ParseTree:
     return memo(g, _hole_parse, ctx)
 
 
+def _filler(tree: ParseTree, ctx: InjectionContext, n: int) -> ParseTree | None:
+    """The node of tree labelled ctx.expected that spans the input, of length n, if it is the only one.
+
+    The walk descends only into children whose span holds the input's.  In
+    a unique parse, two such nodes are empty nodes side by side at an empty
+    input; each is then the hole of a template parse of its own, so the
+    template is ambiguous.
+    """
+    lo, hi = len(ctx.prefix), len(ctx.prefix) + n
+    found: list[ParseTree] = []
+    stack = [(tree, 0)]
+    while stack:
+        node, i = stack.pop()
+        if i == lo and len(node.word) == n and node.root == ctx.expected:
+            found.append(node)
+        for c in node.children:
+            j = i + len(c.word)
+            if i <= lo and hi <= j:
+                stack.append((c, i))
+            i = j
+    return found[0] if len(found) == 1 else None
+
+
 def reshaping_check(g: Grammar, ctx: InjectionContext, w: Word) -> ReshapingResult:
-    ctx_tree = memo(g, _hole_parse, ctx)
+    """Does w fill the template's hole in the spliced string's unique parse?
+
+    ConservativeExtension when that parse has exactly one node labelled
+    ctx.expected spanning w: the node is the hole, so the parse is the
+    template's tree with w's tree plugged in, and the template is not
+    parsed at all.  Otherwise the template is parsed, which raises on a
+    broken or ambiguous template, and the answer is Unparseable when the
+    spliced string does not parse, AmbiguityError when it parses twice, and
+    Reshaped when it parses once.
+    """
+    _require_context(g, ctx)
     require_word(g, w)
     full = ctx.prefix + w + ctx.suffix
     out = parse_tree(g, ctx.goal, full)
+    if isinstance(out, Unique) and _filler(out.tree, ctx, len(w)) is not None:
+        return ConservativeExtension(out.tree)
+    ctx_tree = memo(g, _hole_parse, ctx)
     if isinstance(out, Reject):
         return Unparseable()
     if isinstance(out, Ambiguous):
         raise AmbiguityError(f"{render_word(full)!r} parses ambiguously")
-    # node for node, the combined tree must be the template's; the hole leaf
-    # stands for any node of its label, and the yields force that node to
-    # span exactly the input
-    stack = [(ctx_tree, out.tree)]
-    while stack:
-        t, c = stack.pop()
-        hole = t.production is None and t.root == ctx.expected
-        if t.label() != c.label() or (len(t.children) != len(c.children) and not hole):
-            return Reshaped(ctx_tree, out.tree)
-        stack.extend(zip(t.children, c.children))
-    return ConservativeExtension(out.tree)
+    return Reshaped(ctx_tree, out.tree)
 
 
 def hole_language(g: Grammar, ctx: InjectionContext, out_len: int) -> frozenset[Word]:
@@ -282,32 +313,37 @@ def classify_input(
     ctx: InjectionContext,
     w: Word,
 ) -> InjectionReport:
-    memo(g, _hole_parse, ctx)  # reject templates with no well-formed hole
-    require_word(g, w)
+    """Classify w in the template's hole: Benign, then Capturing, IllFormed, Unknown.
 
-    prover = Prover(g)
-    benign = prover.prove(Sequent(tuple(Atom(s) for s in w), Atom(ctx.expected)))
-    captures: tuple[CaptureTyping, ...] = ()
-    if not benign.proved:
-        captures = capture_typings(g, ctx, w)
+    The spliced string is parsed first (reshaping_check).  w is Benign
+    exactly when that parse is a ConservativeExtension, and its proof is the
+    fold chain of the node that fills the hole.  Only a w that is not Benign
+    has the template parsed and its captures searched; it is Capturing when
+    some capture types it, else IllFormed when the spliced string does not
+    parse, else Unknown.
+    """
     reshaping = reshaping_check(g, ctx, w)
-    combined_parses = not isinstance(reshaping, Unparseable)
-
-    if benign.proved:
+    benign_proof = None
+    captures: tuple[CaptureTyping, ...] = ()
+    if isinstance(reshaping, ConservativeExtension):
+        node = _filler(reshaping.tree, ctx, len(w))
+        benign_proof = fold_chain(g, Sequent(tuple(map(Atom, w)), Atom(ctx.expected)), node)
         cls = Classification.BENIGN
-    elif captures:
-        cls = Classification.CAPTURING
-    elif not combined_parses:
-        cls = Classification.ILL_FORMED
     else:
-        cls = Classification.UNKNOWN
+        captures = capture_typings(g, ctx, w)
+        if captures:
+            cls = Classification.CAPTURING
+        elif isinstance(reshaping, Unparseable):
+            cls = Classification.ILL_FORMED
+        else:
+            cls = Classification.UNKNOWN
 
     return InjectionReport(
         classification=cls,
         context=ctx,
         input=w,
-        benign_proof=benign.proof,
+        benign_proof=benign_proof,
         captures=captures,
-        combined_parses=combined_parses,
+        combined_parses=not isinstance(reshaping, Unparseable),
         reshaping=reshaping,
     )

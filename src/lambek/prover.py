@@ -228,7 +228,7 @@ def _segment_proof(g: Grammar, pid: int, skipped: tuple[int, ...]) -> ProofTree:
     return proof
 
 
-def _fold_chain(g: Grammar, s: Sequent, tree: ParseTree) -> ProofTree:
+def fold_chain(g: Grammar, s: Sequent, tree: ParseTree) -> ProofTree:
     """The proof of flat s that folds tree, a parse of its antecedent's symbols.
 
     Each node of a production of g folds once, bottom-up and left to right,
@@ -303,7 +303,7 @@ class Prover:
         outcome = parse_tree(self.g, goal, form)
         if isinstance(outcome, Reject):
             return None
-        return _fold_chain(self.g, s, outcome.first if isinstance(outcome, Ambiguous) else outcome.tree)
+        return fold_chain(self.g, s, outcome.first if isinstance(outcome, Ambiguous) else outcome.tree)
 
     def prove(self, s: Sequent) -> SearchResult:
         require_declared(self.g, s)

@@ -4,12 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lambek import analyzer
 from lambek.analyzer import (
     AmbiguityError,
     CaptureTyping,
     Classification,
     ConservativeExtension,
     InjectionContext,
+    InjectionReport,
     Reshaped,
     Unparseable,
     capture_typings,
@@ -20,9 +22,12 @@ from lambek.analyzer import (
     reshaping_check,
 )
 from lambek import earley
-from lambek.earley import prefix_ends, recognize, render_tree_text
-from lambek.grammar import memo, nullable_ids, parse_grammar_file, word_from_text
-from lambek.prover import Prover, Side, check_proof
+from lambek.earley import Ambiguous, Reject, parse_tree, prefix_ends, recognize, render_tree_text
+from lambek.grammar import (
+    Grammar, Production, enumerate_words, iter_words_sorted, memo, nonterminal, nullable_ids, parse_grammar_file,
+    require_word, terminal, word_from_text,
+)
+from lambek.prover import Prover, Side, check_proof, proof_to_json
 from lambek.semantics import OraclePass, SemBound, member_bounded, soundness_check
 from lambek.types import Atom, Over, Sequent, Under, mirror_type, parse_type, render_sequent, render_type
 from test_prover import _unless_tree_walk_blows_up, assert_capture_shape, cyclic_grammars, ignore_swallowed_alarms
@@ -95,6 +100,43 @@ def test_context_tree_rejects_broken_template(bool_g):
     )
     with pytest.raises(ValueError, match="does not parse"):
         context_tree(bool_g, bad)
+
+
+def test_broken_template_is_an_error_for_inputs_that_do_not_fill_it(bool_g):
+    """Only a benign input skips the template's parse, and no input is benign in a broken template."""
+    bad = InjectionContext(word_from_text(bool_g, "= ="), (), bool_g.symbol("E"), bool_g.symbol("V"))
+    for text in ("b", "b OR 1 = 1", "= b"):
+        with pytest.raises(ValueError, match="does not parse"):
+            classify_input(bool_g, bad, word_from_text(bool_g, text))
+    # the input is checked before the template is parsed
+    with pytest.raises(ValueError, match="not a terminal"):
+        classify_input(bool_g, bad, (bool_g.symbol("V"),))
+
+
+def test_benign_verdict_reads_one_parse(load_bundled, monkeypatch):
+    """At a template not seen before, a benign input builds the spliced
+    string's chart and nothing else: no template parse and no proof search."""
+    g = load_bundled("bool")
+    ctx = InjectionContext(word_from_text(g, "a = b OR"), (), g.symbol("E"), g.symbol("C"))
+    proves, charts = [], []
+    prove, chart = Prover.prove, earley._chart
+
+    def counted_prove(self, s):
+        proves.append(s)
+        return prove(self, s)
+
+    def counted_chart(*args):
+        charts.append(args[2])
+        return chart(*args)
+
+    monkeypatch.setattr(Prover, "prove", counted_prove)
+    monkeypatch.setattr(earley, "_chart", counted_chart)
+    rep = classify_input(g, ctx, word_from_text(g, "1 = 1 AND a = b"))
+    assert rep.classification is Classification.BENIGN
+    assert check_proof(g, rep.benign_proof).ok
+    assert charts == [word_from_text(g, "a = b OR 1 = 1 AND a = b")]
+    assert proves == []
+    assert (analyzer._hole_parse, ctx) not in g._memo
 
 
 def test_words_hold_only_terminals(bool_g, tmpl):
@@ -268,6 +310,16 @@ def test_ambiguous_template_is_an_error(ambiguous_g):
     x = word_from_text(g, "x")
     with pytest.raises(AmbiguityError):
         classify_input(g, InjectionContext(x, x, g.symbol("S"), g.symbol("S")), x)
+
+
+def test_empty_input_in_an_ambiguous_template_is_an_error():
+    """The empty spliced string parses once, with a V over the empty input on
+    either side; each is the hole of its own template parse."""
+    g = parse_grammar_file("start S\nS ::= V V ;\nV ::= | a ;\n")
+    ctx = InjectionContext((), (), g.symbol("S"), g.symbol("V"))
+    assert isinstance(parse_tree(g, ctx.goal, ()), earley.Unique)
+    with pytest.raises(AmbiguityError, match="template"):
+        classify_input(g, ctx, ())
 
 
 def test_report_json(bool_g, tmpl):
@@ -461,3 +513,116 @@ def test_many_split_search_does_not_grow_with_the_splits(bool_g, monkeypatch):
         captures.append([(c.direction, render_type(c.type)) for c in found])
     assert len(set(counts)) == 1, counts
     assert captures == [[(Side.LEFT, "(C/C)\\E"), (Side.LEFT, "(T/C)\\E")]] * 4
+
+
+def _classify_reference(g, ctx, w):
+    """classify_input as three parses: the template's, a prover's for w ⊢ V,
+    and the spliced string's, walked node for node against the template's
+    tree, whose hole leaf stands for any node of its label."""
+    ctx_tree = context_tree(g, ctx)
+    require_word(g, w)
+    benign = Prover(g).prove(Sequent(tuple(map(Atom, w)), Atom(ctx.expected)))
+    captures = () if benign.proved else capture_typings(g, ctx, w)
+    out = parse_tree(g, ctx.goal, ctx.prefix + w + ctx.suffix)
+    if isinstance(out, Reject):
+        reshaping = Unparseable()
+    elif isinstance(out, Ambiguous):
+        raise AmbiguityError("the spliced string parses ambiguously")
+    else:
+        reshaping = ConservativeExtension(out.tree)
+        stack = [(ctx_tree, out.tree)]
+        while stack:
+            t, c = stack.pop()
+            hole = t.production is None and t.root == ctx.expected
+            if t.label() != c.label() or (len(t.children) != len(c.children) and not hole):
+                reshaping = Reshaped(ctx_tree, out.tree)
+                break
+            stack.extend(zip(t.children, c.children))
+    if benign.proved:
+        cls = Classification.BENIGN
+    elif captures:
+        cls = Classification.CAPTURING
+    elif isinstance(reshaping, Unparseable):
+        cls = Classification.ILL_FORMED
+    else:
+        cls = Classification.UNKNOWN
+    return InjectionReport(cls, ctx, w, benign.proof, captures, not isinstance(reshaping, Unparseable), reshaping)
+
+
+def _assert_classify_matches_the_reference(g, ctx, w):
+    try:
+        ref = _classify_reference(g, ctx, w)
+    except ValueError as e:
+        with pytest.raises(type(e)) as raised:
+            classify_input(g, ctx, w)
+        assert type(raised.value) is type(e), (ctx, w)
+        return
+    rep = classify_input(g, ctx, w)
+    assert (rep.classification is Classification.BENIGN) == isinstance(rep.reshaping, ConservativeExtension)
+    assert rep.classification is ref.classification, (ctx, w)
+    assert rep.benign_proof == ref.benign_proof
+    if rep.benign_proof is not None:
+        assert proof_to_json(rep.benign_proof) == proof_to_json(ref.benign_proof)
+        assert check_proof(g, rep.benign_proof).ok
+    assert type(rep.reshaping) is type(ref.reshaping), (ctx, w)
+    assert rep.reshaping == ref.reshaping
+    assert rep.to_json(g) == ref.to_json(g)
+
+
+@pytest.mark.parametrize("name", sorted(TEMPLATES))
+def test_classify_matches_the_reference_on_the_templates(bool_g, name):
+    prefix, suffix, goal, expected = TEMPLATES[name]
+    ctx = InjectionContext(
+        word_from_text(bool_g, prefix), word_from_text(bool_g, suffix), bool_g.symbol(goal), bool_g.symbol(expected)
+    )
+    for text in INPUTS:
+        _assert_classify_matches_the_reference(bool_g, ctx, word_from_text(bool_g, text))
+
+
+@ignore_swallowed_alarms
+@settings(max_examples=150)
+@given(cyclic_grammars(), st.data())
+def test_classify_matches_the_reference_on_random_grammars(g, data):
+    """Benign read off the spliced parse agrees with the prover and the
+    template walk, and raises where they raise."""
+    words = st.lists(st.sampled_from(_by_name(g.terminals)), max_size=3).map(tuple)
+    holes = st.one_of(st.sampled_from(_by_name(memo(g, nullable_ids))), st.sampled_from(_by_name(g.nonterminals)))
+    hole = data.draw(holes)
+    ctx = InjectionContext(data.draw(words), data.draw(words), g.start, hole)
+    w = data.draw(st.one_of(st.just(()), words))
+    _unless_tree_walk_blows_up(_assert_classify_matches_the_reference, g, ctx, w)
+
+
+@st.composite
+def cut_sentences(draw):
+    """A random grammar, with no cycle forced in, and a template cut from a
+    parse of one of its words at a node: the node's symbol is the hole, and
+    the input is either the node's yield or any short word."""
+    nts = ["S", "A", "B", "C"]
+    terms = ["x", "y", "z"]
+    rhs = st.lists(st.sampled_from(nts + terms), max_size=3).map(tuple)
+    rules = set(draw(st.lists(st.tuples(st.sampled_from(nts), rhs), min_size=2, max_size=7))) | {("S", ("x",))}
+    sym = {n: nonterminal(n) for n in nts} | {t: terminal(t) for t in terms}
+    prods = tuple(Production(sym[lhs], tuple(sym[s] for s in body)) for lhs, body in sorted(rules))
+    g = Grammar(frozenset(sym[t] for t in terms), frozenset(sym[n] for n in nts), prods, sym["S"])
+    u = draw(st.sampled_from(list(iter_words_sorted(enumerate_words(g, g.start, 5)))))
+    out = parse_tree(g, g.start, u)
+    nodes, stack = [], [(out.first if isinstance(out, Ambiguous) else out.tree, 0)]
+    while stack:
+        node, i = stack.pop()
+        if node.production is not None:
+            nodes.append((i, i + len(node.word), node.root))
+        for c in node.children:
+            stack.append((c, i))
+            i += len(c.word)
+    i, j, hole = draw(st.sampled_from(nodes))
+    words = st.lists(st.sampled_from([sym[t] for t in terms]), max_size=3).map(tuple)
+    w = u[i:j] if draw(st.booleans()) else draw(words)
+    return g, InjectionContext(u[:i], u[j:], g.start, hole), w
+
+
+@ignore_swallowed_alarms
+@settings(max_examples=150)
+@given(cut_sentences())
+def test_classify_matches_the_reference_on_cut_sentences(cut):
+    _unless_tree_walk_blows_up(_assert_classify_matches_the_reference, *cut)

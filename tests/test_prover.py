@@ -1137,7 +1137,7 @@ NESTED_NULLABLE_CYCLES = "start S\nA ::= | B S | R R B | S B A ;\nB ::= | S ;\nR
 
 
 @ignore_swallowed_alarms
-@pytest.mark.xfail(raises=_TooSlow, strict=True, reason="parse_tree's tree walk is exponential here (ROADMAP item 1)")
+@pytest.mark.xfail(raises=_TooSlow, strict=True, reason="parse_tree's tree walk is exponential here (ROADMAP item 2)")
 def test_flat_proof_on_nested_nullable_cycles():
     """S derives S A B, but the walk that extracts its tree tries every pumped
     ε-subtree of the first children before it finds the last child dead."""
