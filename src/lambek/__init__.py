@@ -44,7 +44,6 @@ from .grammar import (
     iter_words_sorted,
     load_grammar,
     nonterminal,
-    nullable_set,
     parse_grammar_file,
     render_word,
     terminal,

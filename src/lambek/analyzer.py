@@ -21,12 +21,13 @@ the prefix to a full expression.
 
 The capture candidates are read off the grammar at the hole's splits of the
 input: a left capture  (ψ/expected)\\π  exists where expected derives a
-prefix w[:k] of the input and π derives ψ w[k:].  One all-goals Earley chart
-per side, continued at each split by each ψ, names every π of every split;
-right captures do the same on suffixes.  Each capture is then composed from
-its split: the prover proves only the two flat premises, the hole's share
-only where a capture uses it, and the capture tactic builds the rest (see
-capture_typings).
+prefix w[:k] of the input and π derives ψ w[k:].  One Earley chart from
+every nonterminal per side, continued at each split by each ψ, names every
+π of every split; right captures do the same on suffixes.  The charts
+decide both premises of a capture, so each capture is composed from its
+split without proof search: the two premises are fold chains, the hole's
+share only where a capture uses it, and the capture tactic builds the rest
+(see capture_typings).
 
 The reshaping check is the parse-tree view of the same phenomenon, and the
 analyzer's first step: splice the input and parse once.  When that parse is
@@ -45,12 +46,9 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Sequence
 
-from .earley import (
-    Ambiguous, ParseTree, Reject, Unique, goals_after_prefix, goals_before_suffix, parse_tree, prefix_ends,
-    recognize, suffix_starts, tree_to_json,
-)
+from .earley import Ambiguous, ParseTree, Reject, Splits, Unique, parse_tree, recognize, tree_to_json
 from .grammar import Grammar, Symbol, Word, memo, render_word, require_word
-from .prover import ProofTree, Prover, SearchResult, Side, capture, fold_chain, proof_to_json
+from .prover import ProofTree, Prover, Side, capture, flat_proof, fold_chain, proof_to_json
 from .types import Atom, LambekType, Sequent, render_type, type_universe
 
 
@@ -211,8 +209,12 @@ class InjectionReport:
     input: Word
     benign_proof: ProofTree | None
     captures: tuple[CaptureTyping, ...]
-    combined_parses: bool
     reshaping: ReshapingResult
+
+    @property
+    def combined_parses(self) -> bool:
+        """Does the spliced string parse as the goal?"""
+        return not isinstance(self.reshaping, Unparseable)
 
     def to_json(self, g: Grammar) -> dict:
         if isinstance(self.reshaping, ConservativeExtension):
@@ -261,34 +263,34 @@ def capture_typings(g: Grammar, ctx: InjectionContext, w: Word) -> tuple[Capture
     π range over the grammar's nonterminals.  Write V for the hole's symbol.
 
     The candidates are read off the grammar, exactly.  A left capture
-    w ⊢ (ψ/V)\\π  splits w where V derives w[:k] (prefix_ends) and π
-    derives the continuation ψ w[k:] (goals_before_suffix).  A right capture
-    w ⊢ π/(V\\ψ)  splits w where V derives w[j:] (suffix_starts) and π
-    derives w[:j] ψ (goals_after_prefix).  Each side that has a split builds
-    one all-goals chart and continues it at every split by each ψ.  The
-    prover proves, at the smallest such k or j, the continuation and the
-    hole's share; a share is proved once, and only at a split that a capture
-    uses.  capture composes the two.  Captures come in the order ψ, π, Left
-    before Right.
+    w ⊢ (ψ/V)\\π  splits w where V derives w[:k] and π derives the
+    continuation ψ w[k:].  A right capture  w ⊢ π/(V\\ψ)  splits w where V
+    derives w[j:] and π derives w[:j] ψ.  The ends of V come off a chart
+    from V; each side that has a split builds one chart from every
+    nonterminal and continues it at every split by each ψ (Splits).  Those
+    charts decide both premises, so at the smallest such k or j each is
+    the grammar's fold chain (flat_proof), the hole's share once and only
+    at a split that a capture uses, and capture composes the two.  Captures
+    come in the order ψ, π, Left before Right.
     """
     _require_context(g, ctx)
     require_word(g, w)
-    nts = sorted(g.nonterminals, key=lambda s: s.name)
-    pr = Prover(g)
+    nts = tuple(sorted(g.nonterminals, key=lambda s: s.name))
+    hole = ctx.expected
 
     # per split, the π that derive its continuation, per ψ
     left: list[tuple[int, dict[Symbol, frozenset[Symbol]]]] = []
     right: list[tuple[int, dict[Symbol, frozenset[Symbol]]]] = []
-    ks = prefix_ends(g, ctx.expected, w) if ctx.prefix else []
+    ks = Splits(g, w, (hole,)).ends(hole) if ctx.prefix else []
     if ks:
-        read = goals_before_suffix(g, w)
-        left = [(k, {psi: read(k, psi) for psi in nts}) for k in ks]
-    js = suffix_starts(g, ctx.expected, w) if ctx.suffix else []
+        cont = Splits(g, w, nts, suffix=True)
+        left = [(k, {psi: cont.goals(k, psi) for psi in nts}) for k in ks]
+    js = Splits(g, w, (hole,), suffix=True).ends(hole) if ctx.suffix else []
     if js:
-        read = goals_after_prefix(g, w)
-        right = [(j, {psi: read(j, psi) for psi in nts}) for j in js]
+        cont = Splits(g, w, nts)
+        right = [(j, {psi: cont.goals(j, psi) for psi in nts}) for j in js]
 
-    shares: dict[Word, SearchResult] = {}  # the hole's share, proved where a capture uses it
+    shares: dict[Word, ProofTree] = {}  # the hole's share, folded where a capture uses it
     found: list[CaptureTyping] = []
     for psi in nts:
         for pi in nts:
@@ -298,13 +300,10 @@ def capture_typings(g: Grammar, ctx: InjectionContext, w: Word) -> tuple[Capture
                         continue
                     share, rest = (w[:c], (psi,) + w[c:]) if side is Side.LEFT else (w[c:], w[:c] + (psi,))
                     if share not in shares:
-                        shares[share] = pr.prove(Sequent(tuple(map(Atom, share)), Atom(ctx.expected)))
-                    arg = shares[share]
-                    cont = pr.prove(Sequent(tuple(map(Atom, rest)), Atom(pi)))
-                    if arg.proved and cont.proved:
-                        proof = capture(arg.proof, cont.proof, side)
-                        found.append(CaptureTyping(side, proof.conclusion.succedent, proof))
-                        break
+                        shares[share] = flat_proof(g, Sequent(tuple(map(Atom, share)), Atom(hole)))
+                    proof = capture(shares[share], flat_proof(g, Sequent(tuple(map(Atom, rest)), Atom(pi))), side)
+                    found.append(CaptureTyping(side, proof.conclusion.succedent, proof))
+                    break
     return tuple(found)
 
 
@@ -344,6 +343,5 @@ def classify_input(
         input=w,
         benign_proof=benign_proof,
         captures=captures,
-        combined_parses=not isinstance(reshaping, Unparseable),
         reshaping=reshaping,
     )

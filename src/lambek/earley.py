@@ -11,18 +11,19 @@ top-down; derivations that pass through the same (symbol, span) pair more
 than twice on one path are not enumerated, which only suppresses pumped
 unit-cycle variants of trees that are already reported.
 
-Column j of a chart depends only on the first j input symbols (Earley
-1970), so a closed chart can be continued at any column by one more
-symbol without touching the rest.  One chart that predicts every
-nonterminal at column 0, continued at j by x, names all the nonterminals
-that derive w[:j] x; on the mirror grammar over reversed w it names those
-that derive x w[k:] (goals_after_prefix, goals_before_suffix).  So one
-chart per side answers every split of w.
+A chart predicts a tuple of start symbols at column 0.  Column j depends
+only on the first j input symbols (Earley 1970), so a closed chart can be
+continued at any column by one more symbol without touching the rest.
+Splits reads one chart: where a start derives a prefix of w, and, from a
+chart that starts every nonterminal, continued at j by x, all the
+nonterminals that derive w[:j] x.  On the mirror grammar over reversed w
+it answers the same for suffixes.  So one chart per side answers every
+split of w.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .grammar import (
     Grammar,
@@ -38,8 +39,6 @@ from .grammar import (
 )
 
 EPS_LABEL = "·eps"
-# the start of the all-goals chart; no grammar token holds a space
-_ALL = Symbol(SymbolKind.NONTERMINAL, "all goals")
 
 
 @dataclass(frozen=True)
@@ -102,10 +101,8 @@ def _dotted_rules(
     ``lhs[r]`` the production's left-hand side; ``predict[X]`` holds the
     rules of X's productions at dot 0, in grammar order.  The last two rules
     are the augmented start S' → •a and S' → a•: their lhs is None, and the
-    chart seeds S' → •a as a waiter on the goal a, so one rule serves every
-    goal.  Before them come the rules _ALL → X, one per nonterminal X, which
-    ``predict[_ALL]`` holds at dot 0: a chart from _ALL predicts every
-    nonterminal at column 0 (see goals_after_prefix).
+    chart seeds S' → •a as a waiter on each start a, so one rule serves
+    every start.
     """
     nxt: list[Symbol | None] = []
     lhs: list[Symbol | None] = []
@@ -116,12 +113,6 @@ def _dotted_rules(
         nxt.append(None)
         lhs.extend([p.lhs] * (len(p.rhs) + 1))
     predict = {x: tuple(first[p] for p in ids) for x, ids in memo(g, lhs_index).items()}
-    every = []
-    for x in sorted(g.nonterminals, key=lambda s: s.name):
-        every.append(len(nxt))
-        nxt += [x, None]
-        lhs += [_ALL, _ALL]
-    predict[_ALL] = tuple(every)
     goal = len(nxt)
     nxt += [None, None]
     lhs += [None, None]
@@ -253,11 +244,17 @@ def _run(
         i += 1
 
 
-def _chart(g: Grammar, a: Symbol, w: Word) -> _Chart:
-    """Earley chart of sentential form w from a."""
+def _chart(g: Grammar, starts: tuple[Symbol, ...], w: Word) -> _Chart:
+    """Earley chart of sentential form w from each of starts at once."""
     tables = memo(g, _dotted_rules)
-    col: list[Item] = [(r, 0) for r in tables[2].get(a, ())]
-    wait: dict[Symbol, list[Item]] = {a: [(tables[3], 0)]}
+    _, _, predict, goal = tables
+    col: list[Item] = []
+    wait: dict[Symbol, list[Item]] = {}
+    # a loop, not comprehensions: recognize's many short one-start charts
+    # pay for each comprehension's frame
+    for a in starts:
+        col += [(r, 0) for r in predict.get(a, ())]
+        wait[a] = [(goal, 0)]
     columns, waits, leo = [col], [wait], {}
     _run(tables, columns, waits, leo, col, wait, 0, w)
     return columns, waits, leo
@@ -265,17 +262,7 @@ def _chart(g: Grammar, a: Symbol, w: Word) -> _Chart:
 
 def recognize(g: Grammar, a: Symbol, w: Word) -> bool:
     """Exact recognition: does a derive the sentential form w?"""
-    return _accepts(g, _chart(g, a, w))
-
-
-def prefix_ends(g: Grammar, a: Symbol, w: Word) -> list[int]:
-    """The ascending k for which a derives the sentential form w[:k].
-
-    Read off one chart over w: column k holds the completed augmented start
-    S' → a• exactly then, and no Leo path skips it.
-    """
-    done = (memo(g, _dotted_rules)[3] + 1, 0)
-    return [k for k, col in enumerate(_chart(g, a, w)[0]) if done in col]
+    return _accepts(g, _chart(g, (a,), w))
 
 
 def _mirror(g: Grammar) -> Grammar:
@@ -284,49 +271,48 @@ def _mirror(g: Grammar) -> Grammar:
     return Grammar(g.terminals, g.nonterminals, reversed_rules, g.start)
 
 
-def suffix_starts(g: Grammar, a: Symbol, w: Word) -> list[int]:
-    """The ascending j for which a derives the sentential form w[j:].
+class Splits:
+    """The splits of sentential form w, read off one chart that predicts each of starts at column 0.
 
-    The mirror grammar derives exactly the reversals of g's sentential
-    forms, so one chart of it over reversed w reads the suffixes: a derives
-    w[j:] when it derives there the prefix of length len(w) - j.
+    Forward, the chart runs over w and reads its prefixes.  With suffix, it
+    is a chart of the mirror grammar over reversed w: the mirror grammar
+    derives exactly the reversals of g's sentential forms, so the same
+    chart reads the suffixes of w.  Positions index w either way.
     """
-    return [len(w) - k for k in reversed(prefix_ends(memo(g, _mirror), a, w[::-1]))]
 
+    def __init__(self, g: Grammar, w: Word, starts: tuple[Symbol, ...], suffix: bool = False):
+        self._g = memo(g, _mirror) if suffix else g
+        self._w = w[::-1] if suffix else w
+        self._suffix = suffix
+        self._chart = _chart(self._g, starts, self._w)
 
-def goals_after_prefix(g: Grammar, w: Word) -> Callable[[int, Symbol], frozenset[Symbol]]:
-    """A reader of the nonterminals that derive w[:j] x, for every j and nonterminal x.
+    def ends(self, x: Symbol) -> list[int]:
+        """The ascending k for which the start x derives w[:k], or with suffix w[k:].
 
-    One chart over w starts from _ALL, which predicts every nonterminal at
-    column 0.  Column j depends only on w[:j], so continuing it by x reads
-    the answer for j: X ⇒* w[:j] x exactly when the span (X, 0, j + 1)
-    completes in the continued column.
-    """
-    chart = _chart(g, _ALL, w)
-    tables = memo(g, _dotted_rules)
+        The spans (x, 0, k) are read with every Leo path expanded: a path
+        that completes x at origin 0 need not leave x's item in the column.
+        """
+        ks = _span_ends(self._g, self._w, self._chart).get((x, 0), [])
+        return [len(self._w) - k for k in reversed(ks)] if self._suffix else ks
 
-    def read(j: int, x: Symbol) -> frozenset[Symbol]:
-        # column j + 1 had the input held x at j; with no more input to scan,
-        # the chart keeps its columns
-        ws = chart[1][j].get(x)
+    def goals(self, j: int, x: Symbol) -> frozenset[Symbol]:
+        """The nonterminals that derive w[:j] x, or with suffix x w[j:]; all
+        of them when the chart starts from every nonterminal.
+
+        Column j depends only on w[:j], so continuing it by x reads the
+        answer for j: X ⇒* w[:j] x exactly when the span (X, 0, j + 1)
+        completes in the continued column.  The chart keeps its columns.
+        """
+        if self._suffix:
+            j = len(self._w) - j
+        tables = memo(self._g, _dotted_rules)
+        columns, waits, leo = self._chart
+        ws = waits[j].get(x)
         col = [(r + 1, o) for r, o in ws] if ws else []
-        _run(tables, chart[0], chart[1], chart[2], col, {}, j + 1, ())
+        _run(tables, columns, waits, leo, col, {}, j + 1, ())
         ends = {(x, j): [j + 1]}  # x spans itself
-        _column_spans(tables, chart, col, j + 1, ends)
-        return frozenset(y for y, o in ends if o == 0 and y is not _ALL)
-
-    return read
-
-
-def goals_before_suffix(g: Grammar, w: Word) -> Callable[[int, Symbol], frozenset[Symbol]]:
-    """A reader of the nonterminals that derive x w[k:], for every k and nonterminal x.
-
-    It reads goals_after_prefix of the mirror grammar over reversed w: X
-    derives x w[k:] when it derives there the prefix of length len(w) - k
-    followed by x.
-    """
-    read = goals_after_prefix(memo(g, _mirror), w[::-1])
-    return lambda k, x: read(len(w) - k, x)
+        _column_spans(tables, self._chart, col, j + 1, ends)
+        return frozenset(y for y, o in ends if o == 0)
 
 
 def _accepts(g: Grammar, chart: _Chart) -> bool:
@@ -451,7 +437,7 @@ def parse_tree(g: Grammar, a: Symbol, w: Word) -> ParseOutcome:
     """
     if a.is_terminal:
         return Unique(token_leaf(a)) if w == (a,) else Reject()
-    chart = _chart(g, a, w)
+    chart = _chart(g, (a,), w)
     if not _accepts(g, chart):
         return Reject()
     ends = _span_ends(g, w, chart)

@@ -352,11 +352,6 @@ def load_grammar(spec: str) -> tuple[Grammar, list[str]]:
     return validate(parse_grammar_file(text))
 
 
-def nullable_set(g: Grammar) -> frozenset[Symbol]:
-    """Nonterminals that derive the empty word."""
-    return frozenset(memo(g, nullable_ids))
-
-
 def nullable_ids(g: Grammar) -> dict[Symbol, int]:
     """Witness production ids of the nullable nonterminals; reach it through memo."""
     return _witness_ids(g, ())

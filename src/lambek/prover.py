@@ -36,7 +36,7 @@ raises RecursionError instead of answering.
 Folds happen only at flat sequents (atoms over an atom): a fold is a cut
 between atoms, so it commutes upward past every other rule (as in focused
 proof search, Andreoli 1992).  There the Earley parse of the antecedent
-decides the sequent and lays out the whole fold chain.  A production's fold
+decides the sequent and lays out the whole fold chain (flat_proof).  A production's fold
 cuts the production's GRAM axiom in where its right-hand side stands, with
 a proof of  ⊢ X  cut in for each nullable X the parse leaves out.
 """
@@ -47,7 +47,7 @@ from dataclasses import dataclass, fields
 from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
-from .earley import Ambiguous, ParseTree, Reject, parse_tree, prefix_ends, suffix_starts
+from .earley import Ambiguous, ParseTree, Reject, Splits, parse_tree
 # not called here, but perfbench/spans.py rebinds lambek.prover.recognize and fails without it
 from .earley import recognize  # noqa: F401
 from .grammar import Grammar, Symbol, Word, lhs_index, memo, nullable_ids, production_ids
@@ -261,6 +261,29 @@ def fold_chain(g: Grammar, s: Sequent, tree: ParseTree) -> ProofTree:
     return proof
 
 
+def flat_proof(g: Grammar, s: Sequent) -> ProofTree | None:
+    """The grammar's proof of s, atoms over a nonterminal atom, or None when it has none.
+
+    AX when the antecedent is the succedent, else GRAM when it is the
+    right-hand side of one of the succedent's productions, else the fold
+    chain of the antecedent's first parse.  Folds read backward are
+    derivation steps, and skips and insertions are ordinary empty
+    derivations, so s folds exactly when the goal derives the antecedent's
+    symbols as a sentential form.
+    """
+    ante, succ = s.antecedent, s.succedent
+    if ante == (succ,):
+        return ProofTree(s, RuleName.AX, ())
+    rhs = memo(g, _rhs_atoms)
+    for pid in memo(g, lhs_index)[succ.symbol]:
+        if ante == rhs[pid]:
+            return ProofTree(s, RuleName.GRAM, (), GramDetail(pid))
+    outcome = parse_tree(g, succ.symbol, tuple(t.symbol for t in ante))
+    if isinstance(outcome, Reject):
+        return None
+    return fold_chain(g, s, outcome.first if isinstance(outcome, Ambiguous) else outcome.tree)
+
+
 def require_declared(g: Grammar, s: Sequent) -> None:
     """Raise ValueError unless every atom of s is a symbol of g."""
     for t in (*s.antecedent, s.succedent):
@@ -291,20 +314,6 @@ class Prover:
         self._proofs: dict[Sequent, ProofTree | None] = {}
         self._splits: dict[tuple[Symbol, tuple[LambekType, ...], bool], list[int]] = {}
 
-    def _flat_proof(self, s: Sequent) -> ProofTree | None:
-        """A fold chain proving flat s, or None when folds cannot prove it.
-
-        Folds read backward are derivation steps, and skips and insertions
-        are ordinary empty derivations, so s folds exactly when the goal
-        derives the antecedent's symbols as a sentential form.
-        """
-        goal = s.succedent.symbol
-        form = tuple(t.symbol for t in s.antecedent)
-        outcome = parse_tree(self.g, goal, form)
-        if isinstance(outcome, Reject):
-            return None
-        return fold_chain(self.g, s, outcome.first if isinstance(outcome, Ambiguous) else outcome.tree)
-
     def prove(self, s: Sequent) -> SearchResult:
         require_declared(self.g, s)
         tree = self._search(s)
@@ -324,26 +333,21 @@ class Prover:
             return ProofTree(s, RuleName.AX, ())
         if not ante and isinstance(succ, UnitType):
             return ProofTree(s, RuleName.EPS_R, ())
-        if isinstance(succ, Atom) and not succ.symbol.is_terminal:
-            rhs = memo(self.g, _rhs_atoms)
-            for pid in memo(self.g, lhs_index)[succ.symbol]:
-                if ante == rhs[pid]:
-                    return ProofTree(s, RuleName.GRAM, (), GramDetail(pid))
-        for aid, ax in enumerate(self.axioms):
-            if ante == (Atom(ax.token),) and succ == ax.type:
-                return ProofTree(s, RuleName.AXIOM, (), AxiomDetail(aid))
 
         # A flat sequent (atoms over atom or unit) is decided here, the only
         # place that folds: folds commute upward past every other rule, so no
         # proof needs them elsewhere.  Folds cannot reach a unit or terminal
-        # succedent; only a lexicon cut can still help where they fail.
+        # succedent; only a typing axiom can still help where they fail.
         if isinstance(succ, (Atom, UnitType)) and all(isinstance(t, Atom) for t in ante):
             if isinstance(succ, Atom) and not succ.symbol.is_terminal:
-                tree = self._flat_proof(s)
+                tree = flat_proof(self.g, s)
                 if tree is not None:
                     return tree
             if not any(t.symbol in self._axiom_tokens for t in ante):
                 return None
+        for aid, ax in enumerate(self.axioms):
+            if ante == (Atom(ax.token),) and succ == ax.type:
+                return ProofTree(s, RuleName.AXIOM, (), AxiomDetail(aid))
 
         # invertible steps, applied eagerly
         for i, t in enumerate(ante):
@@ -410,7 +414,7 @@ class Prover:
         ks = self._splits.get(key)
         if ks is None:
             form = tuple(t.symbol for t in run)
-            ks = self._splits[key] = suffix_starts(self.g, x, form) if suffix else prefix_ends(self.g, x, form)
+            ks = self._splits[key] = Splits(self.g, form, (x,), suffix).ends(x)
         return ks
 
     def _moves(

@@ -29,3 +29,22 @@ def ambiguous_g():
     # the classic square grammar: every word of three or more tokens
     # associates in more than one way
     return parse_grammar_file("start S\nS ::= S S | x ;\n")
+
+
+@pytest.fixture
+def spy(monkeypatch):
+    """spy(owner, name) wraps owner.name for the test and returns the list
+    that each call appends its positional arguments to."""
+
+    def install(owner, name):
+        calls = []
+        f = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return f(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+        return calls
+
+    return install

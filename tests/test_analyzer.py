@@ -22,7 +22,7 @@ from lambek.analyzer import (
     reshaping_check,
 )
 from lambek import earley
-from lambek.earley import Ambiguous, Reject, parse_tree, prefix_ends, recognize, render_tree_text
+from lambek.earley import Ambiguous, Reject, Splits, parse_tree, recognize, render_tree_text
 from lambek.grammar import (
     Grammar, Production, enumerate_words, iter_words_sorted, memo, nonterminal, nullable_ids, parse_grammar_file,
     require_word, terminal, word_from_text,
@@ -113,29 +113,17 @@ def test_broken_template_is_an_error_for_inputs_that_do_not_fill_it(bool_g):
         classify_input(bool_g, bad, (bool_g.symbol("V"),))
 
 
-def test_benign_verdict_reads_one_parse(load_bundled, monkeypatch):
+def test_benign_verdict_reads_one_parse(load_bundled, spy):
     """At a template not seen before, a benign input builds the spliced
     string's chart and nothing else: no template parse and no proof search."""
     g = load_bundled("bool")
     ctx = InjectionContext(word_from_text(g, "a = b OR"), (), g.symbol("E"), g.symbol("C"))
-    proves, charts = [], []
-    prove, chart = Prover.prove, earley._chart
-
-    def counted_prove(self, s):
-        proves.append(s)
-        return prove(self, s)
-
-    def counted_chart(*args):
-        charts.append(args[2])
-        return chart(*args)
-
-    monkeypatch.setattr(Prover, "prove", counted_prove)
-    monkeypatch.setattr(earley, "_chart", counted_chart)
+    provers, charts = spy(Prover, "__init__"), spy(earley, "_chart")
     rep = classify_input(g, ctx, word_from_text(g, "1 = 1 AND a = b"))
     assert rep.classification is Classification.BENIGN
     assert check_proof(g, rep.benign_proof).ok
-    assert charts == [word_from_text(g, "a = b OR 1 = 1 AND a = b")]
-    assert proves == []
+    assert [w for _, _, w in charts] == [word_from_text(g, "a = b OR 1 = 1 AND a = b")]
+    assert provers == []
     assert (analyzer._hole_parse, ctx) not in g._memo
 
 
@@ -379,40 +367,45 @@ def _assert_captures_match_the_pair_loop(g, ctx, w):
     assert all(check_proof(g, c.proof).ok for c in found)
 
 
-def test_capture_proofs_are_composed_from_flat_premises(bool_g, tmpl, mirrored, monkeypatch):
-    """The prover sees only flat sequents, atoms over an atom; capture builds the rest."""
-    asked = []
-    prove = Prover.prove
+def _counted_capture_search(spy, g, cases):
+    """capture_typings on each (ctx, w) of cases, counted: per case the
+    captures, the flat sequents folded and the number of Earley charts
+    built.  The search builds no Prover and folds no sequent twice."""
+    provers, asked, charts = spy(Prover, "__init__"), spy(analyzer, "flat_proof"), spy(earley, "_chart")
+    out = []
+    for ctx, w in cases:
+        asked.clear()
+        charts.clear()
+        found = capture_typings(g, ctx, w)
+        sequents = [s for _, s in asked]
+        assert len(sequents) == len(set(sequents)), [render_sequent(s) for s in sequents]
+        out.append((found, sequents, len(charts)))
+    assert provers == []
+    return out
 
-    def spy(self, s):
-        asked.append(s)
-        return prove(self, s)
 
-    monkeypatch.setattr(Prover, "prove", spy)
-    for ctx, text in ((tmpl, "b OR 1 = 1"), (mirrored, "1 = 1 OR b")):
-        found = capture_typings(bool_g, ctx, word_from_text(bool_g, text))
+def test_capture_proofs_are_composed_from_flat_premises(bool_g, tmpl, mirrored, spy):
+    """The search folds only flat sequents, atoms over an atom; capture builds the rest."""
+    cases = [(tmpl, word_from_text(bool_g, "b OR 1 = 1")), (mirrored, word_from_text(bool_g, "1 = 1 OR b"))]
+    for (ctx, w), (found, asked, _) in zip(cases, _counted_capture_search(spy, bool_g, cases)):
         assert len(found) == 2
         for c in found:
             assert_capture_shape(c.proof)
-            assert c.proof.conclusion == Sequent(tuple(map(Atom, word_from_text(bool_g, text))), c.type)
-    assert asked
-    assert all(isinstance(t, Atom) for s in asked for t in (*s.antecedent, s.succedent)), asked
+            assert c.proof.conclusion == Sequent(tuple(map(Atom, w)), c.type)
+        assert asked
+        assert all(isinstance(t, Atom) for s in asked for t in (*s.antecedent, s.succedent)), asked
 
 
-def test_capture_typings_asks_no_sequent_twice(bool_g, tmpl, mirrored, monkeypatch):
-    """The hole's share of a split is proved once, when the split is read."""
-    asked = []
-    prove = Prover.prove
-
-    def spy(self, s):
-        asked.append(s)
-        return prove(self, s)
-
-    monkeypatch.setattr(Prover, "prove", spy)
-    for ctx, text in ((tmpl, "b OR 1 = 1"), (mirrored, "1 = 1 OR b")):
-        asked.clear()
-        assert capture_typings(bool_g, ctx, word_from_text(bool_g, text))
-        assert len(asked) == len(set(asked)), [render_sequent(s) for s in asked]
+def test_capture_typings_asks_no_sequent_twice(bool_g, tmpl, mirrored, spy):
+    """The hole's share of a split is folded once, where a capture first uses it."""
+    o = InjectionContext(word_from_text(bool_g, "a = 1 OR"), (), bool_g.symbol("E"), bool_g.symbol("C"))
+    cases = [
+        (tmpl, word_from_text(bool_g, "b OR 1 = 1")),
+        (mirrored, word_from_text(bool_g, "1 = 1 OR b")),
+        (o, word_from_text(bool_g, "1 = 1 AND 1 = 1 OR 1 = 1")),
+    ]
+    for found, asked, _ in _counted_capture_search(spy, bool_g, cases):
+        assert found and asked
 
 
 # the benchmark's templates: a value hole at either end, a value hole inside
@@ -461,58 +454,40 @@ def test_captures_match_the_pair_loop_on_random_grammars(g, data):
     _unless_tree_walk_blows_up(_assert_captures_match_the_pair_loop, g, ctx, w)
 
 
-def test_attack_ladder_search_does_not_grow_with_the_input(bool_g, tmpl, monkeypatch):
-    """The capture goals of  b (OR 1 = 1)^k  read their splits off one chart per run,
-    so the search expands the same nodes at every k."""
-    calls = []
-    search = Prover._search
-
-    def counted(self, *args):
-        calls.append(1)
-        return search(self, *args)
-
-    monkeypatch.setattr(Prover, "_search", counted)
-    counts, captures = [], []
-    for k in (8, 16, 32, 64):
-        calls.clear()
-        r = classify_input(bool_g, tmpl, word_from_text(bool_g, "b" + " OR 1 = 1" * k))
-        assert r.classification is Classification.CAPTURING
-        counts.append(len(calls))
-        captures.append([render_type(c.type) for c in r.captures])
-    assert len(set(counts)) == 1, counts
-    assert captures == [captures[0]] * 4 and len(captures[0]) == 2
+def test_attack_ladder_search_does_not_grow_with_the_input(bool_g, tmpl, mirrored, spy):
+    """The captures of  b (OR 1 = 1)^k  at  a = _, and of  (1 = 1 OR)^k b  at
+    _ = a, read their splits off one chart from the hole and one from every
+    nonterminal, and fold two flat sequents each: the search folds as many
+    sequents and builds 4 charts at every k."""
+    ks = (1, 8, 16, 32, 64)
+    ladders = {
+        tmpl: lambda k: "b" + " OR 1 = 1" * k,
+        mirrored: lambda k: "1 = 1 OR " * k + "b",
+    }
+    cases = [(ctx, word_from_text(bool_g, text(k))) for ctx, text in ladders.items() for k in ks]
+    for ctx, w in cases:
+        assert classify_input(bool_g, ctx, w).classification is Classification.CAPTURING
+    out = _counted_capture_search(spy, bool_g, cases)
+    for rungs in (out[: len(ks)], out[len(ks) :]):
+        assert {(len(asked), charts) for _, asked, charts in rungs} == {(len(rungs[0][1]), 4)}
+        captures = [[render_type(c.type) for c in found] for found, _, _ in rungs]
+        assert captures == [captures[0]] * len(ks) and len(captures[0]) == 2
 
 
-def test_many_split_search_does_not_grow_with_the_splits(bool_g, monkeypatch):
+def test_many_split_search_does_not_grow_with_the_splits(bool_g, spy):
     """A C hole splits  (1 = 1 AND)^k 1 = 1 OR 1 = 1  after every  1 = 1; the
-    search reads all k + 1 splits off one chart and proves only the shares
-    that a capture uses, so it asks as many proofs and builds as many charts
-    at every k."""
+    search reads all k + 1 splits off one chart and folds only the shares
+    that a capture uses, so it folds as many sequents and builds 6 charts at
+    every k."""
     ctx = InjectionContext(word_from_text(bool_g, "a = 1 OR"), (), bool_g.symbol("E"), bool_g.symbol("C"))
-    proves, charts = [], []
-    prove, chart = Prover.prove, earley._chart
-
-    def counted_prove(self, s):
-        proves.append(s)
-        return prove(self, s)
-
-    def counted_chart(*args):
-        charts.append(args[1])
-        return chart(*args)
-
-    monkeypatch.setattr(Prover, "prove", counted_prove)
-    monkeypatch.setattr(earley, "_chart", counted_chart)
-    counts, captures = [], []
-    for k in (8, 16, 32, 64):
-        w = word_from_text(bool_g, "1 = 1 AND " * k + "1 = 1 OR 1 = 1")
-        assert len(prefix_ends(bool_g, ctx.expected, w)) == k + 1
-        proves.clear()
-        charts.clear()
-        found = capture_typings(bool_g, ctx, w)
-        counts.append((len(proves), len(charts)))
-        captures.append([(c.direction, render_type(c.type)) for c in found])
-    assert len(set(counts)) == 1, counts
-    assert captures == [[(Side.LEFT, "(C/C)\\E"), (Side.LEFT, "(T/C)\\E")]] * 4
+    ks = (1, 8, 16, 32, 64)
+    words = [word_from_text(bool_g, "1 = 1 AND " * k + "1 = 1 OR 1 = 1") for k in ks]
+    for k, w in zip(ks, words):
+        assert len(Splits(bool_g, w, (ctx.expected,)).ends(ctx.expected)) == k + 1
+    out = _counted_capture_search(spy, bool_g, [(ctx, w) for w in words])
+    assert {(len(asked), charts) for _, asked, charts in out} == {(len(out[0][1]), 6)}
+    captures = [[(c.direction, render_type(c.type)) for c in found] for found, _, _ in out]
+    assert captures == [[(Side.LEFT, "(C/C)\\E"), (Side.LEFT, "(T/C)\\E")]] * len(ks)
 
 
 def _classify_reference(g, ctx, w):
@@ -546,7 +521,7 @@ def _classify_reference(g, ctx, w):
         cls = Classification.ILL_FORMED
     else:
         cls = Classification.UNKNOWN
-    return InjectionReport(cls, ctx, w, benign.proof, captures, not isinstance(reshaping, Unparseable), reshaping)
+    return InjectionReport(cls, ctx, w, benign.proof, captures, reshaping)
 
 
 def _assert_classify_matches_the_reference(g, ctx, w):

@@ -9,17 +9,14 @@ from lambek.earley import (
     Ambiguous,
     Pass,
     Reject,
+    Splits,
     Unique,
     Witness,
     check_unambiguous,
-    goals_after_prefix,
-    goals_before_suffix,
     internal_node,
     parse_tree,
-    prefix_ends,
     recognize,
     render_tree_text,
-    suffix_starts,
     token_leaf,
     tree_to_json,
     _chart,
@@ -212,7 +209,7 @@ def _textbook_spans(g, w, columns):
 
 
 def _assert_textbook_spans(g, a, form):
-    ends = _span_ends(g, form, _chart(g, a, form))
+    ends = _span_ends(g, form, _chart(g, (a,), form))
     assert all(e == sorted(set(e)) for e in ends.values())
     spans = {(x, o, e) for (x, o), es in ends.items() for e in es}
     ref = _textbook_spans(g, form, _textbook_chart(g, a, form))
@@ -268,7 +265,7 @@ def test_chart_grows_linearly_on_right_recursion(bool_g):
     for tests in (25, 50, 100, 200, 400, 800, 1200):  # 99 … 4799 tokens
         chain = w(bool_g, " AND ".join(["1 = a"] * tests))
         lengths.append(len(chain))
-        columns, _, _ = _chart(bool_g, E, chain)
+        columns, _, _ = _chart(bool_g, (E,), chain)
         items.append(sum(len(col) for col in columns))
     for k in range(1, len(items)):
         assert items[k] / items[k - 1] <= 2.1 ** log2(lengths[k] / lengths[k - 1]), (lengths, items)
@@ -280,16 +277,21 @@ def test_chart_grows_linearly_on_right_recursion(bool_g):
 
 
 def _assert_prefix_ends(g, a, form):
-    """prefix_ends and suffix_starts read recognition of every prefix and every suffix off one chart."""
+    """Splits.ends reads recognition of every prefix and every suffix off one
+    chart, from the start a alone or from every nonterminal."""
     n = len(form)
-    assert prefix_ends(g, a, form) == [k for k in range(n + 1) if recognize(g, a, form[:k])], (a, form)
-    assert suffix_starts(g, a, form) == [j for j in range(n + 1) if recognize(g, a, form[j:])], (a, form)
+    every = tuple(sorted(g.nonterminals, key=lambda s: s.name))
+    prefixes = [k for k in range(n + 1) if recognize(g, a, form[:k])]
+    suffixes = [j for j in range(n + 1) if recognize(g, a, form[j:])]
+    for starts in ((a,), every):
+        assert Splits(g, form, starts).ends(a) == prefixes, (a, form, starts)
+        assert Splits(g, form, starts, suffix=True).ends(a) == suffixes, (a, form, starts)
 
 
 @settings(max_examples=300)
 @given(
     cyclic_grammars(),
-    st.sampled_from(["S", "A", "B", "R", "x"]),
+    st.sampled_from(["S", "A", "B", "R"]),
     st.one_of(
         st.lists(st.sampled_from(_SYMBOLS), max_size=6),
         st.builds(lambda k, tail: ["x"] * k + tail, st.integers(1, 5), st.lists(st.sampled_from(_SYMBOLS), max_size=2)),
@@ -315,15 +317,27 @@ def test_prefix_ends_on_long_chains(bool_g):
     """The chains complete through Leo's transitive items, the augmented start included."""
     for text in ("1 = a AND 1 = a AND 1 = a", "1 = a AND b = b OR a = 1 AND 1 = 1 AND a = a", "1 = a AND 1 = a AND"):
         chain = w(bool_g, text)
-        _, _, leo = _chart(bool_g, bool_g.symbol("E"), chain)
+        _, _, leo = _chart(bool_g, (bool_g.symbol("E"),), chain)
         assert any(top is not None for top in leo.values())
         for sym in ("E", "C", "D", "F", "T"):
             for k in range(len(chain)):
                 _assert_prefix_ends(bool_g, bool_g.symbol(sym), chain[k:])
     E = bool_g.symbol("E")
     chain = w(bool_g, " AND ".join(["1 = a"] * 200))
-    assert prefix_ends(bool_g, E, chain) == list(range(3, len(chain) + 1, 4))
-    assert suffix_starts(bool_g, E, chain) == list(range(0, len(chain) - 2, 4))
+    assert Splits(bool_g, chain, (E,)).ends(E) == list(range(3, len(chain) + 1, 4))
+    assert Splits(bool_g, chain, (E,), suffix=True).ends(E) == list(range(0, len(chain) - 2, 4))
+
+
+def test_ends_read_spans_that_a_leo_path_completes():
+    """In the mirror grammar, S ::= x A completes over reversed  B x  only
+    through the Leo path from A: column 2 holds the completed augmented
+    start but no completed S, so the empty suffix split is read off the
+    expanded path, not off the column's items."""
+    g = parse_grammar_file(PINNED_GRAMMARS["empty_folds"])
+    S, B, x = g.symbol("S"), g.symbol("B"), g.symbol("x")
+    every = tuple(sorted(g.nonterminals, key=lambda s: s.name))
+    for starts in ((S,), every):
+        assert Splits(g, (B, x), starts, suffix=True).ends(S) == [0, 1]
 
 
 @pytest.mark.parametrize("name", ["unit_cycle", "empty_folds"])
@@ -377,12 +391,12 @@ def test_internal_node_concatenates_yields(bool_g):
 def _assert_continued_columns(g, form):
     """At every split and for every nonterminal ψ, the continued columns name
     exactly the nonterminals that recognize w[:j] ψ and ψ w[k:]."""
-    nts = sorted(g.nonterminals, key=lambda s: s.name)
-    after, before = goals_after_prefix(g, form), goals_before_suffix(g, form)
+    nts = tuple(sorted(g.nonterminals, key=lambda s: s.name))
+    after, before = Splits(g, form, nts), Splits(g, form, nts, suffix=True)
     for j in range(len(form) + 1):
         for psi in nts:
-            assert after(j, psi) == {x for x in nts if recognize(g, x, form[:j] + (psi,))}, (form, j, psi)
-            assert before(j, psi) == {x for x in nts if recognize(g, x, (psi,) + form[j:])}, (form, j, psi)
+            assert after.goals(j, psi) == {x for x in nts if recognize(g, x, form[:j] + (psi,))}, (form, j, psi)
+            assert before.goals(j, psi) == {x for x in nts if recognize(g, x, (psi,) + form[j:])}, (form, j, psi)
 
 
 @settings(max_examples=200)
@@ -420,9 +434,9 @@ def test_continued_columns_on_long_chains(bool_g):
 def test_continued_columns_leave_the_chart_as_it_was(bool_g):
     """Reading every split twice, in either order, gives the same answers."""
     chain = w(bool_g, "1 = a AND b = b OR a = 1")
-    nts = sorted(bool_g.nonterminals, key=lambda s: s.name)
-    for goals in (goals_after_prefix, goals_before_suffix):
-        read = goals(bool_g, chain)
+    nts = tuple(sorted(bool_g.nonterminals, key=lambda s: s.name))
+    for suffix in (False, True):
+        read = Splits(bool_g, chain, nts, suffix).goals
         splits = [(j, psi) for j in range(len(chain) + 1) for psi in nts]
         first = [read(j, psi) for j, psi in splits]
         assert [read(j, psi) for j, psi in reversed(splits)] == first[::-1]

@@ -12,7 +12,6 @@ from lambek.grammar import (
     length_lex_key,
     memo,
     nullable_ids,
-    nullable_set,
     parse_grammar_file,
     render_word,
     validate,
@@ -108,14 +107,14 @@ def test_validate_prunes_unproductive():
 
 
 def test_nullable_set(bool_g):
-    assert names(nullable_set(bool_g)) == ["D", "F"]
     wit = memo(bool_g, nullable_ids)
+    assert names(wit) == ["D", "F"]
     assert all(bool_g.productions[pid].rhs == () for pid in wit.values())
 
 
 def test_nullable_indirect():
     g = parse_grammar_file("start S\nS ::= A x ;\nA ::= B B ;\nB ::= ;\n")
-    assert names(nullable_set(g)) == ["A", "B"]
+    assert names(memo(g, nullable_ids)) == ["A", "B"]
     assert g.productions[memo(g, nullable_ids)[g.symbol("A")]].rhs != ()
 
 
