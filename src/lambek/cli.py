@@ -44,7 +44,7 @@ def _load_grammar(spec: str, err: TextIO) -> Grammar:
 
 
 def _emit(obj: dict, out: TextIO) -> None:
-    print(json.dumps(obj, indent=2, ensure_ascii=False), file=out)
+    print(json.dumps(obj, ensure_ascii=False), file=out)
 
 
 def _cmd_check(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:

@@ -43,7 +43,7 @@ a proof of  ⊢ X  cut in for each nullable X the parse leaves out.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, replace
 from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
@@ -81,74 +81,31 @@ class RuleName(enum.Enum):
     AXIOM = "AXIOM"
 
 
-@dataclass(frozen=True)
-class GramDetail:
-    production: int
-
-
-@dataclass(frozen=True)
-class AxiomDetail:
-    axiom: int
-
-
-@dataclass(frozen=True)
-class PosDetail:
-    pos: int
-
-
-@dataclass(frozen=True)
-class SplitDetail:
-    split: int
-
-
-@dataclass(frozen=True)
-class UnderLDetail:
-    pos: int
-    start: int
-
-
-@dataclass(frozen=True)
-class OverLDetail:
-    pos: int
-    stop: int
-
-
-@dataclass(frozen=True)
-class CutDetail:
-    start: int
-    stop: int
-
-
-Detail = (
-    GramDetail
-    | AxiomDetail
-    | PosDetail
-    | SplitDetail
-    | UnderLDetail
-    | OverLDetail
-    | CutDetail
-    | None
-)
-
-# the detail class each rule carries; rules not listed take none
-_DETAIL_CLASS: dict[RuleName, type] = {
-    RuleName.GRAM: GramDetail,
-    RuleName.AXIOM: AxiomDetail,
-    RuleName.EPS_L: PosDetail,
-    RuleName.PROD_L: PosDetail,
-    RuleName.PROD_R: SplitDetail,
-    RuleName.UNDER_L: UnderLDetail,
-    RuleName.OVER_L: OverLDetail,
-    RuleName.CUT: CutDetail,
+# the fields of each rule's detail, which is the tuple of them in this
+# order; rules not listed take None.  A formula is a type, every other field
+# an integer.
+_DETAIL_FIELDS: dict[RuleName, tuple[str, ...]] = {
+    RuleName.GRAM: ("production",),
+    RuleName.AXIOM: ("axiom",),
+    RuleName.EPS_L: ("pos",),
+    RuleName.PROD_L: ("pos",),
+    RuleName.PROD_R: ("split",),
+    RuleName.UNDER_L: ("pos", "start"),
+    RuleName.OVER_L: ("pos", "stop"),
+    RuleName.CUT: ("start", "stop", "formula"),
 }
 
 
 @dataclass(frozen=True)
 class ProofTree:
-    conclusion: Sequent
+    """A rule, its detail and its premises.  Only the root stores its
+    conclusion; every other node's follows from its parent's, rule and
+    detail, and is replayed where it is needed (see _replay)."""
+
     rule: RuleName
-    premises: tuple["ProofTree", ...]
-    detail: Detail = None
+    premises: tuple["ProofTree", ...] = ()
+    detail: tuple | None = None
+    conclusion: Sequent | None = None
 
 
 @dataclass(frozen=True)
@@ -207,7 +164,12 @@ def _rhs_atoms(g: Grammar) -> list[tuple[LambekType, ...]]:
 
 
 def _ax(t: LambekType) -> ProofTree:
-    return ProofTree(Sequent((t,), t), RuleName.AX, ())
+    return ProofTree(RuleName.AX, conclusion=Sequent((t,), t))
+
+
+def _premise(t: ProofTree) -> ProofTree:
+    """t as a premise, whose conclusion its parent fixes."""
+    return replace(t, conclusion=None)
 
 
 def _segment_proof(g: Grammar, pid: int, skipped: tuple[int, ...]) -> ProofTree:
@@ -218,13 +180,13 @@ def _segment_proof(g: Grammar, pid: int, skipped: tuple[int, ...]) -> ProofTree:
     being the fold of Xk's nullable witness with every position skipped.
     Reach it through memo.
     """
-    p = g.productions[pid]
-    proof = ProofTree(Sequent(_atoms(p.rhs), Atom(p.lhs)), RuleName.GRAM, (), GramDetail(pid))
-    ante = list(p.rhs)
+    rhs = g.productions[pid].rhs
+    proof = ProofTree(RuleName.GRAM, (), (pid,))
+    # largest k first: cutting in a later position leaves k where it was
     for k in reversed(skipped):
-        wid = memo(g, nullable_ids)[ante.pop(k)]
+        wid = memo(g, nullable_ids)[rhs[k]]
         empty = memo(g, _segment_proof, wid, tuple(range(len(g.productions[wid].rhs))))
-        proof = ProofTree(Sequent(_atoms(ante), Atom(p.lhs)), RuleName.CUT, (empty, proof), CutDetail(k, k))
+        proof = ProofTree(RuleName.CUT, (empty, proof), (k, k, Atom(rhs[k])))
     return proof
 
 
@@ -237,7 +199,7 @@ def fold_chain(g: Grammar, s: Sequent, tree: ParseTree) -> ProofTree:
     The root folds last, and its segment proof proves what is left.
     """
     ids = memo(g, production_ids)
-    folds: list[tuple[int, ProofTree]] = []  # (slot, segment proof)
+    folds: list[tuple[int, int, Symbol, ProofTree]] = []  # (slot, children kept, symbol, segment proof)
     # (node, the slot of its first child, children folded); a folded child
     # takes one slot, a child with an empty yield none
     stack = [(tree, 0, False)]
@@ -245,20 +207,19 @@ def fold_chain(g: Grammar, s: Sequent, tree: ParseTree) -> ProofTree:
         node, pos, children_done = stack.pop()
         if children_done:
             skipped = tuple(k for k in range(len(node.production.rhs)) if not node.children[k].word)
-            folds.append((pos, memo(g, _segment_proof, ids[node.production], skipped)))
+            seg = memo(g, _segment_proof, ids[node.production], skipped)
+            folds.append((pos, len(node.production.rhs) - len(skipped), node.production.lhs, seg))
             continue
         stack.append((node, pos, True))
         kept = [c for c in node.children if c.word]
         stack.extend((c, pos + k, False) for k, c in reversed(list(enumerate(kept))) if c.production in ids)
 
-    # below the root's fold, each cut's conclusion unfolds its premise's
-    # nonterminal at pos back into the segment
-    *cuts, (_, proof) = folds
-    for pos, seg in reversed(cuts):
-        ante, segment = proof.conclusion.antecedent, seg.conclusion.antecedent
-        conclusion = Sequent(ante[:pos] + segment + ante[pos + 1 :], s.succedent)
-        proof = ProofTree(conclusion, RuleName.CUT, (seg, proof), CutDetail(pos, pos + len(segment)))
-    return proof
+    # below the root's fold, each cut unfolds its premise's nonterminal at
+    # pos back into the segment
+    *cuts, (_, _, _, proof) = folds
+    for pos, width, x, seg in reversed(cuts):
+        proof = ProofTree(RuleName.CUT, (seg, proof), (pos, pos + width, Atom(x)))
+    return replace(proof, conclusion=s)
 
 
 def flat_proof(g: Grammar, s: Sequent) -> ProofTree | None:
@@ -273,11 +234,11 @@ def flat_proof(g: Grammar, s: Sequent) -> ProofTree | None:
     """
     ante, succ = s.antecedent, s.succedent
     if ante == (succ,):
-        return ProofTree(s, RuleName.AX, ())
+        return ProofTree(RuleName.AX, conclusion=s)
     rhs = memo(g, _rhs_atoms)
     for pid in memo(g, lhs_index)[succ.symbol]:
         if ante == rhs[pid]:
-            return ProofTree(s, RuleName.GRAM, (), GramDetail(pid))
+            return ProofTree(RuleName.GRAM, (), (pid,), s)
     outcome = parse_tree(g, succ.symbol, tuple(t.symbol for t in ante))
     if isinstance(outcome, Reject):
         return None
@@ -319,9 +280,10 @@ class Prover:
         tree = self._search(s)
         if tree is None:
             return SearchResult(SearchStatus.NOT_FOUND_WITHIN_BOUNDS)
-        return SearchResult(SearchStatus.PROVED, proof=tree)
+        return SearchResult(SearchStatus.PROVED, proof=replace(tree, conclusion=s))
 
     def _search(self, s: Sequent) -> ProofTree | None:
+        """A proof of s as a premise, without its conclusion, or None."""
         if s not in self._proofs:
             self._proofs[s] = self._step(s)
         return self._proofs[s]
@@ -330,9 +292,9 @@ class Prover:
         ante, succ = s.antecedent, s.succedent
 
         if ante == (succ,):
-            return ProofTree(s, RuleName.AX, ())
+            return ProofTree(RuleName.AX)
         if not ante and isinstance(succ, UnitType):
-            return ProofTree(s, RuleName.EPS_R, ())
+            return ProofTree(RuleName.EPS_R)
 
         # A flat sequent (atoms over atom or unit) is decided here, the only
         # place that folds: folds commute upward past every other rule, so no
@@ -342,28 +304,28 @@ class Prover:
             if isinstance(succ, Atom) and not succ.symbol.is_terminal:
                 tree = flat_proof(self.g, s)
                 if tree is not None:
-                    return tree
+                    return _premise(tree)
             if not any(t.symbol in self._axiom_tokens for t in ante):
                 return None
         for aid, ax in enumerate(self.axioms):
             if ante == (Atom(ax.token),) and succ == ax.type:
-                return ProofTree(s, RuleName.AXIOM, (), AxiomDetail(aid))
+                return ProofTree(RuleName.AXIOM, (), (aid,))
 
         # invertible steps, applied eagerly
         for i, t in enumerate(ante):
             if isinstance(t, UnitType):
                 sub = self._search(Sequent(ante[:i] + ante[i + 1 :], succ))
-                return None if sub is None else ProofTree(s, RuleName.EPS_L, (sub,), PosDetail(i))
+                return None if sub is None else ProofTree(RuleName.EPS_L, (sub,), (i,))
         for i, t in enumerate(ante):
             if isinstance(t, Prod):
                 sub = self._search(Sequent(ante[:i] + (t.left, t.right) + ante[i + 1 :], succ))
-                return None if sub is None else ProofTree(s, RuleName.PROD_L, (sub,), PosDetail(i))
+                return None if sub is None else ProofTree(RuleName.PROD_L, (sub,), (i,))
         if isinstance(succ, Under):
             sub = self._search(Sequent((succ.arg,) + ante, succ.result))
-            return None if sub is None else ProofTree(s, RuleName.UNDER_R, (sub,))
+            return None if sub is None else ProofTree(RuleName.UNDER_R, (sub,))
         if isinstance(succ, Over):
             sub = self._search(Sequent(ante + (succ.arg,), succ.result))
-            return None if sub is None else ProofTree(s, RuleName.OVER_R, (sub,))
+            return None if sub is None else ProofTree(RuleName.OVER_R, (sub,))
 
         for rule, detail, premises in self._moves(ante, succ):
             subs: list[ProofTree] = []
@@ -373,7 +335,7 @@ class Prover:
                     break
                 subs.append(sub)
             else:
-                return ProofTree(s, rule, tuple(subs), detail)
+                return ProofTree(rule, tuple(subs), detail)
         return None
 
     # A split of an L-rule whose argument premise lies inside a run of plain
@@ -419,7 +381,7 @@ class Prover:
 
     def _moves(
         self, ante: tuple[LambekType, ...], succ: LambekType
-    ) -> Iterator[tuple[RuleName, Detail, tuple[Sequent, ...]]]:
+    ) -> Iterator[tuple[RuleName, tuple, tuple[Sequent, ...]]]:
         # lexicon folds: cut a token against its typing axiom
         for i, t in enumerate(ante):
             if isinstance(t, Atom):
@@ -427,27 +389,23 @@ class Prover:
                     if t.symbol == ax.token:
                         prem1 = Sequent((t,), ax.type)
                         prem2 = Sequent(ante[:i] + (ax.type,) + ante[i + 1 :], succ)
-                        yield (RuleName.CUT, CutDetail(i, i + 1), (prem1, prem2))
+                        yield (RuleName.CUT, (i, i + 1, ax.type), (prem1, prem2))
 
         for i, t in enumerate(ante):
             if isinstance(t, Under):
                 for j in self._starts(ante, i, t.arg):
                     prem1 = Sequent(ante[j:i], t.arg)
                     prem2 = Sequent(ante[:j] + (t.result,) + ante[i + 1 :], succ)
-                    yield (RuleName.UNDER_L, UnderLDetail(i, j), (prem1, prem2))
+                    yield (RuleName.UNDER_L, (i, j), (prem1, prem2))
             elif isinstance(t, Over):
                 for j in self._stops(ante, i, t.arg):
                     prem1 = Sequent(ante[i + 1 : j], t.arg)
                     prem2 = Sequent(ante[:i] + (t.result,) + ante[j:], succ)
-                    yield (RuleName.OVER_L, OverLDetail(i, j), (prem1, prem2))
+                    yield (RuleName.OVER_L, (i, j), (prem1, prem2))
 
         if isinstance(succ, Prod):
             for k in range(len(ante) + 1):
-                yield (
-                    RuleName.PROD_R,
-                    SplitDetail(k),
-                    (Sequent(ante[:k], succ.left), Sequent(ante[k:], succ.right)),
-                )
+                yield (RuleName.PROD_R, (k,), (Sequent(ante[:k], succ.left), Sequent(ante[k:], succ.right)))
 
 
 @dataclass(frozen=True)
@@ -465,40 +423,42 @@ def _is_int(v: object) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _replay(g: Grammar, axioms: tuple[TypingAxiom, ...], node: ProofTree) -> tuple[Sequent, ...] | str:
-    """The premises that node's conclusion, rule and detail fix, or why they do not fit.
+def _detail_error(rule: RuleName, d: object) -> str | None:
+    """Why d is not a detail of rule's fields, or None."""
+    names = _DETAIL_FIELDS.get(rule)
+    if names is None:
+        return None if d is None else "takes no detail"
+    if not (isinstance(d, tuple) and len(d) == len(names)):
+        return f"needs a detail of {len(names)} fields ({', '.join(names)})"
+    for name, v in zip(names, d):
+        if name == "formula" and not isinstance(v, LambekType):
+            return "needs a type as 'formula'"
+        if name != "formula" and not _is_int(v):
+            return f"needs an integer as {name!r}"
+    return None
 
-    The caller has checked that the detail is of the rule's class and holds
-    integers.  Only CUT reads a premise: its cut formula is the first
-    premise's succedent.
+
+def _premises(
+    rule: RuleName, d: tuple, ante: tuple[LambekType, ...], succ: LambekType
+) -> tuple[Sequent, ...] | str:
+    """The premises that rule and its well-formed detail d fix under ante ⊢ succ, or why they do not fit.
+
+    Leaves fix none; whether a GRAM or AXIOM leaf cites an axiom of its
+    sequent is for _cites to say.
     """
-    ante, succ = node.conclusion.antecedent, node.conclusion.succedent
-    rule, d = node.rule, node.detail
     if rule is RuleName.AX:
         return () if ante == (succ,) else "conclusion must be phi |- phi"
     if rule is RuleName.EPS_R:
         return () if not ante and isinstance(succ, UnitType) else "conclusion must be |- 1"
-    if rule is RuleName.GRAM:
-        if not 0 <= d.production < len(g.productions):
-            return "needs a valid production index"
-        p = g.productions[d.production]
-        if ante != _atoms(p.rhs) or succ != Atom(p.lhs):
-            return "conclusion does not match the cited production"
-        return ()
-    if rule is RuleName.AXIOM:
-        if not 0 <= d.axiom < len(axioms):
-            return "needs a valid axiom index"
-        ax = axioms[d.axiom]
-        if ante != (Atom(ax.token),) or succ != ax.type:
-            return "conclusion does not match the cited axiom"
+    if rule in (RuleName.GRAM, RuleName.AXIOM):
         return ()
     if rule is RuleName.EPS_L:
-        i = d.pos
+        (i,) = d
         if not (0 <= i < len(ante) and isinstance(ante[i], UnitType)):
             return "position must hold the unit type"
         return (Sequent(ante[:i] + ante[i + 1 :], succ),)
     if rule is RuleName.PROD_L:
-        i = d.pos
+        (i,) = d
         if not (0 <= i < len(ante) and isinstance(ante[i], Prod)):
             return "position must hold a product"
         return (Sequent(ante[:i] + (ante[i].left, ante[i].right) + ante[i + 1 :], succ),)
@@ -511,60 +471,98 @@ def _replay(g: Grammar, axioms: tuple[TypingAxiom, ...], node: ProofTree) -> tup
             return "succedent must be an Over type"
         return (Sequent(ante + (succ.arg,), succ.result),)
     if rule is RuleName.PROD_R:
-        k = d.split
+        (k,) = d
         if not (isinstance(succ, Prod) and 0 <= k <= len(ante)):
             return "needs a product succedent and a split of the antecedent"
         return (Sequent(ante[:k], succ.left), Sequent(ante[k:], succ.right))
     if rule is RuleName.UNDER_L:
-        i, j = d.pos, d.start
+        i, j = d
         if not (0 <= j <= i < len(ante) and isinstance(ante[i], Under)):
             return "position must hold an Under type, at or after the start"
         return (Sequent(ante[j:i], ante[i].arg), Sequent(ante[:j] + (ante[i].result,) + ante[i + 1 :], succ))
     if rule is RuleName.OVER_L:
-        i, j = d.pos, d.stop
+        i, j = d
         if not (0 <= i < j <= len(ante) and isinstance(ante[i], Over)):
             return "position must hold an Over type, before the stop"
         return (Sequent(ante[i + 1 : j], ante[i].arg), Sequent(ante[:i] + (ante[i].result,) + ante[j:], succ))
-    # CUT, the one rule left
-    if len(node.premises) != 2:
-        return f"expects 2 premises, got {len(node.premises)}"
-    i, j = d.start, d.stop
+    # CUT, the one rule left, and the one whose premises its conclusion does
+    # not fix: its detail carries the cut formula
+    i, j, chi = d
     if not 0 <= i <= j <= len(ante):
         return "needs a valid segment"
-    chi = node.premises[0].conclusion.succedent
     return (Sequent(ante[i:j], chi), Sequent(ante[:i] + (chi,) + ante[j:], succ))
 
 
-def check_proof(g: Grammar, t: ProofTree, axioms: Sequence[TypingAxiom] = ()) -> CheckResult:
-    """Replay every node: its premises must conclude what its rule and detail fix.
+def _replay(node: ProofTree, s: Sequent | None) -> tuple[Sequent, ...] | str:
+    """The conclusions of node's premises, replayed from its own conclusion s, or why they cannot be."""
+    rule = node.rule
+    if not isinstance(s, Sequent):
+        return "the root stores no conclusion"
+    if not isinstance(rule, RuleName):
+        return f"unknown rule {rule!r}"
+    want = _detail_error(rule, node.detail) or _premises(rule, node.detail, s.antecedent, s.succedent)
+    if isinstance(want, str):
+        return f"{rule.value} {want}"
+    if len(node.premises) != len(want):
+        return f"{rule.value} expects {len(want)} premises, got {len(node.premises)}"
+    return want
 
-    Returns the first failure in preorder, with its path and reason.
+
+def _replayed(t: ProofTree) -> Iterator[tuple[ProofTree, tuple[int, ...], Sequent | None, str | None]]:
+    """Each node of t in preorder, with its path, its conclusion replayed top-down
+    from the root's, and why its premises cannot be replayed, or None.
+
+    The premises of a node that does not replay are not visited.  A stack,
+    because flat proofs are as deep as their antecedents are long.
+    """
+    stack: list[tuple[ProofTree, tuple[int, ...], Sequent | None]] = [(t, (), t.conclusion)]
+    while stack:
+        node, path, s = stack.pop()
+        want = _replay(node, s)
+        if isinstance(want, str):
+            yield node, path, s, want
+        else:
+            yield node, path, s, None
+            stack.extend((node.premises[k], path + (k,), want[k]) for k in range(len(want) - 1, -1, -1))
+
+
+def _cites(g: Grammar, axioms: tuple[TypingAxiom, ...], node: ProofTree, s: Sequent) -> str | None:
+    """Why node, a GRAM or AXIOM leaf under s, does not cite s, or None; None for any other rule."""
+    ante, succ = s.antecedent, s.succedent
+    if node.rule is RuleName.GRAM:
+        (pid,) = node.detail
+        if not 0 <= pid < len(g.productions):
+            return "needs a valid production index"
+        p = g.productions[pid]
+        if ante != _atoms(p.rhs) or succ != Atom(p.lhs):
+            return "conclusion does not match the cited production"
+    if node.rule is RuleName.AXIOM:
+        (aid,) = node.detail
+        if not 0 <= aid < len(axioms):
+            return "needs a valid axiom index"
+        ax = axioms[aid]
+        if ante != (Atom(ax.token),) or succ != ax.type:
+            return "conclusion does not match the cited axiom"
+    return None
+
+
+def check_proof(g: Grammar, t: ProofTree, axioms: Sequence[TypingAxiom] = ()) -> CheckResult:
+    """Replay every node from the root's conclusion, the one a proof stores.
+
+    Each node's rule and detail must fit the sequent its parent's replay
+    gives it, and each GRAM or AXIOM leaf must cite a production or typing
+    axiom that is exactly that sequent.  Returns the first failure in
+    preorder, with its path and reason.
     """
     axioms = tuple(axioms)
-    # premises left to right; a stack, because flat proofs are as deep as
-    # their antecedents are long
-    stack: list[tuple[ProofTree, tuple[int, ...]]] = [(t, ())]
-    while stack:
-        node, path = stack.pop()
-        if not isinstance(node.rule, RuleName):
-            return _reject(path, f"unknown rule {node.rule!r}")
-        name, prems = node.rule.value, node.premises
-        cls = _DETAIL_CLASS.get(node.rule)
-        if cls is None and node.detail is not None:
-            return _reject(path, f"{name} takes no detail")
-        if cls is not None and not isinstance(node.detail, cls):
-            return _reject(path, f"{name} needs a {cls.__name__}")
-        if cls is not None and not all(_is_int(getattr(node.detail, f.name)) for f in fields(cls)):
-            return _reject(path, f"{name} needs integers in its {cls.__name__}")
-        want = _replay(g, axioms, node)
-        if isinstance(want, str):
-            return _reject(path, f"{name} {want}")
-        if len(prems) != len(want):
-            return _reject(path, f"{name} expects {len(want)} premises, got {len(prems)}")
-        for k, (prem, w) in enumerate(zip(prems, want)):
-            if prem.conclusion != w:
-                return _reject(path, f"{name} premise {k} does not conclude its replayed sequent")
-        stack.extend((prems[k], path + (k,)) for k in range(len(prems) - 1, -1, -1))
+    for node, path, s, why in _replayed(t):
+        if path and node.conclusion is not None:
+            return _reject(path, "only the root stores a conclusion")
+        if why is not None:
+            return _reject(path, why)
+        why = _cites(g, axioms, node, s)
+        if why is not None:
+            return _reject(path, f"{node.rule.value} {why}")
     return CheckResult(True)
 
 
@@ -573,31 +571,33 @@ class Side(enum.Enum):
     RIGHT = "Right"
 
 
-def _l_step(t: ProofTree, k: ProofTree, side: Side) -> ProofTree:
-    """Feed t's conclusion Φ ⊢ φ to the edge ψ of the continuation k.
+def _l_step(t: ProofTree, k: ProofTree, side: Side) -> tuple[ProofTree, tuple[LambekType, ...]]:
+    """Feed t's conclusion Φ ⊢ φ to the edge ψ of the continuation k: the
+    L-step and its antecedent, under k's succedent.
 
     Left:  from ψ Π ⊢ π build (ψ/φ) Φ Π ⊢ π by OVER_L.
     Right: from Π ψ ⊢ π build Π Φ (φ\\ψ) ⊢ π by UNDER_L.
     """
     ctx, phi = t.conclusion.antecedent, t.conclusion.succedent
-    rest, pi = k.conclusion.antecedent, k.conclusion.succedent
+    rest = k.conclusion.antecedent
     if not rest:
         raise TacticError("the continuation's antecedent is empty, so it has no type to consume")
+    premises = (_premise(t), _premise(k))
     if side is Side.LEFT:
-        ante = (Over(rest[0], phi),) + ctx + rest[1:]
-        return ProofTree(Sequent(ante, pi), RuleName.OVER_L, (t, k), OverLDetail(pos=0, stop=1 + len(ctx)))
+        return ProofTree(RuleName.OVER_L, premises, (0, 1 + len(ctx))), (Over(rest[0], phi),) + ctx + rest[1:]
     ante = rest[:-1] + ctx + (Under(phi, rest[-1]),)
-    return ProofTree(Sequent(ante, pi), RuleName.UNDER_L, (t, k), UnderLDetail(len(ante) - 1, len(rest) - 1))
+    return ProofTree(RuleName.UNDER_L, premises, (len(ante) - 1, len(rest) - 1)), ante
 
 
-def _cut_functor(f: ProofTree, step: ProofTree, i: int) -> ProofTree:
-    """Cut f, a proof of Ψ ⊢ fun, into the L-step whose functor at position i must be fun."""
-    fun, ante = f.conclusion.succedent, step.conclusion.antecedent
+def _cut_functor(f: ProofTree, step: ProofTree, ante: tuple[LambekType, ...], i: int) -> ProofTree:
+    """Cut f, a proof of Ψ ⊢ fun, into the L-step of antecedent ante under
+    fun's result, whose functor at position i must be fun."""
+    fun = f.conclusion.succedent
     if ante[i] != fun:
         raise TacticError(f"argument type {render_type(ante[i].arg)} does not match {render_type(fun)}")
     ctx = f.conclusion.antecedent
-    conclusion = Sequent(ante[:i] + ctx + ante[i + 1 :], step.conclusion.succedent)
-    return ProofTree(conclusion, RuleName.CUT, (f, step), CutDetail(i, i + len(ctx)))
+    conclusion = Sequent(ante[:i] + ctx + ante[i + 1 :], fun.result)
+    return ProofTree(RuleName.CUT, (_premise(f), step), (i, i + len(ctx), fun), conclusion)
 
 
 def elim_under(left: ProofTree, right: ProofTree) -> ProofTree:
@@ -605,7 +605,7 @@ def elim_under(left: ProofTree, right: ProofTree) -> ProofTree:
     fun = right.conclusion.succedent
     if not isinstance(fun, Under):
         raise TacticError(f"right proof must conclude an Under type, got {render_type(fun)}")
-    return _cut_functor(right, _l_step(left, _ax(fun.result), Side.RIGHT), len(left.conclusion.antecedent))
+    return _cut_functor(right, *_l_step(left, _ax(fun.result), Side.RIGHT), len(left.conclusion.antecedent))
 
 
 def elim_over(left: ProofTree, right: ProofTree) -> ProofTree:
@@ -613,7 +613,7 @@ def elim_over(left: ProofTree, right: ProofTree) -> ProofTree:
     fun = left.conclusion.succedent
     if not isinstance(fun, Over):
         raise TacticError(f"left proof must conclude an Over type, got {render_type(fun)}")
-    return _cut_functor(left, _l_step(right, _ax(fun.result), Side.LEFT), 0)
+    return _cut_functor(left, *_l_step(right, _ax(fun.result), Side.LEFT), 0)
 
 
 def capture(t: ProofTree, k: ProofTree, side: Side) -> ProofTree:
@@ -623,11 +623,11 @@ def capture(t: ProofTree, k: ProofTree, side: Side) -> ProofTree:
     where a rightward ψ-producer expects a φ).  Right: from Φ ⊢ φ and
     Π ψ ⊢ π build Π Φ ⊢ π/(φ\\ψ).
     """
-    step = _l_step(t, k, side)
-    ante, pi = step.conclusion.antecedent, step.conclusion.succedent
+    step, ante = _l_step(t, k, side)
+    pi = k.conclusion.succedent
     if side is Side.LEFT:
-        return ProofTree(Sequent(ante[1:], Under(ante[0], pi)), RuleName.UNDER_R, (step,))
-    return ProofTree(Sequent(ante[:-1], Over(pi, ante[-1])), RuleName.OVER_R, (step,))
+        return ProofTree(RuleName.UNDER_R, (step,), conclusion=Sequent(ante[1:], Under(ante[0], pi)))
+    return ProofTree(RuleName.OVER_R, (step,), conclusion=Sequent(ante[:-1], Over(pi, ante[-1])))
 
 
 def dni(t: ProofTree, psi: LambekType, side: Side) -> ProofTree:
@@ -638,48 +638,35 @@ def dni(t: ProofTree, psi: LambekType, side: Side) -> ProofTree:
     return capture(t, _ax(psi), side)
 
 
-def _detail_to_json(detail: Detail) -> dict | None:
-    if detail is None:
+def _detail_to_json(rule: RuleName, d: tuple | None) -> dict | None:
+    if d is None:
         return None
-    return {f.name: getattr(detail, f.name) for f in fields(detail)}
+    return {name: render_type(v) if name == "formula" else v for name, v in zip(_DETAIL_FIELDS[rule], d)}
 
 
-def _detail_from_json(rule: RuleName, obj: object) -> Detail:
+def _detail_from_json(rule: RuleName, obj: object, g: Grammar) -> tuple | None:
     if obj is None:
         return None
     if not isinstance(obj, dict):
         raise ValueError(f"rule {rule.value} needs an object or null as its detail")
-    cls = _DETAIL_CLASS.get(rule)
-    if cls is None:
-        raise ValueError(f"rule {rule.value} takes no detail")
-    args = []
-    for f in fields(cls):
-        v = obj.get(f.name)
-        if not _is_int(v):
-            raise ValueError(f"rule {rule.value} needs an integer as {f.name!r}")
-        args.append(v)
-    return cls(*args)
-
-
-def _node_to_json(t: ProofTree) -> dict:
-    return {
-        "conclusion": {
-            "antecedent": [render_type(x) for x in t.conclusion.antecedent],
-            "succedent": render_type(t.conclusion.succedent),
-        },
-        "rule": t.rule.value,
-        "detail": _detail_to_json(t.detail),
-        "premises": [],
-    }
+    values = {name: obj.get(name) for name in _DETAIL_FIELDS.get(rule, ())}
+    d = tuple(parse_type(v, g) if name == "formula" and isinstance(v, str) else v for name, v in values.items())
+    why = _detail_error(rule, d)
+    if why is not None:
+        raise ValueError(f"rule {rule.value} {why}")
+    return d
 
 
 def proof_to_json(t: ProofTree) -> dict:
-    root = _node_to_json(t)
+    """Nested objects of rule, detail and premises; only the root's carries its conclusion."""
+    ante, succ = t.conclusion.antecedent, t.conclusion.succedent
+    root = {"conclusion": {"antecedent": [render_type(x) for x in ante], "succedent": render_type(succ)}}
     stack = [(t, root)]
     while stack:
         node, obj = stack.pop()
+        obj.update(rule=node.rule.value, detail=_detail_to_json(node.rule, node.detail), premises=[])
         for p in node.premises:
-            obj["premises"].append(_node_to_json(p))
+            obj["premises"].append({})
             stack.append((p, obj["premises"][-1]))
     return root
 
@@ -693,6 +680,12 @@ def _field(obj: object, key: str, kind: type, what: str):
 
 def proof_from_json(obj: dict, g: Grammar) -> ProofTree:
     """The proof that proof_to_json wrote; ValueError on JSON of any other shape."""
+    c = _field(obj, "conclusion", dict, "an object")
+    ante = _field(c, "antecedent", list, "a list")
+    if not all(isinstance(x, str) for x in ante):
+        raise ValueError("a proof node needs a list of strings as 'antecedent'")
+    succ = parse_type(_field(c, "succedent", str, "a string"), g)
+    conclusion = Sequent(tuple(parse_type(x, g) for x in ante), succ)
     # postorder: a node is built once its premises sit on top of `built`
     built: list[ProofTree] = []
     stack = [(obj, False)]
@@ -700,29 +693,28 @@ def proof_from_json(obj: dict, g: Grammar) -> ProofTree:
         o, premises_built = stack.pop()
         prems = _field(o, "premises", list, "a list")
         if not premises_built:
+            if o is not obj and "conclusion" in o:
+                raise ValueError("only the root proof node may hold a 'conclusion'")
             stack.append((o, True))
             stack.extend((p, False) for p in reversed(prems))
             continue
         rule = RuleName(_field(o, "rule", str, "a string"))
-        c = _field(o, "conclusion", dict, "an object")
-        ante = _field(c, "antecedent", list, "a list")
-        if not all(isinstance(x, str) for x in ante):
-            raise ValueError("a proof node needs a list of strings as 'antecedent'")
-        succ = parse_type(_field(c, "succedent", str, "a string"), g)
-        conclusion = Sequent(tuple(parse_type(x, g) for x in ante), succ)
         first = len(built) - len(prems)
         premises = tuple(built[first:])
         del built[first:]
-        built.append(ProofTree(conclusion, rule, premises, _detail_from_json(rule, o.get("detail"))))
-    return built[0]
+        built.append(ProofTree(rule, premises, _detail_from_json(rule, o.get("detail"), g)))
+    return replace(built[0], conclusion=conclusion)
 
 
 def render_proof(t: ProofTree) -> str:
-    """The proof as indented text, one sequent per line, premises below."""
+    """The proof as indented text, one sequent per line, premises below.
+
+    Each conclusion below the root's is replayed; ValueError where the
+    proof does not replay.
+    """
     lines: list[str] = []
-    stack = [(t, 0)]
-    while stack:
-        node, depth = stack.pop()
-        lines.append("  " * depth + f"{render_sequent(node.conclusion)}   [{node.rule.value}]")
-        stack.extend((p, depth + 1) for p in reversed(node.premises))
+    for node, path, s, why in _replayed(t):
+        if why is not None:
+            raise ValueError(f"the proof does not replay at {path}: {why}")
+        lines.append("  " * len(path) + f"{render_sequent(s)}   [{node.rule.value}]")
     return "\n".join(lines)

@@ -240,6 +240,17 @@ def test_errors_exit_2(argv):
     assert code == 2
 
 
+def test_prove_json_grows_linearly():
+    """A proof nests as deep as it is long, so indented output would be quadratic."""
+    size = {}
+    for tests in (25, 50):
+        sequent = " , AND , ".join(['"1" , = , a'] * tests) + " |- E"
+        code, out, _ = cli("prove", sequent, "--grammar", "bool", "--json")
+        assert code == 0 and json.loads(out)["status"] == "Proved"
+        size[4 * tests - 1] = len(out)
+    assert size[199] <= 2.3 * size[99], size
+
+
 def test_too_deep_input_is_an_error_not_a_negative():
     """Exit 1 is a sound negative; an input too deep to parse is an error."""
     sequent = " , AND , ".join(['"1" , = , "1"'] * 300) + " |- E"

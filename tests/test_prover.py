@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import random
 import signal
 from contextlib import contextmanager
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from lambek.earley import recognize
+from lambek.earley import parse_tree, recognize
 from lambek.grammar import (
     Grammar,
     Production,
@@ -19,18 +20,11 @@ from lambek.grammar import (
     terminal,
 )
 from lambek.prover import (
-    AxiomDetail,
-    CutDetail,
-    GramDetail,
-    OverLDetail,
-    PosDetail,
     Prover,
     RuleName,
     SearchStatus,
     Side,
-    SplitDetail,
     TacticError,
-    UnderLDetail,
     capture,
     check_proof,
     dni,
@@ -41,9 +35,9 @@ from lambek.prover import (
     proof_to_json,
     render_proof,
 )
-from lambek.prover import ProofTree
+from lambek.prover import _DETAIL_FIELDS, ProofTree, _replayed, fold_chain
 from lambek.semantics import prove_with_prescreen, soundness_check
-from lambek.types import Atom, Over, Prod, Sequent, Under, iter_atoms, parse_sequent, render_sequent, type_size
+from lambek.types import UNIT, Atom, Over, Prod, Sequent, Under, iter_atoms, parse_sequent, render_sequent, type_size
 
 
 @st.composite
@@ -138,10 +132,11 @@ def test_flagship_proof_skips_nullable_tail(bool_g, prover):
     fold cuts a proof of  |- F  into the production's GRAM axiom."""
     r = prover.prove(parse_sequent("a , = , b , OR , 1 , = , 1 |- E", bool_g))
     assert check_proof(bool_g, r.proof).ok
-    empty_f = Sequent((), Atom(bool_g.symbol("F")))
+    f = Atom(bool_g.symbol("F"))
+    replayed = {path: s for _, path, s, _ in _replayed(r.proof)}
     assert any(
-        t.rule is RuleName.CUT and t.detail.start == t.detail.stop and t.premises[0].conclusion == empty_f
-        for t, _ in _preorder(r.proof)
+        t.rule is RuleName.CUT and t.detail[2] == f and replayed[path + (0,)] == Sequent((), f)
+        for t, path in _preorder(r.proof)
     )
 
 
@@ -172,6 +167,32 @@ def test_long_flat_proof(bool_g):
     nodes = list(_nodes(r.proof))
     assert list(_nodes(proof_from_json(proof_to_json(r.proof), bool_g))) == nodes
     assert len(render_proof(r.proof).splitlines()) == len(nodes)
+
+
+def _flat_chain(g, tokens):
+    """The flat sequent  1 = a AND ... AND 1 = a ⊢ E  of the given length."""
+    assert tokens % 4 == 3
+    return parse_sequent(" , AND , ".join(['"1" , = , a'] * ((tokens + 1) // 4)) + " |- E", g)
+
+
+def test_fold_chain_builds_no_sequent(bool_g, spy):
+    """The chain's cuts carry their formulas, so only the root's conclusion,
+    which the caller passes, is a sequent."""
+    s = _flat_chain(bool_g, 799)
+    outcome = parse_tree(bool_g, s.succedent.symbol, tuple(t.symbol for t in s.antecedent))
+    built = spy(Sequent, "__post_init__")
+    proof = fold_chain(bool_g, s, outcome.tree)
+    assert built == []
+    assert proof.conclusion is s and check_proof(bool_g, proof).ok
+
+
+def test_proof_json_grows_linearly(bool_g):
+    """Only the root's conclusion is written, so a flat proof's JSON is linear in its length."""
+    size = {}
+    for tokens in (99, 199):
+        proof = Prover(bool_g).prove(_flat_chain(bool_g, tokens)).proof
+        size[tokens] = len(json.dumps(proof_to_json(proof), separators=(",", ":"), ensure_ascii=False))
+    assert size[199] <= 2.3 * size[99], size
 
 
 def test_prove_rejects_undeclared_atoms(bool_g):
@@ -221,8 +242,8 @@ def test_check_rejects_wrong_conclusion(bool_g, prover):
 def test_check_rejects_wrong_production_index(bool_g, prover):
     r = prover.prove(parse_sequent("b |- V", bool_g))
     gram = _find(r.proof, RuleName.GRAM)
-    other = (gram.detail.production + 1) % len(bool_g.productions)
-    bad = _replace_node(r.proof, gram, dataclasses.replace(gram, detail=GramDetail(other)))
+    other = (gram.detail[0] + 1) % len(bool_g.productions)
+    bad = _replace_node(r.proof, gram, dataclasses.replace(gram, detail=(other,)))
     res = check_proof(bool_g, bad)
     assert not res.ok and "production" in res.reason
 
@@ -243,12 +264,9 @@ def test_check_rejects_non_nullable_skip(bool_g):
     t = Atom(bool_g.symbol("T"))
     # pretend T, which is not nullable, is skipped: an empty segment cut
     # against a GRAM leaf that claims |- T by T ::= V = V
-    bad = ProofTree(
-        Sequent((), t),
-        RuleName.CUT,
-        (ProofTree(Sequent((), t), RuleName.GRAM, (), GramDetail(six)), ProofTree(Sequent((t,), t), RuleName.AX, ())),
-        CutDetail(0, 0),
-    )
+    premises = (ProofTree(RuleName.GRAM, (), (six,)), ProofTree(RuleName.AX))
+    bad = ProofTree(RuleName.CUT, premises, (0, 0, t), Sequent((), t))
+    assert [s for _, _, s, _ in _replayed(bad)] == [Sequent((), t), Sequent((), t), Sequent((t,), t)]
     res = check_proof(bool_g, bad)
     assert not res.ok and res.path == (0,) and "GRAM" in res.reason and "production" in res.reason
 
@@ -258,9 +276,10 @@ def test_check_rejects_cut_segment_mismatch(bool_g, prover):
     right = prover.prove(parse_sequent("b |- V", bool_g)).proof
     good = elim_over(left, right)
     assert check_proof(bool_g, good).ok
-    bad = dataclasses.replace(good, detail=CutDetail(1, 2))
+    bad = dataclasses.replace(good, detail=(1, 2, good.detail[2]))
     res = check_proof(bool_g, bad)
-    assert not res.ok and "CUT" in res.reason
+    # the segment replays into the premises' proofs, and a leaf below no longer fits
+    assert not res.ok and res.path[:1] == (0,) and "GRAM" in res.reason
 
 
 def test_check_reports_failure_path(bool_g, prover):
@@ -310,6 +329,23 @@ def _proof_holding(g, prover, rule):
     return proof(text)
 
 
+def _shifted(node, g):
+    """node with one detail field changed, in each way: an integer by one
+    either way, a cut formula to another atom; an R-rule, which has no
+    detail, becomes its mirror."""
+    mirror = {RuleName.UNDER_R: RuleName.OVER_R, RuleName.OVER_R: RuleName.UNDER_R}
+    if node.rule in mirror:
+        yield dataclasses.replace(node, rule=mirror[node.rule])
+        return
+    for k, v in enumerate(node.detail):
+        if isinstance(v, int):
+            others = (v - 1, v + 1)
+        else:
+            others = (Atom(g.symbol("T" if v != Atom(g.symbol("T")) else "V")),)
+        for w in others:
+            yield dataclasses.replace(node, detail=node.detail[:k] + (w,) + node.detail[k + 1 :])
+
+
 @pytest.mark.parametrize(
     "rule",
     [
@@ -323,39 +359,58 @@ def _proof_holding(g, prover, rule):
         RuleName.CUT,
     ],
 )
-def test_check_replays_every_premise(bool_g, prover, rule):
-    """A premise that concludes anything but its replayed sequent is caught at its parent."""
+def test_check_rejects_a_shifted_detail(bool_g, prover, rule):
+    """Premises are replayed from their parent, so a node whose detail no
+    longer fits its premises' proofs is caught at it or below it."""
     proof = _proof_holding(bool_g, prover, rule)
     assert check_proof(bool_g, proof).ok
     node, path = next((n, p) for n, p in _preorder(proof) if n.rule is rule)
-    extra = Atom(bool_g.symbol("T"))
-    for k, prem in enumerate(node.premises):
-        c = prem.conclusion
-        moved = dataclasses.replace(prem, conclusion=Sequent(c.antecedent + (extra,), c.succedent))
-        res = check_proof(bool_g, _replace_at(proof, path + (k,), moved))
-        assert not res.ok and res.path == path, (k, res)
-        assert rule.value in res.reason and "premise" in res.reason
+    shifted = list(_shifted(node, bool_g))
+    assert shifted
+    for bad in shifted:
+        res = check_proof(bool_g, _replace_at(proof, path, bad))
+        assert not res.ok and res.path[: len(path)] == path, (bad.rule, bad.detail, res)
 
 
-def test_check_rejects_a_detail_of_the_wrong_class(bool_g, prover):
+def test_check_rejects_a_changed_cut_formula_at_the_leaf_below(bool_g, prover):
+    """The cut formula is the cut's alone: the GRAM leaf that proves it no longer cites its sequent."""
+    proof = prover.prove(parse_sequent("a , = , b |- T", bool_g)).proof
+    assert proof.rule is RuleName.CUT and proof.detail[2] == Atom(bool_g.symbol("V"))
+    bad = dataclasses.replace(proof, detail=proof.detail[:2] + (Atom(bool_g.symbol("T")),))
+    res = check_proof(bool_g, bad)
+    assert not res.ok and res.path == (0,) and res.reason == "GRAM conclusion does not match the cited production"
+
+
+def test_check_rejects_a_conclusion_below_the_root(bool_g, prover):
+    """A proof stores its root's conclusion only."""
+    proof = prover.prove(parse_sequent("a , = , b |- T", bool_g)).proof
+    stored = {path: s for _, path, s, _ in _replayed(proof)}
+    for path in ((0,), (1,), (1, 1)):
+        node = next(n for n, p in _preorder(proof) if p == path)
+        bad = _replace_at(proof, path, dataclasses.replace(node, conclusion=stored[path]))
+        res = check_proof(bool_g, bad)
+        assert not res.ok and res.path == path and "root" in res.reason
+    res = check_proof(bool_g, dataclasses.replace(proof, conclusion=None))
+    assert not res.ok and res.path == () and "conclusion" in res.reason
+
+
+def test_proof_from_json_rejects_a_conclusion_below_the_root(bool_g, prover):
+    obj = proof_to_json(prover.prove(parse_sequent("a , = , b |- T", bool_g)).proof)
+    assert [set(p) for p in obj["premises"]] == [{"rule", "detail", "premises"}] * 2
+    obj["premises"][1]["premises"][0]["conclusion"] = {"antecedent": ["b"], "succedent": "V"}
+    with pytest.raises(ValueError, match="conclusion"):
+        proof_from_json(obj, bool_g)
+
+
+def test_check_rejects_a_detail_of_the_wrong_arity(bool_g, prover):
     proof = prover.prove(parse_sequent("b |- V", bool_g)).proof
     assert proof.rule is RuleName.GRAM
-    res = check_proof(bool_g, dataclasses.replace(proof, detail=PosDetail(proof.detail.production)))
-    assert not res.ok and res.path == () and "GramDetail" in res.reason
+    for detail in ((), proof.detail + (0,), [proof.detail[0]]):
+        res = check_proof(bool_g, dataclasses.replace(proof, detail=detail))
+        assert not res.ok and res.path == () and res.reason == "GRAM needs a detail of 1 fields (production)"
 
 
-@pytest.mark.parametrize(
-    "detail",
-    [
-        GramDetail(0),
-        AxiomDetail(0),
-        PosDetail(0),
-        SplitDetail(0),
-        UnderLDetail(0, 0),
-        OverLDetail(0, 1),
-        CutDetail(0, 0),
-    ],
-)
+@pytest.mark.parametrize("detail", [(0,), (0, 1), (0, 0, Atom(terminal("a"))), ()])
 def test_check_rejects_a_detail_on_ax(bool_g, prover, detail):
     proof = _proof_holding(bool_g, prover, RuleName.OVER_L)  # its main premise is an AX leaf
     node, path = next((n, p) for n, p in _preorder(proof) if n.rule is RuleName.AX)
@@ -376,8 +431,9 @@ def test_check_rejects_a_detail_on_ax(bool_g, prover, detail):
         RuleName.CUT,
     ],
 )
-def test_check_rejects_a_detail_that_is_not_integers(bool_g, prover, rule):
-    """A detail field that is not an integer is a rejection at its node, not a crash."""
+def test_check_rejects_a_detail_field_of_the_wrong_kind(bool_g, prover, rule):
+    """A detail field that is not an integer, or a formula that is not a
+    type, is a rejection at its node, not a crash."""
     if rule is RuleName.AXIOM:
         g, axioms = ENG_G, ENG_AXIOMS
         proof = Prover(g, axioms).prove(parse_sequent("he , knows , Alice |- Sent", g)).proof
@@ -386,12 +442,16 @@ def test_check_rejects_a_detail_that_is_not_integers(bool_g, prover, rule):
         proof = _proof_holding(g, prover, rule)
     assert check_proof(g, proof, axioms).ok
     node, path = next((n, p) for n, p in _preorder(proof) if n.rule is rule)
-    for f in dataclasses.fields(node.detail):
-        for value in ("0", 1.0, True, None):
-            bad = dataclasses.replace(node, detail=dataclasses.replace(node.detail, **{f.name: value}))
+    names = _DETAIL_FIELDS[rule]
+    assert len(node.detail) == len(names)
+    for k, name in enumerate(names):
+        kind = "a type" if name == "formula" else "an integer"
+        values = ("V", 0, None, Sequent((), UNIT)) if name == "formula" else ("0", 1.0, True, None, Atom(terminal("a")))
+        for value in values:
+            bad = dataclasses.replace(node, detail=node.detail[:k] + (value,) + node.detail[k + 1 :])
             res = check_proof(g, _replace_at(proof, path, bad), axioms)
-            assert not res.ok and res.path == path, (f.name, value, res)
-            assert rule.value in res.reason and "integers" in res.reason
+            assert not res.ok and res.path == path, (name, value, res)
+            assert res.reason == f"{rule.value} needs {kind} as {name!r}"
 
 
 def test_checker_reads_no_derived_table(load_bundled):
@@ -408,7 +468,7 @@ def test_checker_reads_no_derived_table(load_bundled):
 
 @pytest.mark.parametrize("kept", [0, 1])
 def test_check_rejects_a_cut_without_two_premises(bool_g, prover, kept):
-    """The cut formula is read off the first premise, so the count comes first."""
+    """A cut has exactly two premises: the segment's proof and the proof it is cut into."""
     proof = _proof_holding(bool_g, prover, RuleName.CUT)
     assert proof.rule is RuleName.CUT
     res = check_proof(bool_g, dataclasses.replace(proof, premises=proof.premises[:kept]))
@@ -425,6 +485,19 @@ def test_proof_from_json_rejects_a_malformed_detail(bool_g, prover, detail):
     assert obj["rule"] == "GRAM"
     obj["detail"] = detail
     with pytest.raises(ValueError, match="GRAM.*'production'"):
+        proof_from_json(obj, bool_g)
+
+
+@pytest.mark.parametrize(
+    "detail",
+    [{"start": 0, "stop": 1}, {"start": 0, "stop": 1, "formula": 2}, {"start": 0, "stop": 1, "formula": "V \\"}],
+    ids=["missing", "number", "unparsable"],
+)
+def test_proof_from_json_rejects_a_malformed_cut_formula(bool_g, prover, detail):
+    obj = proof_to_json(prover.prove(parse_sequent("a , = , b |- T", bool_g)).proof)
+    assert obj["rule"] == "CUT" and obj["detail"] == {"start": 0, "stop": 1, "formula": "V"}
+    obj["detail"] = detail
+    with pytest.raises(ValueError):
         proof_from_json(obj, bool_g)
 
 
@@ -511,7 +584,7 @@ def test_capture(bool_g, prover, side, cont, expect):
     assert t.conclusion == parse_sequent(expect, bool_g)
     assert check_proof(bool_g, t).ok
     assert_capture_shape(t)
-    assert t.premises[0].premises == (base, k)
+    assert t.premises[0].premises == tuple(dataclasses.replace(p, conclusion=None) for p in (base, k))
     assert Prover(bool_g).prove(t.conclusion).proof == t
 
 
@@ -986,6 +1059,18 @@ def test_pinned_verdicts(bool_g, name):
             assert r.proof.conclusion == s and check_proof(g, r.proof).ok, text
 
 
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_pinned_proofs_store_one_conclusion_and_round_trip(bool_g, name):
+    g = bool_g if name == "bool" else parse_grammar_file(PINNED_GRAMMARS[name])
+    pr = Prover(g)
+    for line in PINNED[name].strip().splitlines():
+        s = parse_sequent(line.split(" ", 1)[1], g)
+        proof = pr.prove(s).proof
+        if proof is not None:
+            assert [p for n, p in _preorder(proof) if n.conclusion is not None] == [()], line
+            assert proof_from_json(proof_to_json(proof), g) == proof, line
+
+
 # --- span-pruned L-rule splits --------------------------------------------
 
 
@@ -999,25 +1084,25 @@ class _EverySplitProver(Prover):
                     if t.symbol == ax.token:
                         prem1 = Sequent((t,), ax.type)
                         prem2 = Sequent(ante[:i] + (ax.type,) + ante[i + 1 :], succ)
-                        yield (RuleName.CUT, CutDetail(i, i + 1), (prem1, prem2))
+                        yield (RuleName.CUT, (i, i + 1, ax.type), (prem1, prem2))
 
         for i, t in enumerate(ante):
             if isinstance(t, Under):
                 for j in range(i + 1):
                     prem1 = Sequent(ante[j:i], t.arg)
                     prem2 = Sequent(ante[:j] + (t.result,) + ante[i + 1 :], succ)
-                    yield (RuleName.UNDER_L, UnderLDetail(i, j), (prem1, prem2))
+                    yield (RuleName.UNDER_L, (i, j), (prem1, prem2))
             elif isinstance(t, Over):
                 for j in range(i + 1, len(ante) + 1):
                     prem1 = Sequent(ante[i + 1 : j], t.arg)
                     prem2 = Sequent(ante[:i] + (t.result,) + ante[j:], succ)
-                    yield (RuleName.OVER_L, OverLDetail(i, j), (prem1, prem2))
+                    yield (RuleName.OVER_L, (i, j), (prem1, prem2))
 
         if isinstance(succ, Prod):
             for k in range(len(ante) + 1):
                 yield (
                     RuleName.PROD_R,
-                    SplitDetail(k),
+                    (k,),
                     (Sequent(ante[:k], succ.left), Sequent(ante[k:], succ.right)),
                 )
 

@@ -1,8 +1,11 @@
-"""The README's command-line tour, run command by command, and its names.
+"""The README's command-line tour, run command by command, its library
+example, and its names.
 
 Every `$ lambek ...` line of the README's `text` blocks runs through the CLI,
 with lines ending in a backslash joined, and its stdout must be the lines
-shown below it; a trailing `...` means the output starts with them.
+shown below it; a trailing `...` means the output starts with them.  The
+`python` block runs as is, and prints what the `# ...` comments on its
+`print` lines show.
 """
 import io
 import re
@@ -61,3 +64,11 @@ def test_tour_command_prints_what_the_readme_shows(cmd, shown):
         shown = shown[:-1]
         got = got[: len(shown)]
     assert got == shown
+
+
+def test_library_example_prints_what_its_comments_show(capsys):
+    (block,) = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
+    shown = [line.split("#", 1)[1].strip() for line in block.splitlines() if line.startswith("print(")]
+    assert shown == ["Capturing", "(C/V)\\E"]
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == shown
