@@ -359,7 +359,7 @@ def _shifted(node, g):
         RuleName.CUT,
     ],
 )
-def test_check_rejects_a_shifted_detail(bool_g, prover, rule):
+def test_check_replays_every_premise(bool_g, prover, rule):
     """Premises are replayed from their parent, so a node whose detail no
     longer fits its premises' proofs is caught at it or below it."""
     proof = _proof_holding(bool_g, prover, rule)
@@ -402,7 +402,7 @@ def test_proof_from_json_rejects_a_conclusion_below_the_root(bool_g, prover):
         proof_from_json(obj, bool_g)
 
 
-def test_check_rejects_a_detail_of_the_wrong_arity(bool_g, prover):
+def test_check_rejects_a_detail_of_the_wrong_class(bool_g, prover):
     proof = prover.prove(parse_sequent("b |- V", bool_g)).proof
     assert proof.rule is RuleName.GRAM
     for detail in ((), proof.detail + (0,), [proof.detail[0]]):
@@ -410,7 +410,11 @@ def test_check_rejects_a_detail_of_the_wrong_arity(bool_g, prover):
         assert not res.ok and res.path == () and res.reason == "GRAM needs a detail of 1 fields (production)"
 
 
-@pytest.mark.parametrize("detail", [(0,), (0, 1), (0, 0, Atom(terminal("a"))), ()])
+@pytest.mark.parametrize(
+    "detail",
+    # the detail of each rule that takes one, then an empty one
+    [tuple(Atom(terminal("a")) if f == "formula" else 0 for f in fields) for fields in _DETAIL_FIELDS.values()] + [()],
+)
 def test_check_rejects_a_detail_on_ax(bool_g, prover, detail):
     proof = _proof_holding(bool_g, prover, RuleName.OVER_L)  # its main premise is an AX leaf
     node, path = next((n, p) for n, p in _preorder(proof) if n.rule is RuleName.AX)
@@ -431,7 +435,7 @@ def test_check_rejects_a_detail_on_ax(bool_g, prover, detail):
         RuleName.CUT,
     ],
 )
-def test_check_rejects_a_detail_field_of_the_wrong_kind(bool_g, prover, rule):
+def test_check_rejects_a_detail_that_is_not_integers(bool_g, prover, rule):
     """A detail field that is not an integer, or a formula that is not a
     type, is a rejection at its node, not a crash."""
     if rule is RuleName.AXIOM:
