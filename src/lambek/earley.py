@@ -7,9 +7,14 @@ grammar preprocessing.  Each column indexes its items by the symbol they wait
 on, and Leo's transitive items (Leo 1991) complete a deterministic right
 recursion in one step, so recognition is linear on such grammars.  Tree
 extraction walks an index of the completed spans, (symbol, start) -> ends,
-top-down; derivations that pass through the same (symbol, span) pair more
-than twice on one path are not enumerated, which only suppresses pumped
-unit-cycle variants of trees that are already reported.
+top-down, and keeps only the first two trees of each (symbol, span) in
+derivation order: the ambiguity answer needs no more, and a node's first two
+trees follow from its children's.  So each span's trees are built once per
+parse and shared by every parent, as in a packed parse forest (Scott 2008).
+A span with the same range as its parent (a unit or nullable cycle) is
+walked per path instead, and derivations that pass through the same
+(symbol, span) pair more than twice on one path are left out, which only
+suppresses pumped cycle variants of trees that are already reported.
 
 A chart predicts a tuple of start symbols at column 0.  Column j depends
 only on the first j input symbols (Earley 1970), so a closed chart can be
@@ -22,6 +27,7 @@ split of w.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -372,62 +378,142 @@ def _column_spans(
                 break
 
 
-def _trees(
-    g: Grammar,
+# a production, which of its right-hand-side symbols are terminals, and how
+# many terminals follow each position
+_Shape = tuple[Production, tuple[bool, ...], tuple[int, ...]]
+
+
+def _rhs_shapes(g: Grammar) -> dict[Symbol, list[_Shape]]:
+    """Per left-hand side, in grammar order, the shape of each production;
+    reach it through memo.
+
+    A production equal to an earlier one is left out: its trees repeat the
+    earlier one's, so every tree the walk builds is new.
+    """
+    shapes: dict[Symbol, list[_Shape]] = {}
+    for p in dict.fromkeys(g.productions):
+        flags = tuple(s.is_terminal for s in p.rhs)
+        after = tuple(sum(flags[k + 1 :]) for k in range(len(flags)))
+        shapes.setdefault(p.lhs, []).append((p, flags, after))
+    return shapes
+
+
+# a completed span: (symbol, start, end)
+Span = tuple[Symbol, int, int]
+
+
+def _fits(
+    shapes: dict[Symbol, list[_Shape]],
     w: Word,
     ends: dict[tuple[Symbol, int], list[int]],
+    table: dict[Span, list[ParseTree]],
+    rhs: tuple[Symbol, ...],
+    flags: tuple[bool, ...],
+    after: tuple[int, ...],
+    k: int,
+    pos: int,
+    j: int,
+    path: tuple[Span, ...],
+) -> Iterator[tuple[list[ParseTree], ...]]:
+    """Per assignment of rhs[k:] to w[pos:j] whose children all have trees,
+    in order, the children's trees; one frame per position."""
+    head = rhs[k]
+    if flags[k]:
+        if pos < j - after[k] and w[pos] == head:
+            leaf = (token_leaf(head),)
+            if k + 1 == len(rhs):
+                if pos + 1 == j:
+                    yield (leaf,)
+            else:
+                for tail in _fits(shapes, w, ends, table, rhs, flags, after, k + 1, pos + 1, j, path):
+                    yield (leaf,) + tail
+        return
+    es = ends.get((head, pos))
+    if not es:
+        return
+    if k + 1 == len(rhs):
+        x = bisect_left(es, j)
+        if x < len(es) and es[x] == j:
+            kids = _trees(shapes, w, ends, table, head, pos, j, path)
+            if kids:
+                yield (kids,)
+        return
+    hi = j - after[k]
+    for mid in es:
+        if mid > hi:
+            break
+        kids = None
+        # the child's trees, once the symbols to its right fit
+        for tail in _fits(shapes, w, ends, table, rhs, flags, after, k + 1, mid, j, path):
+            if kids is None:
+                kids = _trees(shapes, w, ends, table, head, pos, mid, path)
+                if not kids:
+                    break
+            yield (kids,) + tail
+
+
+def _trees(
+    shapes: dict[Symbol, list[_Shape]],
+    w: Word,
+    ends: dict[tuple[Symbol, int], list[int]],
+    table: dict[Span, list[ParseTree]],
     sym: Symbol,
     i: int,
     j: int,
-    path: tuple[tuple[Symbol, int, int], ...],
-) -> Iterator[ParseTree]:
+    path: tuple[Span, ...],
+) -> list[ParseTree]:
+    """The first two distinct trees of sym over w[i:j], in derivation order.
+
+    The order: sym's productions in grammar order; per production, its
+    assignments of child spans by ascending split points; per assignment,
+    the product of the children's trees with the rightmost varying fastest;
+    and last the leaf sym where w[i:j] is the nonterminal sym itself.  So an
+    assignment's first tree takes every child's first tree, and its second
+    swaps in the second tree of the rightmost child that has one: two trees
+    per child answer for the parent.
+
+    path holds this span's ancestors that share its range.  A span whose
+    parent spans more depends on nothing else, so its trees are kept in
+    table and built once per parse.  A span that shares its parent's range
+    (a unit or nullable cycle) is not kept; it gets no trees when its span
+    is on path twice already, which only suppresses pumped cycle variants
+    of trees that are already reported.
+    """
     key = (sym, i, j)
-    if path.count(key) >= 2:
-        return
-    # a child spans part of its parent's span, so a key can recur on a path
-    # only among the ancestors that share its span
-    path = path + (key,) if path and path[-1][1] == i and path[-1][2] == j else (key,)
-    by_lhs = memo(g, lhs_index)
-
-    def assignments(rhs: tuple[Symbol, ...], pos: int) -> Iterator[list[tuple[Symbol, int, int]]]:
-        if not rhs:
-            if pos == j:
-                yield []
-            return
-        head, rest = rhs[0], rhs[1:]
-        if head.is_terminal:
-            if pos < j and w[pos] == head:
-                for tail in assignments(rest, pos + 1):
-                    yield [(head, pos, pos + 1)] + tail
-            return
-        hi = j - sum(1 for s in rest if s.is_terminal)
-        for mid in ends.get((head, pos), ()):
-            if mid > hi:
-                break
-            for tail in assignments(rest, mid):
-                yield [(head, pos, mid)] + tail
-
-    for pid in by_lhs.get(sym, ()):
-        prod = g.productions[pid]
+    if path and path[-1][1] == i and path[-1][2] == j:
+        if path.count(key) >= 2:
+            return []
+        path += (key,)
+        kept = False
+    else:
+        found = table.get(key)
+        if found is not None:
+            return found
+        path = (key,)
+        kept = True
+    found = []
+    for prod, flags, after in shapes.get(sym, ()):
+        if len(found) == 2:
+            break
         if not prod.rhs:
             if i == j:
-                yield ParseTree(sym, prod, (EPS_LEAF,), ())
+                found.append(ParseTree(sym, prod, (EPS_LEAF,), ()))
             continue
-        for assignment in assignments(prod.rhs, i):
-            def expand(k: int, acc: tuple[ParseTree, ...]) -> Iterator[ParseTree]:
-                if k == len(assignment):
-                    yield internal_node(prod, acc)
-                    return
-                s, p, q = assignment[k]
-                if s.is_terminal:
-                    yield from expand(k + 1, acc + (token_leaf(s),))
-                    return
-                for sub in _trees(g, w, ends, s, p, q, path):
-                    yield from expand(k + 1, acc + (sub,))
-
-            yield from expand(0, ())
-    if j == i + 1 and w[i].kind is SymbolKind.NONTERMINAL and w[i] == sym:
-        yield token_leaf(sym)
+        for kids in _fits(shapes, w, ends, table, prod.rhs, flags, after, 0, i, j, path):
+            children = tuple([trees[0] for trees in kids])
+            found.append(ParseTree(sym, prod, children, w[i:j]))
+            if len(found) == 1:
+                for k in range(len(kids) - 1, -1, -1):
+                    if len(kids[k]) == 2:
+                        found.append(ParseTree(sym, prod, children[:k] + (kids[k][1],) + children[k + 1 :], w[i:j]))
+                        break
+            if len(found) == 2:
+                break
+    if len(found) < 2 and j == i + 1 and w[i].kind is SymbolKind.NONTERMINAL and w[i] == sym:
+        found.append(token_leaf(sym))
+    if kept:
+        table[key] = found
+    return found
 
 
 def parse_tree(g: Grammar, a: Symbol, w: Word) -> ParseOutcome:
@@ -440,16 +526,10 @@ def parse_tree(g: Grammar, a: Symbol, w: Word) -> ParseOutcome:
     chart = _chart(g, (a,), w)
     if not _accepts(g, chart):
         return Reject()
-    ends = _span_ends(g, w, chart)
-    found: list[ParseTree] = []
-    for t in _trees(g, w, ends, a, 0, len(w), ()):
-        if t not in found:
-            found.append(t)
-        if len(found) == 2:
-            return Ambiguous(found[0], found[1])
-    if len(found) == 1:
-        return Unique(found[0])
-    return Reject()
+    found = _trees(memo(g, _rhs_shapes), w, _span_ends(g, w, chart), {}, a, 0, len(w), ())
+    if len(found) == 2:
+        return Ambiguous(found[0], found[1])
+    return Unique(found[0]) if found else Reject()
 
 
 @dataclass(frozen=True)

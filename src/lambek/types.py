@@ -107,11 +107,14 @@ class Sequent:
     antecedent: TypeContext
     succedent: LambekType
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_h", hash((self.antecedent, self.succedent)))
-
     def __hash__(self) -> int:
-        return self._h
+        # hashed on first use: the checker replays premises that no table looks up
+        try:
+            return self._h
+        except AttributeError:
+            h = hash((self.antecedent, self.succedent))
+            object.__setattr__(self, "_h", h)
+            return h
 
 
 _PLAIN_NAME = re.compile(r'^[^\s\\/*(),|"]+$')

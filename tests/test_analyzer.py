@@ -30,7 +30,7 @@ from lambek.grammar import (
 from lambek.prover import Prover, Side, check_proof, proof_to_json
 from lambek.semantics import OraclePass, SemBound, member_bounded, soundness_check
 from lambek.types import Atom, Over, Sequent, Under, mirror_type, parse_type, render_sequent, render_type
-from test_prover import _unless_tree_walk_blows_up, assert_capture_shape, cyclic_grammars, ignore_swallowed_alarms
+from test_prover import _within_two_seconds, assert_capture_shape, cyclic_grammars, ignore_swallowed_alarms
 
 
 @pytest.fixture(scope="module")
@@ -451,7 +451,7 @@ def test_captures_match_the_pair_loop_on_random_grammars(g, data):
     hole = data.draw(holes)
     ctx = InjectionContext(data.draw(words), data.draw(words), g.start, hole)
     w = data.draw(st.one_of(st.just(()), words))
-    _unless_tree_walk_blows_up(_assert_captures_match_the_pair_loop, g, ctx, w)
+    _within_two_seconds(_assert_captures_match_the_pair_loop, g, ctx, w)
 
 
 def test_attack_ladder_search_does_not_grow_with_the_input(bool_g, tmpl, mirrored, spy):
@@ -565,7 +565,7 @@ def test_classify_matches_the_reference_on_random_grammars(g, data):
     hole = data.draw(holes)
     ctx = InjectionContext(data.draw(words), data.draw(words), g.start, hole)
     w = data.draw(st.one_of(st.just(()), words))
-    _unless_tree_walk_blows_up(_assert_classify_matches_the_reference, g, ctx, w)
+    _within_two_seconds(_assert_classify_matches_the_reference, g, ctx, w)
 
 
 @st.composite
@@ -600,4 +600,4 @@ def cut_sentences(draw):
 @settings(max_examples=150)
 @given(cut_sentences())
 def test_classify_matches_the_reference_on_cut_sentences(cut):
-    _unless_tree_walk_blows_up(_assert_classify_matches_the_reference, *cut)
+    _within_two_seconds(_assert_classify_matches_the_reference, *cut)

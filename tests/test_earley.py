@@ -2,11 +2,13 @@ from itertools import product
 from math import log2
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from lambek.earley import (
+    EPS_LEAF,
     Ambiguous,
+    ParseTree,
     Pass,
     Reject,
     Splits,
@@ -19,8 +21,11 @@ from lambek.earley import (
     render_tree_text,
     token_leaf,
     tree_to_json,
+    _accepts,
     _chart,
+    _rhs_shapes,
     _span_ends,
+    _trees,
 )
 from lambek.grammar import (
     Grammar,
@@ -33,7 +38,7 @@ from lambek.grammar import (
     terminal,
     word_from_text,
 )
-from test_prover import NESTED_NULLABLE_CYCLES, PINNED_GRAMMARS, cyclic_grammars
+from test_prover import NESTED_NULLABLE_CYCLES, PINNED_GRAMMARS, _time_limit, _TooSlow, cyclic_grammars, ignore_swallowed_alarms
 
 
 def w(g, text):
@@ -355,6 +360,150 @@ def test_sentential_form_trees_match_the_lifted_grammar(name):
                     assert got.tree == _lowered(ref.tree, g), (a, form)
                 elif isinstance(ref, Ambiguous):
                     assert (got.first, got.second) == (_lowered(ref.first, g), _lowered(ref.second, g)), (a, form)
+
+
+def _reference_trees(g, w, ends, sym, i, j, path):
+    """The reference: every tree of sym over w[i:j] in derivation order, by a
+    walk that re-derives a child's trees for every tree of its left siblings."""
+    key = (sym, i, j)
+    if path.count(key) >= 2:
+        return
+    path = path + (key,) if path and path[-1][1] == i and path[-1][2] == j else (key,)
+    by_lhs = memo(g, lhs_index)
+
+    def assignments(rhs, pos):
+        if not rhs:
+            if pos == j:
+                yield []
+            return
+        head, rest = rhs[0], rhs[1:]
+        if head.is_terminal:
+            if pos < j and w[pos] == head:
+                for tail in assignments(rest, pos + 1):
+                    yield [(head, pos, pos + 1)] + tail
+            return
+        hi = j - sum(1 for s in rest if s.is_terminal)
+        for mid in ends.get((head, pos), ()):
+            if mid > hi:
+                break
+            for tail in assignments(rest, mid):
+                yield [(head, pos, mid)] + tail
+
+    for pid in by_lhs.get(sym, ()):
+        prod = g.productions[pid]
+        if not prod.rhs:
+            if i == j:
+                yield ParseTree(sym, prod, (EPS_LEAF,), ())
+            continue
+        for assignment in assignments(prod.rhs, i):
+
+            def expand(k, acc):
+                if k == len(assignment):
+                    yield internal_node(prod, acc)
+                    return
+                s, p, q = assignment[k]
+                if s.is_terminal:
+                    yield from expand(k + 1, acc + (token_leaf(s),))
+                    return
+                for sub in _reference_trees(g, w, ends, s, p, q, path):
+                    yield from expand(k + 1, acc + (sub,))
+
+            yield from expand(0, ())
+    if j == i + 1 and w[i].kind is SymbolKind.NONTERMINAL and w[i] == sym:
+        yield token_leaf(sym)
+
+
+def _reference_parse(g, a, form):
+    """parse_tree's answer from the first two distinct trees of the reference walk."""
+    chart = _chart(g, (a,), form)
+    if not _accepts(g, chart):
+        return Reject()
+    found = []
+    for t in _reference_trees(g, form, _span_ends(g, form, chart), a, 0, len(form), ()):
+        if t not in found:
+            found.append(t)
+        if len(found) == 2:
+            return Ambiguous(found[0], found[1])
+    return Unique(found[0]) if found else Reject()
+
+
+def _assert_derives(g, a, form, t):
+    """t is a derivation tree of the sentential form from a."""
+    assert t.root == a and t.word == form
+    if t.production is None:
+        assert form == (a,) and not t.children
+        return
+    assert t.production in g.productions and t.production.lhs == a
+    if not t.production.rhs:
+        assert t.children == (EPS_LEAF,) and form == ()
+        return
+    assert tuple(c.root for c in t.children) == t.production.rhs
+    k = 0
+    for c in t.children:
+        _assert_derives(g, c.root, form[k : k + len(c.word)], c)
+        k += len(c.word)
+
+
+def _assert_trees_match_the_reference(g, a, form):
+    """parse_tree gives the reference's outcome and first two trees; where the
+    reference runs past its time limit, its trees are checked alone.
+    Returns whether the reference answered."""
+    got = parse_tree(g, a, form)
+    trees = [got.tree] if isinstance(got, Unique) else [got.first, got.second] if isinstance(got, Ambiguous) else []
+    for t in trees:
+        _assert_derives(g, a, form, t)
+    assert len(set(trees)) == len(trees)
+    assert isinstance(got, Reject) == (not recognize(g, a, form))
+    try:
+        with _time_limit(0.5):
+            ref = _reference_parse(g, a, form)
+    except _TooSlow:
+        return False
+    assert got == ref, (a, form)
+    return True
+
+
+@ignore_swallowed_alarms
+@settings(max_examples=300)
+@given(
+    cyclic_grammars(),
+    st.sampled_from(["S", "A", "B", "R"]),
+    st.one_of(
+        st.lists(st.sampled_from(_SYMBOLS), max_size=5),
+        st.builds(lambda k, tail: ["x"] * k + tail, st.integers(1, 4), st.lists(st.sampled_from(_SYMBOLS), max_size=2)),
+    ),
+)
+def test_trees_match_the_reference_walk_on_random_grammars(g, goal, names):
+    if not _assert_trees_match_the_reference(g, g.symbol(goal), tuple(g.symbol(n) for n in names)):
+        event("the reference walk ran past its time limit")
+
+
+@ignore_swallowed_alarms
+@pytest.mark.parametrize("name", sorted(PINNED_GRAMMARS))
+def test_trees_match_the_reference_walk_on_every_short_form(name, bool_g):
+    g = bool_g if name == "bool" else parse_grammar_file(PINNED_GRAMMARS[name])
+    symbols = sorted(g.terminals | g.nonterminals, key=lambda s: s.name)
+    for a in sorted(g.nonterminals, key=lambda s: s.name):
+        for n in range(4):
+            for form in product(symbols, repeat=n):
+                assert _assert_trees_match_the_reference(g, a, form), (a, form)
+
+
+def test_tree_table_grows_linearly_on_right_recursion(bool_g):
+    """The walk keeps the trees of a bounded number of spans per token of
+    `1 = a AND …`, though the span index holds quadratically many."""
+    E = bool_g.symbol("E")
+    lengths, entries = [], []
+    for tests in (25, 50, 100, 200):  # 99 … 799 tokens
+        chain = w(bool_g, " AND ".join(["1 = a"] * tests))
+        table = {}
+        ends = _span_ends(bool_g, chain, _chart(bool_g, (E,), chain))
+        found = _trees(memo(bool_g, _rhs_shapes), chain, ends, table, E, 0, len(chain), ())
+        assert len(found) == 1 and found[0].word == chain
+        lengths.append(len(chain))
+        entries.append(len(table))
+    for k in range(1, len(entries)):
+        assert entries[k] / entries[k - 1] <= 2.1 ** log2(lengths[k] / lengths[k - 1]), (lengths, entries)
 
 
 def test_render_tree_text(bool_g):
