@@ -90,7 +90,6 @@ from .types import (
     TypeSyntaxError,
     Under,
     UnitType,
-    mirror_type,
     parse_sequent,
     parse_type,
     render_context,

@@ -384,6 +384,11 @@ def _words_by_symbol(g: Grammar, max_len: int) -> dict[Symbol, frozenset[Word]]:
     return {s: frozenset(ws) for s, ws in words.items()}
 
 
+def _word_tables(g: Grammar) -> dict[int, dict[Symbol, frozenset[Word]]]:
+    """_words_by_symbol's tables by bound, filled by enumerate_words; reach it through memo."""
+    return {}
+
+
 def enumerate_words(g: Grammar, x: Symbol, max_len: int) -> frozenset[Word]:
     """All terminal words of length <= max_len derivable from symbol x."""
     if max_len < 0:
@@ -392,7 +397,27 @@ def enumerate_words(g: Grammar, x: Symbol, max_len: int) -> frozenset[Word]:
         return frozenset({(x,)}) if max_len >= 1 else frozenset()
     if x not in g.nonterminals:
         raise GrammarError(f"symbol {x.name!r} is not declared in the grammar")
-    return memo(g, _words_by_symbol, max_len)[x]
+    tables = memo(g, _word_tables)
+    table = tables.get(max_len)
+    if table is None:
+        table = tables[max_len] = _words_by_symbol(g, max_len)
+    return table[x]
+
+
+def enumerated_member(g: Grammar, x: Symbol, w: Word) -> bool | None:
+    """Is w in L(x)?  Read off the largest table enumerate_words has built.
+
+    None when no table covers len(w) or g does not declare x; this never
+    builds a table.
+    """
+    tables = memo(g, _word_tables)
+    if not tables:
+        return None
+    bound = max(tables)
+    words = tables[bound].get(x)
+    if words is None or len(w) > bound:
+        return None
+    return w in words
 
 
 def length_lex_key(w: Word) -> tuple[int, tuple[str, ...]]:

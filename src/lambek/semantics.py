@@ -12,7 +12,9 @@ and a context denotes the concatenation of its members' sets (the empty
 context denotes {ε}).  The implication cases quantify over infinitely many
 words, so the oracle truncates every universal quantifier and every
 enumerated denotation at max_len tokens.  Membership of a concrete word in
-an atom is always decided exactly, whatever its length.
+an atom is always decided exactly, whatever its length: read off the
+largest word table the grammar has enumerated when that table covers the
+word's length, and by Earley recognition otherwise.
 
 The truncation makes membership of an implication an over-approximation: an
 accepted word has only survived the tests up to the bound.  A rejection is
@@ -29,9 +31,9 @@ from itertools import product
 from typing import Sequence
 
 from .earley import recognize
-from .grammar import Grammar, Symbol, Word, enumerate_words, iter_words_sorted, memo, require_word
+from .grammar import Grammar, Symbol, Word, enumerate_words, enumerated_member, iter_words_sorted, memo, require_word
 from .prover import Prover, SearchResult, SearchStatus, TypingAxiom, require_declared
-from .types import Atom, LambekType, Over, Prod, Sequent, Under, UnitType
+from .types import Atom, LambekType, Over, Prod, Sequent, TypeContext, Under, UnitType
 
 
 @dataclass(frozen=True)
@@ -68,7 +70,8 @@ def _member(g: Grammar, w: Word, t: LambekType, max_len: int) -> bool:
     if isinstance(t, Atom):
         if t.symbol.is_terminal:
             return w == (t.symbol,)
-        return recognize(g, t.symbol, w)
+        known = enumerated_member(g, t.symbol, w)
+        return recognize(g, t.symbol, w) if known is None else known
     if isinstance(t, UnitType):
         return w == ()
     if isinstance(t, Prod):
@@ -249,11 +252,16 @@ def soundness_check(
         and _refutes_real(g, s.succedent, b.max_len)
     ):
         return OraclePass(0)
-    dom = context_denotation_bounded(g, s.antecedent, b, out_len)
-    for w in iter_words_sorted(dom):
+    words = memo(g, _antecedent_words, s.antecedent, out_len, b.max_len)
+    for w in words:
         if not memo(g, _member, w, s.succedent, b.max_len):
             return Counterexample(w)
-    return OraclePass(len(dom))
+    return OraclePass(len(words))
+
+
+def _antecedent_words(g: Grammar, antecedent: TypeContext, out_len: int, max_len: int) -> tuple[Word, ...]:
+    """The antecedent's bounded denotation in soundness_check's visiting order."""
+    return tuple(iter_words_sorted(context_denotation_bounded(g, antecedent, SemBound(max_len), out_len)))
 
 
 def prove_with_prescreen(

@@ -167,17 +167,6 @@ def type_size(t: LambekType) -> int:
     return 1 + type_size(t.left) + type_size(t.right)
 
 
-def mirror_type(t: LambekType) -> LambekType:
-    """Swap Under with Over and reverse products; an involution."""
-    if isinstance(t, Under):
-        return Over(mirror_type(t.result), mirror_type(t.arg))
-    if isinstance(t, Over):
-        return Under(mirror_type(t.arg), mirror_type(t.result))
-    if isinstance(t, Prod):
-        return Prod(mirror_type(t.right), mirror_type(t.left))
-    return t
-
-
 _TOKEN = re.compile(r'"[^"\s]*"|[\\/*()]|[^\s\\/*(),|"]+')
 
 

@@ -29,8 +29,9 @@ from lambek.grammar import (
 )
 from lambek.prover import Prover, Side, check_proof, proof_to_json
 from lambek.semantics import OraclePass, SemBound, member_bounded, soundness_check
-from lambek.types import Atom, Over, Sequent, Under, mirror_type, parse_type, render_sequent, render_type
+from lambek.types import Atom, Over, Sequent, Under, parse_type, render_sequent, render_type
 from test_prover import _within_two_seconds, assert_capture_shape, cyclic_grammars, ignore_swallowed_alarms
+from test_types import mirror_type
 
 
 @pytest.fixture(scope="module")

@@ -6,10 +6,12 @@ from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 import lambek
+from lambek import semantics
 from lambek.earley import recognize
-from lambek.grammar import enumerate_words, word_from_text
+from lambek.grammar import _word_tables, enumerate_words, enumerated_member, memo, nonterminal, word_from_text
 from lambek.prover import SearchStatus, parse_axiom
 from lambek.semantics import (
     Counterexample,
@@ -21,7 +23,8 @@ from lambek.semantics import (
     prove_with_prescreen,
     soundness_check,
 )
-from lambek.types import UNIT, Atom, Prod, parse_sequent, parse_type
+from lambek.types import UNIT, Atom, Prod, Sequent, parse_sequent, parse_type, type_universe
+from test_prover import cyclic_grammars
 
 
 def w(bool_g, text):
@@ -59,6 +62,35 @@ def test_member_agrees_with_recognizer(bool_g):
         for n in range(3):
             for word in product(sigma, repeat=n):
                 assert member_bounded(bool_g, word, t, b) == recognize(bool_g, sym, word)
+
+
+@settings(max_examples=100)
+@given(cyclic_grammars())
+def test_member_reads_word_tables_exactly(g):
+    """Atom membership is recognition, with no table, a partial one and a covering one."""
+    sigma = sorted(g.terminals, key=lambda s: s.name)
+    words = [word for n in range(5) for word in product(sigma, repeat=n)]
+    # atom membership ignores the bound, so each phase's own bound keeps the memo from answering
+    for phase, bound in enumerate((None, 2, 4)):
+        if bound is not None:
+            enumerate_words(g, g.start, bound)
+        for x in sorted(g.nonterminals, key=lambda s: s.name):
+            for word in words:
+                assert member_bounded(g, word, Atom(x), SemBound(phase)) == recognize(g, x, word), (bound, x, word)
+
+
+def test_word_table_reader_answers_none_when_it_cannot_tell(load_bundled):
+    g = load_bundled("bool.g")
+    word = w(g, "1 = 1")
+    assert enumerated_member(g, g.symbol("T"), word) is None
+    enumerate_words(g, g.symbol("T"), 2)
+    assert enumerated_member(g, g.symbol("T"), word) is None
+    assert enumerated_member(g, nonterminal("Z"), ()) is None
+    enumerate_words(g, g.symbol("T"), 3)
+    assert enumerated_member(g, g.symbol("T"), word)
+    assert not enumerated_member(g, g.symbol("V"), word)
+    # an undeclared atom gets recognition's answer
+    assert not member_bounded(g, (), Atom(nonterminal("Z")), SemBound(2))
 
 
 def test_tautology_is_not_a_tail_conjunct(bool_g):
@@ -180,6 +212,46 @@ def test_soundness_of_proved_judgments_at_higher_bound(bool_g):
     ]:
         s = parse_sequent(text, bool_g)
         assert isinstance(soundness_check(bool_g, s, SemBound(6), out), OraclePass), text
+
+
+def test_soundness_verdicts_do_not_depend_on_the_word_tables(load_bundled, monkeypatch):
+    with_tables = load_bundled("bool.g")
+    atoms = [with_tables.symbol(n) for n in ("T", "V", "E")]
+    universe = type_universe(with_tables, atoms, 1)
+    expected = [soundness_check(with_tables, Sequent((a,), b), SemBound(5)) for a in universe for b in universe]
+    monkeypatch.setattr(semantics, "enumerated_member", lambda g, x, word: None)
+    g = load_bundled("bool.g")
+    assert [soundness_check(g, Sequent((a,), b), SemBound(5)) for a in universe for b in universe] == expected
+    assert any(isinstance(v, Counterexample) for v in expected)
+
+
+def _table_bounds(g):
+    return set(memo(g, _word_tables))
+
+
+def test_oracle_reads_the_tables_it_enumerated(load_bundled, spy):
+    g = load_bundled("bool.g")
+    calls = spy(semantics, "recognize")
+    assert soundness_check(g, parse_sequent("E/T |- E", g), SemBound(5)) == Counterexample(())
+    assert calls == []
+    assert _table_bounds(g) == {5, 8}
+
+
+@pytest.mark.parametrize("text", ["V |- E\\E", "T |- C/D"])
+def test_oracle_lookups_build_no_table(load_bundled, text):
+    """A lookup only reads: the check enumerates no bound past the one its denotations need."""
+    g = load_bundled("bool.g")
+    soundness_check(g, parse_sequent(text, g), SemBound(8))
+    assert _table_bounds(g) == {8}
+
+
+def test_member_builds_no_table(load_bundled, spy):
+    g = load_bundled("bool.g")
+    calls = spy(semantics, "recognize")
+    assert member_bounded(g, w(g, "1 = a"), parse_type("E", g), SemBound(5))
+    assert not member_bounded(g, w(g, "1 = a OR"), parse_type("T", g), SemBound(5))
+    assert _table_bounds(g) == set()
+    assert len(calls) == 2
 
 
 def test_prescreen_refutes_before_search(bool_g):

@@ -8,6 +8,7 @@ from lambek.grammar import parse_grammar_file, validate
 from lambek.types import (
     UNIT,
     Atom,
+    LambekType,
     Over,
     Prod,
     Sequent,
@@ -15,7 +16,6 @@ from lambek.types import (
     Under,
     UnitType,
     iter_atoms,
-    mirror_type,
     parse_sequent,
     parse_type,
     render_sequent,
@@ -27,6 +27,17 @@ from lambek.types import (
 # strategies need the grammar at collection time, before fixtures run
 _text = (resources.files("lambek") / "grammars" / "bool.g").read_text(encoding="utf-8")
 GRAMMAR, _ = validate(parse_grammar_file(_text))
+
+
+def mirror_type(t: LambekType) -> LambekType:
+    """Swap Under with Over and reverse products; an involution."""
+    if isinstance(t, Under):
+        return Over(mirror_type(t.result), mirror_type(t.arg))
+    if isinstance(t, Over):
+        return Under(mirror_type(t.arg), mirror_type(t.result))
+    if isinstance(t, Prod):
+        return Prod(mirror_type(t.right), mirror_type(t.left))
+    return t
 
 
 def atoms_strategy():
