@@ -255,6 +255,16 @@ class InjectionReport:
         return out
 
 
+def _first_splits(nts: tuple[Symbol, ...], cuts: list[int], cont: Splits) -> dict[tuple[Symbol, Symbol], int]:
+    """Each (ψ, π) where π derives ψ and the continuation at a split of cuts, with its first such split."""
+    first: dict[tuple[Symbol, Symbol], int] = {}
+    for c in cuts:
+        for psi in nts:
+            for pi in cont.goals(c, psi):
+                first.setdefault((psi, pi), c)
+    return first
+
+
 def capture_typings(g: Grammar, ctx: InjectionContext, w: Word) -> tuple[CaptureTyping, ...]:
     """Doubly-negated typings of w that swallow template material.
 
@@ -278,32 +288,23 @@ def capture_typings(g: Grammar, ctx: InjectionContext, w: Word) -> tuple[Capture
     nts = tuple(sorted(g.nonterminals, key=lambda s: s.name))
     hole = ctx.expected
 
-    # per split, the π that derive its continuation, per ψ
-    left: list[tuple[int, dict[Symbol, frozenset[Symbol]]]] = []
-    right: list[tuple[int, dict[Symbol, frozenset[Symbol]]]] = []
     ks = Splits(g, w, (hole,)).ends(hole) if ctx.prefix else []
-    if ks:
-        cont = Splits(g, w, nts, suffix=True)
-        left = [(k, {psi: cont.goals(k, psi) for psi in nts}) for k in ks]
+    left = _first_splits(nts, ks, Splits(g, w, nts, suffix=True)) if ks else {}
     js = Splits(g, w, (hole,), suffix=True).ends(hole) if ctx.suffix else []
-    if js:
-        cont = Splits(g, w, nts)
-        right = [(j, {psi: cont.goals(j, psi) for psi in nts}) for j in js]
+    right = _first_splits(nts, js, Splits(g, w, nts)) if js else {}
 
     shares: dict[Word, ProofTree] = {}  # the hole's share, folded where a capture uses it
     found: list[CaptureTyping] = []
-    for psi in nts:
-        for pi in nts:
-            for side, cuts in ((Side.LEFT, left), (Side.RIGHT, right)):
-                for c, pis in cuts:
-                    if pi not in pis[psi]:
-                        continue
-                    share, rest = (w[:c], (psi,) + w[c:]) if side is Side.LEFT else (w[c:], w[:c] + (psi,))
-                    if share not in shares:
-                        shares[share] = flat_proof(g, Sequent(tuple(map(Atom, share)), Atom(hole)))
-                    proof = capture(shares[share], flat_proof(g, Sequent(tuple(map(Atom, rest)), Atom(pi))), side)
-                    found.append(CaptureTyping(side, proof.conclusion.succedent, proof))
-                    break
+    for psi, pi in sorted(left.keys() | right.keys(), key=lambda pair: (pair[0].name, pair[1].name)):
+        for side, first in ((Side.LEFT, left), (Side.RIGHT, right)):
+            c = first.get((psi, pi))
+            if c is None:
+                continue
+            share, rest = (w[:c], (psi,) + w[c:]) if side is Side.LEFT else (w[c:], w[:c] + (psi,))
+            if share not in shares:
+                shares[share] = flat_proof(g, Sequent(tuple(map(Atom, share)), Atom(hole)))
+            proof = capture(shares[share], flat_proof(g, Sequent(tuple(map(Atom, rest)), Atom(pi))), side)
+            found.append(CaptureTyping(side, proof.conclusion.succedent, proof))
     return tuple(found)
 
 

@@ -5,16 +5,20 @@ an item waiting on X scans it like a token (Earley 1970), and parse trees
 hold X as a leaf.  Recognition handles ε-productions and unit cycles without
 grammar preprocessing.  Each column indexes its items by the symbol they wait
 on, and Leo's transitive items (Leo 1991) complete a deterministic right
-recursion in one step, so recognition is linear on such grammars.  Tree
-extraction walks an index of the completed spans, (symbol, start) -> ends,
-top-down, and keeps only the first two trees of each (symbol, span) in
-derivation order: the ambiguity answer needs no more, and a node's first two
-trees follow from its children's.  So each span's trees are built once per
-parse and shared by every parent, as in a packed parse forest (Scott 2008).
-A span with the same range as its parent (a unit or nullable cycle) is
-walked per path instead, and derivations that pass through the same
-(symbol, span) pair more than twice on one path are left out, which only
-suppresses pumped cycle variants of trees that are already reported.
+recursion in one step, so recognition is linear on such grammars.  The
+chart works on symbols; the span index and the tree walk work on the
+grammar's dense symbol ids.  Tree extraction walks the index of completed
+spans, (symbol id, start) -> ends, top-down, and keeps only the first two
+trees of each (symbol, span) in derivation order: the ambiguity answer needs
+no more, and a node's first two trees follow from its children's.  So each
+span's trees are built once per parse and shared by every parent, as in a
+packed parse forest (Scott 2008).  A span with the same range as its parent
+(a unit or nullable cycle) is walked per path instead, and derivations that
+pass through the same (symbol, span) pair more than twice on one path are
+left out, which only suppresses pumped cycle variants of trees that are
+already reported.  The walk recurses once per span and once per nonterminal
+child (a run of terminals is matched in place), so a chain of about 1 320
+tokens exhausts the default recursion limit.
 
 A chart predicts a tuple of start symbols at column 0.  Column j depends
 only on the first j input symbols (Earley 1970), so a closed chart can be
@@ -123,6 +127,17 @@ def _dotted_rules(
     nxt += [None, None]
     lhs += [None, None]
     return nxt, lhs, predict, goal
+
+
+def _symbol_ids(g: Grammar) -> tuple[dict[Symbol, int], list[Symbol], list[int]]:
+    """Each declared symbol's id, the symbols by id (nonterminals, then
+    terminals, each by name) and each dotted rule's left-hand side's id, -1
+    for the augmented start; reach them through memo.  A symbol that g does
+    not declare gets len(ids), which no production uses."""
+    _, lhs, _, _ = memo(g, _dotted_rules)
+    syms = sorted(g.nonterminals, key=lambda s: s.name) + sorted(g.terminals, key=lambda s: s.name)
+    ids = {s: k for k, s in enumerate(syms)}
+    return ids, syms, [-1 if x is None else ids[x] for x in lhs]
 
 
 # an Earley item: (dotted rule, origin column)
@@ -298,7 +313,11 @@ class Splits:
         The spans (x, 0, k) are read with every Leo path expanded: a path
         that completes x at origin 0 need not leave x's item in the column.
         """
-        ks = _span_ends(self._g, self._w, self._chart).get((x, 0), [])
+        ids = memo(self._g, _symbol_ids)[0]
+        if x in ids:
+            ks = _span_ends(self._g, self._w, self._chart).get((ids[x], 0), [])
+        else:  # an undeclared symbol derives only itself
+            ks = [1] if self._w[:1] == (x,) and not x.is_terminal else []
         return [len(self._w) - k for k in reversed(ks)] if self._suffix else ks
 
     def goals(self, j: int, x: Symbol) -> frozenset[Symbol]:
@@ -312,13 +331,15 @@ class Splits:
         if self._suffix:
             j = len(self._w) - j
         tables = memo(self._g, _dotted_rules)
+        _, syms, lhs_ids = memo(self._g, _symbol_ids)
         columns, waits, leo = self._chart
         ws = waits[j].get(x)
         col = [(r + 1, o) for r, o in ws] if ws else []
         _run(tables, columns, waits, leo, col, {}, j + 1, ())
-        ends = {(x, j): [j + 1]}  # x spans itself
-        _column_spans(tables, self._chart, col, j + 1, ends)
-        return frozenset(y for y, o in ends if o == 0)
+        ends: dict[tuple[int, int], list[int]] = {}
+        _column_spans(tables, lhs_ids, self._chart, col, j + 1, ends)
+        found = frozenset(syms[y] for y, o in ends if o == 0)
+        return found | {x} if j == 0 else found  # x spans itself
 
 
 def _accepts(g: Grammar, chart: _Chart) -> bool:
@@ -326,24 +347,23 @@ def _accepts(g: Grammar, chart: _Chart) -> bool:
     return (memo(g, _dotted_rules)[3] + 1, 0) in chart[0][-1]
 
 
-def _span_ends(
-    g: Grammar, w: Word, chart: _Chart
-) -> dict[tuple[Symbol, int], list[int]]:
-    """(symbol, start) -> the ascending ends of its completed spans.
+def _span_ends(g: Grammar, w: Word, chart: _Chart) -> dict[tuple[int, int], list[int]]:
+    """(symbol id, start) -> the ascending ends of its completed spans.
 
     Read off the columns in order.  A nonterminal of the input spans itself.
     """
     tables = memo(g, _dotted_rules)
-    ends: dict[tuple[Symbol, int], list[int]] = {}
+    ids, _, lhs_ids = memo(g, _symbol_ids)
+    ends: dict[tuple[int, int], list[int]] = {}
     for j, col in enumerate(chart[0]):
         if j and w[j - 1].kind is SymbolKind.NONTERMINAL:
-            ends.setdefault((w[j - 1], j - 1), []).append(j)
-        _column_spans(tables, chart, col, j, ends)
+            ends.setdefault((ids.get(w[j - 1], len(ids)), j - 1), []).append(j)
+        _column_spans(tables, lhs_ids, chart, col, j, ends)
     return ends
 
 
 def _column_spans(
-    tables: tuple, chart: _Chart, col: list[Item], j: int, ends: dict[tuple[Symbol, int], list[int]]
+    tables: tuple, lhs_ids: list[int], chart: _Chart, col: list[Item], j: int, ends: dict[tuple[int, int], list[int]]
 ) -> None:
     """Append j to the ends of every span that completes in column col at j.
 
@@ -352,21 +372,24 @@ def _column_spans(
     nxt, lhs, _, _ = tables
     _, waits, leo = chart
     for r, o in col:
-        if nxt[r] is not None or lhs[r] is None:
+        x = lhs_ids[r]
+        if nxt[r] is not None or x < 0:
             continue
-        key = (lhs[r], o)
+        key = (x, o)
         e = ends.get(key)
         if e is None:
             ends[key] = [j]
         elif e[-1] != j:
             e.append(j)
-        top = leo.get(key) if leo and o < j else None
+        node = (lhs[r], o)
+        top = leo.get(node) if leo and o < j else None
         while top is not None:
-            # the path from key completes its waiter's (lhs, origin) at j
-            r2, o2 = waits[key[1]][key[0]][0]
-            key = (lhs[r2], o2)
-            if key[0] is None:
+            # the path from node completes its waiter's (lhs, origin) at j
+            r2, o2 = waits[node[1]][node[0]][0]
+            x = lhs_ids[r2]
+            if x < 0:
                 break
+            key = (x, o2)
             e = ends.get(key)
             if e is None:
                 ends[key] = [j]
@@ -376,67 +399,75 @@ def _column_spans(
                 break  # the rest of this path is expanded already
             if (r2 + 1, o2) == top:
                 break
+            node = (lhs[r2], o2)
 
 
-# a production, which of its right-hand-side symbols are terminals, and how
-# many terminals follow each position
-_Shape = tuple[Production, tuple[bool, ...], tuple[int, ...]]
+# a production, the ids of its right-hand side, which of them are terminals,
+# and how many terminals follow each position
+_Shape = tuple[Production, tuple[int, ...], tuple[bool, ...], tuple[int, ...]]
 
 
-def _rhs_shapes(g: Grammar) -> dict[Symbol, list[_Shape]]:
-    """Per left-hand side, in grammar order, the shape of each production;
+def _rhs_shapes(g: Grammar) -> list[list[_Shape]]:
+    """Per left-hand-side id, in grammar order, the shape of each production;
     reach it through memo.
 
     A production equal to an earlier one is left out: its trees repeat the
     earlier one's, so every tree the walk builds is new.
     """
-    shapes: dict[Symbol, list[_Shape]] = {}
+    ids = memo(g, _symbol_ids)[0]
+    shapes: list[list[_Shape]] = [[] for _ in range(len(ids) + 1)]
     for p in dict.fromkeys(g.productions):
         flags = tuple(s.is_terminal for s in p.rhs)
         after = tuple(sum(flags[k + 1 :]) for k in range(len(flags)))
-        shapes.setdefault(p.lhs, []).append((p, flags, after))
+        shapes[ids[p.lhs]].append((p, tuple(ids[s] for s in p.rhs), flags, after))
     return shapes
 
 
-# a completed span: (symbol, start, end)
-Span = tuple[Symbol, int, int]
+# a completed span: (symbol id, start, end)
+Span = tuple[int, int, int]
+# the input, its symbol ids, the one-tree list of each position's leaf, the
+# span index and the per-parse table of kept trees
+_Walk = tuple[
+    Word, list[int], tuple[tuple[ParseTree], ...], dict[tuple[int, int], list[int]], dict[Span, list[ParseTree]]
+]
 
 
 def _fits(
-    shapes: dict[Symbol, list[_Shape]],
-    w: Word,
-    ends: dict[tuple[Symbol, int], list[int]],
-    table: dict[Span, list[ParseTree]],
-    rhs: tuple[Symbol, ...],
+    shapes: list[list[_Shape]],
+    walk: _Walk,
+    rhs: tuple[int, ...],
     flags: tuple[bool, ...],
     after: tuple[int, ...],
     k: int,
     pos: int,
     j: int,
     path: tuple[Span, ...],
-) -> Iterator[tuple[list[ParseTree], ...]]:
+) -> Iterator[tuple[tuple[ParseTree, ...] | list[ParseTree], ...]]:
     """Per assignment of rhs[k:] to w[pos:j] whose children all have trees,
-    in order, the children's trees; one frame per position."""
+    in order, the children's trees; a run of terminals is matched in this
+    frame, and each nonterminal child takes one."""
+    _, wids, leaves, ends, _ = walk
+    start = pos
+    while flags[k]:
+        if pos >= j - after[k] or wids[pos] != rhs[k]:
+            return
+        pos += 1
+        k += 1
+        if k == len(rhs):
+            if pos == j:
+                yield leaves[start:pos]
+            return
+    run = leaves[start:pos]
     head = rhs[k]
-    if flags[k]:
-        if pos < j - after[k] and w[pos] == head:
-            leaf = (token_leaf(head),)
-            if k + 1 == len(rhs):
-                if pos + 1 == j:
-                    yield (leaf,)
-            else:
-                for tail in _fits(shapes, w, ends, table, rhs, flags, after, k + 1, pos + 1, j, path):
-                    yield (leaf,) + tail
-        return
     es = ends.get((head, pos))
     if not es:
         return
     if k + 1 == len(rhs):
         x = bisect_left(es, j)
         if x < len(es) and es[x] == j:
-            kids = _trees(shapes, w, ends, table, head, pos, j, path)
+            kids = _trees(shapes, walk, head, pos, j, path)
             if kids:
-                yield (kids,)
+                yield run + (kids,)
         return
     hi = j - after[k]
     for mid in es:
@@ -444,25 +475,23 @@ def _fits(
             break
         kids = None
         # the child's trees, once the symbols to its right fit
-        for tail in _fits(shapes, w, ends, table, rhs, flags, after, k + 1, mid, j, path):
+        for tail in _fits(shapes, walk, rhs, flags, after, k + 1, mid, j, path):
             if kids is None:
-                kids = _trees(shapes, w, ends, table, head, pos, mid, path)
+                kids = _trees(shapes, walk, head, pos, mid, path)
                 if not kids:
                     break
-            yield (kids,) + tail
+            yield run + (kids,) + tail
 
 
 def _trees(
-    shapes: dict[Symbol, list[_Shape]],
-    w: Word,
-    ends: dict[tuple[Symbol, int], list[int]],
-    table: dict[Span, list[ParseTree]],
-    sym: Symbol,
+    shapes: list[list[_Shape]],
+    walk: _Walk,
+    sym: int,
     i: int,
     j: int,
     path: tuple[Span, ...],
 ) -> list[ParseTree]:
-    """The first two distinct trees of sym over w[i:j], in derivation order.
+    """The first two distinct trees of the symbol with id sym over w[i:j], in derivation order.
 
     The order: sym's productions in grammar order; per production, its
     assignments of child spans by ascending split points; per assignment,
@@ -470,15 +499,17 @@ def _trees(
     and last the leaf sym where w[i:j] is the nonterminal sym itself.  So an
     assignment's first tree takes every child's first tree, and its second
     swaps in the second tree of the rightmost child that has one: two trees
-    per child answer for the parent.
+    per child answer for the parent.  A production that starts with a
+    terminal other than w[i] has no assignment and is passed over.
 
     path holds this span's ancestors that share its range.  A span whose
     parent spans more depends on nothing else, so its trees are kept in
-    table and built once per parse.  A span that shares its parent's range
-    (a unit or nullable cycle) is not kept; it gets no trees when its span
-    is on path twice already, which only suppresses pumped cycle variants
-    of trees that are already reported.
+    the walk's table and built once per parse.  A span that shares its
+    parent's range (a unit or nullable cycle) is not kept; it gets no trees
+    when its span is on path twice already, which only suppresses pumped
+    cycle variants of trees that are already reported.
     """
+    w, wids, leaves, _, table = walk
     key = (sym, i, j)
     if path and path[-1][1] == i and path[-1][2] == j:
         if path.count(key) >= 2:
@@ -492,28 +523,47 @@ def _trees(
         path = (key,)
         kept = True
     found = []
-    for prod, flags, after in shapes.get(sym, ()):
+    for prod, rhs, flags, after in shapes[sym]:
         if len(found) == 2:
             break
-        if not prod.rhs:
+        if not rhs:
             if i == j:
-                found.append(ParseTree(sym, prod, (EPS_LEAF,), ()))
+                found.append(ParseTree(prod.lhs, prod, (EPS_LEAF,), ()))
             continue
-        for kids in _fits(shapes, w, ends, table, prod.rhs, flags, after, 0, i, j, path):
+        if flags[0] and (i == j or wids[i] != rhs[0]):
+            continue
+        for kids in _fits(shapes, walk, rhs, flags, after, 0, i, j, path):
             children = tuple([trees[0] for trees in kids])
-            found.append(ParseTree(sym, prod, children, w[i:j]))
+            found.append(ParseTree(prod.lhs, prod, children, w[i:j]))
             if len(found) == 1:
                 for k in range(len(kids) - 1, -1, -1):
                     if len(kids[k]) == 2:
-                        found.append(ParseTree(sym, prod, children[:k] + (kids[k][1],) + children[k + 1 :], w[i:j]))
+                        children = children[:k] + (kids[k][1],) + children[k + 1 :]
+                        found.append(ParseTree(prod.lhs, prod, children, w[i:j]))
                         break
             if len(found) == 2:
                 break
-    if len(found) < 2 and j == i + 1 and w[i].kind is SymbolKind.NONTERMINAL and w[i] == sym:
-        found.append(token_leaf(sym))
+    # sym is a nonterminal: the walk asks for no terminal's trees
+    if len(found) < 2 and j == i + 1 and wids[i] == sym:
+        found.append(leaves[i][0])
     if kept:
         table[key] = found
     return found
+
+
+def _leaves(g: Grammar) -> list[tuple[ParseTree]]:
+    """Per symbol id, the one-tree list of the symbol's leaf; reach it through memo."""
+    return [(token_leaf(x),) for x in memo(g, _symbol_ids)[1]]
+
+
+def _walk(g: Grammar, w: Word, chart: _Chart) -> _Walk:
+    """A fresh walk over w, whose chart accepted; its trees share the grammar's leaves."""
+    ids = memo(g, _symbol_ids)[0]
+    unknown = len(ids)
+    wids = [ids.get(x, unknown) for x in w]
+    by_id = memo(g, _leaves)
+    leaves = tuple([by_id[k] if k < unknown else (token_leaf(x),) for k, x in zip(wids, w)])
+    return w, wids, leaves, _span_ends(g, w, chart), {}
 
 
 def parse_tree(g: Grammar, a: Symbol, w: Word) -> ParseOutcome:
@@ -526,7 +576,8 @@ def parse_tree(g: Grammar, a: Symbol, w: Word) -> ParseOutcome:
     chart = _chart(g, (a,), w)
     if not _accepts(g, chart):
         return Reject()
-    found = _trees(memo(g, _rhs_shapes), w, _span_ends(g, w, chart), {}, a, 0, len(w), ())
+    ids = memo(g, _symbol_ids)[0]
+    found = _trees(memo(g, _rhs_shapes), _walk(g, w, chart), ids.get(a, len(ids)), 0, len(w), ())
     if len(found) == 2:
         return Ambiguous(found[0], found[1])
     return Unique(found[0]) if found else Reject()

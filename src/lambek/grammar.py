@@ -74,6 +74,11 @@ class Production:
     def __post_init__(self) -> None:
         if self.lhs.is_terminal:
             raise GrammarError(f"production left-hand side {self.lhs.name!r} must be a nonterminal")
+        # parse trees look their productions up during folds
+        object.__setattr__(self, "_h", hash((self.lhs, self.rhs)))
+
+    def __hash__(self) -> int:
+        return self._h
 
 
 @dataclass(frozen=True)

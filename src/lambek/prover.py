@@ -47,7 +47,7 @@ from dataclasses import dataclass, replace
 from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
-from .earley import Ambiguous, ParseTree, Reject, Splits, parse_tree
+from .earley import Ambiguous, ParseTree, Reject, Splits, _symbol_ids, parse_tree
 # not called here, but perfbench/spans.py rebinds lambek.prover.recognize and fails without it
 from .earley import recognize  # noqa: F401
 from .grammar import Grammar, Symbol, Word, lhs_index, memo, nullable_ids, production_ids
@@ -190,6 +190,14 @@ def _segment_proof(g: Grammar, pid: int, skipped: tuple[int, ...]) -> ProofTree:
     return proof
 
 
+def _fold_table(g: Grammar) -> list[tuple[int, Atom]]:
+    """Per production id, its right-hand side's length and its left-hand
+    side as an atom, one atom per symbol id; reach it through memo."""
+    ids, syms, _ = memo(g, _symbol_ids)
+    atoms = [Atom(x) for x in syms]
+    return [(len(p.rhs), atoms[ids[p.lhs]]) for p in g.productions]
+
+
 def fold_chain(g: Grammar, s: Sequent, tree: ParseTree) -> ProofTree:
     """The proof of flat s that folds tree, a parse of its antecedent's symbols.
 
@@ -199,27 +207,35 @@ def fold_chain(g: Grammar, s: Sequent, tree: ParseTree) -> ProofTree:
     The root folds last, and its segment proof proves what is left.
     """
     ids = memo(g, production_ids)
-    folds: list[tuple[int, int, Symbol, ProofTree]] = []  # (slot, children kept, symbol, segment proof)
-    # (node, the slot of its first child, children folded); a folded child
-    # takes one slot, a child with an empty yield none
-    stack = [(tree, 0, False)]
+    table = memo(g, _fold_table)
+    # (slot, children kept, symbol, segment proof) per node in the reverse of
+    # the folding order: the root first, each child after its right siblings
+    folds: list[tuple[int, int, Atom, ProofTree]] = []
+    # (node, the slot of its first child); a folded child takes one slot, a
+    # child with an empty yield none
+    stack = [(tree, 0)]
     while stack:
-        node, pos, children_done = stack.pop()
-        if children_done:
-            skipped = tuple(k for k in range(len(node.production.rhs)) if not node.children[k].word)
-            seg = memo(g, _segment_proof, ids[node.production], skipped)
-            folds.append((pos, len(node.production.rhs) - len(skipped), node.production.lhs, seg))
-            continue
-        stack.append((node, pos, True))
-        kept = [c for c in node.children if c.word]
-        stack.extend((c, pos + k, False) for k, c in reversed(list(enumerate(kept))) if c.production in ids)
+        node, pos = stack.pop()
+        pid = ids[node.production]
+        width, x = table[pid]
+        skipped = []
+        slot = pos
+        for k in range(width):
+            c = node.children[k]
+            if not c.word:
+                skipped.append(k)
+                continue
+            if c.production is not None:
+                stack.append((c, slot))
+            slot += 1
+        folds.append((pos, slot - pos, x, memo(g, _segment_proof, pid, tuple(skipped))))
 
     # below the root's fold, each cut unfolds its premise's nonterminal at
     # pos back into the segment
-    *cuts, (_, _, _, proof) = folds
-    for pos, width, x, seg in reversed(cuts):
-        proof = ProofTree(RuleName.CUT, (seg, proof), (pos, pos + width, Atom(x)))
-    return replace(proof, conclusion=s)
+    (_, _, _, proof), *cuts = folds
+    for pos, width, x, seg in cuts:
+        proof = ProofTree(RuleName.CUT, (seg, proof), (pos, pos + width, x))
+    return ProofTree(proof.rule, proof.premises, proof.detail, s)
 
 
 def flat_proof(g: Grammar, s: Sequent) -> ProofTree | None:

@@ -181,7 +181,8 @@ def _length_sup(g: Grammar, cap: int) -> dict[Symbol, int]:
 
 def _sup(g: Grammar, t: LambekType, cap: int) -> int:
     if isinstance(t, Atom):
-        return 1 if t.symbol.is_terminal else memo(g, _length_sup, cap)[t.symbol]
+        # an undeclared nonterminal derives nothing (see prove_with_prescreen)
+        return 1 if t.symbol.is_terminal else memo(g, _length_sup, cap).get(t.symbol, 0)
     if isinstance(t, UnitType):
         return 0
     if isinstance(t, Prod):
@@ -279,11 +280,14 @@ def prove_with_prescreen(
     Typing axioms are not reflected in the language semantics, so the
     prescreen is skipped whenever axioms are supplied.  A sequent naming an
     atom the grammar does not declare raises ValueError, as the search does.
+    It is validated once: the oracle reads an undeclared atom as deriving
+    nothing or raises, and a refutation is returned only for a sequent that
+    passes the search's check.
     """
-    require_declared(g, s)
     if not axioms:
         verdict = soundness_check(g, s, b)
         if isinstance(verdict, Counterexample):
+            require_declared(g, s)
             return SearchResult(
                 SearchStatus.REFUTED_BY_ORACLE, counterexample=verdict.word
             )

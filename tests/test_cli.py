@@ -253,7 +253,7 @@ def test_prove_json_grows_linearly():
 
 def test_too_deep_input_is_an_error_not_a_negative():
     """Exit 1 is a sound negative; an input too deep to parse is an error."""
-    sequent = " , AND , ".join(['"1" , = , "1"'] * 300) + " |- E"
+    sequent = " , AND , ".join(['"1" , = , "1"'] * 400) + " |- E"
     code, out, err = cli("check", sequent, "--grammar", "bool")
     assert code == 2 and out == ""
     assert err.startswith("error:") and "recursion" in err

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from lambek import earley, prover
 from lambek.earley import (
     EPS_LEAF,
     Ambiguous,
@@ -25,7 +26,9 @@ from lambek.earley import (
     _chart,
     _rhs_shapes,
     _span_ends,
+    _symbol_ids,
     _trees,
+    _walk,
 )
 from lambek.grammar import (
     Grammar,
@@ -34,10 +37,13 @@ from lambek.grammar import (
     enumerate_words,
     lhs_index,
     memo,
+    nonterminal,
     parse_grammar_file,
     terminal,
     word_from_text,
 )
+from lambek.prover import fold_chain
+from lambek.types import Atom, Sequent
 from test_prover import NESTED_NULLABLE_CYCLES, PINNED_GRAMMARS, _time_limit, _TooSlow, cyclic_grammars, ignore_swallowed_alarms
 
 
@@ -213,8 +219,17 @@ def _textbook_spans(g, w, columns):
     return spans
 
 
+def _symbol_ends(g, form, chart):
+    """The span index keyed by (symbol, start), as the reference walk reads it.
+
+    The id past the declared symbols is an undeclared nonterminal of the form
+    spanning itself."""
+    syms = memo(g, _symbol_ids)[1]
+    return {(syms[x] if x < len(syms) else form[o], o): es for (x, o), es in _span_ends(g, form, chart).items()}
+
+
 def _assert_textbook_spans(g, a, form):
-    ends = _span_ends(g, form, _chart(g, (a,), form))
+    ends = _symbol_ends(g, form, _chart(g, (a,), form))
     assert all(e == sorted(set(e)) for e in ends.values())
     spans = {(x, o, e) for (x, o), es in ends.items() for e in es}
     ref = _textbook_spans(g, form, _textbook_chart(g, a, form))
@@ -419,7 +434,7 @@ def _reference_parse(g, a, form):
     if not _accepts(g, chart):
         return Reject()
     found = []
-    for t in _reference_trees(g, form, _span_ends(g, form, chart), a, 0, len(form), ()):
+    for t in _reference_trees(g, form, _symbol_ends(g, form, chart), a, 0, len(form), ()):
         if t not in found:
             found.append(t)
         if len(found) == 2:
@@ -489,6 +504,50 @@ def test_trees_match_the_reference_walk_on_every_short_form(name, bool_g):
                 assert _assert_trees_match_the_reference(g, a, form), (a, form)
 
 
+def test_symbol_ids_are_built_once_per_grammar(load_bundled, monkeypatch, spy):
+    """parse_tree's walk, Splits.goals and fold_chain's table all read the
+    grammar's one id table."""
+    g = load_bundled("bool")
+    built = spy(earley, "_symbol_ids")
+    monkeypatch.setattr(prover, "_symbol_ids", earley._symbol_ids)
+    E, V = g.symbol("E"), g.symbol("V")
+    form = w(g, "1 = a AND b = b")
+    tree = parse_tree(g, E, form).tree
+    assert built == [(g,)]
+    every = tuple(sorted(g.nonterminals, key=lambda s: s.name))
+    assert Splits(g, form, every).goals(2, V) == {g.symbol(n) for n in "CET"}
+    fold_chain(g, Sequent(tuple(map(Atom, form)), Atom(E)), tree)
+    assert built == [(g,)]
+
+
+def test_undeclared_symbols_derive_only_themselves(bool_g):
+    """A symbol the grammar does not declare gets the id that no production
+    uses: forms that hold one parse, recognize and split as they did when
+    the index was keyed by symbols, and nothing raises KeyError."""
+    E, T, V = (bool_g.symbol(n) for n in "ETV")
+    zz, Q = terminal("zz"), nonterminal("Q")
+    every = tuple(sorted(bool_g.nonterminals, key=lambda s: s.name))
+    form = w(bool_g, "a =") + (zz,)
+    assert parse_tree(bool_g, E, form) == Reject() and not recognize(bool_g, E, form)
+    assert Splits(bool_g, form, (V,)).ends(V) == [1]
+    assert Splits(bool_g, form, every).goals(2, V) == {bool_g.symbol(n) for n in "CET"}
+    assert Splits(bool_g, form, every).goals(0, Q) == {Q}
+    assert parse_tree(bool_g, Q, (Q,)) == Unique(token_leaf(Q))
+    assert Splits(bool_g, (Q,), (Q,)).ends(Q) == [1]
+    assert Splits(bool_g, (Q,), (Q,), suffix=True).ends(Q) == [0]
+    # two undeclared symbols share the id that no production uses, but not their spans
+    R = nonterminal("R")
+    assert Splits(bool_g, (R,), (Q,)).ends(Q) == Splits(bool_g, (zz,), (zz,)).ends(zz) == []
+    assert isinstance(parse_tree(bool_g, T, w(bool_g, "a =") + (Q,)), Reject)
+    symbols = [*w(bool_g, "a = AND"), V, zz, Q]
+    for a in (E, T, V, Q):
+        for n in range(4):
+            for form in product(symbols, repeat=n):
+                _assert_textbook_spans(bool_g, a, form)
+                assert _assert_trees_match_the_reference(bool_g, a, form), (a, form)
+                _assert_prefix_ends(bool_g, a, form)
+
+
 def test_tree_table_grows_linearly_on_right_recursion(bool_g):
     """The walk keeps the trees of a bounded number of spans per token of
     `1 = a AND …`, though the span index holds quadratically many."""
@@ -496,12 +555,11 @@ def test_tree_table_grows_linearly_on_right_recursion(bool_g):
     lengths, entries = [], []
     for tests in (25, 50, 100, 200):  # 99 … 799 tokens
         chain = w(bool_g, " AND ".join(["1 = a"] * tests))
-        table = {}
-        ends = _span_ends(bool_g, chain, _chart(bool_g, (E,), chain))
-        found = _trees(memo(bool_g, _rhs_shapes), chain, ends, table, E, 0, len(chain), ())
+        walk = _walk(bool_g, chain, _chart(bool_g, (E,), chain))
+        found = _trees(memo(bool_g, _rhs_shapes), walk, memo(bool_g, _symbol_ids)[0][E], 0, len(chain), ())
         assert len(found) == 1 and found[0].word == chain
         lengths.append(len(chain))
-        entries.append(len(table))
+        entries.append(len(walk[-1]))
     for k in range(1, len(entries)):
         assert entries[k] / entries[k - 1] <= 2.1 ** log2(lengths[k] / lengths[k - 1]), (lengths, entries)
 

@@ -7,12 +7,15 @@ from lambek.analyzer import InjectionContext, classify_input
 from lambek.earley import check_unambiguous
 from lambek.grammar import (
     GrammarError,
+    Production,
+    Symbol,
     enumerate_words,
     iter_words_sorted,
     length_lex_key,
     memo,
     nullable_ids,
     parse_grammar_file,
+    production_ids,
     render_word,
     validate,
     word_from_text,
@@ -35,6 +38,16 @@ def test_bool_grammar_shape(bool_g):
     assert names(bool_g.terminals) == ["1", "=", "AND", "OR", "a", "b"]
     assert len(bool_g.productions) == 10
     assert bool_g.start.name == "E"
+
+
+def test_a_rebuilt_production_finds_the_grammars_own(bool_g):
+    """Productions hash once, on their symbols; a copy built from fresh
+    symbols equals the grammar's own, hashes alike and finds its id."""
+    ids = memo(bool_g, production_ids)
+    for pid, p in enumerate(bool_g.productions):
+        q = Production(Symbol(p.lhs.kind, p.lhs.name), tuple(Symbol(s.kind, s.name) for s in p.rhs))
+        assert q is not p and q == p and hash(q) == hash(p)
+        assert ids[q] == pid
 
 
 def test_symbol_lookup(bool_g):

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 import lambek
 from lambek import semantics
 from lambek.earley import recognize
-from lambek.grammar import _word_tables, enumerate_words, enumerated_member, memo, nonterminal, word_from_text
+from lambek.grammar import _word_tables, enumerate_words, enumerated_member, memo, nonterminal, terminal, word_from_text
 from lambek.prover import SearchStatus, parse_axiom
 from lambek.semantics import (
     Counterexample,
@@ -23,7 +23,7 @@ from lambek.semantics import (
     prove_with_prescreen,
     soundness_check,
 )
-from lambek.types import UNIT, Atom, Prod, Sequent, parse_sequent, parse_type, type_universe
+from lambek.types import UNIT, Atom, Over, Prod, Sequent, Under, parse_sequent, parse_type, type_universe
 from test_prover import cyclic_grammars
 
 
@@ -295,6 +295,30 @@ def test_prescreen_skipped_under_axioms(eng_g):
     with_ax = prove_with_prescreen(eng_g, s, SemBound(4), ax)
     # axioms are not part of the word semantics, so no oracle verdict here
     assert with_ax.status is SearchStatus.NOT_FOUND_WITHIN_BOUNDS
+
+
+def test_prescreen_validates_each_sequent_once(bool_g, monkeypatch, spy):
+    """The oracle runs unvalidated, and a refutation or the search checks the
+    sequent, once; an undeclared atom anywhere still raises ValueError."""
+    checked = spy(lambek.prover, "require_declared")
+    monkeypatch.setattr(semantics, "require_declared", lambek.prover.require_declared)
+    for text in ("a , = , b |- T", "a , = |- T", "E/T , T |- E"):
+        checked.clear()
+        prove_with_prescreen(bool_g, parse_sequent(text, bool_g))
+        assert len(checked) == 1, text
+    T, E = Atom(bool_g.symbol("T")), Atom(bool_g.symbol("E"))
+    for z in (Atom(nonterminal("Z")), Atom(terminal("z"))):
+        for s in (
+            Sequent((z,), T),
+            Sequent((T, z), E),
+            Sequent((Over(E, z),), E),
+            Sequent((Under(z, E),), E),
+            Sequent((Prod(T, z),), E),
+            Sequent((T,), Over(E, z)),
+            Sequent((T,), Under(z, E)),
+        ):
+            with pytest.raises(ValueError, match=f"'{z.symbol.name}' is not declared"):
+                prove_with_prescreen(bool_g, s)
 
 
 # soundness_check queries whose implications fail on some test words
