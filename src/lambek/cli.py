@@ -43,8 +43,36 @@ def _load_grammar(spec: str, err: TextIO) -> Grammar:
     return g
 
 
+_END = object()  # closes a container on _emit's stack
+_scalar = json.JSONEncoder(ensure_ascii=False).encode
+
+
 def _emit(obj: dict, out: TextIO) -> None:
-    print(json.dumps(obj, ensure_ascii=False), file=out)
+    """Print obj with string keys as json.dumps(obj, ensure_ascii=False)
+    does, off an explicit stack: a flat proof nests as deep as it is long,
+    which json.dumps cannot encode under the default recursion limit."""
+    parts: list[str] = []
+    stack: list[tuple[str, object]] = [("", obj)]
+    while stack:
+        text, x = stack.pop()
+        parts.append(text)
+        if isinstance(x, dict):
+            parts.append("{")
+            stack.append(("}", _END))
+            entries = [(_scalar(k) + ": ", v) for k, v in x.items()]
+        elif isinstance(x, (list, tuple)):
+            parts.append("[")
+            stack.append(("]", _END))
+            entries = [("", v) for v in x]
+        else:
+            if x is not _END:
+                parts.append(_scalar(x))
+            continue
+        # pushed last to first, so the first pops first; it takes no separator
+        for k in range(len(entries) - 1, -1, -1):
+            key, v = entries[k]
+            stack.append((", " + key if k else key, v))
+    print("".join(parts), file=out)
 
 
 def _cmd_check(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:

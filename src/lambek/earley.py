@@ -20,14 +20,17 @@ already reported.  The walk recurses once per span and once per nonterminal
 child (a run of terminals is matched in place), so a chain of about 1 320
 tokens exhausts the default recursion limit.
 
-A chart predicts a tuple of start symbols at column 0.  Column j depends
-only on the first j input symbols (Earley 1970), so a closed chart can be
-continued at any column by one more symbol without touching the rest.
-Splits reads one chart: where a start derives a prefix of w, and, from a
-chart that starts every nonterminal, continued at j by x, all the
-nonterminals that derive w[:j] x.  On the mirror grammar over reversed w
-it answers the same for suffixes.  So one chart per side answers every
-split of w.
+A chart predicts a tuple of start symbols at column 0 and seeds each start
+a with its own augmented item S'ₐ → •a, so column j holds S'ₐ → a• exactly
+when a derives the first j input symbols.  recognize, parse_tree's
+acceptance test and Splits read that one item; only the tree walk builds
+the span index.  Column j depends only on the first j input symbols (Earley
+1970), so a closed chart can be continued at any column by one more symbol
+without touching the rest.  Splits reads one chart: the columns that hold
+a start's item are the prefixes of w it derives, and the starts whose items
+column j holds once continued by x are those that derive w[:j] x.  On the
+mirror grammar over reversed w it answers the same for suffixes.  So one
+chart per side answers every split of w.
 """
 from __future__ import annotations
 
@@ -101,43 +104,45 @@ class Reject:
 ParseOutcome = Unique | Ambiguous | Reject
 
 
+def _symbol_ids(g: Grammar) -> tuple[dict[Symbol, int], list[Symbol]]:
+    """Each declared symbol's id and the symbols by id (nonterminals, then
+    terminals, each by name); reach them through memo.  A symbol that g does
+    not declare gets len(ids), which no production uses."""
+    syms = sorted(g.nonterminals, key=lambda s: s.name) + sorted(g.terminals, key=lambda s: s.name)
+    return {s: k for k, s in enumerate(syms)}, syms
+
+
 def _dotted_rules(
     g: Grammar,
-) -> tuple[list[Symbol | None], list[Symbol | None], dict[Symbol, tuple[int, ...]], int]:
+) -> tuple[list[Symbol | None], list[Symbol | None], dict[Symbol, tuple[int, ...]], list[int]]:
     """Per-grammar tables over dotted rules; reach them through memo.
 
-    Production p with the dot before position d is rule ``first[p] + d``.
-    ``nxt[r]`` is the symbol after the dot (None once complete) and
-    ``lhs[r]`` the production's left-hand side; ``predict[X]`` holds the
-    rules of X's productions at dot 0, in grammar order.  The last two rules
-    are the augmented start S' → •a and S' → a•: their lhs is None, and the
-    chart seeds S' → •a as a waiter on each start a, so one rule serves
-    every start.
+    Rules 2k and 2k + 1 are the augmented pair S'ₐ → •a and S'ₐ → a• of the
+    symbol a with id k; the id past the declared symbols serves every
+    undeclared start.  The chart seeds S'ₐ → •a as the waiter on each start
+    a, so column j holds S'ₐ → a• exactly when a derives the first j
+    symbols: that item tops every Leo path that reaches it.  Production p
+    with the dot before position d is rule ``first[p] + d``.  ``nxt[r]`` is
+    the symbol after the dot (None once complete, and for an undeclared
+    start), ``lhs[r]`` the production's left-hand side and ``lhs_ids[r]``
+    its id (None and -1 for an augmented rule); ``predict[X]`` holds the
+    rules of X's productions at dot 0, in grammar order.
     """
+    ids, syms = memo(g, _symbol_ids)
     nxt: list[Symbol | None] = []
-    lhs: list[Symbol | None] = []
+    for a in [*syms, None]:
+        nxt += [a, None]
+    lhs: list[Symbol | None] = [None] * len(nxt)
+    lhs_ids = [-1] * len(nxt)
     first: list[int] = []
     for p in g.productions:
         first.append(len(nxt))
         nxt.extend(p.rhs)
         nxt.append(None)
         lhs.extend([p.lhs] * (len(p.rhs) + 1))
-    predict = {x: tuple(first[p] for p in ids) for x, ids in memo(g, lhs_index).items()}
-    goal = len(nxt)
-    nxt += [None, None]
-    lhs += [None, None]
-    return nxt, lhs, predict, goal
-
-
-def _symbol_ids(g: Grammar) -> tuple[dict[Symbol, int], list[Symbol], list[int]]:
-    """Each declared symbol's id, the symbols by id (nonterminals, then
-    terminals, each by name) and each dotted rule's left-hand side's id, -1
-    for the augmented start; reach them through memo.  A symbol that g does
-    not declare gets len(ids), which no production uses."""
-    _, lhs, _, _ = memo(g, _dotted_rules)
-    syms = sorted(g.nonterminals, key=lambda s: s.name) + sorted(g.terminals, key=lambda s: s.name)
-    ids = {s: k for k, s in enumerate(syms)}
-    return ids, syms, [-1 if x is None else ids[x] for x in lhs]
+        lhs_ids.extend([ids[p.lhs]] * (len(p.rhs) + 1))
+    predict = {x: tuple(first[p] for p in pids) for x, pids in memo(g, lhs_index).items()}
+    return nxt, lhs, predict, lhs_ids
 
 
 # an Earley item: (dotted rule, origin column)
@@ -265,17 +270,23 @@ def _run(
         i += 1
 
 
+def _goal(g: Grammar, a: Symbol) -> Item:
+    """S'ₐ → a• with origin 0, which a column holds exactly when a derives the input before it."""
+    ids = memo(g, _symbol_ids)[0]
+    return 2 * ids.get(a, len(ids)) + 1, 0
+
+
 def _chart(g: Grammar, starts: tuple[Symbol, ...], w: Word) -> _Chart:
     """Earley chart of sentential form w from each of starts at once."""
     tables = memo(g, _dotted_rules)
-    _, _, predict, goal = tables
+    predict = tables[2]
     col: list[Item] = []
     wait: dict[Symbol, list[Item]] = {}
     # a loop, not comprehensions: recognize's many short one-start charts
     # pay for each comprehension's frame
     for a in starts:
         col += [(r, 0) for r in predict.get(a, ())]
-        wait[a] = [(goal, 0)]
+        wait[a] = [(_goal(g, a)[0] - 1, 0)]  # S'ₐ → •a
     columns, waits, leo = [col], [wait], {}
     _run(tables, columns, waits, leo, col, wait, 0, w)
     return columns, waits, leo
@@ -283,7 +294,7 @@ def _chart(g: Grammar, starts: tuple[Symbol, ...], w: Word) -> _Chart:
 
 def recognize(g: Grammar, a: Symbol, w: Word) -> bool:
     """Exact recognition: does a derive the sentential form w?"""
-    return _accepts(g, _chart(g, (a,), w))
+    return _goal(g, a) in _chart(g, (a,), w)[0][-1]
 
 
 def _mirror(g: Grammar) -> Grammar:
@@ -298,7 +309,9 @@ class Splits:
     Forward, the chart runs over w and reads its prefixes.  With suffix, it
     is a chart of the mirror grammar over reversed w: the mirror grammar
     derives exactly the reversals of g's sentential forms, so the same
-    chart reads the suffixes of w.  Positions index w either way.
+    chart reads the suffixes of w.  Positions index w either way.  Splits
+    answers for its own starts only, each read off its completed augmented
+    item; two undeclared starts share one.
     """
 
     def __init__(self, g: Grammar, w: Word, starts: tuple[Symbol, ...], suffix: bool = False):
@@ -306,100 +319,75 @@ class Splits:
         self._w = w[::-1] if suffix else w
         self._suffix = suffix
         self._chart = _chart(self._g, starts, self._w)
+        self._done = {a: _goal(self._g, a) for a in starts}
 
     def ends(self, x: Symbol) -> list[int]:
-        """The ascending k for which the start x derives w[:k], or with suffix w[k:].
-
-        The spans (x, 0, k) are read with every Leo path expanded: a path
-        that completes x at origin 0 need not leave x's item in the column.
-        """
-        ids = memo(self._g, _symbol_ids)[0]
-        if x in ids:
-            ks = _span_ends(self._g, self._w, self._chart).get((ids[x], 0), [])
-        else:  # an undeclared symbol derives only itself
-            ks = [1] if self._w[:1] == (x,) and not x.is_terminal else []
+        """The ascending k for which the start x derives w[:k], or with suffix w[k:]."""
+        done = self._done[x]
+        ks = [k for k, col in enumerate(self._chart[0]) if done in col]
         return [len(self._w) - k for k in reversed(ks)] if self._suffix else ks
 
     def goals(self, j: int, x: Symbol) -> frozenset[Symbol]:
-        """The nonterminals that derive w[:j] x, or with suffix x w[j:]; all
-        of them when the chart starts from every nonterminal.
+        """The starts that derive w[:j] x, or with suffix x w[j:].
 
         Column j depends only on w[:j], so continuing it by x reads the
-        answer for j: X ⇒* w[:j] x exactly when the span (X, 0, j + 1)
-        completes in the continued column.  The chart keeps its columns.
+        answer for j: a start derives w[:j] x exactly when the continued
+        column holds its completed augmented item.  The chart keeps its
+        columns.
         """
         if self._suffix:
             j = len(self._w) - j
-        tables = memo(self._g, _dotted_rules)
-        _, syms, lhs_ids = memo(self._g, _symbol_ids)
         columns, waits, leo = self._chart
         ws = waits[j].get(x)
         col = [(r + 1, o) for r, o in ws] if ws else []
-        _run(tables, columns, waits, leo, col, {}, j + 1, ())
-        ends: dict[tuple[int, int], list[int]] = {}
-        _column_spans(tables, lhs_ids, self._chart, col, j + 1, ends)
-        found = frozenset(syms[y] for y, o in ends if o == 0)
-        return found | {x} if j == 0 else found  # x spans itself
-
-
-def _accepts(g: Grammar, chart: _Chart) -> bool:
-    """Does the last column hold the completed augmented start S' → a•?"""
-    return (memo(g, _dotted_rules)[3] + 1, 0) in chart[0][-1]
+        _run(memo(self._g, _dotted_rules), columns, waits, leo, col, {}, j + 1, ())
+        found = set(col)
+        return frozenset([a for a, done in self._done.items() if done in found])
 
 
 def _span_ends(g: Grammar, w: Word, chart: _Chart) -> dict[tuple[int, int], list[int]]:
     """(symbol id, start) -> the ascending ends of its completed spans.
 
-    Read off the columns in order.  A nonterminal of the input spans itself.
+    Read off the columns in order, each Leo path expanded for the spans it
+    skipped.  A nonterminal of the input spans itself.
     """
-    tables = memo(g, _dotted_rules)
-    ids, _, lhs_ids = memo(g, _symbol_ids)
+    nxt, lhs, _, lhs_ids = memo(g, _dotted_rules)
+    ids = memo(g, _symbol_ids)[0]
+    columns, waits, leo = chart
     ends: dict[tuple[int, int], list[int]] = {}
-    for j, col in enumerate(chart[0]):
+    for j, col in enumerate(columns):
         if j and w[j - 1].kind is SymbolKind.NONTERMINAL:
             ends.setdefault((ids.get(w[j - 1], len(ids)), j - 1), []).append(j)
-        _column_spans(tables, lhs_ids, chart, col, j, ends)
-    return ends
-
-
-def _column_spans(
-    tables: tuple, lhs_ids: list[int], chart: _Chart, col: list[Item], j: int, ends: dict[tuple[int, int], list[int]]
-) -> None:
-    """Append j to the ends of every span that completes in column col at j.
-
-    Each Leo path is expanded for the spans it skipped.
-    """
-    nxt, lhs, _, _ = tables
-    _, waits, leo = chart
-    for r, o in col:
-        x = lhs_ids[r]
-        if nxt[r] is not None or x < 0:
-            continue
-        key = (x, o)
-        e = ends.get(key)
-        if e is None:
-            ends[key] = [j]
-        elif e[-1] != j:
-            e.append(j)
-        node = (lhs[r], o)
-        top = leo.get(node) if leo and o < j else None
-        while top is not None:
-            # the path from node completes its waiter's (lhs, origin) at j
-            r2, o2 = waits[node[1]][node[0]][0]
-            x = lhs_ids[r2]
-            if x < 0:
-                break
-            key = (x, o2)
+        for r, o in col:
+            x = lhs_ids[r]
+            if nxt[r] is not None or x < 0:
+                continue
+            key = (x, o)
             e = ends.get(key)
             if e is None:
                 ends[key] = [j]
             elif e[-1] != j:
                 e.append(j)
-            else:
-                break  # the rest of this path is expanded already
-            if (r2 + 1, o2) == top:
-                break
-            node = (lhs[r2], o2)
+            node = (lhs[r], o)
+            top = leo.get(node) if leo and o < j else None
+            while top is not None:
+                # the path from node completes its waiter's (lhs, origin) at j
+                r2, o2 = waits[node[1]][node[0]][0]
+                x = lhs_ids[r2]
+                if x < 0:
+                    break
+                key = (x, o2)
+                e = ends.get(key)
+                if e is None:
+                    ends[key] = [j]
+                elif e[-1] != j:
+                    e.append(j)
+                else:
+                    break  # the rest of this path is expanded already
+                if (r2 + 1, o2) == top:
+                    break
+                node = (lhs[r2], o2)
+    return ends
 
 
 # a production, the ids of its right-hand side, which of them are terminals,
@@ -574,7 +562,7 @@ def parse_tree(g: Grammar, a: Symbol, w: Word) -> ParseOutcome:
     if a.is_terminal:
         return Unique(token_leaf(a)) if w == (a,) else Reject()
     chart = _chart(g, (a,), w)
-    if not _accepts(g, chart):
+    if _goal(g, a) not in chart[0][-1]:
         return Reject()
     ids = memo(g, _symbol_ids)[0]
     found = _trees(memo(g, _rhs_shapes), _walk(g, w, chart), ids.get(a, len(ids)), 0, len(w), ())

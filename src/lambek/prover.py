@@ -193,7 +193,7 @@ def _segment_proof(g: Grammar, pid: int, skipped: tuple[int, ...]) -> ProofTree:
 def _fold_table(g: Grammar) -> list[tuple[int, Atom]]:
     """Per production id, its right-hand side's length and its left-hand
     side as an atom, one atom per symbol id; reach it through memo."""
-    ids, syms, _ = memo(g, _symbol_ids)
+    ids, syms = memo(g, _symbol_ids)
     atoms = [Atom(x) for x in syms]
     return [(len(p.rhs), atoms[ids[p.lhs]]) for p in g.productions]
 

@@ -9,6 +9,8 @@ import pytest
 
 import lambek
 from lambek.cli import run
+from lambek.prover import Prover, proof_to_json
+from lambek.types import parse_sequent
 
 
 def cli(*argv):
@@ -251,9 +253,50 @@ def test_prove_json_grows_linearly():
     assert size[199] <= 2.3 * size[99], size
 
 
+def test_json_of_a_deep_proof_is_written_without_recursion(bool_g):
+    """A flat proof nests as deep as its 599-token chain is long; --json
+    writes what json.dumps writes with room to recurse."""
+    sequent = " , AND , ".join(['"1" , = , a'] * 150) + " |- E"
+    proof = proof_to_json(Prover(bool_g).prove(parse_sequent(sequent, bool_g)).proof)
+    expected = {
+        ("prove", "--json"): {"status": "Proved", "proof": proof},
+        ("check", "--json", "--tree"): {"status": "Proved", "counterexample": None, "proof": proof},
+    }
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(20_000)
+    try:
+        expected = {argv: json.dumps(obj, ensure_ascii=False) + "\n" for argv, obj in expected.items()}
+    finally:
+        sys.setrecursionlimit(limit)
+    for (command, *flags), text in expected.items():
+        code, out, err = cli(command, sequent, "--grammar", "bool", *flags)
+        assert (code, err) == (0, "") and out == text, command
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", "a , = , b |- T", "--grammar", "bool", "--tree"),
+        ("check", "V |- T", "--grammar", "bool"),
+        ("prove", "b , OR , 1 , = , 1 |- (T/V)\\E", "--grammar", "bool"),
+        ("infer", "b OR 1 = 1", "--grammar", "bool", "--atoms", "T,V,E"),
+        ("enum", "E", "--grammar", "bool", "--max-len", "3"),
+        ("oracle", "V |- T", "--grammar", "bool"),
+        ("ambig", "--grammar", "eng", "--max-len", "4"),
+        ("analyze", "--grammar", "bool", "--prefix", "a =", "--input", "b OR 1 = 1", "--goal", "E", "--expect", "V"),
+    ],
+)
+def test_json_output_is_what_json_dumps_writes(argv):
+    code, out, _ = cli(*argv, "--json")
+    assert code in (0, 1)
+    assert out == json.dumps(json.loads(out), ensure_ascii=False) + "\n"
+
+
 def test_too_deep_input_is_an_error_not_a_negative():
-    """Exit 1 is a sound negative; an input too deep to parse is an error."""
-    sequent = " , AND , ".join(['"1" , = , "1"'] * 400) + " |- E"
+    """Exit 1 is a sound negative; an input too deep to parse is an error.
+    A type nested 2 000 parentheses deep is past the default recursion
+    limit for any reader that recurses per nesting level."""
+    sequent = "b |- " + "(" * 2000 + "V" + ")" * 2000
     code, out, err = cli("check", sequent, "--grammar", "bool")
     assert code == 2 and out == ""
     assert err.startswith("error:") and "recursion" in err

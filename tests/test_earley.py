@@ -22,8 +22,8 @@ from lambek.earley import (
     render_tree_text,
     token_leaf,
     tree_to_json,
-    _accepts,
     _chart,
+    _goal,
     _rhs_shapes,
     _span_ends,
     _symbol_ids,
@@ -298,9 +298,9 @@ def test_chart_grows_linearly_on_right_recursion(bool_g):
 
 def _assert_prefix_ends(g, a, form):
     """Splits.ends reads recognition of every prefix and every suffix off one
-    chart, from the start a alone or from every nonterminal."""
+    chart, from the start a alone or from a and every nonterminal."""
     n = len(form)
-    every = tuple(sorted(g.nonterminals, key=lambda s: s.name))
+    every = (a, *sorted(g.nonterminals, key=lambda s: s.name))
     prefixes = [k for k in range(n + 1) if recognize(g, a, form[:k])]
     suffixes = [j for j in range(n + 1) if recognize(g, a, form[j:])]
     for starts in ((a,), every):
@@ -431,7 +431,7 @@ def _reference_trees(g, w, ends, sym, i, j, path):
 def _reference_parse(g, a, form):
     """parse_tree's answer from the first two distinct trees of the reference walk."""
     chart = _chart(g, (a,), form)
-    if not _accepts(g, chart):
+    if _goal(g, a) not in chart[0][-1]:
         return Reject()
     found = []
     for t in _reference_trees(g, form, _symbol_ends(g, form, chart), a, 0, len(form), ()):
@@ -520,6 +520,23 @@ def test_symbol_ids_are_built_once_per_grammar(load_bundled, monkeypatch, spy):
     assert built == [(g,)]
 
 
+def test_only_the_tree_walk_builds_the_span_index(bool_g, spy):
+    """recognize and Splits read each start's completed augmented item; only
+    parse_tree's walk reads the span index."""
+    built = spy(earley, "_span_ends")
+    C, E, T, V = (bool_g.symbol(n) for n in "CETV")
+    every = tuple(sorted(bool_g.nonterminals, key=lambda s: s.name))
+    chain = w(bool_g, "1 = a AND b = b OR a = 1 AND 1 = 1")
+    assert recognize(bool_g, E, chain)
+    for suffix in (False, True):
+        assert Splits(bool_g, chain, (E,), suffix).ends(E)
+        assert Splits(bool_g, chain, every, suffix).ends(V)
+        assert Splits(bool_g, chain, every, suffix).goals(len(chain) - 2 if suffix else 2, V) == {C, E, T}
+    assert built == []
+    assert isinstance(parse_tree(bool_g, E, chain), Unique)
+    assert len(built) == 1
+
+
 def test_undeclared_symbols_derive_only_themselves(bool_g):
     """A symbol the grammar does not declare gets the id that no production
     uses: forms that hold one parse, recognize and split as they did when
@@ -531,13 +548,14 @@ def test_undeclared_symbols_derive_only_themselves(bool_g):
     assert parse_tree(bool_g, E, form) == Reject() and not recognize(bool_g, E, form)
     assert Splits(bool_g, form, (V,)).ends(V) == [1]
     assert Splits(bool_g, form, every).goals(2, V) == {bool_g.symbol(n) for n in "CET"}
-    assert Splits(bool_g, form, every).goals(0, Q) == {Q}
+    assert Splits(bool_g, form, (*every, Q)).goals(0, Q) == {Q}
     assert parse_tree(bool_g, Q, (Q,)) == Unique(token_leaf(Q))
     assert Splits(bool_g, (Q,), (Q,)).ends(Q) == [1]
     assert Splits(bool_g, (Q,), (Q,), suffix=True).ends(Q) == [0]
     # two undeclared symbols share the id that no production uses, but not their spans
     R = nonterminal("R")
-    assert Splits(bool_g, (R,), (Q,)).ends(Q) == Splits(bool_g, (zz,), (zz,)).ends(zz) == []
+    assert Splits(bool_g, (R,), (Q,)).ends(Q) == []
+    assert Splits(bool_g, (zz,), (zz,)).ends(zz) == [1] and recognize(bool_g, zz, (zz,))
     assert isinstance(parse_tree(bool_g, T, w(bool_g, "a =") + (Q,)), Reject)
     symbols = [*w(bool_g, "a = AND"), V, zz, Q]
     for a in (E, T, V, Q):
