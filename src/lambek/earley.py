@@ -593,25 +593,28 @@ def check_unambiguous(g: Grammar, a: Symbol, max_len: int) -> Pass | Witness:
 
 
 def render_tree_text(t: ParseTree) -> str:
+    """The tree as indented text, one label per line in preorder.  A stack,
+    because a recursive grammar's trees are as deep as their input is long."""
     lines: list[str] = []
-
-    def walk(node: ParseTree, depth: int) -> None:
+    stack = [(t, 0)]
+    while stack:
+        node, depth = stack.pop()
         lines.append("  " * depth + node.label())
-        for c in node.children:
-            walk(c, depth + 1)
-
-    walk(t, 0)
+        stack.extend((c, depth + 1) for c in reversed(node.children))
     return "\n".join(lines)
 
 
 def tree_to_json(t: ParseTree, g: Grammar) -> dict:
+    """Nested objects of sym, prod_index (the production's id) and children,
+    built off a stack as render_tree_text is."""
     index = memo(g, production_ids)
-
-    def conv(node: ParseTree) -> dict:
-        return {
-            "sym": node.label(),
-            "prod_index": None if node.production is None else index[node.production],
-            "children": [conv(c) for c in node.children],
-        }
-
-    return conv(t)
+    root: dict = {}
+    stack = [(t, root)]
+    while stack:
+        node, obj = stack.pop()
+        prod_index = None if node.production is None else index[node.production]
+        obj.update(sym=node.label(), prod_index=prod_index, children=[])
+        for c in node.children:
+            obj["children"].append({})
+            stack.append((c, obj["children"][-1]))
+    return root

@@ -36,7 +36,10 @@ raises RecursionError instead of answering.
 Folds happen only at flat sequents (atoms over an atom): a fold is a cut
 between atoms, so it commutes upward past every other rule (as in focused
 proof search, Andreoli 1992).  There the Earley parse of the antecedent
-decides the sequent and lays out the whole fold chain (flat_proof).  A production's fold
+decides the sequent and lays out the whole fold chain (flat_proof).  The
+grammar keeps each flat decision, and the split ends of each run of atoms
+an L-rule cuts (see memo), so each is parsed once, however many provers
+over the grammar, or the analyzer's capture search, ask.  A production's fold
 cuts the production's GRAM axiom in where its right-hand side stands, with
 a proof of  ⊢ X  cut in for each nullable X the parse leaves out.
 """
@@ -246,8 +249,14 @@ def flat_proof(g: Grammar, s: Sequent) -> ProofTree | None:
     chain of the antecedent's first parse.  Folds read backward are
     derivation steps, and skips and insertions are ordinary empty
     derivations, so s folds exactly when the goal derives the antecedent's
-    symbols as a sentential form.
+    symbols as a sentential form.  Each s is decided once per grammar (see
+    memo), for every prover and for the analyzer's capture search.
     """
+    return memo(g, _flat_proof, s)
+
+
+def _flat_proof(g: Grammar, s: Sequent) -> ProofTree | None:
+    """flat_proof's answer, computed; reach it through memo."""
     ante, succ = s.antecedent, s.succedent
     if ante == (succ,):
         return ProofTree(RuleName.AX, conclusion=s)
@@ -261,6 +270,12 @@ def flat_proof(g: Grammar, s: Sequent) -> ProofTree | None:
     return fold_chain(g, s, outcome.first if isinstance(outcome, Ambiguous) else outcome.tree)
 
 
+def _split_ends(g: Grammar, x: Symbol, form: Word, suffix: bool) -> list[int]:
+    """The ascending k for which x derives form[k:] when suffix, else
+    form[:k]; reach it through memo."""
+    return Splits(g, form, (x,), suffix).ends(x)
+
+
 def require_declared(g: Grammar, s: Sequent) -> None:
     """Raise ValueError unless every atom of s is a symbol of g."""
     for t in (*s.antecedent, s.succedent):
@@ -270,10 +285,13 @@ def require_declared(g: Grammar, s: Sequent) -> None:
 
 
 class Prover:
-    """Holds search state for one grammar; memo tables persist across prove calls.
+    """Holds the search memo for one grammar and its axioms; it persists across prove calls.
 
     Tables derived from the grammar alone live on the grammar (see memo), so
-    they are shared by every prover over it.
+    they are shared by every prover over it: among them the decision of each
+    flat sequent (flat_proof) and the split ends of each run of atoms
+    (_run_splits).  A new prover thus parses only the flat sequents that no
+    earlier query on the grammar decided.
     """
 
     def __init__(self, g: Grammar, axioms: Sequence[TypingAxiom] = ()):
@@ -289,7 +307,6 @@ class Prover:
                 # or the search need not terminate
                 raise ValueError(f"axiom type {render_type(ax.type)!r} names the axiom token {named.name!r}")
         self._proofs: dict[Sequent, ProofTree | None] = {}
-        self._splits: dict[tuple[Symbol, tuple[LambekType, ...], bool], list[int]] = {}
 
     def prove(self, s: Sequent) -> SearchResult:
         require_declared(self.g, s)
@@ -386,14 +403,9 @@ class Prover:
     def _run_splits(self, x: Symbol, run: tuple[LambekType, ...], suffix: bool) -> list[int]:
         """The ascending k for which x derives run[k:] when suffix, else run[:k].
 
-        One chart per (x, run, side) serves every goal of the prover.
+        One chart per (x, run, side) serves every prover over the grammar.
         """
-        key = (x, run, suffix)
-        ks = self._splits.get(key)
-        if ks is None:
-            form = tuple(t.symbol for t in run)
-            ks = self._splits[key] = Splits(self.g, form, (x,), suffix).ends(x)
-        return ks
+        return memo(self.g, _split_ends, x, tuple(t.symbol for t in run), suffix)
 
     def _moves(
         self, ante: tuple[LambekType, ...], succ: LambekType

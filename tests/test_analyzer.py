@@ -25,11 +25,11 @@ from lambek import earley
 from lambek.earley import Ambiguous, Reject, Splits, parse_tree, recognize, render_tree_text
 from lambek.grammar import (
     Grammar, Production, enumerate_words, iter_words_sorted, memo, nonterminal, nullable_ids, parse_grammar_file,
-    require_word, terminal, word_from_text,
+    render_word, require_word, terminal, word_from_text,
 )
 from lambek.prover import Prover, Side, check_proof, proof_to_json
-from lambek.semantics import OraclePass, SemBound, member_bounded, soundness_check
-from lambek.types import Atom, Over, Sequent, Under, parse_type, render_sequent, render_type
+from lambek.semantics import OraclePass, SemBound, member_bounded, prove_with_prescreen, soundness_check
+from lambek.types import Atom, Over, Sequent, Under, parse_type, render_sequent, render_type, type_universe
 from test_prover import _within_two_seconds, assert_capture_shape, cyclic_grammars, ignore_swallowed_alarms
 from test_types import mirror_type
 
@@ -368,13 +368,13 @@ def _assert_captures_match_the_pair_loop(g, ctx, w):
     assert all(check_proof(g, c.proof).ok for c in found)
 
 
-def _counted_capture_search(spy, g, cases):
-    """capture_typings on each (ctx, w) of cases, counted: per case the
+def _counted_capture_search(spy, cases):
+    """capture_typings on each (g, ctx, w) of cases, counted: per case the
     captures, the flat sequents folded and the number of Earley charts
     built.  The search builds no Prover and folds no sequent twice."""
     provers, asked, charts = spy(Prover, "__init__"), spy(analyzer, "flat_proof"), spy(earley, "_chart")
     out = []
-    for ctx, w in cases:
+    for g, ctx, w in cases:
         asked.clear()
         charts.clear()
         found = capture_typings(g, ctx, w)
@@ -388,7 +388,8 @@ def _counted_capture_search(spy, g, cases):
 def test_capture_proofs_are_composed_from_flat_premises(bool_g, tmpl, mirrored, spy):
     """The search folds only flat sequents, atoms over an atom; capture builds the rest."""
     cases = [(tmpl, word_from_text(bool_g, "b OR 1 = 1")), (mirrored, word_from_text(bool_g, "1 = 1 OR b"))]
-    for (ctx, w), (found, asked, _) in zip(cases, _counted_capture_search(spy, bool_g, cases)):
+    counted = _counted_capture_search(spy, [(bool_g, ctx, w) for ctx, w in cases])
+    for (ctx, w), (found, asked, _) in zip(cases, counted):
         assert len(found) == 2
         for c in found:
             assert_capture_shape(c.proof)
@@ -405,7 +406,7 @@ def test_capture_typings_asks_no_sequent_twice(bool_g, tmpl, mirrored, spy):
         (mirrored, word_from_text(bool_g, "1 = 1 OR b")),
         (o, word_from_text(bool_g, "1 = 1 AND 1 = 1 OR 1 = 1")),
     ]
-    for found, asked, _ in _counted_capture_search(spy, bool_g, cases):
+    for found, asked, _ in _counted_capture_search(spy, [(bool_g, ctx, w) for ctx, w in cases]):
         assert found and asked
 
 
@@ -455,11 +456,12 @@ def test_captures_match_the_pair_loop_on_random_grammars(g, data):
     _within_two_seconds(_assert_captures_match_the_pair_loop, g, ctx, w)
 
 
-def test_attack_ladder_search_does_not_grow_with_the_input(bool_g, tmpl, mirrored, spy):
+def test_attack_ladder_search_does_not_grow_with_the_input(bool_g, tmpl, mirrored, load_bundled, spy):
     """The captures of  b (OR 1 = 1)^k  at  a = _, and of  (1 = 1 OR)^k b  at
     _ = a, read their splits off one chart from the hole and one from every
     nonterminal, and fold two flat sequents each: the search folds as many
-    sequents and builds 4 charts at every k."""
+    sequents and builds 4 charts at every k.  Each rung is counted on a
+    fresh grammar, which has decided no flat sequent yet."""
     ks = (1, 8, 16, 32, 64)
     ladders = {
         tmpl: lambda k: "b" + " OR 1 = 1" * k,
@@ -468,27 +470,90 @@ def test_attack_ladder_search_does_not_grow_with_the_input(bool_g, tmpl, mirrore
     cases = [(ctx, word_from_text(bool_g, text(k))) for ctx, text in ladders.items() for k in ks]
     for ctx, w in cases:
         assert classify_input(bool_g, ctx, w).classification is Classification.CAPTURING
-    out = _counted_capture_search(spy, bool_g, cases)
+    out = _counted_capture_search(spy, [(load_bundled("bool.g"), ctx, w) for ctx, w in cases])
     for rungs in (out[: len(ks)], out[len(ks) :]):
         assert {(len(asked), charts) for _, asked, charts in rungs} == {(len(rungs[0][1]), 4)}
         captures = [[render_type(c.type) for c in found] for found, _, _ in rungs]
         assert captures == [captures[0]] * len(ks) and len(captures[0]) == 2
 
 
-def test_many_split_search_does_not_grow_with_the_splits(bool_g, spy):
+def test_many_split_search_does_not_grow_with_the_splits(bool_g, load_bundled, spy):
     """A C hole splits  (1 = 1 AND)^k 1 = 1 OR 1 = 1  after every  1 = 1; the
     search reads all k + 1 splits off one chart and folds only the shares
     that a capture uses, so it folds as many sequents and builds 6 charts at
-    every k."""
+    every k, each counted on a fresh grammar."""
     ctx = InjectionContext(word_from_text(bool_g, "a = 1 OR"), (), bool_g.symbol("E"), bool_g.symbol("C"))
     ks = (1, 8, 16, 32, 64)
     words = [word_from_text(bool_g, "1 = 1 AND " * k + "1 = 1 OR 1 = 1") for k in ks]
     for k, w in zip(ks, words):
         assert len(Splits(bool_g, w, (ctx.expected,)).ends(ctx.expected)) == k + 1
-    out = _counted_capture_search(spy, bool_g, [(ctx, w) for w in words])
+    out = _counted_capture_search(spy, [(load_bundled("bool.g"), ctx, w) for w in words])
     assert {(len(asked), charts) for _, asked, charts in out} == {(len(out[0][1]), 6)}
     captures = [[(c.direction, render_type(c.type)) for c in found] for found, _, _ in out]
     assert captures == [[(Side.LEFT, "(C/C)\\E"), (Side.LEFT, "(T/C)\\E")]] * len(ks)
+
+
+def test_the_capture_search_shares_its_flat_decisions_with_provers(load_bundled, spy):
+    """Once classify_input has folded a capture's flat rest, a Prover of that
+    sequent on the same grammar builds no chart; on a fresh grammar it does."""
+    g = load_bundled("bool.g")
+    asked = spy(analyzer, "flat_proof")
+    ctx = InjectionContext(word_from_text(g, "a ="), (), g.symbol("E"), g.symbol("V"))
+    assert classify_input(g, ctx, word_from_text(g, "b OR 1 = 1")).classification is Classification.CAPTURING
+    rests = [s for _, s in asked if len(s.antecedent) > 1]
+    assert rests
+    charts = spy(earley, "_chart")
+    for s in rests:
+        assert Prover(load_bundled("bool.g")).prove(s).proved and charts, render_sequent(s)
+        charts.clear()
+        assert Prover(g).prove(s).proved and charts == [], render_sequent(s)
+
+
+# the cuts of  a = b AND a = b OR a = b  whose fragments the benchmark's judge round proves
+FRAGMENT_CUTS = ((0, 2), (1, 3), (0, 3), (2, 7), (3, 11), (0, 7))
+
+
+def _batch(g):
+    """One call per answer on g: the classifications of the templates'
+    inputs, and prescreened proofs of fragments and of a quarter of the
+    depth-1 type pairs over T, V and E."""
+    calls = []
+    for name in sorted(TEMPLATES):
+        prefix, suffix, goal, expected = TEMPLATES[name]
+        ctx = InjectionContext(
+            word_from_text(g, prefix), word_from_text(g, suffix), g.symbol(goal), g.symbol(expected)
+        )
+        for text in INPUTS:
+            w = word_from_text(g, text)
+            calls.append(lambda ctx=ctx, w=w: classify_input(g, ctx, w).to_json(g))
+    types = type_universe(g, [g.symbol(x) for x in ("T", "V", "E")], 1)
+    word = word_from_text(g, "a = b AND a = b OR a = b")
+    sequents = [
+        Sequent(tuple(map(Atom, word[i:j])), t)
+        for i, j in FRAGMENT_CUTS
+        for t in types + [Atom(g.symbol(x)) for x in ("C", "D", "F")]
+    ]
+    sequents += [Sequent((l,), r) for i, l in enumerate(types) for j, r in enumerate(types) if (i + 2 * j) % 4 == 0]
+    for s in sequents:
+        calls.append(lambda s=s: _prescreened_json(g, s))
+    return calls
+
+
+def _prescreened_json(g, s):
+    r = prove_with_prescreen(g, s)
+    proof = None if r.proof is None else proof_to_json(r.proof)
+    word = None if r.counterexample is None else render_word(r.counterexample)
+    return {"status": r.status.value, "proof": proof, "counterexample": word}
+
+
+def test_answers_do_not_depend_on_memo_state(load_bundled):
+    """Two fresh grammars answer one batch in opposite orders, so each call
+    meets different tables on its grammar; every answer is the same."""
+    g, h = load_bundled("bool.g"), load_bundled("bool.g")
+    forward = [call() for call in _batch(g)]
+    backward = [call() for call in reversed(_batch(h))][::-1]
+    for i, (a, b) in enumerate(zip(forward, backward, strict=True)):
+        assert a == b, i
 
 
 def _classify_reference(g, ctx, w):

@@ -1,3 +1,4 @@
+import sys
 from itertools import product
 from math import log2
 
@@ -39,6 +40,7 @@ from lambek.grammar import (
     memo,
     nonterminal,
     parse_grammar_file,
+    production_ids,
     terminal,
     word_from_text,
 )
@@ -604,6 +606,47 @@ def test_tree_to_json_nonterminal_leaf(bool_g):
     obj = tree_to_json(out.tree, bool_g)
     assert obj["children"][0]["prod_index"] is not None
     assert obj["children"][2] == {"sym": "V", "prod_index": None, "children": []}
+
+
+def _render_recursively(t):
+    lines = []
+
+    def walk(node, depth):
+        lines.append("  " * depth + node.label())
+        for c in node.children:
+            walk(c, depth + 1)
+
+    walk(t, 0)
+    return "\n".join(lines)
+
+
+def _to_json_recursively(t, g):
+    index = memo(g, production_ids)
+    return {
+        "sym": t.label(),
+        "prod_index": None if t.production is None else index[t.production],
+        "children": [_to_json_recursively(c, g) for c in t.children],
+    }
+
+
+def test_tree_encoders_answer_on_a_deep_tree():
+    """A left recursion's tree is as deep as its input is long: both encoders
+    answer on 3 000 levels under the default recursion limit, as the
+    recursive definitions do under a raised one."""
+    g = parse_grammar_file("start S\nS ::= S a | a ;\n")
+    S, a = g.symbol("S"), g.symbol("a")
+    tree = internal_node(Production(S, (a,)), (token_leaf(a),))
+    for _ in range(2999):
+        tree = internal_node(Production(S, (S, a)), (tree, token_leaf(a)))
+    text, obj = render_tree_text(tree), tree_to_json(tree, g)
+    limit = sys.getrecursionlimit()
+    assert limit < 3000
+    sys.setrecursionlimit(20_000)
+    try:
+        assert text == _render_recursively(tree)
+        assert obj == _to_json_recursively(tree, g)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_internal_node_concatenates_yields(bool_g):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lambek import earley
 from lambek.earley import parse_tree, recognize
 from lambek.grammar import (
     Grammar,
@@ -705,6 +706,22 @@ def test_answers_do_not_depend_on_shared_tables(load_bundled):
     random.Random(20).shuffle(shuffled)
     for text in shuffled + shuffled[::-1]:
         assert answer(warm_g, text) == fresh[text], text
+
+
+def test_a_flat_sequent_is_parsed_once_per_grammar(load_bundled, spy):
+    """The grammar keeps each flat decision and each run's split ends, so a
+    second cold Prover builds no chart and answers with an equal proof."""
+    g = load_bundled("bool.g")
+    charts = spy(earley, "_chart")
+    # OVER_R leaves the flat  a , = , V |- T; the second cuts the runs b and a at V
+    for text in ("a , = |- T/V", "a , (V\\T)/V , b |- T"):
+        s = parse_sequent(text, g)
+        first = Prover(g).prove(s)
+        assert first.proved and charts, text
+        charts.clear()
+        again = Prover(g).prove(s)
+        assert charts == [], text
+        assert again.proof == first.proof and proof_to_json(again.proof) == proof_to_json(first.proof)
 
 
 # --- pinned verdicts ------------------------------------------------------
