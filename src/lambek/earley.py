@@ -78,13 +78,6 @@ def token_leaf(sym: Symbol) -> ParseTree:
     return ParseTree(sym, None, (), (sym,))
 
 
-def internal_node(production: Production, children: tuple[ParseTree, ...]) -> ParseTree:
-    w: Word = ()
-    for c in children:
-        w += c.word
-    return ParseTree(production.lhs, production, children, w)
-
-
 @dataclass(frozen=True)
 class Unique:
     tree: ParseTree
@@ -397,14 +390,10 @@ _Shape = tuple[Production, tuple[int, ...], tuple[bool, ...], tuple[int, ...]]
 
 def _rhs_shapes(g: Grammar) -> list[list[_Shape]]:
     """Per left-hand-side id, in grammar order, the shape of each production;
-    reach it through memo.
-
-    A production equal to an earlier one is left out: its trees repeat the
-    earlier one's, so every tree the walk builds is new.
-    """
+    reach it through memo."""
     ids = memo(g, _symbol_ids)[0]
     shapes: list[list[_Shape]] = [[] for _ in range(len(ids) + 1)]
-    for p in dict.fromkeys(g.productions):
+    for p in g.productions:
         flags = tuple(s.is_terminal for s in p.rhs)
         after = tuple(sum(flags[k + 1 :]) for k in range(len(flags)))
         shapes[ids[p.lhs]].append((p, tuple(ids[s] for s in p.rhs), flags, after))
@@ -559,8 +548,6 @@ def parse_tree(g: Grammar, a: Symbol, w: Word) -> ParseOutcome:
 
     A nonterminal of w is a leaf; its span's other trees come first.
     """
-    if a.is_terminal:
-        return Unique(token_leaf(a)) if w == (a,) else Reject()
     chart = _chart(g, (a,), w)
     if _goal(g, a) not in chart[0][-1]:
         return Reject()

@@ -18,10 +18,11 @@ Rules, written forward (Φ, Ψ, Π are contexts, φ, ψ, π types):
 Search runs backward and goal-directed, with no depth bound and no cycle
 check, and memoizes every answer, proof or failure.  Invertible steps
 (stripping units, splitting antecedent products, the two right rules) are
-applied eagerly; everything else backtracks.  The search never tries a
-general cut: the calculus is cut-free (Lambek 1958), so CUT appears in
-proofs only as a fold against a production or a typing axiom, and in the
-composites the tactics build.
+applied eagerly; everything else backtracks, an L-rule over every split of
+its context for the argument premise.  The search never tries a general
+cut: the calculus is cut-free (Lambek 1958), so CUT appears in proofs only
+as a fold against a production or a typing axiom, and in the composites
+the tactics build.
 
 The search terminates by construction.  No typing axiom's type may name an
 axiom token (Prover rejects one that does), so every premise the search
@@ -37,20 +38,19 @@ Folds happen only at flat sequents (atoms over an atom): a fold is a cut
 between atoms, so it commutes upward past every other rule (as in focused
 proof search, Andreoli 1992).  There the Earley parse of the antecedent
 decides the sequent and lays out the whole fold chain (flat_proof).  The
-grammar keeps each flat decision, and the split ends of each run of atoms
-an L-rule cuts (see memo), so each is parsed once, however many provers
-over the grammar, or the analyzer's capture search, ask.  A production's fold
-cuts the production's GRAM axiom in where its right-hand side stands, with
-a proof of  ⊢ X  cut in for each nullable X the parse leaves out.
+grammar keeps each flat decision (see memo), so each is parsed once,
+however many provers over the grammar, or the analyzer's capture search,
+ask.  A production's fold cuts the production's GRAM axiom in where its
+right-hand side stands, with a proof of  ⊢ X  cut in for each nullable X
+the parse leaves out.
 """
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
-from itertools import chain
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
-from .earley import Ambiguous, ParseTree, Reject, Splits, _symbol_ids, parse_tree
+from .earley import Ambiguous, ParseTree, Reject, _symbol_ids, parse_tree
 # not called here, but perfbench/spans.py rebinds lambek.prover.recognize and fails without it
 from .earley import recognize  # noqa: F401
 from .grammar import Grammar, Symbol, Word, lhs_index, memo, nullable_ids, production_ids
@@ -270,12 +270,6 @@ def _flat_proof(g: Grammar, s: Sequent) -> ProofTree | None:
     return fold_chain(g, s, outcome.first if isinstance(outcome, Ambiguous) else outcome.tree)
 
 
-def _split_ends(g: Grammar, x: Symbol, form: Word, suffix: bool) -> list[int]:
-    """The ascending k for which x derives form[k:] when suffix, else
-    form[:k]; reach it through memo."""
-    return Splits(g, form, (x,), suffix).ends(x)
-
-
 def require_declared(g: Grammar, s: Sequent) -> None:
     """Raise ValueError unless every atom of s is a symbol of g."""
     for t in (*s.antecedent, s.succedent):
@@ -289,9 +283,8 @@ class Prover:
 
     Tables derived from the grammar alone live on the grammar (see memo), so
     they are shared by every prover over it: among them the decision of each
-    flat sequent (flat_proof) and the split ends of each run of atoms
-    (_run_splits).  A new prover thus parses only the flat sequents that no
-    earlier query on the grammar decided.
+    flat sequent (flat_proof).  A new prover thus parses only the flat
+    sequents that no earlier query on the grammar decided.
     """
 
     def __init__(self, g: Grammar, axioms: Sequence[TypingAxiom] = ()):
@@ -371,42 +364,6 @@ class Prover:
                 return ProofTree(rule, tuple(subs), detail)
         return None
 
-    # A split of an L-rule whose argument premise lies inside a run of plain
-    # atoms (atoms that are not axiom tokens) gives a flat premise that
-    # Earley alone decides, so when the argument is a nonterminal atom the
-    # splits are read off one chart over the run; a split that reaches past
-    # the run, or an argument of any other type, is tried as is.
-
-    def _plain(self, t: LambekType) -> bool:
-        return isinstance(t, Atom) and t.symbol not in self._axiom_tokens
-
-    def _starts(self, ante: tuple[LambekType, ...], i: int, arg: LambekType) -> Iterable[int]:
-        """The ascending starts j worth trying for UNDER_L at i: ante[j:i] ⊢ arg."""
-        if not (isinstance(arg, Atom) and not arg.symbol.is_terminal):
-            return range(i + 1)
-        lo = i
-        while lo and self._plain(ante[lo - 1]):
-            lo -= 1
-        js = self._run_splits(arg.symbol, ante[lo:i], True)
-        return chain(range(lo), (lo + j for j in js))
-
-    def _stops(self, ante: tuple[LambekType, ...], i: int, arg: LambekType) -> Iterable[int]:
-        """The ascending stops j worth trying for OVER_L at i: ante[i + 1:j] ⊢ arg."""
-        if not (isinstance(arg, Atom) and not arg.symbol.is_terminal):
-            return range(i + 1, len(ante) + 1)
-        hi = i + 1
-        while hi < len(ante) and self._plain(ante[hi]):
-            hi += 1
-        ks = self._run_splits(arg.symbol, ante[i + 1 : hi], False)
-        return chain((i + 1 + k for k in ks), range(hi + 1, len(ante) + 1))
-
-    def _run_splits(self, x: Symbol, run: tuple[LambekType, ...], suffix: bool) -> list[int]:
-        """The ascending k for which x derives run[k:] when suffix, else run[:k].
-
-        One chart per (x, run, side) serves every prover over the grammar.
-        """
-        return memo(self.g, _split_ends, x, tuple(t.symbol for t in run), suffix)
-
     def _moves(
         self, ante: tuple[LambekType, ...], succ: LambekType
     ) -> Iterator[tuple[RuleName, tuple, tuple[Sequent, ...]]]:
@@ -421,12 +378,12 @@ class Prover:
 
         for i, t in enumerate(ante):
             if isinstance(t, Under):
-                for j in self._starts(ante, i, t.arg):
+                for j in range(i + 1):
                     prem1 = Sequent(ante[j:i], t.arg)
                     prem2 = Sequent(ante[:j] + (t.result,) + ante[i + 1 :], succ)
                     yield (RuleName.UNDER_L, (i, j), (prem1, prem2))
             elif isinstance(t, Over):
-                for j in self._stops(ante, i, t.arg):
+                for j in range(i + 1, len(ante) + 1):
                     prem1 = Sequent(ante[i + 1 : j], t.arg)
                     prem2 = Sequent(ante[:i] + (t.result,) + ante[j:], succ)
                     yield (RuleName.OVER_L, (i, j), (prem1, prem2))

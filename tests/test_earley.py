@@ -17,7 +17,6 @@ from lambek.earley import (
     Unique,
     Witness,
     check_unambiguous,
-    internal_node,
     parse_tree,
     recognize,
     render_tree_text,
@@ -51,6 +50,14 @@ from test_prover import NESTED_NULLABLE_CYCLES, PINNED_GRAMMARS, _time_limit, _T
 
 def w(g, text):
     return word_from_text(g, text)
+
+
+def internal_node(production, children):
+    """The node of production over children, its yield theirs concatenated."""
+    word = ()
+    for c in children:
+        word += c.word
+    return ParseTree(production.lhs, production, children, word)
 
 
 def test_recognize_bool(bool_g):
@@ -708,3 +715,16 @@ def test_continued_columns_leave_the_chart_as_it_was(bool_g):
         splits = [(j, psi) for j in range(len(chain) + 1) for psi in nts]
         first = [read(j, psi) for j, psi in splits]
         assert [read(j, psi) for j, psi in reversed(splits)] == first[::-1]
+
+
+@pytest.mark.parametrize("name", ["bool", "unit_cycle"])
+def test_terminal_starts_derive_only_themselves(name, bool_g):
+    """A terminal start goes through the chart and the walk like any other
+    start: it derives exactly the form of itself, an undeclared one too."""
+    g = bool_g if name == "bool" else parse_grammar_file(PINNED_GRAMMARS[name])
+    zz, Q = terminal("zz"), nonterminal("Q")
+    symbols = [*sorted(g.terminals | g.nonterminals, key=lambda s: s.name), zz, Q]
+    for a in [*sorted(g.terminals, key=lambda s: s.name), zz]:
+        for n in range(4):
+            for form in product(symbols, repeat=n):
+                assert parse_tree(g, a, form) == (Unique(token_leaf(a)) if form == (a,) else Reject()), (a, form)

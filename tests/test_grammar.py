@@ -6,6 +6,7 @@ import pytest
 from lambek.analyzer import InjectionContext, classify_input
 from lambek.earley import check_unambiguous
 from lambek.grammar import (
+    Grammar,
     GrammarError,
     Production,
     Symbol,
@@ -13,10 +14,12 @@ from lambek.grammar import (
     iter_words_sorted,
     length_lex_key,
     memo,
+    nonterminal,
     nullable_ids,
     parse_grammar_file,
     production_ids,
     render_word,
+    terminal,
     validate,
     word_from_text,
 )
@@ -76,8 +79,12 @@ def test_parse_rejects_unterminated_rule():
 
 
 def test_parse_rejects_duplicate_production():
+    """The tree walk keeps every production's trees, so it relies on this check."""
     with pytest.raises(GrammarError, match="duplicate production"):
         parse_grammar_file("start S\nS ::= x | x ;\n")
+    S, x = nonterminal("S"), terminal("x")
+    with pytest.raises(GrammarError, match="duplicate production S ::= x"):
+        Grammar(frozenset({x}), frozenset({S}), (Production(S, (x,)), Production(S, (S,)), Production(S, (x,))), S)
 
 
 def test_parse_rejects_undefined_start():

@@ -1,0 +1,81 @@
+"""Source hygiene of the library, read with the standard library's ast.
+
+Every name a module of src/lambek imports is used there, and every
+module-level function or class is used somewhere in src/lambek or is public
+(listed in lambek.__all__).  A name kept on purpose is marked on its import
+line with ``# noqa: F401``.
+"""
+import ast
+from collections import Counter
+from pathlib import Path
+
+import lambek
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "lambek"
+
+
+def _modules():
+    """Each module's file name, text and tree."""
+    texts = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    return {name: (text, ast.parse(text)) for name, text in texts.items()}
+
+
+def _annotations(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg) and node.annotation is not None:
+            yield node.annotation
+        elif isinstance(node, ast.FunctionDef) and node.returns is not None:
+            yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def _reads(node):
+    """Each name that node reads, names inside string annotations included."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
+            yield n.id
+    for ann in _annotations(node):
+        for n in ast.walk(ann):
+            if isinstance(n, ast.Constant) and isinstance(n.value, str):
+                yield from (m.id for m in ast.walk(ast.parse(n.value, mode="eval")) if isinstance(m, ast.Name))
+
+
+def _uses(node):
+    """Each name that node reads, reaches as an attribute or imports from a module."""
+    yield from _reads(node)
+    for n in ast.walk(node):
+        if isinstance(n, ast.Attribute):
+            yield n.attr
+        elif isinstance(n, ast.ImportFrom):
+            yield from (a.name for a in n.names)
+
+
+def test_every_import_is_used():
+    unused = []
+    for name, (text, tree) in _modules().items():
+        if name == "__init__.py":
+            continue  # its imports are the public API
+        lines, read = text.splitlines(), set(_reads(tree))
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", None) == "__future__":
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in read and "# noqa: F401" not in lines[alias.lineno - 1]:
+                    unused.append(f"{name}:{alias.lineno} {bound}")
+    assert unused == []
+
+
+def test_every_module_level_definition_is_used_or_public():
+    modules = _modules()
+    used = Counter(u for _, tree in modules.values() for u in _uses(tree))
+    unused = []
+    for name, (_, tree) in modules.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name in lambek.__all__:
+                continue
+            # uses inside the definition itself, a recursive call say, do not count
+            if used[node.name] - Counter(_uses(node))[node.name] <= 0:
+                unused.append(f"{name}:{node.lineno} {node.name}")
+    assert unused == []
