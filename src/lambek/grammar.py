@@ -11,6 +11,12 @@ The ``start`` directive must be the first non-comment line and appear exactly
 once.  Symbols are whitespace-delimited tokens; a token is a nonterminal iff
 it occurs on some left-hand side, every other token is a terminal.  ``#``
 starts a comment that runs to the end of the line.
+
+Bounded enumeration reads one word table per grammar, which keeps each
+symbol's words by exact length and grows one length at a time: a word of
+length n is built from the finished shorter lengths, so a larger bound
+extends the table instead of rebuilding it (semi-naive evaluation; Bancilhon
+& Ramakrishnan 1986).
 """
 from __future__ import annotations
 
@@ -362,66 +368,117 @@ def nullable_ids(g: Grammar) -> dict[Symbol, int]:
     return _witness_ids(g, ())
 
 
-def _words_by_symbol(g: Grammar, max_len: int) -> dict[Symbol, frozenset[Word]]:
-    """Bounded-exact word sets for every symbol of g, by monotone fixpoint."""
-    words: dict[Symbol, set[Word]] = {t: ({(t,)} if max_len >= 1 else set()) for t in g.terminals}
-    for n in g.nonterminals:
-        words[n] = set()
-    changed = True
-    while changed:
-        changed = False
-        for p in g.productions:
-            partials: set[Word] = {EMPTY_WORD}
-            for s in p.rhs:
-                nxt = set()
-                for pre in partials:
-                    room = max_len - len(pre)
-                    for w in words[s]:
-                        if len(w) <= room:
-                            nxt.add(pre + w)
-                partials = nxt
-                if not partials:
-                    break
-            before = len(words[p.lhs])
-            words[p.lhs] |= partials
-            if len(words[p.lhs]) != before:
-                changed = True
-    return {s: frozenset(ws) for s, ws in words.items()}
+# one length of the word table: each symbol's words of that length
+_Layer = dict[Symbol, frozenset[Word]]
 
 
-def _word_tables(g: Grammar) -> dict[int, dict[Symbol, frozenset[Word]]]:
-    """_words_by_symbol's tables by bound, filled by enumerate_words; reach it through memo."""
-    return {}
+def _unit_steps(g: Grammar) -> dict[Symbol, tuple[Symbol, ...]]:
+    """The same-length steps: x -> each A with a production A ::= α x β whose
+    α and β derive ε, so every word of x is a word of A; reach it through memo."""
+    nullable = memo(g, nullable_ids)
+    steps: dict[Symbol, set[Symbol]] = {}
+    for p in g.productions:
+        for i, x in enumerate(p.rhs):
+            if all(s in nullable for j, s in enumerate(p.rhs) if j != i):
+                steps.setdefault(x, set()).add(p.lhs)
+    return {x: tuple(targets) for x, targets in steps.items()}
+
+
+def _word_layers(g: Grammar) -> list[_Layer]:
+    """Each symbol's words of length n at index n, for every n the table has
+    grown to, symbols with no such word left out; grown by _grow_words,
+    reach it through memo."""
+    return []
+
+
+def _grow_words(g: Grammar, max_len: int) -> list[_Layer]:
+    """The word table, grown one length at a time until it reaches max_len."""
+    layers = memo(g, _word_layers)
+    if not layers:
+        layers.append({n: frozenset({EMPTY_WORD}) for n in memo(g, nullable_ids)})
+    while len(layers) <= max_len:
+        layers.append(_next_layer(g, layers))
+    return layers
+
+
+def _next_layer(g: Grammar, layers: list[_Layer]) -> _Layer:
+    """The words of length n = len(layers), off the shorter ones.
+
+    A production's word of length n either concatenates strictly shorter
+    words of its right-hand side, or is one symbol's word of length n with
+    the rest deriving ε.  The first kind reads finished layers only; the
+    second is a unit step, closed here by passing on only the words new to
+    each symbol.
+    """
+    n = len(layers)
+    words: dict[Symbol, set[Word]] = {t: {(t,)} for t in g.terminals} if n == 1 else {}
+    for p in g.productions:
+        if len(p.rhs) > 1:
+            found = _concatenations(layers, p.rhs, n)
+            if found:
+                words.setdefault(p.lhs, set()).update(found)
+    steps = memo(g, _unit_steps)
+    fresh = {x: set(ws) for x, ws in words.items()}
+    while fresh:
+        x, new = fresh.popitem()
+        for a in steps.get(x, ()):
+            have = words.setdefault(a, set())
+            gained = new - have
+            if gained:
+                have |= gained
+                fresh.setdefault(a, set()).update(gained)
+    return {x: frozenset(ws) for x, ws in words.items()}
+
+
+def _concatenations(layers: list[_Layer], rhs: tuple[Symbol, ...], n: int) -> list[Word]:
+    """The words of length n that split over rhs into parts all shorter than n."""
+    # fits[i]: the lengths that rhs[i:] splits into with each part shorter than n
+    fits = [{0}]
+    for x in reversed(rhs):
+        sizes = [k for k in range(n) if x in layers[k]]
+        fits.append({k + r for k in sizes for r in fits[-1] if k + r <= n})
+    fits.reverse()
+    if n not in fits[0]:
+        return []
+    prefixes: dict[int, list[Word]] = {0: [EMPTY_WORD]}
+    for i, x in enumerate(rhs):
+        rest = fits[i + 1]
+        grown: dict[int, list[Word]] = {}
+        for done, pres in prefixes.items():
+            for k in range(min(n - done, n - 1) + 1):
+                ws = layers[k].get(x)
+                if ws and n - done - k in rest:
+                    grown.setdefault(done + k, []).extend(pre + w for pre in pres for w in ws)
+        prefixes = grown
+    return prefixes.get(n, [])
+
+
+def _declared(g: Grammar, x: Symbol) -> bool:
+    return x in (g.terminals if x.is_terminal else g.nonterminals)
 
 
 def enumerate_words(g: Grammar, x: Symbol, max_len: int) -> frozenset[Word]:
     """All terminal words of length <= max_len derivable from symbol x."""
     if max_len < 0:
-        raise ValueError("max_len must be non-negative")
-    if x.is_terminal:
-        return frozenset({(x,)}) if max_len >= 1 else frozenset()
-    if x not in g.nonterminals:
+        raise ValueError(f"max_len must be nonnegative, got {max_len}")
+    if not _declared(g, x):
         raise GrammarError(f"symbol {x.name!r} is not declared in the grammar")
-    tables = memo(g, _word_tables)
-    table = tables.get(max_len)
-    if table is None:
-        table = tables[max_len] = _words_by_symbol(g, max_len)
-    return table[x]
+    layers = _grow_words(g, max_len)
+    return frozenset().union(*(layer.get(x, ()) for layer in layers[: max_len + 1]))
 
 
 def enumerated_member(g: Grammar, x: Symbol, w: Word) -> bool | None:
-    """Is w in L(x)?  Read off the largest table enumerate_words has built.
+    """Is w in L(x)?  Read off the word table when it has grown to len(w).
 
-    None when no table covers len(w) or g does not declare x; this never
-    builds a table.
+    None when the table is shorter than w or g does not declare x; this
+    never grows the table.
     """
-    tables = memo(g, _word_tables)
-    if not tables:
+    layers = memo(g, _word_layers)
+    if len(w) >= len(layers):
         return None
-    bound = max(tables)
-    words = tables[bound].get(x)
-    if words is None or len(w) > bound:
-        return None
+    words = layers[len(w)].get(x)
+    if words is None:
+        return False if _declared(g, x) else None
     return w in words
 
 

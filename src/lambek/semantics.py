@@ -13,8 +13,10 @@ context denotes {ε}).  The implication cases quantify over infinitely many
 words, so the oracle truncates every universal quantifier and every
 enumerated denotation at max_len tokens.  Membership of a concrete word in
 an atom is always decided exactly, whatever its length: read off the
-largest word table the grammar has enumerated when that table covers the
-word's length, and by Earley recognition otherwise.
+grammar's word table (grammar.enumerate_words), which keeps each symbol's
+words by exact length, when the table has grown to the word's length, and
+by Earley recognition otherwise.  Every enumeration here grows that one
+table, so a larger bound extends the words the smaller ones built.
 
 The truncation makes membership of an implication an over-approximation: an
 accepted word has only survived the tests up to the bound.  A rejection is
@@ -44,7 +46,7 @@ class SemBound:
 
     def __post_init__(self) -> None:
         if self.max_len < 0:
-            raise ValueError("max_len must be nonnegative")
+            raise ValueError(f"max_len must be nonnegative, got {self.max_len}")
 
 
 @dataclass(frozen=True)
@@ -111,7 +113,7 @@ def denotation_bounded(
 
 def _denotation(g: Grammar, t: LambekType, out_len: int, max_len: int) -> frozenset[Word]:
     if isinstance(t, Atom):
-        return frozenset(enumerate_words(g, t.symbol, out_len))
+        return enumerate_words(g, t.symbol, out_len)
     if isinstance(t, UnitType):
         return frozenset({()})
     if isinstance(t, Prod):
@@ -127,27 +129,23 @@ def _denotation(g: Grammar, t: LambekType, out_len: int, max_len: int) -> frozen
 def _implication_candidates(g: Grammar, t: Under | Over, out_len: int, max_len: int):
     """A superset of the implication's bounded denotation, kept small.
 
-    With a nonempty quantifier domain, any member w extends by some test
-    word v to a word of the result type, so when the result is an atom it
-    suffices to try prefixes (Over) or suffixes (Under) of the result's
-    words; otherwise fall back to every word over the terminals.
+    With a nonempty quantifier domain, any member w extends by the domain's
+    first test word v to a word of the result type, so when the result is
+    an atom it suffices to try the result's words that end (Over) or start
+    (Under) with v, v cut off; otherwise fall back to every word over the
+    terminals.
     """
-    dom = memo(g, _denotation, t.arg, max_len, max_len)
+    dom = memo(g, _domain, t.arg, max_len)
     result = t.result
     if dom and isinstance(result, (Atom, UnitType)):
+        v = dom[0]
         if isinstance(result, UnitType):
             words: frozenset[Word] = frozenset({()})
         else:
-            ext = max(len(v) for v in dom)
-            words = frozenset(enumerate_words(g, result.symbol, out_len + ext))
-        out: set[Word] = set()
-        for w in words:
-            stop = min(len(w), out_len)
-            if isinstance(t, Over):
-                out.update(w[:k] for k in range(stop + 1))
-            else:
-                out.update(w[len(w) - k :] for k in range(stop + 1))
-        return frozenset(out)
+            words = enumerate_words(g, result.symbol, out_len + len(v))
+        if isinstance(t, Over):
+            return frozenset(u[: len(u) - len(v)] for u in words if u[len(u) - len(v) :] == v)
+        return frozenset(u[len(v) :] for u in words if u[: len(v)] == v)
     return memo(g, _all_words, out_len)
 
 

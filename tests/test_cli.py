@@ -242,6 +242,13 @@ def test_errors_exit_2(argv):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", [("enum", "E"), ("ambig",)])
+def test_negative_max_len_is_one_message(command):
+    code, _, err = cli(*command, "--grammar", "bool", "--max-len", "-1")
+    assert code == 2
+    assert "max_len must be nonnegative, got -1" in err
+
+
 def test_prove_json_grows_linearly():
     """A proof nests as deep as it is long, so indented output would be quadratic."""
     size = {}

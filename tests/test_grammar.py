@@ -1,16 +1,21 @@
 import gc
 import weakref
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
 
 from lambek.analyzer import InjectionContext, classify_input
 from lambek.earley import check_unambiguous
 from lambek.grammar import (
+    EMPTY_WORD,
     Grammar,
     GrammarError,
     Production,
     Symbol,
+    _word_layers,
     enumerate_words,
+    enumerated_member,
     iter_words_sorted,
     length_lex_key,
     memo,
@@ -26,6 +31,7 @@ from lambek.grammar import (
 from lambek.prover import Prover
 from lambek.semantics import soundness_check
 from lambek.types import parse_sequent
+from test_prover import cyclic_grammars
 
 
 def names(symbols):
@@ -159,6 +165,59 @@ def test_enumerate_words_monotone(bool_g):
     e7 = enumerate_words(bool_g, bool_g.symbol("E"), 7)
     assert e3 <= e7
     assert len(e7) == 9 + 81 * 2  # T, T AND T, T OR T
+
+
+def test_enumerate_words_rejects_undeclared_symbols(bool_g):
+    """A terminal the grammar does not declare derives no word of it, as an
+    undeclared nonterminal does not; the table reader cannot tell."""
+    enumerate_words(bool_g, bool_g.start, 2)
+    for z in (terminal("zzz"), nonterminal("Z")):
+        with pytest.raises(GrammarError, match=f"'{z.name}' is not declared"):
+            enumerate_words(bool_g, z, 2)
+        assert enumerated_member(bool_g, z, (terminal("zzz"),)) is None
+    with pytest.raises(ValueError, match="max_len must be nonnegative, got -1"):
+        enumerate_words(bool_g, bool_g.start, -1)
+
+
+def _reference_words(g, max_len):
+    """The reference: every symbol's words up to max_len, by a fixpoint that
+    multiplies out every production's whole word sets on each pass."""
+    words = {t: ({(t,)} if max_len >= 1 else set()) for t in g.terminals}
+    for n in g.nonterminals:
+        words[n] = set()
+    changed = True
+    while changed:
+        changed = False
+        for p in g.productions:
+            partials = {EMPTY_WORD}
+            for s in p.rhs:
+                partials = {pre + w for pre in partials for w in words[s] if len(pre) + len(w) <= max_len}
+            before = len(words[p.lhs])
+            words[p.lhs] |= partials
+            changed |= len(words[p.lhs]) != before
+    return words
+
+
+@settings(max_examples=100)
+@given(cyclic_grammars())
+def test_word_table_grown_by_steps_equals_the_reference(g):
+    """Grown at once or a few lengths at a time, through nullable and unit
+    cycles, the table gives the reference's words at every bound; its reader
+    answers None past the grown length and grows nothing."""
+    symbols = sorted(g.terminals | g.nonterminals, key=lambda s: (s.kind.value, s.name))
+    sigma = sorted(g.terminals, key=lambda s: s.name)
+    reference = {n: _reference_words(g, n) for n in range(6)}
+    for steps in ((5,), (2, 5), (0, 1, 3, 4, 5)):
+        fresh = Grammar(g.terminals, g.nonterminals, g.productions, g.start)
+        for bound in steps:
+            for x in symbols:
+                assert enumerate_words(fresh, x, bound) == reference[bound][x], (steps, bound, x)
+            for x in symbols:
+                for n in range(bound + 2):
+                    for w in product(sigma, repeat=n):
+                        known = enumerated_member(fresh, x, w)
+                        assert known == (None if n > bound else w in reference[bound][x]), (steps, x, w)
+            assert len(memo(fresh, _word_layers)) == bound + 1
 
 
 def test_enumerated_words_are_terminal_strings(bool_g):

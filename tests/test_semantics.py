@@ -11,7 +11,7 @@ from hypothesis import given, settings
 import lambek
 from lambek import semantics
 from lambek.earley import recognize
-from lambek.grammar import _word_tables, enumerate_words, enumerated_member, memo, nonterminal, terminal, word_from_text
+from lambek.grammar import _word_layers, enumerate_words, enumerated_member, memo, nonterminal, terminal, word_from_text
 from lambek.prover import SearchStatus, parse_axiom
 from lambek.semantics import (
     Counterexample,
@@ -141,6 +141,22 @@ def test_implication_denotations_match_brute_force(bool_g):
         assert denotation_bounded(bool_g, t, b, 3) == brute, text
 
 
+@settings(max_examples=100)
+@given(cyclic_grammars())
+def test_implication_candidates_keep_every_member(g):
+    """The candidates of an implication over an atom or the unit, read off
+    the result's words through the domain's first test word, drop no member."""
+    b = SemBound(3)
+    sigma = sorted(g.terminals, key=lambda s: s.name)
+    universe = [word for n in range(4) for word in product(sigma, repeat=n)]
+    atoms = [Atom(x) for x in sorted(g.terminals | g.nonterminals, key=lambda s: s.name)] + [UNIT]
+    for arg in atoms:
+        for result in atoms:
+            for t in (Under(arg, result), Over(result, arg)):
+                brute = frozenset(u for u in universe if member_bounded(g, u, t, b))
+                assert denotation_bounded(g, t, b, 3) == brute, t
+
+
 def test_membership_antitone_in_bound(bool_g):
     """Raising the bound only adds test words, so membership can only shrink."""
     sigma = sorted(bool_g.terminals, key=lambda s: s.name)
@@ -153,7 +169,7 @@ def test_membership_antitone_in_bound(bool_g):
 
 
 def test_bound_validation():
-    with pytest.raises(ValueError, match="nonnegative"):
+    with pytest.raises(ValueError, match="max_len must be nonnegative, got -1"):
         SemBound(-1)
 
 
@@ -225,8 +241,9 @@ def test_soundness_verdicts_do_not_depend_on_the_word_tables(load_bundled, monke
     assert any(isinstance(v, Counterexample) for v in expected)
 
 
-def _table_bounds(g):
-    return set(memo(g, _word_tables))
+def _grown_length(g):
+    """The longest word length the grammar's word table covers, -1 before any."""
+    return len(memo(g, _word_layers)) - 1
 
 
 def test_oracle_reads_the_tables_it_enumerated(load_bundled, spy):
@@ -234,15 +251,15 @@ def test_oracle_reads_the_tables_it_enumerated(load_bundled, spy):
     calls = spy(semantics, "recognize")
     assert soundness_check(g, parse_sequent("E/T |- E", g), SemBound(5)) == Counterexample(())
     assert calls == []
-    assert _table_bounds(g) == {5, 8}
+    assert _grown_length(g) == 8
 
 
 @pytest.mark.parametrize("text", ["V |- E\\E", "T |- C/D"])
 def test_oracle_lookups_build_no_table(load_bundled, text):
-    """A lookup only reads: the check enumerates no bound past the one its denotations need."""
+    """A lookup only reads: the check grows the table no longer than its denotations need."""
     g = load_bundled("bool.g")
     soundness_check(g, parse_sequent(text, g), SemBound(8))
-    assert _table_bounds(g) == {8}
+    assert _grown_length(g) == 8
 
 
 def test_member_builds_no_table(load_bundled, spy):
@@ -250,7 +267,7 @@ def test_member_builds_no_table(load_bundled, spy):
     calls = spy(semantics, "recognize")
     assert member_bounded(g, w(g, "1 = a"), parse_type("E", g), SemBound(5))
     assert not member_bounded(g, w(g, "1 = a OR"), parse_type("T", g), SemBound(5))
-    assert _table_bounds(g) == set()
+    assert _grown_length(g) == -1
     assert len(calls) == 2
 
 
