@@ -31,6 +31,9 @@ a start's item are the prefixes of w it derives, and the starts whose items
 column j holds once continued by x are those that derive w[:j] x.  On the
 mirror grammar over reversed w it answers the same for suffixes.  So one
 chart per side answers every split of w.
+
+check_unambiguous parses no word that the grammar's word table, which counts
+derivations, reads as unambiguous: only its witness.
 """
 from __future__ import annotations
 
@@ -44,8 +47,9 @@ from .grammar import (
     Symbol,
     SymbolKind,
     Word,
-    enumerate_words,
-    iter_words_sorted,
+    ambiguous_words,
+    enumerate_words,  # noqa: F401  perfbench/spans.py traces this import site
+    length_lex_key,
     lhs_index,
     memo,
     production_ids,
@@ -571,12 +575,21 @@ class Witness:
 
 
 def check_unambiguous(g: Grammar, a: Symbol, max_len: int) -> Pass | Witness:
-    """Every word of a up to max_len has exactly one tree, or a witness."""
-    for w in iter_words_sorted(enumerate_words(g, a, max_len)):
-        outcome = parse_tree(g, a, w)
-        if isinstance(outcome, Ambiguous):
-            return Witness(w, outcome.first, outcome.second)
-    return Pass(max_len)
+    """Every word of a up to max_len has exactly one tree, or a witness.
+
+    The word table counts each word's derivations, so the witness is the
+    first word in length-lex order that a derives twice, and its one parse
+    gives the two trees; a Pass parses nothing.  A derivation count of two
+    is exactly a second tree of the walk, which reads a pumped unit or
+    nullable cycle as one.
+    """
+    ambiguous = ambiguous_words(g, a, max_len)
+    if not ambiguous:
+        return Pass(max_len)
+    w = min(ambiguous, key=length_lex_key)
+    outcome = parse_tree(g, a, w)
+    assert isinstance(outcome, Ambiguous), w
+    return Witness(w, outcome.first, outcome.second)
 
 
 def render_tree_text(t: ParseTree) -> str:

@@ -16,7 +16,10 @@ Bounded enumeration reads one word table per grammar, which keeps each
 symbol's words by exact length and grows one length at a time: a word of
 length n is built from the finished shorter lengths, so a larger bound
 extends the table instead of rebuilding it (semi-naive evaluation; Bancilhon
-& Ramakrishnan 1986).
+& Ramakrishnan 1986).  The table also counts each word's derivations from
+each symbol, saturated at 2, in the counting semiring (Goodman 1999,
+"Semiring parsing"), so the words a symbol derives in more than one way
+come off it with no parse.
 """
 from __future__ import annotations
 
@@ -368,26 +371,55 @@ def nullable_ids(g: Grammar) -> dict[Symbol, int]:
     return _witness_ids(g, ())
 
 
-# one length of the word table: each symbol's words of that length
-_Layer = dict[Symbol, frozenset[Word]]
+# one length of the word table: each symbol's words of that length, and
+# those of them that it derives in more than one way; a symbol with no such
+# word is left out of each
+_Layer = tuple[dict[Symbol, frozenset[Word]], dict[Symbol, frozenset[Word]]]
 
 
-def _unit_steps(g: Grammar) -> dict[Symbol, tuple[Symbol, ...]]:
-    """The same-length steps: x -> each A with a production A ::= α x β whose
-    α and β derive ε, so every word of x is a word of A; reach it through memo."""
-    nullable = memo(g, nullable_ids)
-    steps: dict[Symbol, set[Symbol]] = {}
+def _empty_counts(g: Grammar) -> dict[Symbol, int]:
+    """Each nullable nonterminal's number of ε-derivations, saturated at 2;
+    reach it through memo.
+
+    The least fixpoint, iterated from zero: a nullable cycle keeps adding
+    derivations until its symbols saturate.
+    """
+    counts: dict[Symbol, int] = {}
+    while True:
+        nxt: dict[Symbol, int] = {}
+        for p in g.productions:
+            c = 1
+            for s in p.rhs:
+                c *= counts.get(s, 0)
+            if c:
+                nxt[p.lhs] = min(2, nxt.get(p.lhs, 0) + c)
+        if nxt == counts:
+            return counts
+        counts = nxt
+
+
+def _unit_steps(g: Grammar) -> dict[Symbol, tuple[tuple[Symbol, int], ...]]:
+    """The same-length steps: x -> (A, m) per production A ::= α x β whose α
+    and β derive ε, so every word of x is a word of A, each derivation of x
+    giving m of A, where m counts the ε-derivations of α β, saturated at 2;
+    reach it through memo."""
+    empty = memo(g, _empty_counts)
+    steps: dict[Symbol, list[tuple[Symbol, int]]] = {}
     for p in g.productions:
         for i, x in enumerate(p.rhs):
-            if all(s in nullable for j, s in enumerate(p.rhs) if j != i):
-                steps.setdefault(x, set()).add(p.lhs)
+            m = 1
+            for j, s in enumerate(p.rhs):
+                if j != i:
+                    m *= empty.get(s, 0)
+            if m:
+                steps.setdefault(x, []).append((p.lhs, min(m, 2)))
     return {x: tuple(targets) for x, targets in steps.items()}
 
 
 def _word_layers(g: Grammar) -> list[_Layer]:
-    """Each symbol's words of length n at index n, for every n the table has
-    grown to, symbols with no such word left out; grown by _grow_words,
-    reach it through memo."""
+    """Each symbol's words of length n at index n, and those it derives in
+    more than one way, for every n the table has grown to; grown by
+    _grow_words, reach it through memo."""
     return []
 
 
@@ -395,76 +427,127 @@ def _grow_words(g: Grammar, max_len: int) -> list[_Layer]:
     """The word table, grown one length at a time until it reaches max_len."""
     layers = memo(g, _word_layers)
     if not layers:
-        layers.append({n: frozenset({EMPTY_WORD}) for n in memo(g, nullable_ids)})
+        empty = memo(g, _empty_counts)
+        layers.append((
+            {x: frozenset({EMPTY_WORD}) for x in empty},
+            {x: frozenset({EMPTY_WORD}) for x, c in empty.items() if c > 1},
+        ))
     while len(layers) <= max_len:
         layers.append(_next_layer(g, layers))
     return layers
 
 
+# derivations of a set of words, counted up to two: the words derived at
+# least once, and those of them derived at least twice
+_Counts = tuple[set[Word], set[Word]]
+
+
+def _add(table: dict[Any, _Counts], key: Any, new: set[Word], twice: set[Word]) -> None:
+    """Add to table[key] one derivation of each word of new, and a second of
+    each word of twice, a subset of new; the sets are adopted, not copied,
+    when the key is new."""
+    have = table.get(key)
+    if have is None:
+        table[key] = (new, twice)
+    else:
+        have[1].update(twice, have[0] & new)
+        have[0].update(new)
+
+
 def _next_layer(g: Grammar, layers: list[_Layer]) -> _Layer:
     """The words of length n = len(layers), off the shorter ones.
 
-    A production's word of length n either concatenates strictly shorter
-    words of its right-hand side, or is one symbol's word of length n with
-    the rest deriving ε.  The first kind reads finished layers only; the
-    second is a unit step, closed here by passing on only the words new to
-    each symbol.
+    A production's derivation of a word of length n either concatenates
+    strictly shorter words of its right-hand side, or takes one symbol's
+    word of length n with the rest deriving ε.  The first kind reads
+    finished layers only; the second is a unit step, closed here by passing
+    on only what each (symbol, word) gains: its entry, or its second
+    derivation.  That is the least fixpoint of the counts, so a unit cycle
+    through a derivable (symbol, word) gives it two derivations.
     """
     n = len(layers)
-    words: dict[Symbol, set[Word]] = {t: {(t,)} for t in g.terminals} if n == 1 else {}
+    counts: dict[Symbol, _Counts] = {t: ({(t,)}, set()) for t in g.terminals} if n == 1 else {}
     for p in g.productions:
         if len(p.rhs) > 1:
-            found = _concatenations(layers, p.rhs, n)
+            found, twice = _concatenations(layers, p.rhs, n)
             if found:
-                words.setdefault(p.lhs, set()).update(found)
+                _add(counts, p.lhs, found, twice)
     steps = memo(g, _unit_steps)
-    fresh = {x: set(ws) for x, ws in words.items()}
+    # per symbol, the words whose count rose, and those whose count rose by two
+    fresh = {x: (set(ws), set(ws2)) for x, (ws, ws2) in counts.items()}
     while fresh:
-        x, new = fresh.popitem()
-        for a in steps.get(x, ()):
-            have = words.setdefault(a, set())
-            gained = new - have
-            if gained:
-                have |= gained
-                fresh.setdefault(a, set()).update(gained)
-    return {x: frozenset(ws) for x, ws in words.items()}
+        x, (new, by_two) = fresh.popitem()
+        for a, m in steps.get(x, ()):
+            have, have2 = counts.setdefault(a, (set(), set()))
+            live = new - have2 if have2 else new
+            entered = live - have
+            raised = live & have
+            entered2 = set(entered) if m > 1 else entered & by_two
+            if entered or raised:
+                have |= entered
+                have2 |= raised
+                have2 |= entered2
+                _add(fresh, a, entered | raised if raised else entered, entered2)
+    return (
+        {x: frozenset(ws) for x, (ws, _) in counts.items() if ws},
+        {x: frozenset(ws2) for x, (_, ws2) in counts.items() if ws2},
+    )
 
 
-def _concatenations(layers: list[_Layer], rhs: tuple[Symbol, ...], n: int) -> list[Word]:
-    """The words of length n that split over rhs into parts all shorter than n."""
+def _concatenations(layers: list[_Layer], rhs: tuple[Symbol, ...], n: int) -> _Counts:
+    """The words of length n that split over rhs into parts all shorter than
+    n, and those of them with more than one such derivation: over two
+    splits, or off a part derived twice."""
     # fits[i]: the lengths that rhs[i:] splits into with each part shorter than n
     fits = [{0}]
     for x in reversed(rhs):
-        sizes = [k for k in range(n) if x in layers[k]]
+        sizes = [k for k in range(n) if x in layers[k][0]]
         fits.append({k + r for k in sizes for r in fits[-1] if k + r <= n})
     fits.reverse()
     if n not in fits[0]:
-        return []
-    prefixes: dict[int, list[Word]] = {0: [EMPTY_WORD]}
+        return set(), set()
+    prefixes: dict[int, _Counts] = {0: ({EMPTY_WORD}, set())}
     for i, x in enumerate(rhs):
         rest = fits[i + 1]
-        grown: dict[int, list[Word]] = {}
-        for done, pres in prefixes.items():
+        grown: dict[int, _Counts] = {}
+        for done, (pres, pres2) in prefixes.items():
             for k in range(min(n - done, n - 1) + 1):
-                ws = layers[k].get(x)
+                words, twice = layers[k]
+                ws = words.get(x)
                 if ws and n - done - k in rest:
-                    grown.setdefault(done + k, []).extend(pre + w for pre in pres for w in ws)
+                    ws2 = twice.get(x)
+                    both = set()
+                    if pres2 or ws2:
+                        # a prefix or a part derived twice derives their concatenation twice
+                        both = {pre + w for pre in pres2 for w in ws} | {pre + w for pre in pres for w in ws2 or ()}
+                    _add(grown, done + k, {pre + w for pre in pres for w in ws}, both)
         prefixes = grown
-    return prefixes.get(n, [])
+    return prefixes.get(n, (set(), set()))
 
 
 def _declared(g: Grammar, x: Symbol) -> bool:
     return x in (g.terminals if x.is_terminal else g.nonterminals)
 
 
-def enumerate_words(g: Grammar, x: Symbol, max_len: int) -> frozenset[Word]:
-    """All terminal words of length <= max_len derivable from symbol x."""
+def _table_to(g: Grammar, x: Symbol, max_len: int) -> list[_Layer]:
+    """The word table's layers 0 … max_len, grown as needed, once x and the
+    bound are checked."""
     if max_len < 0:
         raise ValueError(f"max_len must be nonnegative, got {max_len}")
     if not _declared(g, x):
         raise GrammarError(f"symbol {x.name!r} is not declared in the grammar")
-    layers = _grow_words(g, max_len)
-    return frozenset().union(*(layer.get(x, ()) for layer in layers[: max_len + 1]))
+    return _grow_words(g, max_len)[: max_len + 1]
+
+
+def enumerate_words(g: Grammar, x: Symbol, max_len: int) -> frozenset[Word]:
+    """All terminal words of length <= max_len derivable from symbol x."""
+    return frozenset().union(*(words.get(x, ()) for words, _ in _table_to(g, x, max_len)))
+
+
+def ambiguous_words(g: Grammar, x: Symbol, max_len: int) -> frozenset[Word]:
+    """The words of length <= max_len that x derives in more than one way,
+    read off the word table's derivation counts."""
+    return frozenset().union(*(twice.get(x, ()) for _, twice in _table_to(g, x, max_len)))
 
 
 def enumerated_member(g: Grammar, x: Symbol, w: Word) -> bool | None:
@@ -476,7 +559,7 @@ def enumerated_member(g: Grammar, x: Symbol, w: Word) -> bool | None:
     layers = memo(g, _word_layers)
     if len(w) >= len(layers):
         return None
-    words = layers[len(w)].get(x)
+    words = layers[len(w)][0].get(x)
     if words is None:
         return False if _declared(g, x) else None
     return w in words

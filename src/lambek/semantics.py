@@ -130,23 +130,19 @@ def _implication_candidates(g: Grammar, t: Under | Over, out_len: int, max_len: 
     """A superset of the implication's bounded denotation, kept small.
 
     With a nonempty quantifier domain, any member w extends by the domain's
-    first test word v to a word of the result type, so when the result is
-    an atom it suffices to try the result's words that end (Over) or start
-    (Under) with v, v cut off; otherwise fall back to every word over the
-    terminals.
+    first test word v to a member of the result type: ψ/φ is the residual
+    of ⟦ψ⟧ by ⟦φ⟧ (Lambek 1958).  So it suffices to try the words of the
+    result's bounded denotation that end (Over) or start (Under) with v, v
+    cut off.  An empty domain makes every word a member.
     """
     dom = memo(g, _domain, t.arg, max_len)
-    result = t.result
-    if dom and isinstance(result, (Atom, UnitType)):
-        v = dom[0]
-        if isinstance(result, UnitType):
-            words: frozenset[Word] = frozenset({()})
-        else:
-            words = enumerate_words(g, result.symbol, out_len + len(v))
-        if isinstance(t, Over):
-            return frozenset(u[: len(u) - len(v)] for u in words if u[len(u) - len(v) :] == v)
-        return frozenset(u[len(v) :] for u in words if u[: len(v)] == v)
-    return memo(g, _all_words, out_len)
+    if not dom:
+        return memo(g, _all_words, out_len)
+    v = dom[0]
+    words = _denotation(g, t.result, out_len + len(v), max_len)
+    if isinstance(t, Over):
+        return frozenset(u[: len(u) - len(v)] for u in words if u[len(u) - len(v) :] == v)
+    return frozenset(u[len(v) :] for u in words if u[: len(v)] == v)
 
 
 def _all_words(g: Grammar, out_len: int) -> tuple[Word, ...]:

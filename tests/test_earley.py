@@ -34,12 +34,15 @@ from lambek.grammar import (
     Grammar,
     Production,
     SymbolKind,
+    ambiguous_words,
     enumerate_words,
+    iter_words_sorted,
     lhs_index,
     memo,
     nonterminal,
     parse_grammar_file,
     production_ids,
+    render_word,
     terminal,
     word_from_text,
 )
@@ -121,6 +124,84 @@ def test_check_unambiguous_witness(ambiguous_g):
     assert isinstance(out, Witness)
     assert len(out.word) == 3
     assert out.first != out.second
+
+
+def _reference_check_unambiguous(g, a, max_len):
+    """The reference: parse every word of a up to max_len, shortest first,
+    until one parses ambiguously."""
+    for word in iter_words_sorted(enumerate_words(g, a, max_len)):
+        outcome = parse_tree(g, a, word)
+        if isinstance(outcome, Ambiguous):
+            return Witness(word, outcome.first, outcome.second)
+    return Pass(max_len)
+
+
+def _assert_ambiguity_matches_the_reference(g, bound=6):
+    """At every bound up to bound and for every nonterminal, check_unambiguous
+    answers as the reference, off a table grown in steps; and the table's
+    ambiguous words are exactly the words that parse ambiguously.  Returns
+    the reference's answers."""
+    fresh = Grammar(g.terminals, g.nonterminals, g.productions, g.start)
+    answers = []
+    for a in sorted(g.nonterminals, key=lambda s: s.name):
+        want = _reference_check_unambiguous(g, a, bound)
+        answers.append(want)
+        for b in range(bound + 1):
+            expected = want if isinstance(want, Witness) and len(want.word) <= b else Pass(b)
+            assert check_unambiguous(fresh, a, b) == expected, (a, b)
+    for a in sorted(g.nonterminals, key=lambda s: s.name):
+        twice = {word for word in enumerate_words(g, a, 5) if isinstance(parse_tree(g, a, word), Ambiguous)}
+        assert ambiguous_words(fresh, a, 5) == twice, a
+    return answers
+
+
+@st.composite
+def ambiguous_grammars(draw):
+    """Random grammars with no cycle forced in, most of them ambiguous: S
+    derives A B and B A, and the rules drawn may give both a common word."""
+    nts = ["S", "A", "B"]
+    rhs = st.lists(st.sampled_from(nts + ["x", "y"]), max_size=3).map(tuple)
+    rules = set(draw(st.lists(st.tuples(st.sampled_from(nts), rhs), min_size=1, max_size=6)))
+    rules |= {("S", ("A", "B")), ("S", ("B", "A")), ("A", ("x",)), ("B", draw(st.sampled_from([("x",), ("y",), ()])))}
+    sym = {n: nonterminal(n) for n in nts} | {t: terminal(t) for t in ("x", "y")}
+    prods = tuple(Production(sym[lhs], tuple(sym[s] for s in body)) for lhs, body in sorted(rules))
+    return Grammar(frozenset({sym["x"], sym["y"]}), frozenset(sym[n] for n in nts), prods, sym["S"])
+
+
+@settings(max_examples=150)
+@given(st.one_of(cyclic_grammars(), ambiguous_grammars()))
+def test_check_unambiguous_matches_the_reference_on_random_grammars(g):
+    for answer in _assert_ambiguity_matches_the_reference(g):
+        event(type(answer).__name__)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        NESTED_NULLABLE_CYCLES,
+        "start S\nS ::= S S | x ;\n",
+        "start S\nS ::= A | x ;\nA ::= S ;\n",
+        "start S\nS ::= x N ;\nN ::= N | ;\n",
+        "start S\nS ::= A A ;\nA ::= x | x x | ;\n",
+    ],
+)
+def test_check_unambiguous_matches_the_reference_on_cycles(text):
+    _assert_ambiguity_matches_the_reference(parse_grammar_file(text))
+
+
+@pytest.mark.parametrize("name", ["bool.g", "eng.g"])
+def test_check_unambiguous_matches_the_reference_on_the_bundled_grammars(name, load_bundled):
+    _assert_ambiguity_matches_the_reference(load_bundled(name))
+
+
+def test_check_unambiguous_parses_only_its_witness(load_bundled, ambiguous_g, spy):
+    calls = spy(earley, "parse_tree")
+    g = load_bundled("bool.g")
+    assert check_unambiguous(g, g.symbol("E"), 11) == Pass(11)
+    assert calls == []
+    out = check_unambiguous(ambiguous_g, ambiguous_g.symbol("S"), 6)
+    assert isinstance(out, Witness) and render_word(out.word) == "x x x"
+    assert len(calls) == 1
 
 
 def test_sentential_forms(bool_g):

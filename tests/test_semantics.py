@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lambek
 from lambek import semantics
@@ -155,6 +156,38 @@ def test_implication_candidates_keep_every_member(g):
             for t in (Under(arg, result), Over(result, arg)):
                 brute = frozenset(u for u in universe if member_bounded(g, u, t, b))
                 assert denotation_bounded(g, t, b, 3) == brute, t
+
+
+@st.composite
+def implication_types(draw, g, depth=3):
+    """A random implication over g's symbols and the unit, its result and
+    argument nested up to depth: the result is often an implication or a
+    product itself."""
+    atoms = [Atom(x) for x in sorted(g.terminals | g.nonterminals, key=lambda s: s.name)] + [UNIT]
+
+    def build(d):
+        if d == 0 or draw(st.booleans()):
+            return draw(st.sampled_from(atoms))
+        make = draw(st.sampled_from([Under, Over, Prod]))
+        return make(build(d - 1), build(d - 1))
+
+    make = draw(st.sampled_from([Under, Over]))
+    return make(build(depth - 1), build(depth - 1))
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_residuated_candidates_keep_every_member(data):
+    """Whatever the result type, the candidates cut from the result's own
+    bounded denotation hold every member that brute force over every word
+    finds, at each output length."""
+    g = data.draw(cyclic_grammars())
+    t = data.draw(implication_types(g))
+    b = SemBound(3)
+    for out_len in range(5):
+        brute = frozenset(u for u in memo(g, semantics._all_words, out_len) if member_bounded(g, u, t, b))
+        assert brute <= set(semantics._implication_candidates(g, t, out_len, b.max_len)), (t, out_len)
+        assert denotation_bounded(g, t, b, out_len) == brute, (t, out_len)
 
 
 def test_membership_antitone_in_bound(bool_g):
