@@ -42,12 +42,11 @@ template itself parsed.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from itertools import product
 from typing import Sequence
 
 from .earley import Ambiguous, ParseTree, Reject, Splits, Unique, parse_tree, recognize, tree_to_json
-from .grammar import Grammar, Symbol, Word, memo, render_word, require_word
+from .grammar import Grammar, Symbol, Value, Word, memo, render_word, require_word, set_field
 from .prover import ProofTree, Prover, Side, capture, flat_proof, fold_chain, proof_to_json
 from .types import Atom, LambekType, Sequent, render_type, type_universe
 
@@ -56,12 +55,14 @@ class AmbiguityError(ValueError):
     """The grammar produced two parse trees where one was required."""
 
 
-@dataclass(frozen=True)
-class InjectionContext:
-    prefix: Word
-    suffix: Word
-    goal: Symbol
-    expected: Symbol
+class InjectionContext(Value):
+    __slots__ = ("prefix", "suffix", "goal", "expected")
+
+    def __init__(self, prefix: Word, suffix: Word, goal: Symbol, expected: Symbol) -> None:
+        set_field(self, "prefix", prefix)
+        set_field(self, "suffix", suffix)
+        set_field(self, "goal", goal)
+        set_field(self, "expected", expected)
 
 
 class Classification(enum.Enum):
@@ -71,27 +72,32 @@ class Classification(enum.Enum):
     UNKNOWN = "Unknown"
 
 
-@dataclass(frozen=True)
-class CaptureTyping:
-    direction: Side
-    type: LambekType
-    proof: ProofTree
+class CaptureTyping(Value):
+    __slots__ = ("direction", "type", "proof")
+
+    def __init__(self, direction: Side, type: LambekType, proof: ProofTree) -> None:
+        set_field(self, "direction", direction)
+        set_field(self, "type", type)
+        set_field(self, "proof", proof)
 
 
-@dataclass(frozen=True)
-class ConservativeExtension:
-    tree: ParseTree
+class ConservativeExtension(Value):
+    __slots__ = ("tree",)
+
+    def __init__(self, tree: ParseTree) -> None:
+        set_field(self, "tree", tree)
 
 
-@dataclass(frozen=True)
-class Reshaped:
-    context_tree: ParseTree
-    combined_tree: ParseTree
+class Reshaped(Value):
+    __slots__ = ("context_tree", "combined_tree")
+
+    def __init__(self, context_tree: ParseTree, combined_tree: ParseTree) -> None:
+        set_field(self, "context_tree", context_tree)
+        set_field(self, "combined_tree", combined_tree)
 
 
-@dataclass(frozen=True)
-class Unparseable:
-    pass
+class Unparseable(Value):
+    __slots__ = ()
 
 
 ReshapingResult = ConservativeExtension | Reshaped | Unparseable
@@ -202,14 +208,19 @@ def infer_typings(
     return out
 
 
-@dataclass(frozen=True)
-class InjectionReport:
-    classification: Classification
-    context: InjectionContext
-    input: Word
-    benign_proof: ProofTree | None
-    captures: tuple[CaptureTyping, ...]
-    reshaping: ReshapingResult
+class InjectionReport(Value):
+    __slots__ = ("classification", "context", "input", "benign_proof", "captures", "reshaping")
+
+    def __init__(
+        self, classification: Classification, context: InjectionContext, input: Word,
+        benign_proof: ProofTree | None, captures: tuple[CaptureTyping, ...], reshaping: ReshapingResult,
+    ) -> None:
+        set_field(self, "classification", classification)
+        set_field(self, "context", context)
+        set_field(self, "input", input)
+        set_field(self, "benign_proof", benign_proof)
+        set_field(self, "captures", captures)
+        set_field(self, "reshaping", reshaping)
 
     @property
     def combined_parses(self) -> bool:

@@ -38,7 +38,6 @@ derivations, reads as unambiguous: only its witness.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from typing import Iterator
 
 from .grammar import (
@@ -46,6 +45,7 @@ from .grammar import (
     Production,
     Symbol,
     SymbolKind,
+    Value,
     Word,
     ambiguous_words,
     enumerate_words,  # noqa: F401  perfbench/spans.py traces this import site
@@ -53,23 +53,28 @@ from .grammar import (
     lhs_index,
     memo,
     production_ids,
+    set_field,
 )
 
 EPS_LABEL = "·eps"
 
 
-@dataclass(frozen=True)
-class ParseTree:
+class ParseTree(Value):
     """A derivation tree node.
 
     ``root`` is None exactly for the distinguished ε-leaf that is the single
     child of an ε-production node.  ``word`` caches the yield.
     """
 
-    root: Symbol | None
-    production: Production | None
-    children: tuple["ParseTree", ...]
-    word: Word
+    __slots__ = ("root", "production", "children", "word")
+
+    def __init__(
+        self, root: Symbol | None, production: Production | None, children: tuple[ParseTree, ...], word: Word
+    ) -> None:
+        set_field(self, "root", root)
+        set_field(self, "production", production)
+        set_field(self, "children", children)
+        set_field(self, "word", word)
 
     def label(self) -> str:
         return EPS_LABEL if self.root is None else self.root.name
@@ -82,20 +87,23 @@ def token_leaf(sym: Symbol) -> ParseTree:
     return ParseTree(sym, None, (), (sym,))
 
 
-@dataclass(frozen=True)
-class Unique:
-    tree: ParseTree
+class Unique(Value):
+    __slots__ = ("tree",)
+
+    def __init__(self, tree: ParseTree) -> None:
+        set_field(self, "tree", tree)
 
 
-@dataclass(frozen=True)
-class Ambiguous:
-    first: ParseTree
-    second: ParseTree
+class Ambiguous(Value):
+    __slots__ = ("first", "second")
+
+    def __init__(self, first: ParseTree, second: ParseTree) -> None:
+        set_field(self, "first", first)
+        set_field(self, "second", second)
 
 
-@dataclass(frozen=True)
-class Reject:
-    pass
+class Reject(Value):
+    __slots__ = ()
 
 
 ParseOutcome = Unique | Ambiguous | Reject
@@ -562,16 +570,20 @@ def parse_tree(g: Grammar, a: Symbol, w: Word) -> ParseOutcome:
     return Unique(found[0]) if found else Reject()
 
 
-@dataclass(frozen=True)
-class Pass:
-    max_len: int
+class Pass(Value):
+    __slots__ = ("max_len",)
+
+    def __init__(self, max_len: int) -> None:
+        set_field(self, "max_len", max_len)
 
 
-@dataclass(frozen=True)
-class Witness:
-    word: Word
-    first: ParseTree
-    second: ParseTree
+class Witness(Value):
+    __slots__ = ("word", "first", "second")
+
+    def __init__(self, word: Word, first: ParseTree, second: ParseTree) -> None:
+        set_field(self, "word", word)
+        set_field(self, "first", first)
+        set_field(self, "second", second)
 
 
 def check_unambiguous(g: Grammar, a: Symbol, max_len: int) -> Pass | Witness:

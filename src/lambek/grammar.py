@@ -20,12 +20,14 @@ extends the table instead of rebuilding it (semi-naive evaluation; Bancilhon
 each symbol, saturated at 2, in the counting semiring (Goodman 1999,
 "Semiring parsing"), so the words a symbol derives in more than one way
 come off it with no parse.
+
+Value is the immutable base of the package's value classes: symbols,
+productions, grammars, types, sequents, trees, proofs and results.
 """
 from __future__ import annotations
 
 import enum
 import os
-from dataclasses import dataclass, field
 from importlib import resources
 from typing import Any, Callable, Iterable, Iterator, TypeVar
 
@@ -41,14 +43,61 @@ class SymbolKind(enum.Enum):
     NONTERMINAL = "nonterminal"
 
 
-@dataclass(frozen=True)
-class Symbol:
-    kind: SymbolKind
-    name: str
+# how a Value's own __init__ sets its fields, past Value.__setattr__
+set_field = object.__setattr__
 
-    def __post_init__(self) -> None:
+
+class Value:
+    """An immutable value: its fields are its __slots__, which its own __init__
+    sets through set_field.  It equals a value of its class with equal fields,
+    hashes the tuple of its fields and reprs as Class(field=value, ...); slots
+    named with a leading underscore are caches, outside all three."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(s for s in cls.__slots__ if not s.startswith("_"))
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        # copy and pickle rebuild through __init__, which recomputes the caches
+        return type(self), self._key()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Symbol(Value):
+    __slots__ = ("kind", "name", "_h")
+
+    def __init__(self, kind: SymbolKind, name: str) -> None:
+        set_field(self, "kind", kind)
+        set_field(self, "name", name)
         # symbols end up hashed millions of times during proof search
-        object.__setattr__(self, "_h", hash((self.kind.value, self.name)))
+        set_field(self, "_h", hash((kind.value, name)))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.kind, self.name) == (other.kind, other.name)
+        return NotImplemented
 
     def __hash__(self) -> int:
         return self._h
@@ -75,45 +124,51 @@ Word = tuple[Symbol, ...]
 EMPTY_WORD: Word = ()
 
 
-@dataclass(frozen=True)
-class Production:
-    lhs: Symbol
-    rhs: tuple[Symbol, ...]
+class Production(Value):
+    __slots__ = ("lhs", "rhs", "_h")
 
-    def __post_init__(self) -> None:
-        if self.lhs.is_terminal:
-            raise GrammarError(f"production left-hand side {self.lhs.name!r} must be a nonterminal")
+    def __init__(self, lhs: Symbol, rhs: tuple[Symbol, ...]) -> None:
+        if lhs.is_terminal:
+            raise GrammarError(f"production left-hand side {lhs.name!r} must be a nonterminal")
+        set_field(self, "lhs", lhs)
+        set_field(self, "rhs", rhs)
         # parse trees look their productions up during folds
-        object.__setattr__(self, "_h", hash((self.lhs, self.rhs)))
+        set_field(self, "_h", hash((lhs, rhs)))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.lhs, self.rhs) == (other.lhs, other.rhs)
+        return NotImplemented
 
     def __hash__(self) -> int:
         return self._h
 
 
-@dataclass(frozen=True)
-class Grammar:
-    terminals: frozenset[Symbol]
-    nonterminals: frozenset[Symbol]
-    productions: tuple[Production, ...]
-    start: Symbol
-    # derived tables, filled by memo() and freed with the grammar
-    _memo: dict[tuple, Any] = field(default_factory=dict, init=False, repr=False, compare=False)
+class Grammar(Value):
+    # _memo holds the derived tables that memo() fills, freed with the grammar
+    __slots__ = ("terminals", "nonterminals", "productions", "start", "_memo", "__weakref__")
 
-    def __post_init__(self) -> None:
-        t_names = {s.name for s in self.terminals}
-        n_names = {s.name for s in self.nonterminals}
-        clash = t_names & n_names
+    def __init__(
+        self, terminals: frozenset[Symbol], nonterminals: frozenset[Symbol], productions: tuple[Production, ...],
+        start: Symbol,
+    ) -> None:
+        set_field(self, "terminals", terminals)
+        set_field(self, "nonterminals", nonterminals)
+        set_field(self, "productions", productions)
+        set_field(self, "start", start)
+        set_field(self, "_memo", {})
+        clash = {s.name for s in terminals} & {s.name for s in nonterminals}
         if clash:
             raise GrammarError(f"terminal and nonterminal name spaces overlap: {sorted(clash)}")
-        if self.start not in self.nonterminals:
-            raise GrammarError(f"start symbol {self.start.name!r} is not a declared nonterminal")
-        declared = self.terminals | self.nonterminals
-        for p in self.productions:
+        if start not in nonterminals:
+            raise GrammarError(f"start symbol {start.name!r} is not a declared nonterminal")
+        declared = terminals | nonterminals
+        for p in productions:
             for s in (p.lhs, *p.rhs):
                 if s not in declared:
                     raise GrammarError(f"undeclared symbol {s.name!r} in production")
         seen = set()
-        for p in self.productions:
+        for p in productions:
             if p in seen:
                 raise GrammarError(
                     f"duplicate production {p.lhs.name} ::= {' '.join(s.name for s in p.rhs)}"
@@ -529,11 +584,18 @@ def _declared(g: Grammar, x: Symbol) -> bool:
     return x in (g.terminals if x.is_terminal else g.nonterminals)
 
 
+def require_max_len(max_len: int) -> None:
+    """Raise ValueError unless the length bound is a nonnegative integer."""
+    if not isinstance(max_len, int):
+        raise ValueError(f"max_len must be an integer, got {max_len!r}")
+    if max_len < 0:
+        raise ValueError(f"max_len must be nonnegative, got {max_len}")
+
+
 def _table_to(g: Grammar, x: Symbol, max_len: int) -> list[_Layer]:
     """The word table's layers 0 … max_len, grown as needed, once x and the
     bound are checked."""
-    if max_len < 0:
-        raise ValueError(f"max_len must be nonnegative, got {max_len}")
+    require_max_len(max_len)
     if not _declared(g, x):
         raise GrammarError(f"symbol {x.name!r} is not declared in the grammar")
     return _grow_words(g, max_len)[: max_len + 1]

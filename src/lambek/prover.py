@@ -47,13 +47,12 @@ the parse leaves out.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
 
 from .earley import Ambiguous, ParseTree, Reject, _symbol_ids, parse_tree
 # not called here, but perfbench/spans.py rebinds lambek.prover.recognize and fails without it
 from .earley import recognize  # noqa: F401
-from .grammar import Grammar, Symbol, Word, lhs_index, memo, nullable_ids, production_ids
+from .grammar import Grammar, Symbol, Value, Word, lhs_index, memo, nullable_ids, production_ids, set_field
 from .types import (
     Atom,
     LambekType,
@@ -99,24 +98,31 @@ _DETAIL_FIELDS: dict[RuleName, tuple[str, ...]] = {
 }
 
 
-@dataclass(frozen=True)
-class ProofTree:
+class ProofTree(Value):
     """A rule, its detail and its premises.  Only the root stores its
     conclusion; every other node's follows from its parent's, rule and
     detail, and is replayed where it is needed (see _replay)."""
 
-    rule: RuleName
-    premises: tuple["ProofTree", ...] = ()
-    detail: tuple | None = None
-    conclusion: Sequent | None = None
+    __slots__ = ("rule", "premises", "detail", "conclusion")
+
+    def __init__(
+        self, rule: RuleName, premises: tuple[ProofTree, ...] = (), detail: tuple | None = None,
+        conclusion: Sequent | None = None,
+    ) -> None:
+        set_field(self, "rule", rule)
+        set_field(self, "premises", premises)
+        set_field(self, "detail", detail)
+        set_field(self, "conclusion", conclusion)
 
 
-@dataclass(frozen=True)
-class TypingAxiom:
+class TypingAxiom(Value):
     """A non-logical axiom  token ⊢ type,  e.g. a pronoun's lexical typing."""
 
-    token: Symbol
-    type: LambekType
+    __slots__ = ("token", "type")
+
+    def __init__(self, token: Symbol, type: LambekType) -> None:
+        set_field(self, "token", token)
+        set_field(self, "type", type)
 
 
 def parse_axiom(text: str, g: Grammar) -> TypingAxiom:
@@ -142,11 +148,15 @@ class SearchStatus(enum.Enum):
     REFUTED_BY_ORACLE = "RefutedByOracle"
 
 
-@dataclass(frozen=True)
-class SearchResult:
-    status: SearchStatus
-    proof: ProofTree | None = None
-    counterexample: Word | None = None
+class SearchResult(Value):
+    __slots__ = ("status", "proof", "counterexample")
+
+    def __init__(
+        self, status: SearchStatus, proof: ProofTree | None = None, counterexample: Word | None = None
+    ) -> None:
+        set_field(self, "status", status)
+        set_field(self, "proof", proof)
+        set_field(self, "counterexample", counterexample)
 
     @property
     def proved(self) -> bool:
@@ -172,7 +182,7 @@ def _ax(t: LambekType) -> ProofTree:
 
 def _premise(t: ProofTree) -> ProofTree:
     """t as a premise, whose conclusion its parent fixes."""
-    return replace(t, conclusion=None)
+    return ProofTree(t.rule, t.premises, t.detail)
 
 
 def _segment_proof(g: Grammar, pid: int, skipped: tuple[int, ...]) -> ProofTree:
@@ -306,7 +316,7 @@ class Prover:
         tree = self._search(s)
         if tree is None:
             return SearchResult(SearchStatus.NOT_FOUND_WITHIN_BOUNDS)
-        return SearchResult(SearchStatus.PROVED, proof=replace(tree, conclusion=s))
+        return SearchResult(SearchStatus.PROVED, proof=ProofTree(tree.rule, tree.premises, tree.detail, s))
 
     def _search(self, s: Sequent) -> ProofTree | None:
         """A proof of s as a premise, without its conclusion, or None."""
@@ -393,11 +403,13 @@ class Prover:
                 yield (RuleName.PROD_R, (k,), (Sequent(ante[:k], succ.left), Sequent(ante[k:], succ.right)))
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    ok: bool
-    path: tuple[int, ...] | None = None
-    reason: str | None = None
+class CheckResult(Value):
+    __slots__ = ("ok", "path", "reason")
+
+    def __init__(self, ok: bool, path: tuple[int, ...] | None = None, reason: str | None = None) -> None:
+        set_field(self, "ok", ok)
+        set_field(self, "path", path)
+        set_field(self, "reason", reason)
 
 
 def _reject(path: tuple[int, ...], reason: str) -> CheckResult:
@@ -687,8 +699,9 @@ def proof_from_json(obj: dict, g: Grammar) -> ProofTree:
         first = len(built) - len(prems)
         premises = tuple(built[first:])
         del built[first:]
-        built.append(ProofTree(rule, premises, _detail_from_json(rule, o.get("detail"), g)))
-    return replace(built[0], conclusion=conclusion)
+        detail = _detail_from_json(rule, o.get("detail"), g)
+        built.append(ProofTree(rule, premises, detail, conclusion if o is obj else None))
+    return built[0]
 
 
 def render_proof(t: ProofTree) -> str:

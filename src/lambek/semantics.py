@@ -28,35 +28,38 @@ certify passes vacuously.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from typing import Sequence
 
 from .earley import recognize
-from .grammar import Grammar, Symbol, Word, enumerate_words, enumerated_member, iter_words_sorted, memo, require_word
+from .grammar import Grammar, Symbol, Value, Word, enumerate_words, enumerated_member, iter_words_sorted, memo
+from .grammar import require_max_len, require_word, set_field
 from .prover import Prover, SearchResult, SearchStatus, TypingAxiom, require_declared
 from .types import Atom, LambekType, Over, Prod, Sequent, TypeContext, Under, UnitType
 
 
-@dataclass(frozen=True)
-class SemBound:
+class SemBound(Value):
     """Cap on the test words fed to the universal quantifiers."""
 
-    max_len: int = 5
+    __slots__ = ("max_len",)
 
-    def __post_init__(self) -> None:
-        if self.max_len < 0:
-            raise ValueError(f"max_len must be nonnegative, got {self.max_len}")
-
-
-@dataclass(frozen=True)
-class OraclePass:
-    checked: int
+    def __init__(self, max_len: int = 5) -> None:
+        require_max_len(max_len)
+        set_field(self, "max_len", max_len)
 
 
-@dataclass(frozen=True)
-class Counterexample:
-    word: Word
+class OraclePass(Value):
+    __slots__ = ("checked",)
+
+    def __init__(self, checked: int) -> None:
+        set_field(self, "checked", checked)
+
+
+class Counterexample(Value):
+    __slots__ = ("word",)
+
+    def __init__(self, word: Word) -> None:
+        set_field(self, "word", word)
 
 
 OracleVerdict = OraclePass | Counterexample
@@ -65,27 +68,36 @@ OracleVerdict = OraclePass | Counterexample
 def member_bounded(g: Grammar, w: Word, t: LambekType, b: SemBound) -> bool:
     """Is w in ⟦t⟧, quantifiers truncated per the bound?"""
     require_word(g, w)
-    return memo(g, _member, w, t, b.max_len)
+    return _holds(g, w, t, b.max_len)
 
 
-def _member(g: Grammar, w: Word, t: LambekType, max_len: int) -> bool:
+def _holds(g: Grammar, w: Word, t: LambekType, max_len: int) -> bool:
+    """w ∈ ⟦t⟧ under the bound.  An atom is answered off the word table
+    where it has grown to len(w), with no memo; the rest goes through _member."""
     if isinstance(t, Atom):
         if t.symbol.is_terminal:
             return w == (t.symbol,)
         known = enumerated_member(g, t.symbol, w)
-        return recognize(g, t.symbol, w) if known is None else known
+        if known is not None:
+            return known
+    return memo(g, _member, w, t, max_len)
+
+
+def _member(g: Grammar, w: Word, t: LambekType, max_len: int) -> bool:
+    if isinstance(t, Atom):
+        return recognize(g, t.symbol, w)  # the word table does not cover w (see _holds)
     if isinstance(t, UnitType):
         return w == ()
     if isinstance(t, Prod):
         return any(
-            memo(g, _member, w[:k], t.left, max_len)
-            and memo(g, _member, w[k:], t.right, max_len)
+            _holds(g, w[:k], t.left, max_len)
+            and _holds(g, w[k:], t.right, max_len)
             for k in range(len(w) + 1)
         )
     if isinstance(t, Under):
-        return all(memo(g, _member, v + w, t.result, max_len) for v in memo(g, _domain, t.arg, max_len))
+        return all(_holds(g, v + w, t.result, max_len) for v in memo(g, _domain, t.arg, max_len))
     if isinstance(t, Over):
-        return all(memo(g, _member, w + v, t.result, max_len) for v in memo(g, _domain, t.arg, max_len))
+        return all(_holds(g, w + v, t.result, max_len) for v in memo(g, _domain, t.arg, max_len))
     raise TypeError(f"unknown type {t!r}")
 
 
@@ -123,7 +135,7 @@ def _denotation(g: Grammar, t: LambekType, out_len: int, max_len: int) -> frozen
             u + v for u in left for v in right if len(u) + len(v) <= out_len
         )
     candidates = _implication_candidates(g, t, out_len, max_len)
-    return frozenset(w for w in candidates if memo(g, _member, w, t, max_len))
+    return frozenset(w for w in candidates if _holds(g, w, t, max_len))
 
 
 def _implication_candidates(g: Grammar, t: Under | Over, out_len: int, max_len: int):
@@ -249,7 +261,7 @@ def soundness_check(
         return OraclePass(0)
     words = memo(g, _antecedent_words, s.antecedent, out_len, b.max_len)
     for w in words:
-        if not memo(g, _member, w, s.succedent, b.max_len):
+        if not _holds(g, w, s.succedent, b.max_len):
             return Counterexample(w)
     return OraclePass(len(words))
 

@@ -19,34 +19,40 @@ the atom of that terminal, so words can be spelled out token by token.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .grammar import Grammar, GrammarError, Symbol
+from .grammar import Grammar, GrammarError, Symbol, Value, set_field
 
 
 class TypeSyntaxError(ValueError):
     """Bad type or sequent text; carries a human-readable position."""
 
 
-# Types and sequents are dict keys throughout proof search; recomputing a
-# deep structural hash per probe dominates profiles, so every node caches
-# its hash at construction time.
+# Types and sequents are dict keys throughout proof search, so each writes its
+# own __eq__ on its fields.  Recomputing a deep structural hash per probe
+# dominates profiles, so every type caches its hash at construction time, and
+# a sequent at its first use.
 
 
-@dataclass(frozen=True)
-class Atom:
-    symbol: Symbol
+class Atom(Value):
+    __slots__ = ("symbol", "_h")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_h", hash(("at", self.symbol)))
+    def __init__(self, symbol: Symbol) -> None:
+        set_field(self, "symbol", symbol)
+        set_field(self, "_h", hash(("at", symbol)))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.symbol,) == (other.symbol,)
+        return NotImplemented
 
     def __hash__(self) -> int:
         return self._h
 
 
-@dataclass(frozen=True)
-class UnitType:
+class UnitType(Value):
+    __slots__ = ()
+
     def __repr__(self) -> str:
         return "Unit"
 
@@ -57,41 +63,56 @@ class UnitType:
 UNIT = UnitType()
 
 
-@dataclass(frozen=True)
-class Under:
+class Under(Value):
     """arg \\ result: consumes arg on the left."""
 
-    arg: "LambekType"
-    result: "LambekType"
+    __slots__ = ("arg", "result", "_h")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_h", hash(("un", self.arg, self.result)))
+    def __init__(self, arg: LambekType, result: LambekType) -> None:
+        set_field(self, "arg", arg)
+        set_field(self, "result", result)
+        set_field(self, "_h", hash(("un", arg, result)))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.arg, self.result) == (other.arg, other.result)
+        return NotImplemented
 
     def __hash__(self) -> int:
         return self._h
 
 
-@dataclass(frozen=True)
-class Over:
+class Over(Value):
     """result / arg: consumes arg on the right."""
 
-    result: "LambekType"
-    arg: "LambekType"
+    __slots__ = ("result", "arg", "_h")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_h", hash(("ov", self.result, self.arg)))
+    def __init__(self, result: LambekType, arg: LambekType) -> None:
+        set_field(self, "result", result)
+        set_field(self, "arg", arg)
+        set_field(self, "_h", hash(("ov", result, arg)))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.result, self.arg) == (other.result, other.arg)
+        return NotImplemented
 
     def __hash__(self) -> int:
         return self._h
 
 
-@dataclass(frozen=True)
-class Prod:
-    left: "LambekType"
-    right: "LambekType"
+class Prod(Value):
+    __slots__ = ("left", "right", "_h")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_h", hash(("pr", self.left, self.right)))
+    def __init__(self, left: LambekType, right: LambekType) -> None:
+        set_field(self, "left", left)
+        set_field(self, "right", right)
+        set_field(self, "_h", hash(("pr", left, right)))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.left, self.right) == (other.left, other.right)
+        return NotImplemented
 
     def __hash__(self) -> int:
         return self._h
@@ -102,10 +123,17 @@ LambekType = Atom | UnitType | Under | Over | Prod
 TypeContext = tuple[LambekType, ...]
 
 
-@dataclass(frozen=True)
-class Sequent:
-    antecedent: TypeContext
-    succedent: LambekType
+class Sequent(Value):
+    __slots__ = ("antecedent", "succedent", "_h")
+
+    def __init__(self, antecedent: TypeContext, succedent: LambekType) -> None:
+        set_field(self, "antecedent", antecedent)
+        set_field(self, "succedent", succedent)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.antecedent, self.succedent) == (other.antecedent, other.succedent)
+        return NotImplemented
 
     def __hash__(self) -> int:
         # hashed on first use: the checker replays premises that no table looks up
@@ -113,7 +141,7 @@ class Sequent:
             return self._h
         except AttributeError:
             h = hash((self.antecedent, self.succedent))
-            object.__setattr__(self, "_h", h)
+            set_field(self, "_h", h)
             return h
 
 

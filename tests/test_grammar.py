@@ -14,6 +14,7 @@ from lambek.grammar import (
     Production,
     Symbol,
     _word_layers,
+    ambiguous_words,
     enumerate_words,
     enumerated_member,
     iter_words_sorted,
@@ -177,6 +178,12 @@ def test_enumerate_words_rejects_undeclared_symbols(bool_g):
         assert enumerated_member(bool_g, z, (terminal("zzz"),)) is None
     with pytest.raises(ValueError, match="max_len must be nonnegative, got -1"):
         enumerate_words(bool_g, bool_g.start, -1)
+
+
+@pytest.mark.parametrize("read", [enumerate_words, ambiguous_words, check_unambiguous])
+def test_a_bound_that_is_not_an_integer_is_rejected(bool_g, read):
+    with pytest.raises(ValueError, match=r"^max_len must be an integer, got 1\.5$"):
+        read(bool_g, bool_g.start, 1.5)
 
 
 def _reference_words(g, max_len):

@@ -3,9 +3,14 @@
 Every name a module of src/lambek imports is used there, and every
 module-level function or class is used somewhere in src/lambek or is public
 (listed in lambek.__all__).  A name kept on purpose is marked on its import
-line with ``# noqa: F401``.
+line with ``# noqa: F401``.  A CLI process starts without loading the
+standard library's heavy introspection modules.
 """
 import ast
+import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -79,3 +84,21 @@ def test_every_module_level_definition_is_used_or_public():
             if used[node.name] - Counter(_uses(node))[node.name] <= 0:
                 unused.append(f"{name}:{node.lineno} {node.name}")
     assert unused == []
+
+
+_STARTUP = """
+import json, sys
+import lambek.cli
+from lambek.grammar import load_grammar
+load_grammar("bool")
+print(json.dumps(sorted({"dataclasses", "inspect"} & set(sys.modules))))
+"""
+
+
+def test_cli_start_up_loads_neither_dataclasses_nor_inspect():
+    """Every CLI call imports lambek.cli and loads a grammar; in a fresh
+    interpreter that pulls in neither module (with inspect come ast, dis and
+    tokenize)."""
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run([sys.executable, "-c", _STARTUP], env=env, capture_output=True, text=True, check=True)
+    assert json.loads(proc.stdout) == []

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import random
 import signal
@@ -234,19 +233,21 @@ def _find(t, rule):
     return None
 
 
+def _with(t, **changes):
+    """The ProofTree t with the given fields changed."""
+    fields = {"rule": t.rule, "premises": t.premises, "detail": t.detail, "conclusion": t.conclusion}
+    return ProofTree(**{**fields, **changes})
+
+
 def _replace_node(t, target, new):
     if t is target:
         return new
-    return dataclasses.replace(
-        t, premises=tuple(_replace_node(p, target, new) for p in t.premises)
-    )
+    return _with(t, premises=tuple(_replace_node(p, target, new) for p in t.premises))
 
 
 def test_check_rejects_wrong_conclusion(bool_g, prover):
     r = prover.prove(parse_sequent("b |- V", bool_g))
-    bad = dataclasses.replace(
-        r.proof, conclusion=parse_sequent("b |- T", bool_g)
-    )
+    bad = _with(r.proof, conclusion=parse_sequent("b |- T", bool_g))
     res = check_proof(bool_g, bad)
     assert not res.ok and res.path == ()
 
@@ -255,7 +256,7 @@ def test_check_rejects_wrong_production_index(bool_g, prover):
     r = prover.prove(parse_sequent("b |- V", bool_g))
     gram = _find(r.proof, RuleName.GRAM)
     other = (gram.detail[0] + 1) % len(bool_g.productions)
-    bad = _replace_node(r.proof, gram, dataclasses.replace(gram, detail=(other,)))
+    bad = _replace_node(r.proof, gram, _with(gram, detail=(other,)))
     res = check_proof(bool_g, bad)
     assert not res.ok and "production" in res.reason
 
@@ -263,7 +264,7 @@ def test_check_rejects_wrong_production_index(bool_g, prover):
 def test_check_rejects_dropped_premise(bool_g, prover):
     r = prover.prove(parse_sequent("a , = , b |- T", bool_g))
     node = _find(r.proof, RuleName.CUT)
-    bad = _replace_node(r.proof, node, dataclasses.replace(node, premises=()))
+    bad = _replace_node(r.proof, node, _with(node, premises=()))
     res = check_proof(bool_g, bad)
     assert not res.ok and "premises" in res.reason
 
@@ -288,7 +289,7 @@ def test_check_rejects_cut_segment_mismatch(bool_g, prover):
     right = prover.prove(parse_sequent("b |- V", bool_g)).proof
     good = elim_over(left, right)
     assert check_proof(bool_g, good).ok
-    bad = dataclasses.replace(good, detail=(1, 2, good.detail[2]))
+    bad = _with(good, detail=(1, 2, good.detail[2]))
     res = check_proof(bool_g, bad)
     # the segment replays into the premises' proofs, and a leaf below no longer fits
     assert not res.ok and res.path[:1] == (0,) and "GRAM" in res.reason
@@ -297,7 +298,7 @@ def test_check_rejects_cut_segment_mismatch(bool_g, prover):
 def test_check_reports_failure_path(bool_g, prover):
     r = prover.prove(parse_sequent("a , = , b |- T", bool_g))
     node = _find(r.proof, RuleName.GRAM)
-    bad_leaf = dataclasses.replace(node, rule=RuleName.AX, detail=None)
+    bad_leaf = _with(node, rule=RuleName.AX, detail=None)
     res = check_proof(bool_g, _replace_node(r.proof, node, bad_leaf))
     assert not res.ok
     assert res.path  # deep failure, not the root
@@ -317,7 +318,7 @@ def _replace_at(t, path, new):
         return new
     k = path[0]
     sub = _replace_at(t.premises[k], path[1:], new)
-    return dataclasses.replace(t, premises=t.premises[:k] + (sub,) + t.premises[k + 1 :])
+    return _with(t, premises=t.premises[:k] + (sub,) + t.premises[k + 1 :])
 
 
 def _proof_holding(g, prover, rule):
@@ -347,7 +348,7 @@ def _shifted(node, g):
     detail, becomes its mirror."""
     mirror = {RuleName.UNDER_R: RuleName.OVER_R, RuleName.OVER_R: RuleName.UNDER_R}
     if node.rule in mirror:
-        yield dataclasses.replace(node, rule=mirror[node.rule])
+        yield _with(node, rule=mirror[node.rule])
         return
     for k, v in enumerate(node.detail):
         if isinstance(v, int):
@@ -355,7 +356,7 @@ def _shifted(node, g):
         else:
             others = (Atom(g.symbol("T" if v != Atom(g.symbol("T")) else "V")),)
         for w in others:
-            yield dataclasses.replace(node, detail=node.detail[:k] + (w,) + node.detail[k + 1 :])
+            yield _with(node, detail=node.detail[:k] + (w,) + node.detail[k + 1 :])
 
 
 @pytest.mark.parametrize(
@@ -388,7 +389,7 @@ def test_check_rejects_a_changed_cut_formula_at_the_leaf_below(bool_g, prover):
     """The cut formula is the cut's alone: the GRAM leaf that proves it no longer cites its sequent."""
     proof = prover.prove(parse_sequent("a , = , b |- T", bool_g)).proof
     assert proof.rule is RuleName.CUT and proof.detail[2] == Atom(bool_g.symbol("V"))
-    bad = dataclasses.replace(proof, detail=proof.detail[:2] + (Atom(bool_g.symbol("T")),))
+    bad = _with(proof, detail=proof.detail[:2] + (Atom(bool_g.symbol("T")),))
     res = check_proof(bool_g, bad)
     assert not res.ok and res.path == (0,) and res.reason == "GRAM conclusion does not match the cited production"
 
@@ -399,10 +400,10 @@ def test_check_rejects_a_conclusion_below_the_root(bool_g, prover):
     stored = {path: s for _, path, s, _ in _replayed(proof)}
     for path in ((0,), (1,), (1, 1)):
         node = next(n for n, p in _preorder(proof) if p == path)
-        bad = _replace_at(proof, path, dataclasses.replace(node, conclusion=stored[path]))
+        bad = _replace_at(proof, path, _with(node, conclusion=stored[path]))
         res = check_proof(bool_g, bad)
         assert not res.ok and res.path == path and "root" in res.reason
-    res = check_proof(bool_g, dataclasses.replace(proof, conclusion=None))
+    res = check_proof(bool_g, _with(proof, conclusion=None))
     assert not res.ok and res.path == () and "conclusion" in res.reason
 
 
@@ -418,7 +419,7 @@ def test_check_rejects_a_detail_of_the_wrong_class(bool_g, prover):
     proof = prover.prove(parse_sequent("b |- V", bool_g)).proof
     assert proof.rule is RuleName.GRAM
     for detail in ((), proof.detail + (0,), [proof.detail[0]]):
-        res = check_proof(bool_g, dataclasses.replace(proof, detail=detail))
+        res = check_proof(bool_g, _with(proof, detail=detail))
         assert not res.ok and res.path == () and res.reason == "GRAM needs a detail of 1 fields (production)"
 
 
@@ -430,7 +431,7 @@ def test_check_rejects_a_detail_of_the_wrong_class(bool_g, prover):
 def test_check_rejects_a_detail_on_ax(bool_g, prover, detail):
     proof = _proof_holding(bool_g, prover, RuleName.OVER_L)  # its main premise is an AX leaf
     node, path = next((n, p) for n, p in _preorder(proof) if n.rule is RuleName.AX)
-    res = check_proof(bool_g, _replace_at(proof, path, dataclasses.replace(node, detail=detail)))
+    res = check_proof(bool_g, _replace_at(proof, path, _with(node, detail=detail)))
     assert not res.ok and res.path == path and res.reason == "AX takes no detail"
 
 
@@ -464,7 +465,7 @@ def test_check_rejects_a_detail_that_is_not_integers(bool_g, prover, rule):
         kind = "a type" if name == "formula" else "an integer"
         values = ("V", 0, None, Sequent((), UNIT)) if name == "formula" else ("0", 1.0, True, None, Atom(terminal("a")))
         for value in values:
-            bad = dataclasses.replace(node, detail=node.detail[:k] + (value,) + node.detail[k + 1 :])
+            bad = _with(node, detail=node.detail[:k] + (value,) + node.detail[k + 1 :])
             res = check_proof(g, _replace_at(proof, path, bad), axioms)
             assert not res.ok and res.path == path, (name, value, res)
             assert res.reason == f"{rule.value} needs {kind} as {name!r}"
@@ -487,7 +488,7 @@ def test_check_rejects_a_cut_without_two_premises(bool_g, prover, kept):
     """A cut has exactly two premises: the segment's proof and the proof it is cut into."""
     proof = _proof_holding(bool_g, prover, RuleName.CUT)
     assert proof.rule is RuleName.CUT
-    res = check_proof(bool_g, dataclasses.replace(proof, premises=proof.premises[:kept]))
+    res = check_proof(bool_g, _with(proof, premises=proof.premises[:kept]))
     assert not res.ok and res.path == () and "CUT" in res.reason and "premises" in res.reason
 
 
@@ -600,7 +601,7 @@ def test_capture(bool_g, prover, side, cont, expect):
     assert t.conclusion == parse_sequent(expect, bool_g)
     assert check_proof(bool_g, t).ok
     assert_capture_shape(t)
-    assert t.premises[0].premises == tuple(dataclasses.replace(p, conclusion=None) for p in (base, k))
+    assert t.premises[0].premises == tuple(_with(p, conclusion=None) for p in (base, k))
     assert Prover(bool_g).prove(t.conclusion).proof == t
 
 

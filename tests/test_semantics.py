@@ -204,6 +204,8 @@ def test_membership_antitone_in_bound(bool_g):
 def test_bound_validation():
     with pytest.raises(ValueError, match="max_len must be nonnegative, got -1"):
         SemBound(-1)
+    with pytest.raises(ValueError, match=r"^max_len must be an integer, got 2\.5$"):
+        SemBound(2.5)
 
 
 def test_negative_out_len_is_rejected(bool_g):
@@ -285,6 +287,27 @@ def test_oracle_reads_the_tables_it_enumerated(load_bundled, spy):
     assert soundness_check(g, parse_sequent("E/T |- E", g), SemBound(5)) == Counterexample(())
     assert calls == []
     assert _grown_length(g) == 8
+
+
+@pytest.mark.parametrize(
+    "text, verdict",
+    [
+        ("E/T |- E", Counterexample(())),
+        ("V |- E\\E", Counterexample((terminal("1"),))),
+        ("T |- C/D", OraclePass(9)),
+        ("b |- E/V", Counterexample((terminal("b"),))),
+        ("a , = |- T/V", OraclePass(1)),
+    ],
+)
+def test_atoms_the_word_table_covers_take_no_memo(load_bundled, spy, text, verdict):
+    """An atom membership of a word no longer than the word table is read off
+    the table; only longer words are memoized, through recognize."""
+    g = load_bundled("bool.g")
+    looked_up = spy(semantics, "enumerated_member")
+    assert soundness_check(g, parse_sequent(text, g), SemBound(8)) == verdict
+    assert looked_up
+    atom_keys = [k[1] for k in g._memo if k[0] is semantics._member and isinstance(k[2], Atom)]
+    assert all(len(word) > _grown_length(g) for word in atom_keys)
 
 
 @pytest.mark.parametrize("text", ["V |- E\\E", "T |- C/D"])
