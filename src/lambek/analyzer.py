@@ -46,7 +46,7 @@ from itertools import product
 from typing import Sequence
 
 from .earley import Ambiguous, ParseTree, Reject, Splits, Unique, parse_tree, recognize, tree_to_json
-from .grammar import Grammar, Symbol, Value, Word, memo, render_word, require_word, set_field
+from .grammar import Grammar, Symbol, Value, Word, memo, render_word, require_bound, require_word, set_field
 from .prover import ProofTree, Prover, Side, capture, flat_proof, fold_chain, proof_to_json
 from .types import Atom, LambekType, Sequent, render_type, type_universe
 
@@ -180,8 +180,7 @@ def reshaping_check(g: Grammar, ctx: InjectionContext, w: Word) -> ReshapingResu
 def hole_language(g: Grammar, ctx: InjectionContext, out_len: int) -> frozenset[Word]:
     """Every word of length at most out_len the hole accepts syntactically."""
     _require_context(g, ctx)
-    if out_len < 0:
-        raise ValueError(f"out_len must be nonnegative, got {out_len}")
+    require_bound(out_len, "out_len")
     sigma = sorted(g.terminals, key=lambda s: s.name)
     found: set[Word] = set()
     for n in range(out_len + 1):
@@ -286,12 +285,13 @@ def capture_typings(g: Grammar, ctx: InjectionContext, w: Word) -> tuple[Capture
     The candidates are read off the grammar, exactly.  A left capture
     w ⊢ (ψ/V)\\π  splits w where V derives w[:k] and π derives the
     continuation ψ w[k:].  A right capture  w ⊢ π/(V\\ψ)  splits w where V
-    derives w[j:] and π derives w[:j] ψ.  The ends of V come off a chart
-    from V; each side that has a split builds one chart from every
-    nonterminal and continues it at every split by each ψ (Splits).  Those
-    charts decide both premises, so at the smallest such k or j each is
-    the grammar's fold chain (flat_proof), the hole's share once and only
-    at a split that a capture uses, and capture composes the two.  Captures
+    derives w[j:] and π derives w[:j] ψ.  The ends of V come off one chart
+    from V per side, the right side's over the reversed input; each side
+    that has a split builds one chart from every nonterminal and continues
+    it at every split by each ψ (Splits).  Those charts decide both
+    premises, so at the smallest such k or j each is the grammar's fold
+    chain (flat_proof, decided once per sequent), the hole's share only at
+    a split that a capture uses, and capture composes the two.  Captures
     come in the order ψ, π, Left before Right.
     """
     _require_context(g, ctx)
@@ -304,7 +304,6 @@ def capture_typings(g: Grammar, ctx: InjectionContext, w: Word) -> tuple[Capture
     js = Splits(g, w, (hole,), suffix=True).ends(hole) if ctx.suffix else []
     right = _first_splits(nts, js, Splits(g, w, nts)) if js else {}
 
-    shares: dict[Word, ProofTree] = {}  # the hole's share, folded where a capture uses it
     found: list[CaptureTyping] = []
     for psi, pi in sorted(left.keys() | right.keys(), key=lambda pair: (pair[0].name, pair[1].name)):
         for side, first in ((Side.LEFT, left), (Side.RIGHT, right)):
@@ -312,9 +311,8 @@ def capture_typings(g: Grammar, ctx: InjectionContext, w: Word) -> tuple[Capture
             if c is None:
                 continue
             share, rest = (w[:c], (psi,) + w[c:]) if side is Side.LEFT else (w[c:], w[:c] + (psi,))
-            if share not in shares:
-                shares[share] = flat_proof(g, Sequent(tuple(map(Atom, share)), Atom(hole)))
-            proof = capture(shares[share], flat_proof(g, Sequent(tuple(map(Atom, rest)), Atom(pi))), side)
+            share_proof = flat_proof(g, Sequent(tuple(map(Atom, share)), Atom(hole)))
+            proof = capture(share_proof, flat_proof(g, Sequent(tuple(map(Atom, rest)), Atom(pi))), side)
             found.append(CaptureTyping(side, proof.conclusion.succedent, proof))
     return tuple(found)
 

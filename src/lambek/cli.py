@@ -1,7 +1,7 @@
 """Command line front end.
 
     lambek check   "a , = , b |- T" --grammar bool
-    lambek prove   "b , OR , 1 , = , 1 |- (T/V)\\E" --grammar bool --tree
+    lambek prove   "b , OR , 1 , = , 1 |- (T/V)\\E" --grammar bool
     lambek infer   "b OR 1 = 1" --grammar bool --atoms T,V,E --depth 1
     lambek enum    E --grammar bool --max-len 5
     lambek oracle  "V |- T" --grammar bool --max-len 5
@@ -12,35 +12,27 @@
 Grammar arguments name a file on disk, or one of the bundled grammars by
 stem (bool, eng).  Exit status: 0 for an affirmative answer (proved, pass,
 benign), 1 for a sound negative one, 2 for usage or input errors.
+
+Each command is a function of the loaded grammar and the parsed arguments
+that returns its answer: the exit status, the object --json prints, and
+the text lines printed otherwise.  run alone loads the grammar and prints
+the answer.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
-from typing import TextIO
+from typing import Iterable, Iterator, TextIO
 
 from .analyzer import AmbiguityError, Classification, InjectionContext, classify_input, infer_typings
 from .earley import Witness, check_unambiguous, render_tree_text
-from .grammar import (
-    Grammar,
-    GrammarError,
-    enumerate_words,
-    iter_words_sorted,
-    load_grammar,
-    render_word,
-    word_from_text,
-)
-from .prover import Prover, SearchStatus, parse_axiom, proof_to_json, render_proof
+from .grammar import Grammar, GrammarError, enumerate_words, iter_words_sorted, load_grammar, render_word
+from .grammar import word_from_text
+from .prover import ProofTree, Prover, SearchStatus, parse_axiom, proof_to_json, render_proof
 from .semantics import Counterexample, SemBound, prove_with_prescreen, soundness_check
 from .types import TypeSyntaxError, parse_sequent, render_type
-
-
-def _load_grammar(spec: str, err: TextIO) -> Grammar:
-    g, notes = load_grammar(spec)
-    for note in notes:
-        print(f"note: {note}", file=err)
-    return g
 
 
 _END = object()  # closes a container on _emit's stack
@@ -75,153 +67,86 @@ def _emit(obj: dict, out: TextIO) -> None:
     print("".join(parts), file=out)
 
 
-def _cmd_check(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
-    g = _load_grammar(args.grammar, err)
+Answer = tuple[int, dict, Iterable[str]]  # exit status, the --json object, the text lines
+
+
+def _proof_lines(head: list[str], proof: ProofTree | None) -> Iterator[str]:
+    """head, then the proof as text, rendered only when printed: the indented
+    text of a flat proof, as deep as it is long, grows with its square."""
+    yield from head
+    if proof is not None:
+        yield render_proof(proof)
+
+
+def _cmd_check(g: Grammar, args: argparse.Namespace) -> Answer:
     axioms = tuple(parse_axiom(a, g) for a in args.axiom)
-    s = parse_sequent(args.sequent, g)
-    res = prove_with_prescreen(g, s, SemBound(args.max_len), axioms)
-    if args.json:
-        _emit(
-            {
-                "status": res.status.value,
-                "counterexample": (
-                    render_word(res.counterexample) if res.counterexample is not None else None
-                ),
-                "proof": proof_to_json(res.proof) if res.proof and args.tree else None,
-            },
-            out,
-        )
-    elif res.status is SearchStatus.PROVED:
-        print("Proved", file=out)
-        if args.tree:
-            print(render_proof(res.proof), file=out)
+    res = prove_with_prescreen(g, parse_sequent(args.sequent, g), SemBound(args.max_len), axioms)
+    word = render_word(res.counterexample) if res.counterexample is not None else None
+    proof = res.proof if args.tree else None
+    if res.proved:
+        lines = _proof_lines(["Proved"], proof)
     elif res.status is SearchStatus.REFUTED_BY_ORACLE:
-        print(f"RefutedByOracle: {render_word(res.counterexample)}", file=out)
+        lines = [f"RefutedByOracle: {word}"]
     else:
-        print("NotFoundWithinBounds", file=out)
-    return 0 if res.proved else 1
+        lines = ["NotFoundWithinBounds"]
+    obj = {"status": res.status.value, "counterexample": word, "proof": proof_to_json(proof) if proof else None}
+    return (0 if res.proved else 1), obj, lines
 
 
-def _cmd_prove(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
-    g = _load_grammar(args.grammar, err)
+def _cmd_prove(g: Grammar, args: argparse.Namespace) -> Answer:
     axioms = tuple(parse_axiom(a, g) for a in args.axiom)
-    s = parse_sequent(args.sequent, g)
-    res = Prover(g, axioms).prove(s)
-    if args.json:
-        _emit(
-            {
-                "status": res.status.value,
-                "proof": proof_to_json(res.proof) if res.proof else None,
-            },
-            out,
-        )
-    elif res.proved:
-        print(render_proof(res.proof), file=out)
-    else:
-        print("NotFoundWithinBounds", file=out)
-    return 0 if res.proved else 1
+    res = Prover(g, axioms).prove(parse_sequent(args.sequent, g))
+    if not res.proved:
+        return 1, {"status": res.status.value, "proof": None}, ["NotFoundWithinBounds"]
+    return 0, {"status": res.status.value, "proof": proof_to_json(res.proof)}, _proof_lines([], res.proof)
 
 
-def _cmd_infer(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
-    g = _load_grammar(args.grammar, err)
+def _cmd_infer(g: Grammar, args: argparse.Namespace) -> Answer:
     w = word_from_text(g, args.word)
     if args.atoms:
         atoms = tuple(g.symbol(name.strip()) for name in args.atoms.split(","))
     else:
         atoms = tuple(sorted(g.nonterminals, key=lambda s: s.name))
-    typings = infer_typings(g, w, atoms, args.depth)
-    if args.json:
-        _emit(
-            {
-                "word": render_word(w),
-                "depth": args.depth,
-                "types": [render_type(t) for t, _ in typings],
-            },
-            out,
-        )
-    else:
-        for t, _ in typings:
-            print(render_type(t), file=out)
-    return 0 if typings else 1
+    types = [render_type(t) for t, _ in infer_typings(g, w, atoms, args.depth)]
+    return (0 if types else 1), {"word": render_word(w), "depth": args.depth, "types": types}, types
 
 
-def _cmd_enum(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
-    g = _load_grammar(args.grammar, err)
-    words = list(iter_words_sorted(enumerate_words(g, g.symbol(args.symbol), args.max_len)))
-    if args.json:
-        _emit(
-            {"symbol": args.symbol, "max_len": args.max_len, "words": [render_word(w) for w in words]},
-            out,
-        )
-    else:
-        for w in words:
-            print(render_word(w), file=out)
-    return 0
+def _cmd_enum(g: Grammar, args: argparse.Namespace) -> Answer:
+    sym = g.symbol(args.symbol)
+    words = [render_word(w) for w in iter_words_sorted(enumerate_words(g, sym, args.max_len))]
+    return 0, {"symbol": args.symbol, "max_len": args.max_len, "words": words}, words
 
 
-def _cmd_oracle(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
-    g = _load_grammar(args.grammar, err)
-    s = parse_sequent(args.sequent, g)
-    verdict = soundness_check(g, s, SemBound(args.max_len), args.out_len)
+def _cmd_oracle(g: Grammar, args: argparse.Namespace) -> Answer:
+    verdict = soundness_check(g, parse_sequent(args.sequent, g), SemBound(args.max_len), args.out_len)
     if isinstance(verdict, Counterexample):
-        if args.json:
-            _emit({"status": "Counterexample", "word": render_word(verdict.word)}, out)
-        else:
-            print(f"Counterexample: {render_word(verdict.word)}", file=out)
-        return 1
-    if args.json:
-        _emit({"status": "Pass", "checked": verdict.checked}, out)
-    else:
-        print(f"Pass: {verdict.checked} words checked", file=out)
-    return 0
+        word = render_word(verdict.word)
+        return 1, {"status": "Counterexample", "word": word}, [f"Counterexample: {word}"]
+    return 0, {"status": "Pass", "checked": verdict.checked}, [f"Pass: {verdict.checked} words checked"]
 
 
-def _cmd_ambig(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
-    g = _load_grammar(args.grammar, err)
-    sym = g.symbol(args.symbol) if args.symbol else g.start
-    outcome = check_unambiguous(g, sym, args.max_len)
+def _cmd_ambig(g: Grammar, args: argparse.Namespace) -> Answer:
+    outcome = check_unambiguous(g, g.symbol(args.symbol) if args.symbol else g.start, args.max_len)
     if isinstance(outcome, Witness):
-        if args.json:
-            _emit(
-                {
-                    "status": "Ambiguous",
-                    "word": render_word(outcome.word),
-                    "first": render_tree_text(outcome.first),
-                    "second": render_tree_text(outcome.second),
-                },
-                out,
-            )
-        else:
-            print(f"Ambiguous: {render_word(outcome.word)}", file=out)
-            print(render_tree_text(outcome.first), file=out)
-            print("--", file=out)
-            print(render_tree_text(outcome.second), file=out)
-        return 1
-    if args.json:
-        _emit({"status": "Pass", "max_len": args.max_len}, out)
-    else:
-        print(f"Pass: unambiguous up to length {args.max_len}", file=out)
-    return 0
+        word = render_word(outcome.word)
+        first, second = render_tree_text(outcome.first), render_tree_text(outcome.second)
+        obj = {"status": "Ambiguous", "word": word, "first": first, "second": second}
+        return 1, obj, [f"Ambiguous: {word}", first, "--", second]
+    return 0, {"status": "Pass", "max_len": args.max_len}, [f"Pass: unambiguous up to length {args.max_len}"]
 
 
-def _cmd_analyze(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
-    g = _load_grammar(args.grammar, err)
+def _cmd_analyze(g: Grammar, args: argparse.Namespace) -> Answer:
     ctx = InjectionContext(
         prefix=word_from_text(g, args.prefix),
         suffix=word_from_text(g, args.suffix),
         goal=g.symbol(args.goal),
         expected=g.symbol(args.expect),
     )
-    w = word_from_text(g, args.input)
-    report = classify_input(g, ctx, w)
-    if args.json:
-        _emit(report.to_json(g), out)
-    else:
-        print(report.classification.value, file=out)
-        for c in report.captures:
-            print(f"  capture {c.direction.value}: {render_type(c.type)}", file=out)
-        print(f"  reshaping: {type(report.reshaping).__name__}", file=out)
-    return 0 if report.classification is Classification.BENIGN else 1
+    report = classify_input(g, ctx, word_from_text(g, args.input))
+    lines = [report.classification.value]
+    lines += [f"  capture {c.direction.value}: {render_type(c.type)}" for c in report.captures]
+    lines.append(f"  reshaping: {type(report.reshaping).__name__}")
+    return (0 if report.classification is Classification.BENIGN else 1), report.to_json(g), lines
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -277,18 +202,32 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def run(argv: list[str], out: TextIO = sys.stdout, err: TextIO = sys.stderr) -> int:
+def run(argv: list[str], out: TextIO | None = None, err: TextIO | None = None) -> int:
+    """Answer one command line, writing to out and err (by default sys.stdout
+    and sys.stderr as they are at the call); returns the exit status."""
+    out, err = out or sys.stdout, err or sys.stderr
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        # argparse prints help, usage and its errors to the process's streams
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            args = parser.parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
-        return args.fn(args, out, err)
+        g, notes = load_grammar(args.grammar)
+        for note in notes:
+            print(f"note: {note}", file=err)
+        code, obj, lines = args.fn(g, args)
+        if args.json:
+            _emit(obj, out)
+        else:
+            for line in lines:
+                print(line, file=out)
     except (GrammarError, TypeSyntaxError, AmbiguityError, ValueError, OSError, RecursionError) as e:
         # a RecursionError is an input too deep to handle, not a negative answer
         print(f"error: {e}", file=err)
         return 2
+    return code
 
 
 def main() -> None:

@@ -584,18 +584,18 @@ def _declared(g: Grammar, x: Symbol) -> bool:
     return x in (g.terminals if x.is_terminal else g.nonterminals)
 
 
-def require_max_len(max_len: int) -> None:
-    """Raise ValueError unless the length bound is a nonnegative integer."""
-    if not isinstance(max_len, int):
-        raise ValueError(f"max_len must be an integer, got {max_len!r}")
-    if max_len < 0:
-        raise ValueError(f"max_len must be nonnegative, got {max_len}")
+def require_bound(n: int, name: str) -> None:
+    """Raise ValueError, naming the parameter, unless the bound n is a nonnegative integer."""
+    if not isinstance(n, int):
+        raise ValueError(f"{name} must be an integer, got {n!r}")
+    if n < 0:
+        raise ValueError(f"{name} must be nonnegative, got {n}")
 
 
 def _table_to(g: Grammar, x: Symbol, max_len: int) -> list[_Layer]:
     """The word table's layers 0 … max_len, grown as needed, once x and the
     bound are checked."""
-    require_max_len(max_len)
+    require_bound(max_len, "max_len")
     if not _declared(g, x):
         raise GrammarError(f"symbol {x.name!r} is not declared in the grammar")
     return _grow_words(g, max_len)[: max_len + 1]

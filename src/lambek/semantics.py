@@ -33,7 +33,7 @@ from typing import Sequence
 
 from .earley import recognize
 from .grammar import Grammar, Symbol, Value, Word, enumerate_words, enumerated_member, iter_words_sorted, memo
-from .grammar import require_max_len, require_word, set_field
+from .grammar import require_bound, require_word, set_field
 from .prover import Prover, SearchResult, SearchStatus, TypingAxiom, require_declared
 from .types import Atom, LambekType, Over, Prod, Sequent, TypeContext, Under, UnitType
 
@@ -44,7 +44,7 @@ class SemBound(Value):
     __slots__ = ("max_len",)
 
     def __init__(self, max_len: int = 5) -> None:
-        require_max_len(max_len)
+        require_bound(max_len, "max_len")
         set_field(self, "max_len", max_len)
 
 
@@ -110,16 +110,11 @@ def _domain(g: Grammar, arg: LambekType, max_len: int) -> tuple[Word, ...]:
     return tuple(iter_words_sorted(memo(g, _denotation, arg, max_len, max_len)))
 
 
-def _require_out_len(out_len: int) -> None:
-    if out_len < 0:
-        raise ValueError(f"out_len must be nonnegative, got {out_len}")
-
-
 def denotation_bounded(
     g: Grammar, t: LambekType, b: SemBound, out_len: int
 ) -> frozenset[Word]:
     """All words of length at most out_len in ⟦t⟧ under the bound."""
-    _require_out_len(out_len)
+    require_bound(out_len, "out_len")
     return memo(g, _denotation, t, out_len, b.max_len)
 
 
@@ -227,7 +222,7 @@ def context_denotation_bounded(
     g: Grammar, ctx: Sequence[LambekType], b: SemBound, out_len: int
 ) -> frozenset[Word]:
     """Concatenations of member words, total length capped at out_len."""
-    _require_out_len(out_len)
+    require_bound(out_len, "out_len")
     acc: set[Word] = {()}
     for t in ctx:
         d = memo(g, _denotation, t, out_len, b.max_len)
@@ -253,7 +248,7 @@ def soundness_check(
     """
     if out_len is None:
         out_len = b.max_len
-    _require_out_len(out_len)
+    require_bound(out_len, "out_len")
     if not (
         all(_members_real(g, t, b.max_len) for t in s.antecedent)
         and _refutes_real(g, s.succedent, b.max_len)

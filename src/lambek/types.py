@@ -21,7 +21,7 @@ from __future__ import annotations
 import re
 from typing import Iterator, Sequence
 
-from .grammar import Grammar, GrammarError, Symbol, Value, set_field
+from .grammar import Grammar, GrammarError, Symbol, Value, require_bound, set_field
 
 
 class TypeSyntaxError(ValueError):
@@ -303,8 +303,7 @@ def type_universe(g: Grammar, atoms: Sequence[Symbol], depth: int) -> list[Lambe
     The unit type is a member but is not used as an operand.  The result is
     duplicate-free and ordered by (size, rendered text).
     """
-    if depth < 0:
-        raise ValueError(f"depth must be at least 0, got {depth}")
+    require_bound(depth, "depth")
     for a in atoms:
         if a not in g.terminals and a not in g.nonterminals:
             raise GrammarError(f"atom {a.name!r} is not declared in the grammar")

@@ -27,6 +27,7 @@ from lambek.grammar import (
     Grammar, Production, enumerate_words, iter_words_sorted, memo, nonterminal, nullable_ids, parse_grammar_file,
     render_word, require_word, terminal, word_from_text,
 )
+from lambek import prover
 from lambek.prover import Prover, Side, check_proof, proof_to_json
 from lambek.semantics import OraclePass, SemBound, member_bounded, prove_with_prescreen, soundness_check
 from lambek.types import Atom, Over, Sequent, Under, parse_type, render_sequent, render_type, type_universe
@@ -286,6 +287,11 @@ def test_hole_language_rejects_a_negative_length(bool_g, tmpl):
     assert hole_language(bool_g, tmpl, 0) == frozenset()
 
 
+def test_hole_language_names_a_bound_that_is_not_an_integer(bool_g, tmpl):
+    with pytest.raises(ValueError, match=r"^out_len must be an integer, got 2\.5$"):
+        hole_language(bool_g, tmpl, 2.5)
+
+
 def test_ambiguous_combined_string_is_an_error(ambiguous_g):
     g = ambiguous_g
     x = word_from_text(g, "x")
@@ -371,8 +377,9 @@ def _assert_captures_match_the_pair_loop(g, ctx, w):
 def _counted_capture_search(spy, cases):
     """capture_typings on each (g, ctx, w) of cases, counted: per case the
     captures, the flat sequents folded and the number of Earley charts
-    built.  The search builds no Prover and folds no sequent twice."""
-    provers, asked, charts = spy(Prover, "__init__"), spy(analyzer, "flat_proof"), spy(earley, "_chart")
+    built.  The search builds no Prover and folds no sequent twice: a
+    sequent asked again is answered from the grammar's memo."""
+    provers, asked, charts = spy(Prover, "__init__"), spy(prover, "_flat_proof"), spy(earley, "_chart")
     out = []
     for g, ctx, w in cases:
         asked.clear()
@@ -398,7 +405,7 @@ def test_capture_proofs_are_composed_from_flat_premises(bool_g, tmpl, mirrored, 
         assert all(isinstance(t, Atom) for s in asked for t in (*s.antecedent, s.succedent)), asked
 
 
-def test_capture_typings_asks_no_sequent_twice(bool_g, tmpl, mirrored, spy):
+def test_capture_typings_decides_no_sequent_twice(bool_g, tmpl, mirrored, spy):
     """The hole's share of a split is folded once, where a capture first uses it."""
     o = InjectionContext(word_from_text(bool_g, "a = 1 OR"), (), bool_g.symbol("E"), bool_g.symbol("C"))
     cases = [

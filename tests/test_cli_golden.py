@@ -8,6 +8,8 @@ deliberate change to what the CLI prints, rewrite them with
 and review the diff.  "{square}" in an invocation stands for a grammar
 file whose every word of three or more tokens is ambiguous.
 """
+import contextlib
+import io
 import json
 import sys
 from pathlib import Path
@@ -87,13 +89,12 @@ def _key(argv):
     return json.dumps(argv, ensure_ascii=False)
 
 
-def _invoke(argv, square, capsys, monkeypatch):
+def _answer(argv, square):
     """run's exit code, stdout and stderr, argparse's messages included."""
-    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage lines to the terminal
-    capsys.readouterr()
-    code = run([str(square) if a == "{square}" else a for a in argv], sys.stdout, sys.stderr)
-    out, err = capsys.readouterr()
-    return {"code": code, "stdout": out, "stderr": err}
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run([str(square) if a == "{square}" else a for a in argv], sys.stdout, sys.stderr)
+    return {"code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
 @pytest.fixture(scope="module")
@@ -122,14 +123,13 @@ def test_the_table_covers_every_command_in_both_modes_and_every_answer(golden):
 
 
 @pytest.mark.parametrize("argv", INVOCATIONS, ids=" ".join)
-def test_output_is_pinned(argv, golden, square, capsys, monkeypatch):
-    assert _invoke(argv, square, capsys, monkeypatch) == golden[_key(list(argv))]
+def test_output_is_pinned(argv, golden, square, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage lines to the terminal
+    assert _answer(argv, square) == golden[_key(list(argv))]
 
 
 if __name__ == "__main__":
     # rewrite cli_golden.json from the CLI as it stands
-    import contextlib
-    import io
     import os
     import tempfile
 
@@ -137,10 +137,5 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         square_path = Path(tmp) / "square.g"
         square_path.write_text(SQUARE, encoding="utf-8")
-        table = {}
-        for argv in INVOCATIONS:
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = run([str(square_path) if a == "{square}" else a for a in argv], sys.stdout, sys.stderr)
-            table[_key(list(argv))] = {"code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+        table = {_key(list(argv)): _answer(argv, square_path) for argv in INVOCATIONS}
     GOLDEN.write_text(json.dumps(table, ensure_ascii=False, indent=1) + "\n", encoding="utf-8")

@@ -4,7 +4,8 @@ Every name a module of src/lambek imports is used there, and every
 module-level function or class is used somewhere in src/lambek or is public
 (listed in lambek.__all__).  A name kept on purpose is marked on its import
 line with ``# noqa: F401``.  A CLI process starts without loading the
-standard library's heavy introspection modules.
+standard library's heavy introspection modules.  Every module parses as
+the oldest Python that pyproject.toml promises.
 """
 import ast
 import json
@@ -54,6 +55,13 @@ def _uses(node):
             yield n.attr
         elif isinstance(n, ast.ImportFrom):
             yield from (a.name for a in n.names)
+
+
+def test_every_module_parses_as_python_3_10():
+    """pyproject.toml promises Python 3.10 or later; syntax that only a later
+    version accepts fails here, on whichever version runs the tests."""
+    for name, (text, _) in _modules().items():
+        ast.parse(text, filename=name, feature_version=(3, 10))
 
 
 def test_every_import_is_used():

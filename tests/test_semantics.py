@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from itertools import product
@@ -219,6 +220,22 @@ def test_negative_out_len_is_rejected(bool_g):
         with pytest.raises(ValueError, match="out_len"):
             soundness_check(bool_g, parse_sequent(text, bool_g), b, -1)
     assert soundness_check(bool_g, parse_sequent("|- F", bool_g), b, 0) == OraclePass(1)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda g, b, n: denotation_bounded(g, UNIT, b, n),
+        lambda g, b, n: context_denotation_bounded(g, (UNIT,), b, n),
+        lambda g, b, n: soundness_check(g, parse_sequent("a , = , b |- T", g), b, n),
+    ],
+    ids=["denotation_bounded", "context_denotation_bounded", "soundness_check"],
+)
+def test_an_out_len_that_is_not_an_integer_is_named(bool_g, entry):
+    """The antecedent cap is checked as itself, not as the quantifier bound."""
+    for bad in (2.5, "3"):
+        with pytest.raises(ValueError, match=rf"^out_len must be an integer, got {re.escape(repr(bad))}$"):
+            entry(bool_g, SemBound(3), bad)
 
 
 def test_context_denotation(bool_g):

@@ -177,6 +177,14 @@ def test_type_universe_depth0():
     assert [render_type(t) for t in u] == ["1", "E", "T", "V"]
 
 
+def test_type_universe_names_a_bad_depth():
+    atoms = [GRAMMAR.symbol("T")]
+    with pytest.raises(ValueError, match=r"^depth must be an integer, got 1\.5$"):
+        type_universe(GRAMMAR, atoms, 1.5)
+    with pytest.raises(ValueError, match=r"^depth must be nonnegative, got -1$"):
+        type_universe(GRAMMAR, atoms, -1)
+
+
 def test_type_universe_depth1():
     atoms = [GRAMMAR.symbol(n) for n in ("T", "V", "E")]
     u = type_universe(GRAMMAR, atoms, 1)
