@@ -10,15 +10,16 @@ chart works on symbols; the span index and the tree walk work on the
 grammar's dense symbol ids.  Tree extraction walks the index of completed
 spans, (symbol id, start) -> ends, top-down, and keeps only the first two
 trees of each (symbol, span) in derivation order: the ambiguity answer needs
-no more, and a node's first two trees follow from its children's.  So each
-span's trees are built once per parse and shared by every parent, as in a
-packed parse forest (Scott 2008).  A span with the same range as its parent
-(a unit or nullable cycle) is walked per path instead, and derivations that
-pass through the same (symbol, span) pair more than twice on one path are
-left out, which only suppresses pumped cycle variants of trees that are
-already reported.  The walk recurses once per span and once per nonterminal
-child (a run of terminals is matched in place), so a chain of about 1 320
-tokens exhausts the default recursion limit.
+no more, and a node's first two trees follow from its children's.  They
+are kept per (span, same-range ancestors), the ancestors being those that
+share the span's range through a unit or nullable cycle, so each is built
+once per parse and shared by every parent, as in a packed parse forest
+(Scott 2008).  Derivations that pass through the same (symbol, span) pair
+more than twice on one path are left out, which only suppresses pumped
+cycle variants of trees that are already reported.  The walk recurses once
+per span and once per nonterminal child (a run of terminals is matched in
+place), so a chain of about 1 320 tokens exhausts the default recursion
+limit.
 
 A chart predicts a tuple of start symbols at column 0 and seeds each start
 a with its own augmented item S'ₐ → •a, so column j holds S'ₐ → a• exactly
@@ -28,9 +29,9 @@ the span index.  Column j depends only on the first j input symbols (Earley
 1970), so a closed chart can be continued at any column by one more symbol
 without touching the rest.  Splits reads one chart: the columns that hold
 a start's item are the prefixes of w it derives, and the starts whose items
-column j holds once continued by x are those that derive w[:j] x.  On the
-mirror grammar over reversed w it answers the same for suffixes.  So one
-chart per side answers every split of w.
+column j holds once continued by x are those that derive w[:j] x.  Over
+reversed w, with g's rules read in reverse, it answers the same for
+suffixes.  So one chart per side answers every split of w.
 
 check_unambiguous parses no word that the grammar's word table, which counts
 derivations, reads as unambiguous: only its witness.
@@ -118,9 +119,10 @@ def _symbol_ids(g: Grammar) -> tuple[dict[Symbol, int], list[Symbol]]:
 
 
 def _dotted_rules(
-    g: Grammar,
+    g: Grammar, suffix: bool
 ) -> tuple[list[Symbol | None], list[Symbol | None], dict[Symbol, tuple[int, ...]], list[int]]:
-    """Per-grammar tables over dotted rules; reach them through memo.
+    """Per-grammar tables over dotted rules, each right-hand side read in
+    reverse with suffix; reach them through memo.
 
     Rules 2k and 2k + 1 are the augmented pair S'ₐ → •a and S'ₐ → a• of the
     symbol a with id k; the id past the declared symbols serves every
@@ -142,7 +144,7 @@ def _dotted_rules(
     first: list[int] = []
     for p in g.productions:
         first.append(len(nxt))
-        nxt.extend(p.rhs)
+        nxt.extend(p.rhs[::-1] if suffix else p.rhs)
         nxt.append(None)
         lhs.extend([p.lhs] * (len(p.rhs) + 1))
         lhs_ids.extend([ids[p.lhs]] * (len(p.rhs) + 1))
@@ -281,9 +283,10 @@ def _goal(g: Grammar, a: Symbol) -> Item:
     return 2 * ids.get(a, len(ids)) + 1, 0
 
 
-def _chart(g: Grammar, starts: tuple[Symbol, ...], w: Word) -> _Chart:
-    """Earley chart of sentential form w from each of starts at once."""
-    tables = memo(g, _dotted_rules)
+def _chart(g: Grammar, starts: tuple[Symbol, ...], w: Word, suffix: bool = False) -> _Chart:
+    """Earley chart of sentential form w from each of starts at once, over
+    g's rules read in reverse with suffix."""
+    tables = memo(g, _dotted_rules, suffix)
     predict = tables[2]
     col: list[Item] = []
     wait: dict[Symbol, list[Item]] = {}
@@ -302,29 +305,23 @@ def recognize(g: Grammar, a: Symbol, w: Word) -> bool:
     return _goal(g, a) in _chart(g, (a,), w)[0][-1]
 
 
-def _mirror(g: Grammar) -> Grammar:
-    """g with every right-hand side reversed; reach it through memo."""
-    reversed_rules = tuple(Production(p.lhs, p.rhs[::-1]) for p in g.productions)
-    return Grammar(g.terminals, g.nonterminals, reversed_rules, g.start)
-
-
 class Splits:
     """The splits of sentential form w, read off one chart that predicts each of starts at column 0.
 
     Forward, the chart runs over w and reads its prefixes.  With suffix, it
-    is a chart of the mirror grammar over reversed w: the mirror grammar
-    derives exactly the reversals of g's sentential forms, so the same
-    chart reads the suffixes of w.  Positions index w either way.  Splits
+    runs over reversed w with g's rules read in reverse: read so, g derives
+    exactly the reversals of its sentential forms, so the same chart reads
+    the suffixes of w.  Positions index w either way.  Splits
     answers for its own starts only, each read off its completed augmented
     item; two undeclared starts share one.
     """
 
     def __init__(self, g: Grammar, w: Word, starts: tuple[Symbol, ...], suffix: bool = False):
-        self._g = memo(g, _mirror) if suffix else g
         self._w = w[::-1] if suffix else w
         self._suffix = suffix
-        self._chart = _chart(self._g, starts, self._w)
-        self._done = {a: _goal(self._g, a) for a in starts}
+        self._tables = memo(g, _dotted_rules, suffix)
+        self._chart = _chart(g, starts, self._w, suffix)
+        self._done = {a: _goal(g, a) for a in starts}
 
     def ends(self, x: Symbol) -> list[int]:
         """The ascending k for which the start x derives w[:k], or with suffix w[k:]."""
@@ -345,7 +342,7 @@ class Splits:
         columns, waits, leo = self._chart
         ws = waits[j].get(x)
         col = [(r + 1, o) for r, o in ws] if ws else []
-        _run(memo(self._g, _dotted_rules), columns, waits, leo, col, {}, j + 1, ())
+        _run(self._tables, columns, waits, leo, col, {}, j + 1, ())
         found = set(col)
         return frozenset([a for a, done in self._done.items() if done in found])
 
@@ -356,7 +353,7 @@ def _span_ends(g: Grammar, w: Word, chart: _Chart) -> dict[tuple[int, int], list
     Read off the columns in order, each Leo path expanded for the spans it
     skipped.  A nonterminal of the input spans itself.
     """
-    nxt, lhs, _, lhs_ids = memo(g, _dotted_rules)
+    nxt, lhs, _, lhs_ids = memo(g, _dotted_rules, False)
     ids = memo(g, _symbol_ids)[0]
     columns, waits, leo = chart
     ends: dict[tuple[int, int], list[int]] = {}
@@ -414,10 +411,12 @@ def _rhs_shapes(g: Grammar) -> list[list[_Shape]]:
 
 # a completed span: (symbol id, start, end)
 Span = tuple[int, int, int]
+# a span's same-range ancestors, then the span
+_Path = tuple[Span, ...]
 # the input, its symbol ids, the one-tree list of each position's leaf, the
-# span index and the per-parse table of kept trees
+# span index and the per-parse table of each path's trees
 _Walk = tuple[
-    Word, list[int], tuple[tuple[ParseTree], ...], dict[tuple[int, int], list[int]], dict[Span, list[ParseTree]]
+    Word, list[int], tuple[tuple[ParseTree], ...], dict[tuple[int, int], list[int]], dict[_Path, list[ParseTree]]
 ]
 
 
@@ -430,7 +429,7 @@ def _fits(
     k: int,
     pos: int,
     j: int,
-    path: tuple[Span, ...],
+    path: _Path,
 ) -> Iterator[tuple[tuple[ParseTree, ...] | list[ParseTree], ...]]:
     """Per assignment of rhs[k:] to w[pos:j] whose children all have trees,
     in order, the children's trees; a run of terminals is matched in this
@@ -478,7 +477,7 @@ def _trees(
     sym: int,
     i: int,
     j: int,
-    path: tuple[Span, ...],
+    path: _Path,
 ) -> list[ParseTree]:
     """The first two distinct trees of the symbol with id sym over w[i:j], in derivation order.
 
@@ -491,26 +490,23 @@ def _trees(
     per child answer for the parent.  A production that starts with a
     terminal other than w[i] has no assignment and is passed over.
 
-    path holds this span's ancestors that share its range.  A span whose
-    parent spans more depends on nothing else, so its trees are kept in
-    the walk's table and built once per parse.  A span that shares its
-    parent's range (a unit or nullable cycle) is not kept; it gets no trees
-    when its span is on path twice already, which only suppresses pumped
-    cycle variants of trees that are already reported.
+    path is the parent's path.  The span's own path is the span after its
+    ancestors that share its range (a unit or nullable cycle); its trees
+    depend on nothing else, so the walk's table keeps them under that path,
+    and they are built once per parse.  A span gets no trees when it is
+    twice among its same-range ancestors already, which only suppresses
+    pumped cycle variants of trees that are already reported.
     """
     w, wids, leaves, _, table = walk
-    key = (sym, i, j)
-    if path and path[-1][1] == i and path[-1][2] == j:
-        if path.count(key) >= 2:
-            return []
-        path += (key,)
-        kept = False
-    else:
-        found = table.get(key)
-        if found is not None:
-            return found
-        path = (key,)
-        kept = True
+    span = (sym, i, j)
+    if not path or path[-1][1] != i or path[-1][2] != j:
+        path = ()
+    elif path.count(span) >= 2:
+        return []
+    path += (span,)
+    found = table.get(path)
+    if found is not None:
+        return found
     found = []
     for prod, rhs, flags, after in shapes[sym]:
         if len(found) == 2:
@@ -535,8 +531,7 @@ def _trees(
     # sym is a nonterminal: the walk asks for no terminal's trees
     if len(found) < 2 and j == i + 1 and wids[i] == sym:
         found.append(leaves[i][0])
-    if kept:
-        table[key] = found
+    table[path] = found
     return found
 
 

@@ -408,9 +408,10 @@ def load_grammar(spec: str) -> tuple[Grammar, list[str]]:
     """Read, parse and validate a grammar file, or a bundled grammar by stem.
 
     Returns the validated grammar with validate's notes on what it dropped.
+    A file may start with a UTF-8 byte-order mark.
     """
     if os.path.exists(spec):
-        with open(spec, encoding="utf-8") as fh:
+        with open(spec, encoding="utf-8-sig") as fh:
             text = fh.read()
     else:
         name = spec if spec.endswith(".g") else spec + ".g"

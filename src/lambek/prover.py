@@ -49,7 +49,7 @@ from __future__ import annotations
 import enum
 from typing import Iterator, Sequence
 
-from .earley import Ambiguous, ParseTree, Reject, _symbol_ids, parse_tree
+from .earley import Ambiguous, ParseTree, Reject, parse_tree
 # not called here, but perfbench/spans.py rebinds lambek.prover.recognize and fails without it
 from .earley import recognize  # noqa: F401
 from .grammar import Grammar, Symbol, Value, Word, lhs_index, memo, nullable_ids, production_ids, set_field
@@ -167,15 +167,6 @@ class TacticError(ValueError):
     """A tactic was applied to proofs whose types do not fit together."""
 
 
-def _atoms(rhs: Sequence[Symbol]) -> tuple[LambekType, ...]:
-    return tuple(Atom(s) for s in rhs)
-
-
-def _rhs_atoms(g: Grammar) -> list[tuple[LambekType, ...]]:
-    """Each production's right-hand side as atoms, by id; reach it through memo."""
-    return [_atoms(p.rhs) for p in g.productions]
-
-
 def _ax(t: LambekType) -> ProofTree:
     return ProofTree(RuleName.AX, conclusion=Sequent((t,), t))
 
@@ -203,12 +194,11 @@ def _segment_proof(g: Grammar, pid: int, skipped: tuple[int, ...]) -> ProofTree:
     return proof
 
 
-def _fold_table(g: Grammar) -> list[tuple[int, Atom]]:
-    """Per production id, its right-hand side's length and its left-hand
-    side as an atom, one atom per symbol id; reach it through memo."""
-    ids, syms = memo(g, _symbol_ids)
-    atoms = [Atom(x) for x in syms]
-    return [(len(p.rhs), atoms[ids[p.lhs]]) for p in g.productions]
+def _production_atoms(g: Grammar) -> list[tuple[tuple[Atom, ...], Atom]]:
+    """Per production id, its right-hand and left-hand sides as atoms, one
+    atom per symbol; reach it through memo."""
+    atoms = {x: Atom(x) for x in g.nonterminals | g.terminals}
+    return [(tuple([atoms[x] for x in p.rhs]), atoms[p.lhs]) for p in g.productions]
 
 
 def fold_chain(g: Grammar, s: Sequent, tree: ParseTree) -> ProofTree:
@@ -220,7 +210,7 @@ def fold_chain(g: Grammar, s: Sequent, tree: ParseTree) -> ProofTree:
     The root folds last, and its segment proof proves what is left.
     """
     ids = memo(g, production_ids)
-    table = memo(g, _fold_table)
+    table = memo(g, _production_atoms)
     # (slot, children kept, symbol, segment proof) per node in the reverse of
     # the folding order: the root first, each child after its right siblings
     folds: list[tuple[int, int, Atom, ProofTree]] = []
@@ -230,10 +220,10 @@ def fold_chain(g: Grammar, s: Sequent, tree: ParseTree) -> ProofTree:
     while stack:
         node, pos = stack.pop()
         pid = ids[node.production]
-        width, x = table[pid]
+        rhs, x = table[pid]
         skipped = []
         slot = pos
-        for k in range(width):
+        for k in range(len(rhs)):
             c = node.children[k]
             if not c.word:
                 skipped.append(k)
@@ -270,9 +260,9 @@ def _flat_proof(g: Grammar, s: Sequent) -> ProofTree | None:
     ante, succ = s.antecedent, s.succedent
     if ante == (succ,):
         return ProofTree(RuleName.AX, conclusion=s)
-    rhs = memo(g, _rhs_atoms)
+    table = memo(g, _production_atoms)
     for pid in memo(g, lhs_index)[succ.symbol]:
-        if ante == rhs[pid]:
+        if ante == table[pid][0]:
             return ProofTree(RuleName.GRAM, (), (pid,), s)
     outcome = parse_tree(g, succ.symbol, tuple(t.symbol for t in ante))
     if isinstance(outcome, Reject):
@@ -492,6 +482,8 @@ def _premises(
 
 def _replay(node: ProofTree, s: Sequent | None) -> tuple[Sequent, ...] | str:
     """The conclusions of node's premises, replayed from its own conclusion s, or why they cannot be."""
+    if not isinstance(node, ProofTree):
+        return f"the node is a {type(node).__name__}, not a ProofTree"
     rule = node.rule
     if not isinstance(s, Sequent):
         return "the root stores no conclusion"
@@ -512,7 +504,8 @@ def _replayed(t: ProofTree) -> Iterator[tuple[ProofTree, tuple[int, ...], Sequen
     The premises of a node that does not replay are not visited.  A stack,
     because flat proofs are as deep as their antecedents are long.
     """
-    stack: list[tuple[ProofTree, tuple[int, ...], Sequent | None]] = [(t, (), t.conclusion)]
+    root = t.conclusion if isinstance(t, ProofTree) else None
+    stack: list[tuple[ProofTree, tuple[int, ...], Sequent | None]] = [(t, (), root)]
     while stack:
         node, path, s = stack.pop()
         want = _replay(node, s)
@@ -531,7 +524,7 @@ def _cites(g: Grammar, axioms: tuple[TypingAxiom, ...], node: ProofTree, s: Sequ
         if not 0 <= pid < len(g.productions):
             return "needs a valid production index"
         p = g.productions[pid]
-        if ante != _atoms(p.rhs) or succ != Atom(p.lhs):
+        if ante != tuple(map(Atom, p.rhs)) or succ != Atom(p.lhs):
             return "conclusion does not match the cited production"
     if node.rule is RuleName.AXIOM:
         (aid,) = node.detail
@@ -553,7 +546,7 @@ def check_proof(g: Grammar, t: ProofTree, axioms: Sequence[TypingAxiom] = ()) ->
     """
     axioms = tuple(axioms)
     for node, path, s, why in _replayed(t):
-        if path and node.conclusion is not None:
+        if path and isinstance(node, ProofTree) and node.conclusion is not None:
             return _reject(path, "only the root stores a conclusion")
         if why is not None:
             return _reject(path, why)

@@ -9,6 +9,7 @@ import pytest
 
 import lambek
 from lambek.cli import run
+from lambek.grammar import load_grammar
 from lambek.prover import Prover, proof_to_json
 from lambek.types import parse_sequent
 
@@ -197,6 +198,14 @@ def test_grammar_from_disk(tmp_path):
     path.write_text("start S\nS ::= x ;\n", encoding="utf-8")
     code, out, _ = cli("check", "x |- S", "--grammar", str(path))
     assert code == 0 and out.splitlines()[0] == "Proved"
+
+
+def test_grammar_file_with_a_byte_order_mark_loads(tmp_path):
+    path = tmp_path / "bom.g"
+    path.write_bytes(b"\xef\xbb\xbfstart S\nS ::= a ;\n")
+    g, notes = load_grammar(str(path))
+    assert g.start.name == "S" and notes == []
+    assert cli("enum", "S", "--grammar", str(path), "--max-len", "2") == (0, "a\n", "")
 
 
 def test_validate_notes_go_to_stderr():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from lambek import earley, prover
+from lambek import earley
 from lambek.earley import (
     EPS_LEAF,
     Ambiguous,
@@ -594,12 +594,11 @@ def test_trees_match_the_reference_walk_on_every_short_form(name, bool_g):
                 assert _assert_trees_match_the_reference(g, a, form), (a, form)
 
 
-def test_symbol_ids_are_built_once_per_grammar(load_bundled, monkeypatch, spy):
-    """parse_tree's walk, Splits.goals and fold_chain's table all read the
-    grammar's one id table."""
+def test_symbol_ids_are_built_once_per_grammar(load_bundled, spy):
+    """parse_tree's walk and Splits.goals read the grammar's one id table,
+    and fold_chain builds no other."""
     g = load_bundled("bool")
     built = spy(earley, "_symbol_ids")
-    monkeypatch.setattr(prover, "_symbol_ids", earley._symbol_ids)
     E, V = g.symbol("E"), g.symbol("V")
     form = w(g, "1 = a AND b = b")
     tree = parse_tree(g, E, form).tree
@@ -608,6 +607,48 @@ def test_symbol_ids_are_built_once_per_grammar(load_bundled, monkeypatch, spy):
     assert Splits(g, form, every).goals(2, V) == {g.symbol(n) for n in "CET"}
     fold_chain(g, Sequent(tuple(map(Atom, form)), Atom(E)), tree)
     assert built == [(g,)]
+
+
+def test_suffix_splits_build_no_grammar(load_bundled, spy):
+    """A suffix chart reads g's own rules in reverse; no mirrored grammar is built."""
+    g = load_bundled("bool")
+    built = spy(Grammar, "__init__")
+    E, V = g.symbol("E"), g.symbol("V")
+    chain = w(g, "1 = a AND b = b OR a = 1")
+    every = tuple(sorted(g.nonterminals, key=lambda s: s.name))
+    splits = Splits(g, chain, every, suffix=True)
+    assert splits.ends(E) == [0, 4, 8] and E in splits.goals(len(chain) - 2, V)
+    assert built == []
+
+
+def test_dotted_rules_are_built_once_per_orientation(load_bundled, spy):
+    """The tree walk's span index and the forward chart share one table, and
+    the suffix chart has the other."""
+    g = load_bundled("bool")
+    built = spy(earley, "_dotted_rules")
+    E, V = g.symbol("E"), g.symbol("V")
+    form = w(g, "1 = a AND b = b")
+    every = tuple(sorted(g.nonterminals, key=lambda s: s.name))
+    assert isinstance(parse_tree(g, E, form), Unique)
+    cet = {g.symbol(n) for n in "CET"}
+    assert Splits(g, form, every).goals(2, V) == cet  # 1 = V
+    assert Splits(g, form, every, suffix=True).goals(len(form) - 2, V) == cet  # V = b
+    assert [args[1:] for args in built] == [(False,), (True,)]
+
+
+def test_the_tree_walk_expands_each_span_and_path_once(spy):
+    """Under unit and nullable cycles a span is reached again under the same
+    same-range ancestors; the walk's table answers it then.  Expanding a
+    span calls _fits at position 0 at most once per production."""
+    g = parse_grammar_file(NESTED_NULLABLE_CYCLES)
+    calls = spy(earley, "_fits")
+    S, x = g.symbol("S"), g.symbol("x")
+    for a, form in ((S, (x, x)), (g.symbol("A"), (g.symbol("A"),)), (S, ())):
+        calls.clear()
+        parse_tree(g, a, form)
+        # _fits(shapes, walk, rhs, flags, after, k, pos, j, path)
+        expanded = [(args[8], args[2]) for args in calls if args[5] == 0]
+        assert expanded and len(expanded) == len(set(expanded)), (a, form)
 
 
 def test_only_the_tree_walk_builds_the_span_index(bool_g, spy):

@@ -35,7 +35,7 @@ from lambek.prover import (
     proof_to_json,
     render_proof,
 )
-from lambek.prover import _DETAIL_FIELDS, ProofTree, _replayed, fold_chain
+from lambek.prover import _DETAIL_FIELDS, CheckResult, ProofTree, _replayed, fold_chain
 from lambek.semantics import prove_with_prescreen, soundness_check
 from lambek.types import UNIT, Atom, Over, Prod, Sequent, Under, iter_atoms, parse_sequent, parse_type, render_sequent, type_size
 
@@ -405,6 +405,22 @@ def test_check_rejects_a_conclusion_below_the_root(bool_g, prover):
         assert not res.ok and res.path == path and "root" in res.reason
     res = check_proof(bool_g, _with(proof, conclusion=None))
     assert not res.ok and res.path == () and "conclusion" in res.reason
+
+
+def test_check_rejects_a_premise_that_is_not_a_proof(bool_g):
+    """A hand-built tree whose premise is not a ProofTree is a rejection at
+    that premise, not a crash, and render_proof refuses it."""
+    s = parse_sequent("b |- V", bool_g)
+    bad = ProofTree(RuleName.CUT, ("x", "y"), (0, 1, Atom(bool_g.symbol("V"))), s)
+    assert check_proof(bool_g, bad) == CheckResult(False, (0,), "the node is a str, not a ProofTree")
+    with pytest.raises(ValueError, match=r"\(0,\).*not a ProofTree"):
+        render_proof(bad)
+
+
+def test_check_rejects_a_root_that_is_not_a_proof(bool_g):
+    assert check_proof(bool_g, "x") == CheckResult(False, (), "the node is a str, not a ProofTree")
+    with pytest.raises(ValueError, match="not a ProofTree"):
+        render_proof("x")
 
 
 def test_proof_from_json_rejects_a_conclusion_below_the_root(bool_g, prover):
