@@ -37,7 +37,8 @@ subtree plugged into the hole is then the parse (a conservative
 extension), and the subtree's fold chain proves  input ⊢ expected.
 Otherwise the input stole parts of the template into its own subtree
 (reshaped), or the spliced string does not parse at all.  Only then is the
-template itself parsed.
+template itself parsed.  Both parses continue the closed chart of the
+template's prefix, which the grammar keeps, and pop back after.
 """
 from __future__ import annotations
 
@@ -45,7 +46,7 @@ import enum
 from itertools import product
 from typing import Sequence
 
-from .earley import Ambiguous, ParseTree, Reject, Splits, Unique, parse_tree, recognize, tree_to_json
+from .earley import Ambiguous, Chart, ParseTree, Reject, Unique, parse_tree, recognize, tree_to_json
 from .grammar import Grammar, Symbol, Value, Word, memo, render_word, require_bound, require_word, set_field
 from .prover import ProofTree, Prover, Side, capture, flat_proof, fold_chain, proof_to_json
 from .types import Atom, LambekType, Sequent, render_type, type_universe
@@ -56,13 +57,25 @@ class AmbiguityError(ValueError):
 
 
 class InjectionContext(Value):
-    __slots__ = ("prefix", "suffix", "goal", "expected")
+    __slots__ = ("prefix", "suffix", "goal", "expected", "_h")
 
     def __init__(self, prefix: Word, suffix: Word, goal: Symbol, expected: Symbol) -> None:
         set_field(self, "prefix", prefix)
         set_field(self, "suffix", suffix)
         set_field(self, "goal", goal)
         set_field(self, "expected", expected)
+        # the grammar's memo keeps each template's parse under the template
+        set_field(self, "_h", hash((prefix, suffix, goal, expected)))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.prefix, self.suffix, self.goal, self.expected) == (
+                other.prefix, other.suffix, other.goal, other.expected
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return self._h
 
 
 class Classification(enum.Enum):
@@ -111,9 +124,19 @@ def _require_context(g: Grammar, ctx: InjectionContext) -> None:
     require_word(g, ctx.prefix + ctx.suffix)
 
 
+def _prefix_chart(g: Grammar, goal: Symbol, prefix: Word) -> Chart:
+    """The closed chart of a template's prefix from its goal; reach it
+    through memo.  Every parse of a template with that prefix and goal, or
+    of a string spliced into one, continues it and pops back."""
+    chart = Chart(g, (goal,))
+    chart.push(prefix)
+    return chart
+
+
 def _hole_parse(g: Grammar, ctx: InjectionContext) -> ParseTree:
     _require_context(g, ctx)
-    out = parse_tree(g, ctx.goal, ctx.prefix + (ctx.expected,) + ctx.suffix)
+    template = ctx.prefix + (ctx.expected,) + ctx.suffix
+    out = parse_tree(g, ctx.goal, template, memo(g, _prefix_chart, ctx.goal, ctx.prefix))
     if isinstance(out, Reject):
         raise ValueError(
             f"template {render_word(ctx.prefix)!r} _ {render_word(ctx.suffix)!r} does not "
@@ -166,7 +189,7 @@ def reshaping_check(g: Grammar, ctx: InjectionContext, w: Word) -> ReshapingResu
     _require_context(g, ctx)
     require_word(g, w)
     full = ctx.prefix + w + ctx.suffix
-    out = parse_tree(g, ctx.goal, full)
+    out = parse_tree(g, ctx.goal, full, memo(g, _prefix_chart, ctx.goal, ctx.prefix))
     if isinstance(out, Unique) and _filler(out.tree, ctx, len(w)) is not None:
         return ConservativeExtension(out.tree)
     ctx_tree = memo(g, _hole_parse, ctx)
@@ -265,12 +288,23 @@ class InjectionReport(Value):
         return out
 
 
-def _first_splits(nts: tuple[Symbol, ...], cuts: list[int], cont: Splits) -> dict[tuple[Symbol, Symbol], int]:
-    """Each (ψ, π) where π derives ψ and the continuation at a split of cuts, with its first such split."""
+def _chart_of(g: Grammar, starts: tuple[Symbol, ...], w: Word, reverse: bool) -> Chart:
+    """A chart of w from starts, or with reverse of reversed w over g's rules read in reverse."""
+    chart = Chart(g, starts, reverse)
+    chart.push(w[::-1] if reverse else w)
+    return chart
+
+
+def _first_splits(
+    nts: tuple[Symbol, ...], cuts: list[int], chart: Chart, reverse: bool
+) -> dict[tuple[Symbol, Symbol], int]:
+    """Each (ψ, π) where π derives w[:c] ψ, or with reverse ψ w[c:], at a
+    split c of cuts, with its first such split; chart is _chart_of's of w from nts."""
+    n = len(chart.word)
     first: dict[tuple[Symbol, Symbol], int] = {}
     for c in cuts:
         for psi in nts:
-            for pi in cont.goals(c, psi):
+            for pi in chart.goals(n - c if reverse else c, psi):
                 first.setdefault((psi, pi), c)
     return first
 
@@ -287,22 +321,24 @@ def capture_typings(g: Grammar, ctx: InjectionContext, w: Word) -> tuple[Capture
     continuation ψ w[k:].  A right capture  w ⊢ π/(V\\ψ)  splits w where V
     derives w[j:] and π derives w[:j] ψ.  The ends of V come off one chart
     from V per side, the right side's over the reversed input; each side
-    that has a split builds one chart from every nonterminal and continues
-    it at every split by each ψ (Splits).  Those charts decide both
-    premises, so at the smallest such k or j each is the grammar's fold
-    chain (flat_proof, decided once per sequent), the hole's share only at
-    a split that a capture uses, and capture composes the two.  Captures
-    come in the order ψ, π, Left before Right.
+    that has a split builds one chart from every nonterminal, over the
+    other direction, and continues it at every split by each ψ (Chart.goals).
+    Every chart starts from the grammar's closed column 0 of its start set.
+    Those charts decide both premises, so at the smallest such k or j each
+    is the grammar's fold chain (flat_proof, decided once per sequent), the
+    hole's share only at a split that a capture uses, and capture composes
+    the two.  Captures come in the order ψ, π, Left before Right.
     """
     _require_context(g, ctx)
     require_word(g, w)
     nts = tuple(sorted(g.nonterminals, key=lambda s: s.name))
     hole = ctx.expected
+    n = len(w)
 
-    ks = Splits(g, w, (hole,)).ends(hole) if ctx.prefix else []
-    left = _first_splits(nts, ks, Splits(g, w, nts, suffix=True)) if ks else {}
-    js = Splits(g, w, (hole,), suffix=True).ends(hole) if ctx.suffix else []
-    right = _first_splits(nts, js, Splits(g, w, nts)) if js else {}
+    ks = _chart_of(g, (hole,), w, False).ends(hole) if ctx.prefix else []
+    left = _first_splits(nts, ks, _chart_of(g, nts, w, True), True) if ks else {}
+    js = [n - k for k in reversed(_chart_of(g, (hole,), w, True).ends(hole))] if ctx.suffix else []
+    right = _first_splits(nts, js, _chart_of(g, nts, w, False), False) if js else {}
 
     found: list[CaptureTyping] = []
     for psi, pi in sorted(left.keys() | right.keys(), key=lambda pair: (pair[0].name, pair[1].name)):

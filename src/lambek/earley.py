@@ -24,14 +24,17 @@ limit.
 A chart predicts a tuple of start symbols at column 0 and seeds each start
 a with its own augmented item S'ₐ → •a, so column j holds S'ₐ → a• exactly
 when a derives the first j input symbols.  recognize, parse_tree's
-acceptance test and Splits read that one item; only the tree walk builds
-the span index.  Column j depends only on the first j input symbols (Earley
-1970), so a closed chart can be continued at any column by one more symbol
-without touching the rest.  Splits reads one chart: the columns that hold
-a start's item are the prefixes of w it derives, and the starts whose items
-column j holds once continued by x are those that derive w[:j] x.  Over
-reversed w, with g's rules read in reverse, it answers the same for
-suffixes.  So one chart per side answers every split of w.
+acceptance test and Chart read that one item; only the tree walk builds the
+span index.  Column j depends only on the first j input symbols (Earley
+1970), so a closed chart can be continued at any column without touching
+the columns before it.  Chart is that continuable chart: it starts from the
+closed column 0 of its start set, which the grammar keeps, push closes new
+columns, and pop drops them with the Leo entries they wrote.  One chart
+from every nonterminal answers every split of its input: the columns that
+hold a start's item are the prefixes it derives, and the starts whose items
+column j holds once continued by x are those that derive w[:j] x.  With g's
+rules read in reverse, a chart of reversed input answers the same for
+suffixes.  recognize keeps its own one-shot chart.
 
 check_unambiguous parses no word that the grammar's word table, which counts
 derivations, reads as unambiguous: only its witness.
@@ -54,6 +57,7 @@ from .grammar import (
     lhs_index,
     memo,
     production_ids,
+    render_word,
     set_field,
 )
 
@@ -119,10 +123,10 @@ def _symbol_ids(g: Grammar) -> tuple[dict[Symbol, int], list[Symbol]]:
 
 
 def _dotted_rules(
-    g: Grammar, suffix: bool
+    g: Grammar, reverse: bool
 ) -> tuple[list[Symbol | None], list[Symbol | None], dict[Symbol, tuple[int, ...]], list[int]]:
     """Per-grammar tables over dotted rules, each right-hand side read in
-    reverse with suffix; reach them through memo.
+    reverse with reverse; reach them through memo.
 
     Rules 2k and 2k + 1 are the augmented pair S'ₐ → •a and S'ₐ → a• of the
     symbol a with id k; the id past the declared symbols serves every
@@ -144,7 +148,7 @@ def _dotted_rules(
     first: list[int] = []
     for p in g.productions:
         first.append(len(nxt))
-        nxt.extend(p.rhs[::-1] if suffix else p.rhs)
+        nxt.extend(p.rhs[::-1] if reverse else p.rhs)
         nxt.append(None)
         lhs.extend([p.lhs] * (len(p.rhs) + 1))
         lhs_ids.extend([ids[p.lhs]] * (len(p.rhs) + 1))
@@ -283,10 +287,10 @@ def _goal(g: Grammar, a: Symbol) -> Item:
     return 2 * ids.get(a, len(ids)) + 1, 0
 
 
-def _chart(g: Grammar, starts: tuple[Symbol, ...], w: Word, suffix: bool = False) -> _Chart:
+def _chart(g: Grammar, starts: tuple[Symbol, ...], w: Word, reverse: bool = False) -> _Chart:
     """Earley chart of sentential form w from each of starts at once, over
-    g's rules read in reverse with suffix."""
-    tables = memo(g, _dotted_rules, suffix)
+    g's rules read in reverse with reverse."""
+    tables = memo(g, _dotted_rules, reverse)
     predict = tables[2]
     col: list[Item] = []
     wait: dict[Symbol, list[Item]] = {}
@@ -305,57 +309,99 @@ def recognize(g: Grammar, a: Symbol, w: Word) -> bool:
     return _goal(g, a) in _chart(g, (a,), w)[0][-1]
 
 
-class Splits:
-    """The splits of sentential form w, read off one chart that predicts each of starts at column 0.
+def _column0(
+    g: Grammar, starts: tuple[Symbol, ...], reverse: bool
+) -> tuple[list[Item], dict[Symbol, list[Item]], dict[Symbol, Item]]:
+    """The closed column 0 of a chart from starts, its waiters, and each
+    start's completed augmented item; reach it through memo.  No chart
+    changes a column once it is closed, so every chart shares these."""
+    columns, waits, _ = _chart(g, starts, (), reverse)
+    return columns[0], waits[0], {a: _goal(g, a) for a in starts}
 
-    Forward, the chart runs over w and reads its prefixes.  With suffix, it
-    runs over reversed w with g's rules read in reverse: read so, g derives
-    exactly the reversals of its sentential forms, so the same chart reads
-    the suffixes of w.  Positions index w either way.  Splits
-    answers for its own starts only, each read off its completed augmented
-    item; two undeclared starts share one.
+
+class Chart:
+    """A closed Earley chart of the symbols pushed so far, from each of starts at once.
+
+    It starts from the grammar's closed column 0 of its start set and
+    reading.  push closes one new column per symbol; mark and pop cut the
+    chart back to a mark, dropping the columns and the Leo entries written
+    since, so a chart is left as it was by a push that raised once it is
+    popped.  With reverse, g's rules are read in reverse: read so, g derives
+    exactly the reversals of its sentential forms, so a chart of reversed
+    input reads the suffixes of the input.  Positions index the symbols as
+    pushed.  A chart answers for its own starts only, each read off its
+    completed augmented item; two undeclared starts share one.
     """
 
-    def __init__(self, g: Grammar, w: Word, starts: tuple[Symbol, ...], suffix: bool = False):
-        self._w = w[::-1] if suffix else w
-        self._suffix = suffix
-        self._tables = memo(g, _dotted_rules, suffix)
-        self._chart = _chart(g, starts, self._w, suffix)
-        self._done = {a: _goal(g, a) for a in starts}
+    __slots__ = ("_tables", "_done", "word", "columns", "waits", "leo")
+
+    def __init__(self, g: Grammar, starts: tuple[Symbol, ...], reverse: bool = False) -> None:
+        self._tables = memo(g, _dotted_rules, reverse)
+        col, wait, self._done = memo(g, _column0, starts, reverse)
+        self.word: list[Symbol] = []
+        self.columns = [col]
+        self.waits = [wait]
+        self.leo: dict[tuple[Symbol, int], Item | None] = {}
+
+    def push(self, symbols: Word) -> None:
+        """Scan each symbol into a new column and close it."""
+        if not symbols:
+            return
+        word, waits = self.word, self.waits
+        i = len(word)
+        word.extend(symbols)
+        ws = waits[i].get(word[i])
+        col = [(r + 1, o) for r, o in ws] if ws else []
+        wait: dict[Symbol, list[Item]] = {}
+        self.columns.append(col)
+        waits.append(wait)
+        _run(self._tables, self.columns, waits, self.leo, col, wait, i + 1, word)
+
+    def mark(self) -> tuple[int, int]:
+        """The point that pop cuts back to: the symbols pushed and the Leo entries written."""
+        return len(self.word), len(self.leo)
+
+    def pop(self, mark: tuple[int, int]) -> None:
+        """Drop the columns and the Leo entries added since mark, newest first."""
+        n, k = mark
+        del self.columns[n + 1 :], self.waits[n + 1 :], self.word[n:]
+        leo = self.leo
+        while len(leo) > k:
+            leo.popitem()
+
+    def accepts(self, x: Symbol) -> bool:
+        """Does the start x derive every symbol pushed?"""
+        return self._done[x] in self.columns[-1]
 
     def ends(self, x: Symbol) -> list[int]:
-        """The ascending k for which the start x derives w[:k], or with suffix w[k:]."""
+        """The ascending k for which the start x derives the first k symbols pushed."""
         done = self._done[x]
-        ks = [k for k, col in enumerate(self._chart[0]) if done in col]
-        return [len(self._w) - k for k in reversed(ks)] if self._suffix else ks
+        return [k for k, col in enumerate(self.columns) if done in col]
 
     def goals(self, j: int, x: Symbol) -> frozenset[Symbol]:
-        """The starts that derive w[:j] x, or with suffix x w[j:].
+        """The starts that derive the first j symbols pushed, then x.
 
-        Column j depends only on w[:j], so continuing it by x reads the
-        answer for j: a start derives w[:j] x exactly when the continued
-        column holds its completed augmented item.  The chart keeps its
-        columns.
+        Column j depends only on the symbols before it, so continuing it by
+        x reads the answer for j: a start derives them and x exactly when the
+        continued column holds its completed augmented item.  The columns
+        stay as they were; the Leo entries written hold for them.
         """
-        if self._suffix:
-            j = len(self._w) - j
-        columns, waits, leo = self._chart
-        ws = waits[j].get(x)
+        ws = self.waits[j].get(x)
         col = [(r + 1, o) for r, o in ws] if ws else []
-        _run(self._tables, columns, waits, leo, col, {}, j + 1, ())
+        _run(self._tables, self.columns, self.waits, self.leo, col, {}, j + 1, ())
         found = set(col)
         return frozenset([a for a, done in self._done.items() if done in found])
 
 
-def _span_ends(g: Grammar, w: Word, chart: _Chart) -> dict[tuple[int, int], list[int]]:
-    """(symbol id, start) -> the ascending ends of its completed spans.
+def _span_ends(g: Grammar, chart: Chart) -> dict[tuple[int, int], list[int]]:
+    """(symbol id, start) -> the ascending ends of its completed spans in a forward chart.
 
     Read off the columns in order, each Leo path expanded for the spans it
     skipped.  A nonterminal of the input spans itself.
     """
     nxt, lhs, _, lhs_ids = memo(g, _dotted_rules, False)
     ids = memo(g, _symbol_ids)[0]
-    columns, waits, leo = chart
+    w, columns, waits, leo = chart.word, chart.columns, chart.waits, chart.leo
     ends: dict[tuple[int, int], list[int]] = {}
     for j, col in enumerate(columns):
         if j and w[j - 1].kind is SymbolKind.NONTERMINAL:
@@ -540,26 +586,36 @@ def _leaves(g: Grammar) -> list[tuple[ParseTree]]:
     return [(token_leaf(x),) for x in memo(g, _symbol_ids)[1]]
 
 
-def _walk(g: Grammar, w: Word, chart: _Chart) -> _Walk:
-    """A fresh walk over w, whose chart accepted; its trees share the grammar's leaves."""
+def _walk(g: Grammar, chart: Chart) -> _Walk:
+    """A fresh walk over a forward chart's input, which it accepted; its trees share the grammar's leaves."""
+    w = tuple(chart.word)
     ids = memo(g, _symbol_ids)[0]
     unknown = len(ids)
     wids = [ids.get(x, unknown) for x in w]
     by_id = memo(g, _leaves)
     leaves = tuple([by_id[k] if k < unknown else (token_leaf(x),) for k, x in zip(wids, w)])
-    return w, wids, leaves, _span_ends(g, w, chart), {}
+    return w, wids, leaves, _span_ends(g, chart), {}
 
 
-def parse_tree(g: Grammar, a: Symbol, w: Word) -> ParseOutcome:
+def parse_tree(g: Grammar, a: Symbol, w: Word, prefix: Chart | None = None) -> ParseOutcome:
     """Parse sentential form w from a, detecting ambiguity up to two witnesses.
 
-    A nonterminal of w is a leaf; its span's other trees come first.
+    A nonterminal of w is a leaf; its span's other trees come first.  prefix
+    is a forward chart from a of a prefix of w, if given: it is continued by
+    the rest of w, read, and popped back, whether or not the parse raises.
     """
-    chart = _chart(g, (a,), w)
-    if _goal(g, a) not in chart[0][-1]:
-        return Reject()
-    ids = memo(g, _symbol_ids)[0]
-    found = _trees(memo(g, _rhs_shapes), _walk(g, w, chart), ids.get(a, len(ids)), 0, len(w), ())
+    chart = Chart(g, (a,)) if prefix is None else prefix
+    mark = chart.mark()
+    if w[: mark[0]] != tuple(chart.word):
+        raise ValueError(f"the chart holds {render_word(tuple(chart.word))!r}, not a prefix of {render_word(w)!r}")
+    try:
+        chart.push(w[mark[0] :])
+        if not chart.accepts(a):
+            return Reject()
+        ids = memo(g, _symbol_ids)[0]
+        found = _trees(memo(g, _rhs_shapes), _walk(g, chart), ids.get(a, len(ids)), 0, len(w), ())
+    finally:
+        chart.pop(mark)
     if len(found) == 2:
         return Ambiguous(found[0], found[1])
     return Unique(found[0]) if found else Reject()

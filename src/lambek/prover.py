@@ -701,11 +701,20 @@ def render_proof(t: ProofTree) -> str:
     """The proof as indented text, one sequent per line, premises below.
 
     Each conclusion below the root's is replayed; ValueError where the
-    proof does not replay.
+    proof does not replay.  Each distinct type is rendered once: a flat
+    proof repeats its antecedent's types on every line.
     """
+    text: dict[LambekType, str] = {}
+
+    def render(x: LambekType) -> str:
+        out = text.get(x)
+        if out is None:
+            out = text[x] = render_type(x)
+        return out
+
     lines: list[str] = []
     for node, path, s, why in _replayed(t):
         if why is not None:
             raise ValueError(f"the proof does not replay at {path}: {why}")
-        lines.append("  " * len(path) + f"{render_sequent(s)}   [{node.rule.value}]")
+        lines.append("  " * len(path) + f"{render_sequent(s, render)}   [{node.rule.value}]")
     return "\n".join(lines)

@@ -31,7 +31,7 @@ from __future__ import annotations
 from itertools import product
 from typing import Sequence
 
-from .earley import recognize
+from .earley import Chart, recognize
 from .grammar import Grammar, Symbol, Value, Word, enumerate_words, enumerated_member, iter_words_sorted, memo
 from .grammar import require_bound, require_word, set_field
 from .prover import Prover, SearchResult, SearchStatus, TypingAxiom, require_declared
@@ -94,11 +94,39 @@ def _member(g: Grammar, w: Word, t: LambekType, max_len: int) -> bool:
             and _holds(g, w[k:], t.right, max_len)
             for k in range(len(w) + 1)
         )
-    if isinstance(t, Under):
-        return all(_holds(g, v + w, t.result, max_len) for v in memo(g, _domain, t.arg, max_len))
-    if isinstance(t, Over):
-        return all(_holds(g, w + v, t.result, max_len) for v in memo(g, _domain, t.arg, max_len))
+    if isinstance(t, (Under, Over)):
+        dom = memo(g, _domain, t.arg, max_len)
+        before = isinstance(t, Under)
+        if isinstance(t.result, Atom) and not t.result.symbol.is_terminal:
+            return _continues(g, w, t.result.symbol, dom, before)
+        if before:
+            return all(_holds(g, v + w, t.result, max_len) for v in dom)
+        return all(_holds(g, w + v, t.result, max_len) for v in dom)
     raise TypeError(f"unknown type {t!r}")
+
+
+def _continues(g: Grammar, w: Word, a: Symbol, dom: tuple[Word, ...], before: bool) -> bool:
+    """Does a derive w·v, or v·w when before, for every v of dom?
+
+    A word is read off the word table where it has grown to its length, as
+    _holds reads it.  The rest are read off one chart of w from a, continued
+    by each v and popped back; when v comes before w, the chart reads g's
+    rules in reverse over reversed words.
+    """
+    chart = None
+    for v in dom:
+        known = enumerated_member(g, a, v + w if before else w + v)
+        if known is None:
+            if chart is None:
+                chart = Chart(g, (a,), before)
+                chart.push(w[::-1] if before else w)
+                mark = chart.mark()
+            chart.push(v[::-1] if before else v)
+            known = chart.accepts(a)
+            chart.pop(mark)
+        if not known:
+            return False
+    return True
 
 
 def _domain(g: Grammar, arg: LambekType, max_len: int) -> tuple[Word, ...]:

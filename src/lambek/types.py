@@ -19,7 +19,7 @@ the atom of that terminal, so words can be spelled out token by token.
 from __future__ import annotations
 
 import re
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .grammar import Grammar, GrammarError, Symbol, Value, require_bound, set_field
 
@@ -176,13 +176,14 @@ def render_type(t: LambekType) -> str:
     return rec(t, 0)
 
 
-def render_context(ctx: Sequence[LambekType]) -> str:
-    return " , ".join(render_type(t) for t in ctx)
+def render_context(ctx: Sequence[LambekType], render: Callable[[LambekType], str] = render_type) -> str:
+    return " , ".join(map(render, ctx))
 
 
-def render_sequent(s: Sequent) -> str:
-    left = render_context(s.antecedent)
-    return f"{left} |- {render_type(s.succedent)}" if left else f"|- {render_type(s.succedent)}"
+def render_sequent(s: Sequent, render: Callable[[LambekType], str] = render_type) -> str:
+    """The sequent's text, each type rendered by render."""
+    left = render_context(s.antecedent, render)
+    return f"{left} |- {render(s.succedent)}" if left else f"|- {render(s.succedent)}"
 
 
 def type_size(t: LambekType) -> int:

@@ -22,7 +22,7 @@ from lambek.analyzer import (
     reshaping_check,
 )
 from lambek import earley
-from lambek.earley import Ambiguous, Reject, Splits, parse_tree, recognize, render_tree_text
+from lambek.earley import Ambiguous, Chart, Reject, parse_tree, recognize, render_tree_text
 from lambek.grammar import (
     Grammar, Production, enumerate_words, iter_words_sorted, memo, nonterminal, nullable_ids, parse_grammar_file,
     render_word, require_word, terminal, word_from_text,
@@ -30,7 +30,8 @@ from lambek.grammar import (
 from lambek import prover
 from lambek.prover import Prover, Side, check_proof, proof_to_json
 from lambek.semantics import OraclePass, SemBound, member_bounded, prove_with_prescreen, soundness_check
-from lambek.types import Atom, Over, Sequent, Under, parse_type, render_sequent, render_type, type_universe
+from lambek.types import Atom, Over, Sequent, Under, parse_sequent, parse_type, render_sequent, render_type, type_universe
+from test_earley import _Deadline, chart_state
 from test_prover import _within_two_seconds, assert_capture_shape, cyclic_grammars, ignore_swallowed_alarms
 from test_types import mirror_type
 
@@ -117,14 +118,20 @@ def test_broken_template_is_an_error_for_inputs_that_do_not_fill_it(bool_g):
 
 def test_benign_verdict_reads_one_parse(load_bundled, spy):
     """At a template not seen before, a benign input builds the spliced
-    string's chart and nothing else: no template parse and no proof search."""
+    string's chart and nothing else: no template parse and no proof search.
+    That one chart, from the goal, reads the prefix and then the input, and
+    only its column 0 is closed from scratch."""
     g = load_bundled("bool")
     ctx = InjectionContext(word_from_text(g, "a = b OR"), (), g.symbol("E"), g.symbol("C"))
-    provers, charts = spy(Prover, "__init__"), spy(earley, "_chart")
-    rep = classify_input(g, ctx, word_from_text(g, "1 = 1 AND a = b"))
+    provers, charts = spy(Prover, "__init__"), spy(earley.Chart, "__init__")
+    pushes, closed = spy(earley.Chart, "push"), spy(earley, "_chart")
+    w = word_from_text(g, "1 = 1 AND a = b")
+    rep = classify_input(g, ctx, w)
     assert rep.classification is Classification.BENIGN
     assert check_proof(g, rep.benign_proof).ok
-    assert [w for _, _, w in charts] == [word_from_text(g, "a = b OR 1 = 1 AND a = b")]
+    assert [args[2] for args in charts] == [(ctx.goal,)]
+    assert [(chart, symbols) for chart, symbols in pushes] == [(charts[0][0], ctx.prefix), (charts[0][0], w)]
+    assert [args[1:3] for args in closed] == [((ctx.goal,), ())]
     assert provers == []
     assert (analyzer._hole_parse, ctx) not in g._memo
 
@@ -377,9 +384,11 @@ def _assert_captures_match_the_pair_loop(g, ctx, w):
 def _counted_capture_search(spy, cases):
     """capture_typings on each (g, ctx, w) of cases, counted: per case the
     captures, the flat sequents folded and the number of Earley charts
-    built.  The search builds no Prover and folds no sequent twice: a
+    built.  Every other Earley run closes a column 0 for the grammar to
+    keep.  The search builds no Prover and folds no sequent twice: a
     sequent asked again is answered from the grammar's memo."""
-    provers, asked, charts = spy(Prover, "__init__"), spy(prover, "_flat_proof"), spy(earley, "_chart")
+    provers, asked, charts = spy(Prover, "__init__"), spy(prover, "_flat_proof"), spy(earley.Chart, "__init__")
+    closed = spy(earley, "_chart")
     out = []
     for g, ctx, w in cases:
         asked.clear()
@@ -388,7 +397,7 @@ def _counted_capture_search(spy, cases):
         sequents = [s for _, s in asked]
         assert len(sequents) == len(set(sequents)), [render_sequent(s) for s in sequents]
         out.append((found, sequents, len(charts)))
-    assert provers == []
+    assert provers == [] and all(args[2] == () for args in closed)
     return out
 
 
@@ -493,7 +502,9 @@ def test_many_split_search_does_not_grow_with_the_splits(bool_g, load_bundled, s
     ks = (1, 8, 16, 32, 64)
     words = [word_from_text(bool_g, "1 = 1 AND " * k + "1 = 1 OR 1 = 1") for k in ks]
     for k, w in zip(ks, words):
-        assert len(Splits(bool_g, w, (ctx.expected,)).ends(ctx.expected)) == k + 1
+        chart = Chart(bool_g, (ctx.expected,))
+        chart.push(w)
+        assert len(chart.ends(ctx.expected)) == k + 1
     out = _counted_capture_search(spy, [(load_bundled("bool.g"), ctx, w) for w in words])
     assert {(len(asked), charts) for _, asked, charts in out} == {(len(out[0][1]), 6)}
     captures = [[(c.direction, render_type(c.type)) for c in found] for found, _, _ in out]
@@ -509,7 +520,7 @@ def test_the_capture_search_shares_its_flat_decisions_with_provers(load_bundled,
     assert classify_input(g, ctx, word_from_text(g, "b OR 1 = 1")).classification is Classification.CAPTURING
     rests = [s for _, s in asked if len(s.antecedent) > 1]
     assert rests
-    charts = spy(earley, "_chart")
+    charts = spy(earley.Chart, "__init__")
     for s in rests:
         assert Prover(load_bundled("bool.g")).prove(s).proved and charts, render_sequent(s)
         charts.clear()
@@ -674,3 +685,138 @@ def cut_sentences(draw):
 @given(cut_sentences())
 def test_classify_matches_the_reference_on_cut_sentences(cut):
     _within_two_seconds(_assert_classify_matches_the_reference, *cut)
+
+
+def test_a_second_input_closes_no_prefix_column_and_no_column_0(load_bundled, spy):
+    """The grammar keeps the closed chart of each template's prefix and the
+    closed column 0 of each start set.  So once an input of each kind has
+    been classified, another one at the same template closes no column of
+    the prefix chart up to the prefix's end, and no column 0 of any chart."""
+    g = load_bundled("bool")
+    ctx = InjectionContext(word_from_text(g, "1 = b AND a ="), word_from_text(g, "OR b = 1"), g.symbol("E"), g.symbol("V"))
+    runs = spy(earley, "_run")
+    kinds = (("b", "1"), ("b OR 1 = 1", "a OR b = b"), ("b b", "= ="))
+    for first, second in kinds:
+        classify_input(g, ctx, word_from_text(g, first))
+        runs.clear()
+        rep = classify_input(g, ctx, word_from_text(g, second))
+        prefix = g._memo[(analyzer._prefix_chart, ctx.goal, ctx.prefix)]
+        # _run(tables, columns, waits, leo, col, wait, i, w) closes column i and the ones after it
+        assert runs and all(args[6] > 0 for args in runs), second
+        continued = [args[6] for args in runs if args[1] is prefix.columns]
+        assert continued and min(continued) == len(ctx.prefix) + 1, second
+        assert rep == classify_input(load_bundled("bool"), ctx, word_from_text(g, second))
+
+
+def test_each_column_0_is_closed_once_per_grammar_and_reading(load_bundled, spy):
+    """Templates, inputs, parses and oracle checks in both readings: each
+    start set's column 0 is closed once, and only recognize closes others."""
+    g = load_bundled("bool")
+    closed = spy(earley, "_column0")
+    for name in sorted(TEMPLATES):
+        prefix, suffix, goal, expected = TEMPLATES[name]
+        ctx = InjectionContext(word_from_text(g, prefix), word_from_text(g, suffix), g.symbol(goal), g.symbol(expected))
+        for text in INPUTS[:12]:
+            classify_input(g, ctx, word_from_text(g, text))
+    for text in ("T |- C/D", "V |- T\\C", "a , = , b |- T"):
+        prove_with_prescreen(g, parse_sequent(text, g), SemBound(6))
+    keys = [args[1:] for args in closed]
+    assert {reverse for _, reverse in keys} == {False, True}
+    assert len(keys) == len(set(keys)), keys
+
+
+def test_a_deadline_inside_a_parse_leaves_the_template_chart_as_it_was(load_bundled, monkeypatch):
+    """A BaseException raised, as the benchmark's deadline is, while a
+    spliced string is charted or walked leaves the template's prefix chart
+    as it was, and later reports equal a fresh grammar's."""
+    g = load_bundled("bool")
+    ctx = InjectionContext(word_from_text(g, "1 = b AND a ="), word_from_text(g, "OR b = 1"), g.symbol("E"), g.symbol("V"))
+    classify_input(g, ctx, word_from_text(g, "b"))
+    chart = g._memo[(analyzer._prefix_chart, ctx.goal, ctx.prefix)]
+    before = chart_state(chart)
+    inputs = [word_from_text(g, text) for text in ("a AND 1 = 1 AND b = b", "b OR 1 = 1 AND a = a", "b")]
+    for name in ("_run", "_leo_top", "_span_ends", "_trees"):
+        for k in (1, 2, 5):
+            real, calls = getattr(earley, name), []
+
+            def deadline(*args, real=real, calls=calls, k=k):
+                calls.append(None)
+                if len(calls) == k:
+                    raise _Deadline
+                return real(*args)
+
+            monkeypatch.setattr(earley, name, deadline)
+            for w in inputs:
+                try:
+                    classify_input(g, ctx, w)
+                except _Deadline:
+                    pass
+            monkeypatch.undo()
+            assert chart_state(chart) == before, (name, k)
+    for w in inputs:
+        assert classify_input(g, ctx, w).to_json(g) == classify_input(load_bundled("bool"), ctx, w).to_json(g)
+
+
+def test_reports_are_the_same_on_a_cold_and_a_warm_grammar(load_bundled):
+    """Each template and input classified on a grammar of its own, and on one
+    grammar that has classified them all already and is asked again in
+    reversed order, gives the same report."""
+    cases = [(name, text) for name in sorted(TEMPLATES) for text in INPUTS]
+
+    def report(g, name, text):
+        prefix, suffix, goal, expected = TEMPLATES[name]
+        ctx = InjectionContext(word_from_text(g, prefix), word_from_text(g, suffix), g.symbol(goal), g.symbol(expected))
+        return classify_input(g, ctx, word_from_text(g, text)).to_json(g)
+
+    cold = [report(load_bundled("bool"), *case) for case in cases]
+    warm_g = load_bundled("bool")
+    assert [report(warm_g, *case) for case in cases] == cold
+    assert [report(warm_g, *case) for case in reversed(cases)] == cold[::-1]
+
+
+def _reversed_grammar(g):
+    """g with every right-hand side reversed."""
+    return Grammar(g.terminals, g.nonterminals, tuple(Production(p.lhs, p.rhs[::-1]) for p in g.productions), g.start)
+
+
+def _outcome(g, ctx, w):
+    """classify_input's classification and its captures as (side, type), or the class of the error it raises."""
+    try:
+        rep = classify_input(g, ctx, w)
+    except ValueError as e:
+        return type(e)
+    return rep.classification, {(c.direction, c.type) for c in rep.captures}
+
+
+def _assert_mirrored(g, ctx, w):
+    """At (prefix, suffix) over g and at (reversed suffix, reversed prefix)
+    over g's rules reversed, w and reversed w classify alike, with sides
+    swapped and capture types mirrored."""
+    mirror = InjectionContext(ctx.suffix[::-1], ctx.prefix[::-1], ctx.goal, ctx.expected)
+    here, there = _outcome(g, ctx, w), _outcome(_reversed_grammar(g), mirror, w[::-1])
+    if isinstance(here, type):
+        assert there is here, (ctx, w)
+        return
+    swap = {Side.LEFT: Side.RIGHT, Side.RIGHT: Side.LEFT}
+    assert there == (here[0], {(swap[side], mirror_type(t)) for side, t in here[1]}), (ctx, w)
+
+
+@ignore_swallowed_alarms
+@settings(max_examples=150)
+@given(cyclic_grammars(), st.data())
+def test_classifications_mirror_on_random_grammars(g, data):
+    words = st.lists(st.sampled_from(_by_name(g.terminals)), max_size=3).map(tuple)
+    hole = data.draw(st.sampled_from(_by_name(g.nonterminals)))
+    ctx = InjectionContext(data.draw(words), data.draw(words), g.start, hole)
+    w = data.draw(st.one_of(st.just(()), words))
+    _within_two_seconds(_assert_mirrored, g, ctx, w)
+
+
+@pytest.mark.parametrize("name", sorted(TEMPLATES))
+def test_classifications_mirror_on_the_templates(bool_g, name):
+    prefix, suffix, goal, expected = TEMPLATES[name]
+    ctx = InjectionContext(
+        word_from_text(bool_g, prefix), word_from_text(bool_g, suffix), bool_g.symbol(goal), bool_g.symbol(expected)
+    )
+    for text in INPUTS:
+        _assert_mirrored(bool_g, ctx, word_from_text(bool_g, text))

@@ -10,10 +10,10 @@ from lambek import earley
 from lambek.earley import (
     EPS_LEAF,
     Ambiguous,
+    Chart,
     ParseTree,
     Pass,
     Reject,
-    Splits,
     Unique,
     Witness,
     check_unambiguous,
@@ -23,7 +23,6 @@ from lambek.earley import (
     token_leaf,
     tree_to_json,
     _chart,
-    _goal,
     _rhs_shapes,
     _span_ends,
     _symbol_ids,
@@ -53,6 +52,18 @@ from test_prover import NESTED_NULLABLE_CYCLES, PINNED_GRAMMARS, _time_limit, _T
 
 def w(g, text):
     return word_from_text(g, text)
+
+
+def pushed(g, starts, form, reverse=False):
+    """A chart of form from starts, or with reverse of reversed form."""
+    chart = Chart(g, starts, reverse)
+    chart.push(form[::-1] if reverse else form)
+    return chart
+
+
+def suffix_ends(g, starts, form, a):
+    """The ascending j for which a derives form[j:], read off one reversed chart."""
+    return [len(form) - k for k in reversed(pushed(g, starts, form, True).ends(a))]
 
 
 def internal_node(production, children):
@@ -310,16 +321,17 @@ def _textbook_spans(g, w, columns):
 
 
 def _symbol_ends(g, form, chart):
-    """The span index keyed by (symbol, start), as the reference walk reads it.
+    """The span index of form's chart keyed by (symbol, start), as the
+    reference walk reads it.
 
     The id past the declared symbols is an undeclared nonterminal of the form
     spanning itself."""
     syms = memo(g, _symbol_ids)[1]
-    return {(syms[x] if x < len(syms) else form[o], o): es for (x, o), es in _span_ends(g, form, chart).items()}
+    return {(syms[x] if x < len(syms) else form[o], o): es for (x, o), es in _span_ends(g, chart).items()}
 
 
 def _assert_textbook_spans(g, a, form):
-    ends = _symbol_ends(g, form, _chart(g, (a,), form))
+    ends = _symbol_ends(g, form, pushed(g, (a,), form))
     assert all(e == sorted(set(e)) for e in ends.values())
     spans = {(x, o, e) for (x, o), es in ends.items() for e in es}
     ref = _textbook_spans(g, form, _textbook_chart(g, a, form))
@@ -387,15 +399,16 @@ def test_chart_grows_linearly_on_right_recursion(bool_g):
 
 
 def _assert_prefix_ends(g, a, form):
-    """Splits.ends reads recognition of every prefix and every suffix off one
-    chart, from the start a alone or from a and every nonterminal."""
+    """Chart.ends reads recognition of every prefix off one chart, and of
+    every suffix off one reversed chart, from the start a alone or from a
+    and every nonterminal."""
     n = len(form)
     every = (a, *sorted(g.nonterminals, key=lambda s: s.name))
     prefixes = [k for k in range(n + 1) if recognize(g, a, form[:k])]
     suffixes = [j for j in range(n + 1) if recognize(g, a, form[j:])]
     for starts in ((a,), every):
-        assert Splits(g, form, starts).ends(a) == prefixes, (a, form, starts)
-        assert Splits(g, form, starts, suffix=True).ends(a) == suffixes, (a, form, starts)
+        assert pushed(g, starts, form).ends(a) == prefixes, (a, form, starts)
+        assert suffix_ends(g, starts, form, a) == suffixes, (a, form, starts)
 
 
 @settings(max_examples=300)
@@ -434,8 +447,8 @@ def test_prefix_ends_on_long_chains(bool_g):
                 _assert_prefix_ends(bool_g, bool_g.symbol(sym), chain[k:])
     E = bool_g.symbol("E")
     chain = w(bool_g, " AND ".join(["1 = a"] * 200))
-    assert Splits(bool_g, chain, (E,)).ends(E) == list(range(3, len(chain) + 1, 4))
-    assert Splits(bool_g, chain, (E,), suffix=True).ends(E) == list(range(0, len(chain) - 2, 4))
+    assert pushed(bool_g, (E,), chain).ends(E) == list(range(3, len(chain) + 1, 4))
+    assert suffix_ends(bool_g, (E,), chain, E) == list(range(0, len(chain) - 2, 4))
 
 
 def test_ends_read_spans_that_a_leo_path_completes():
@@ -447,7 +460,7 @@ def test_ends_read_spans_that_a_leo_path_completes():
     S, B, x = g.symbol("S"), g.symbol("B"), g.symbol("x")
     every = tuple(sorted(g.nonterminals, key=lambda s: s.name))
     for starts in ((S,), every):
-        assert Splits(g, (B, x), starts, suffix=True).ends(S) == [0, 1]
+        assert suffix_ends(g, starts, (B, x), S) == [0, 1]
 
 
 @pytest.mark.parametrize("name", ["unit_cycle", "empty_folds"])
@@ -520,8 +533,8 @@ def _reference_trees(g, w, ends, sym, i, j, path):
 
 def _reference_parse(g, a, form):
     """parse_tree's answer from the first two distinct trees of the reference walk."""
-    chart = _chart(g, (a,), form)
-    if _goal(g, a) not in chart[0][-1]:
+    chart = pushed(g, (a,), form)
+    if not chart.accepts(a):
         return Reject()
     found = []
     for t in _reference_trees(g, form, _symbol_ends(g, form, chart), a, 0, len(form), ()):
@@ -595,7 +608,7 @@ def test_trees_match_the_reference_walk_on_every_short_form(name, bool_g):
 
 
 def test_symbol_ids_are_built_once_per_grammar(load_bundled, spy):
-    """parse_tree's walk and Splits.goals read the grammar's one id table,
+    """parse_tree's walk and Chart.goals read the grammar's one id table,
     and fold_chain builds no other."""
     g = load_bundled("bool")
     built = spy(earley, "_symbol_ids")
@@ -604,7 +617,7 @@ def test_symbol_ids_are_built_once_per_grammar(load_bundled, spy):
     tree = parse_tree(g, E, form).tree
     assert built == [(g,)]
     every = tuple(sorted(g.nonterminals, key=lambda s: s.name))
-    assert Splits(g, form, every).goals(2, V) == {g.symbol(n) for n in "CET"}
+    assert pushed(g, every, form).goals(2, V) == {g.symbol(n) for n in "CET"}
     fold_chain(g, Sequent(tuple(map(Atom, form)), Atom(E)), tree)
     assert built == [(g,)]
 
@@ -616,8 +629,8 @@ def test_suffix_splits_build_no_grammar(load_bundled, spy):
     E, V = g.symbol("E"), g.symbol("V")
     chain = w(g, "1 = a AND b = b OR a = 1")
     every = tuple(sorted(g.nonterminals, key=lambda s: s.name))
-    splits = Splits(g, chain, every, suffix=True)
-    assert splits.ends(E) == [0, 4, 8] and E in splits.goals(len(chain) - 2, V)
+    chart = pushed(g, every, chain, reverse=True)
+    assert chart.ends(E) == [len(chain) - j for j in (8, 4, 0)] and E in chart.goals(2, V)
     assert built == []
 
 
@@ -631,8 +644,8 @@ def test_dotted_rules_are_built_once_per_orientation(load_bundled, spy):
     every = tuple(sorted(g.nonterminals, key=lambda s: s.name))
     assert isinstance(parse_tree(g, E, form), Unique)
     cet = {g.symbol(n) for n in "CET"}
-    assert Splits(g, form, every).goals(2, V) == cet  # 1 = V
-    assert Splits(g, form, every, suffix=True).goals(len(form) - 2, V) == cet  # V = b
+    assert pushed(g, every, form).goals(2, V) == cet  # 1 = V
+    assert pushed(g, every, form, reverse=True).goals(2, V) == cet  # V = b
     assert [args[1:] for args in built] == [(False,), (True,)]
 
 
@@ -652,17 +665,17 @@ def test_the_tree_walk_expands_each_span_and_path_once(spy):
 
 
 def test_only_the_tree_walk_builds_the_span_index(bool_g, spy):
-    """recognize and Splits read each start's completed augmented item; only
+    """recognize and Chart read each start's completed augmented item; only
     parse_tree's walk reads the span index."""
     built = spy(earley, "_span_ends")
     C, E, T, V = (bool_g.symbol(n) for n in "CETV")
     every = tuple(sorted(bool_g.nonterminals, key=lambda s: s.name))
     chain = w(bool_g, "1 = a AND b = b OR a = 1 AND 1 = 1")
     assert recognize(bool_g, E, chain)
-    for suffix in (False, True):
-        assert Splits(bool_g, chain, (E,), suffix).ends(E)
-        assert Splits(bool_g, chain, every, suffix).ends(V)
-        assert Splits(bool_g, chain, every, suffix).goals(len(chain) - 2 if suffix else 2, V) == {C, E, T}
+    for reverse in (False, True):
+        assert pushed(bool_g, (E,), chain, reverse).ends(E)
+        assert pushed(bool_g, every, chain, reverse).ends(V)
+        assert pushed(bool_g, every, chain, reverse).goals(2, V) == {C, E, T}
     assert built == []
     assert isinstance(parse_tree(bool_g, E, chain), Unique)
     assert len(built) == 1
@@ -677,16 +690,16 @@ def test_undeclared_symbols_derive_only_themselves(bool_g):
     every = tuple(sorted(bool_g.nonterminals, key=lambda s: s.name))
     form = w(bool_g, "a =") + (zz,)
     assert parse_tree(bool_g, E, form) == Reject() and not recognize(bool_g, E, form)
-    assert Splits(bool_g, form, (V,)).ends(V) == [1]
-    assert Splits(bool_g, form, every).goals(2, V) == {bool_g.symbol(n) for n in "CET"}
-    assert Splits(bool_g, form, (*every, Q)).goals(0, Q) == {Q}
+    assert pushed(bool_g, (V,), form).ends(V) == [1]
+    assert pushed(bool_g, every, form).goals(2, V) == {bool_g.symbol(n) for n in "CET"}
+    assert pushed(bool_g, (*every, Q), form).goals(0, Q) == {Q}
     assert parse_tree(bool_g, Q, (Q,)) == Unique(token_leaf(Q))
-    assert Splits(bool_g, (Q,), (Q,)).ends(Q) == [1]
-    assert Splits(bool_g, (Q,), (Q,), suffix=True).ends(Q) == [0]
+    assert pushed(bool_g, (Q,), (Q,)).ends(Q) == [1]
+    assert suffix_ends(bool_g, (Q,), (Q,), Q) == [0]
     # two undeclared symbols share the id that no production uses, but not their spans
     R = nonterminal("R")
-    assert Splits(bool_g, (R,), (Q,)).ends(Q) == []
-    assert Splits(bool_g, (zz,), (zz,)).ends(zz) == [1] and recognize(bool_g, zz, (zz,))
+    assert pushed(bool_g, (Q,), (R,)).ends(Q) == []
+    assert pushed(bool_g, (zz,), (zz,)).ends(zz) == [1] and recognize(bool_g, zz, (zz,))
     assert isinstance(parse_tree(bool_g, T, w(bool_g, "a =") + (Q,)), Reject)
     symbols = [*w(bool_g, "a = AND"), V, zz, Q]
     for a in (E, T, V, Q):
@@ -704,7 +717,7 @@ def test_tree_table_grows_linearly_on_right_recursion(bool_g):
     lengths, entries = [], []
     for tests in (25, 50, 100, 200):  # 99 … 799 tokens
         chain = w(bool_g, " AND ".join(["1 = a"] * tests))
-        walk = _walk(bool_g, chain, _chart(bool_g, (E,), chain))
+        walk = _walk(bool_g, pushed(bool_g, (E,), chain))
         found = _trees(memo(bool_g, _rhs_shapes), walk, memo(bool_g, _symbol_ids)[0][E], 0, len(chain), ())
         assert len(found) == 1 and found[0].word == chain
         lengths.append(len(chain))
@@ -789,11 +802,12 @@ def _assert_continued_columns(g, form):
     """At every split and for every nonterminal ψ, the continued columns name
     exactly the nonterminals that recognize w[:j] ψ and ψ w[k:]."""
     nts = tuple(sorted(g.nonterminals, key=lambda s: s.name))
-    after, before = Splits(g, form, nts), Splits(g, form, nts, suffix=True)
-    for j in range(len(form) + 1):
+    after, before = pushed(g, nts, form), pushed(g, nts, form, reverse=True)
+    n = len(form)
+    for j in range(n + 1):
         for psi in nts:
             assert after.goals(j, psi) == {x for x in nts if recognize(g, x, form[:j] + (psi,))}, (form, j, psi)
-            assert before.goals(j, psi) == {x for x in nts if recognize(g, x, (psi,) + form[j:])}, (form, j, psi)
+            assert before.goals(n - j, psi) == {x for x in nts if recognize(g, x, (psi,) + form[j:])}, (form, j, psi)
 
 
 @settings(max_examples=200)
@@ -832,8 +846,8 @@ def test_continued_columns_leave_the_chart_as_it_was(bool_g):
     """Reading every split twice, in either order, gives the same answers."""
     chain = w(bool_g, "1 = a AND b = b OR a = 1")
     nts = tuple(sorted(bool_g.nonterminals, key=lambda s: s.name))
-    for suffix in (False, True):
-        read = Splits(bool_g, chain, nts, suffix).goals
+    for reverse in (False, True):
+        read = pushed(bool_g, nts, chain, reverse).goals
         splits = [(j, psi) for j in range(len(chain) + 1) for psi in nts]
         first = [read(j, psi) for j, psi in splits]
         assert [read(j, psi) for j, psi in reversed(splits)] == first[::-1]
@@ -850,3 +864,126 @@ def test_terminal_starts_derive_only_themselves(name, bool_g):
         for n in range(4):
             for form in product(symbols, repeat=n):
                 assert parse_tree(g, a, form) == (Unique(token_leaf(a)) if form == (a,) else Reject()), (a, form)
+
+
+def chart_state(chart):
+    """A copy of everything a chart holds: its input, columns, waiters and Leo entries."""
+    return (
+        tuple(chart.word),
+        [list(col) for col in chart.columns],
+        [{x: list(ws) for x, ws in wait.items()} for wait in chart.waits],
+        dict(chart.leo),
+    )
+
+
+def _assert_answers_as_a_fresh_chart(g, starts, reverse, chart):
+    """accepts, ends and goals, and the columns themselves, as a chart that
+    read the same symbols in one push."""
+    fresh = Chart(g, starts, reverse)
+    fresh.push(tuple(chart.word))
+    assert chart.columns == fresh.columns, chart.word
+    for a in starts:
+        assert chart.accepts(a) == fresh.accepts(a) and chart.ends(a) == fresh.ends(a), (a, chart.word)
+    for j in range(len(chart.word) + 1):
+        for psi in starts:
+            assert chart.goals(j, psi) == fresh.goals(j, psi), (j, psi, chart.word)
+
+
+@settings(max_examples=150)
+@given(
+    cyclic_grammars(),
+    st.booleans(),
+    st.sampled_from([("S",), ("S", "A", "B", "R")]),
+    st.lists(
+        st.one_of(
+            st.lists(st.sampled_from(_SYMBOLS), max_size=3).map(tuple),
+            st.integers(1, 4).map(lambda k: ("x",) * k),
+            st.integers(0, 5),
+        ),
+        max_size=7,
+    ),
+)
+def test_pushes_and_pops_answer_as_a_fresh_chart(g, reverse, names, steps):
+    """Any sequence of pushes and of pops back to an earlier mark, forward and
+    reversed; a step that is a number pops to that mark, counted modulo the
+    marks still valid.  A pop also restores the Leo entries of its mark."""
+    starts = tuple(g.symbol(n) for n in names)
+    chart = Chart(g, starts, reverse)
+    marks = [(chart.mark(), {})]
+    for step in steps:
+        if isinstance(step, tuple):
+            chart.push(tuple(g.symbol(n) for n in step))
+            marks.append((chart.mark(), dict(chart.leo)))
+        else:
+            k = step % len(marks)
+            chart.pop(marks[k][0])
+            assert chart.leo == marks[k][1]
+            del marks[k + 1 :]
+        _assert_answers_as_a_fresh_chart(g, starts, reverse, chart)
+
+
+class _Deadline(BaseException):
+    """Raised as the benchmark's deadline is: not an Exception."""
+
+
+class _RaisingLeo(dict):
+    """A Leo memo that raises _Deadline right after its k-th write."""
+
+    def __init__(self, entries, k):
+        super().__init__(entries)
+        self.k = k
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key, value)
+        self.k -= 1
+        if self.k == 0:
+            raise _Deadline
+
+
+def test_a_push_that_raises_is_undone_by_its_pop(bool_g):
+    """A push that raises between any two writes of the Leo memo, a path's
+    cycle marker included, leaves the chart as it was once popped back to
+    its mark: the same input, columns, waiters and Leo entries."""
+    E = bool_g.symbol("E")
+    chain = w(bool_g, "1 = a AND b = b AND a = 1 AND 1 = 1 OR a = a AND b = 1")
+    for reverse in (False, True):
+        read = chain[::-1] if reverse else chain
+        chart = Chart(bool_g, (E,), reverse)
+        chart.push(read[:4])
+        before = chart_state(chart)
+        rest = read[4:]
+        chart.leo = counted = _RaisingLeo(chart.leo, -1)
+        mark = chart.mark()
+        chart.push(rest)
+        writes = -1 - counted.k
+        assert chart.accepts(E) and writes > 2
+        chart.pop(mark)
+        assert chart_state(chart) == before
+        for k in range(1, writes + 1):
+            chart.leo = _RaisingLeo(chart.leo, k)
+            mark = chart.mark()
+            with pytest.raises(_Deadline):
+                try:
+                    chart.push(rest)
+                finally:
+                    chart.pop(mark)
+            assert chart_state(chart) == before, k
+        chart.leo = dict(chart.leo)
+        chart.push(rest)
+        assert chart.accepts(E)
+
+
+def test_parse_tree_continues_a_prefix_chart_and_pops_it_back(bool_g):
+    """A chart from the start that holds a prefix of the form parses it as a
+    fresh parse does and is left as it was; one that holds anything else is
+    an error."""
+    E = bool_g.symbol("E")
+    form = w(bool_g, "1 = a AND b = b OR a = 1")
+    for k in (0, 3, len(form)):
+        chart = pushed(bool_g, (E,), form[:k])
+        before = chart_state(chart)
+        assert parse_tree(bool_g, E, form, chart) == parse_tree(bool_g, E, form)
+        assert parse_tree(bool_g, E, form[:k] + w(bool_g, "="), chart) == Reject()
+        assert chart_state(chart) == before
+    with pytest.raises(ValueError, match="not a prefix"):
+        parse_tree(bool_g, E, w(bool_g, "1 = b"), pushed(bool_g, (E,), w(bool_g, "1 = a")))

@@ -5,7 +5,8 @@ module-level function or class is used somewhere in src/lambek or is public
 (listed in lambek.__all__).  A name kept on purpose is marked on its import
 line with ``# noqa: F401``.  A CLI process starts without loading the
 standard library's heavy introspection modules.  Every module parses as
-the oldest Python that pyproject.toml promises.
+the oldest Python that pyproject.toml promises.  Every name that the
+benchmark's traced run rebinds or calls is still there.
 """
 import ast
 import json
@@ -18,6 +19,7 @@ from pathlib import Path
 import lambek
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "lambek"
+SPANS = SRC.parent.parent / "perfbench" / "spans.py"
 
 
 def _modules():
@@ -92,6 +94,22 @@ def test_every_module_level_definition_is_used_or_public():
             if used[node.name] - Counter(_uses(node))[node.name] <= 0:
                 unused.append(f"{name}:{node.lineno} {node.name}")
     assert unused == []
+
+
+def test_every_name_the_traced_benchmark_wraps_exists():
+    """perfbench/spans.py rebinds each name of IMPORT_SITES in its module and
+    wraps each (module, name) of DIRECT; a name that is gone fails only a
+    traced run, so the two tables are read here, from the file's text."""
+    tables = {}
+    for node in ast.parse(SPANS.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
+            if node.targets[0].id in ("IMPORT_SITES", "DIRECT"):
+                tables[node.targets[0].id] = ast.literal_eval(node.value)
+    names = [(mod, attr) for mod, sites in tables["IMPORT_SITES"].items() for attr in sites]
+    names += [(mod, attr) for mod, attr, _ in tables["DIRECT"]]
+    assert ("semantics", "recognize") in names and ("analyzer", "parse_tree") in names
+    missing = [f"{mod}.{attr}" for mod, attr in names if not hasattr(getattr(lambek, mod), attr)]
+    assert missing == []
 
 
 _STARTUP = """

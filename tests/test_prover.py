@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lambek.prover
 from lambek import earley
 from lambek.earley import parse_tree, recognize
 from lambek.grammar import (
@@ -119,6 +120,20 @@ def test_render_proof_text(bool_g, prover):
     # premises indent two spaces per level and carry their rule tag
     assert all("   [" in ln for ln in lines)
     assert any(ln.startswith("  ") for ln in lines[1:])
+
+
+def test_render_proof_renders_each_distinct_type_once(load_bundled, spy):
+    """A flat proof repeats its antecedent's types on every line; the text
+    renders each distinct type once and equals the line-by-line rendering."""
+    g = load_bundled("bool.g")
+    s = parse_sequent(" , AND , ".join(['"1" , = , a'] * 10) + " |- E", g)
+    p = Prover(g).prove(s).proof
+    sequents = [q for _, _, q, _ in _replayed(p)]
+    distinct = {t for q in sequents for t in (*q.antecedent, q.succedent)}
+    rendered = spy(lambek.prover, "render_type")
+    text = render_proof(p)
+    assert len(rendered) == len(distinct) < sum(len(q.antecedent) + 1 for q in sequents)
+    assert text == "\n".join("  " * len(path) + f"{render_sequent(q)}   [{node.rule.value}]" for node, path, q, _ in _replayed(p))
 
 
 def test_proof_json_round_trip(bool_g, prover):
@@ -729,7 +744,7 @@ def test_a_flat_sequent_is_parsed_once_per_grammar(load_bundled, spy):
     """The grammar keeps each flat decision, so a second cold Prover builds
     no chart and answers with an equal proof."""
     g = load_bundled("bool.g")
-    charts = spy(earley, "_chart")
+    charts = spy(earley.Chart, "__init__")
     # OVER_R leaves the flat  a , = , V |- T; the second's OVER_L asks the flat  b |- V
     for text in ("a , = |- T/V", "a , (V\\T)/V , b |- T"):
         s = parse_sequent(text, g)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lambek
-from lambek import semantics
+from lambek import earley, semantics
 from lambek.earley import recognize
 from lambek.grammar import _word_layers, enumerate_words, enumerated_member, memo, nonterminal, terminal, word_from_text
 from lambek.prover import SearchStatus, parse_axiom
@@ -318,13 +318,31 @@ def test_oracle_reads_the_tables_it_enumerated(load_bundled, spy):
 )
 def test_atoms_the_word_table_covers_take_no_memo(load_bundled, spy, text, verdict):
     """An atom membership of a word no longer than the word table is read off
-    the table; only longer words are memoized, through recognize."""
+    the table; only longer words are charted, and memoized when asked alone."""
     g = load_bundled("bool.g")
     looked_up = spy(semantics, "enumerated_member")
     assert soundness_check(g, parse_sequent(text, g), SemBound(8)) == verdict
     assert looked_up
     atom_keys = [k[1] for k in g._memo if k[0] is semantics._member and isinstance(k[2], Atom)]
     assert all(len(word) > _grown_length(g) for word in atom_keys)
+
+
+@pytest.mark.parametrize("bound", [8, 9])
+@pytest.mark.parametrize(
+    "text, verdict, reverse", [("T |- C/D", OraclePass(9), False), ("F |- T\\E", OraclePass(172), True)]
+)
+def test_an_atomic_result_charts_each_antecedent_word_once(load_bundled, spy, bound, text, verdict, reverse):
+    """ψ/φ and φ\\ψ with an atom ψ test each antecedent word w against every
+    test word v past the word table off one chart of w, continued by v and
+    popped back; φ\\ψ reads g's rules reversed.  No recognize runs, so the
+    checks build at most one chart per antecedent word, not one per pair
+    (w, v): 729 and 1 458 pairs at bound 8."""
+    g = load_bundled("bool.g")
+    charts, closed = spy(earley.Chart, "__init__"), spy(earley, "_chart")
+    assert soundness_check(g, parse_sequent(text, g), SemBound(bound)) == verdict
+    assert 0 < len(charts) <= verdict.checked
+    assert {args[3] for args in charts} == {reverse}
+    assert all(args[2] == () for args in closed)
 
 
 @pytest.mark.parametrize("text", ["V |- E\\E", "T |- C/D"])
@@ -415,7 +433,7 @@ def test_prescreen_validates_each_sequent_once(bool_g, monkeypatch, spy):
 _SEED_QUERIES = ("1 , = |- E\\E", "1 , = |- T/E", "1 , = |- V/E", "OR , 1 , = , 1 |- T\\T", "b |- E/V")
 _MEMBER_KEYS = """
 import json, sys
-from lambek import semantics
+from lambek import earley, semantics
 from lambek.grammar import load_grammar
 from lambek.types import parse_sequent, render_type
 g = load_grammar("bool")[0]
