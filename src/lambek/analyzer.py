@@ -57,7 +57,7 @@ class AmbiguityError(ValueError):
 
 
 class InjectionContext(Value):
-    __slots__ = ("prefix", "suffix", "goal", "expected", "_h")
+    __slots__ = ("prefix", "suffix", "goal", "expected", "_k", "_h")
 
     def __init__(self, prefix: Word, suffix: Word, goal: Symbol, expected: Symbol) -> None:
         set_field(self, "prefix", prefix)
@@ -65,17 +65,8 @@ class InjectionContext(Value):
         set_field(self, "goal", goal)
         set_field(self, "expected", expected)
         # the grammar's memo keeps each template's parse under the template
-        set_field(self, "_h", hash((prefix, suffix, goal, expected)))
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.prefix, self.suffix, self.goal, self.expected) == (
-                other.prefix, other.suffix, other.goal, other.expected
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return self._h
+        set_field(self, "_k", (prefix, suffix, goal, expected))
+        set_field(self, "_h", hash(self._k))
 
 
 class Classification(enum.Enum):

@@ -26,13 +26,13 @@ import json
 import sys
 from typing import Iterable, Iterator, TextIO
 
-from .analyzer import AmbiguityError, Classification, InjectionContext, classify_input, infer_typings
+from .analyzer import Classification, InjectionContext, classify_input, infer_typings
 from .earley import Witness, check_unambiguous, render_tree_text
-from .grammar import Grammar, GrammarError, enumerate_words, iter_words_sorted, load_grammar, render_word
+from .grammar import Grammar, enumerate_words, iter_words_sorted, load_grammar, render_word
 from .grammar import word_from_text
 from .prover import ProofTree, Prover, SearchStatus, parse_axiom, proof_to_json, render_proof
 from .semantics import Counterexample, SemBound, prove_with_prescreen, soundness_check
-from .types import TypeSyntaxError, parse_sequent, render_type
+from .types import parse_sequent, render_type
 
 
 _END = object()  # closes a container on _emit's stack
@@ -223,7 +223,7 @@ def run(argv: list[str], out: TextIO | None = None, err: TextIO | None = None) -
         else:
             for line in lines:
                 print(line, file=out)
-    except (GrammarError, TypeSyntaxError, AmbiguityError, ValueError, OSError, RecursionError) as e:
+    except (ValueError, OSError, RecursionError) as e:
         # a RecursionError is an input too deep to handle, not a negative answer
         print(f"error: {e}", file=err)
         return 2

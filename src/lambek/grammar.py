@@ -29,6 +29,7 @@ from __future__ import annotations
 import enum
 import os
 from importlib import resources
+from operator import attrgetter
 from typing import Any, Callable, Iterable, Iterator, TypeVar
 
 T = TypeVar("T")
@@ -51,24 +52,33 @@ class Value:
     """An immutable value: its fields are its __slots__, which its own __init__
     sets through set_field.  It equals a value of its class with equal fields,
     hashes the tuple of its fields and reprs as Class(field=value, ...); slots
-    named with a leading underscore are caches, outside all three."""
+    named with a leading underscore are caches, outside all three.  A class
+    with slots _k and _h sets them to its fields' tuple and its hash, which its
+    equality and hash then read; every other class reads its fields' tuple
+    through _key, one attrgetter per class."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls) -> None:
-        cls._fields = tuple(s for s in cls.__slots__ if not s.startswith("_"))
-
-    def _key(self) -> tuple:
-        return tuple(getattr(self, f) for f in self._fields)
+        cls._fields = fields = tuple(s for s in cls.__slots__ if not s.startswith("_"))
+        if "_k" in cls.__slots__:
+            cls.__eq__, cls.__hash__, key = _own_code(_eq_cached), _own_code(_hash_cached), attrgetter("_k")
+        elif len(fields) == 1:
+            # a tuple still, so that identical fields short-circuit
+            get = attrgetter(*fields)
+            key = lambda v: (get(v),)
+        else:
+            key = attrgetter(*fields) if fields else lambda v: ()
+        cls._key = staticmethod(key)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
-            return self._key() == other._key()
+            return self._key(self) == self._key(other)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        return hash(self._key(self))
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
@@ -76,7 +86,7 @@ class Value:
 
     def __reduce__(self) -> tuple:
         # copy and pickle rebuild through __init__, which recomputes the caches
-        return type(self), self._key()
+        return type(self), self._key(self)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -85,22 +95,31 @@ class Value:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
+def _own_code(f: Callable) -> Callable:
+    """f on a copy of its code.  CPython caches an attribute load's slot per
+    code object and class, so a method shared by seven classes would miss."""
+    return type(f)(f.__code__.replace(), f.__globals__)
+
+
+def _eq_cached(self: Value, other: object) -> bool:
+    if other.__class__ is self.__class__:
+        return self._k == other._k
+    return NotImplemented
+
+
+def _hash_cached(self: Value) -> int:
+    return self._h
+
+
 class Symbol(Value):
-    __slots__ = ("kind", "name", "_h")
+    __slots__ = ("kind", "name", "_k", "_h")
 
     def __init__(self, kind: SymbolKind, name: str) -> None:
         set_field(self, "kind", kind)
         set_field(self, "name", name)
         # symbols end up hashed millions of times during proof search
+        set_field(self, "_k", (kind, name))
         set_field(self, "_h", hash((kind.value, name)))
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.kind, self.name) == (other.kind, other.name)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return self._h
 
     @property
     def is_terminal(self) -> bool:
@@ -125,7 +144,7 @@ EMPTY_WORD: Word = ()
 
 
 class Production(Value):
-    __slots__ = ("lhs", "rhs", "_h")
+    __slots__ = ("lhs", "rhs", "_k", "_h")
 
     def __init__(self, lhs: Symbol, rhs: tuple[Symbol, ...]) -> None:
         if lhs.is_terminal:
@@ -133,15 +152,8 @@ class Production(Value):
         set_field(self, "lhs", lhs)
         set_field(self, "rhs", rhs)
         # parse trees look their productions up during folds
-        set_field(self, "_h", hash((lhs, rhs)))
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.lhs, self.rhs) == (other.lhs, other.rhs)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return self._h
+        set_field(self, "_k", (lhs, rhs))
+        set_field(self, "_h", hash(self._k))
 
 
 class Grammar(Value):

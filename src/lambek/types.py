@@ -14,7 +14,8 @@ Concrete syntax:
 
 Sequents are written  t1 , t2 , ... |- t  with a possibly empty antecedent.
 In a sequent, a bare antecedent item naming a declared terminal is read as
-the atom of that terminal, so words can be spelled out token by token.
+the atom of that terminal, so words can be spelled out token by token, and
+the unit is written (1) there.  Items are cut at the commas outside quotes.
 """
 from __future__ import annotations
 
@@ -28,26 +29,18 @@ class TypeSyntaxError(ValueError):
     """Bad type or sequent text; carries a human-readable position."""
 
 
-# Types and sequents are dict keys throughout proof search, so each writes its
-# own __eq__ on its fields.  Recomputing a deep structural hash per probe
-# dominates profiles, so every type caches its hash at construction time, and
-# a sequent at its first use.
+# Types and sequents are dict keys throughout proof search, where a deep hash
+# per probe would dominate: every type caches its fields' tuple and its hash at
+# construction (see Value), and a sequent caches its hash at its first use.
 
 
 class Atom(Value):
-    __slots__ = ("symbol", "_h")
+    __slots__ = ("symbol", "_k", "_h")
 
     def __init__(self, symbol: Symbol) -> None:
         set_field(self, "symbol", symbol)
+        set_field(self, "_k", (symbol,))
         set_field(self, "_h", hash(("at", symbol)))
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.symbol,) == (other.symbol,)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return self._h
 
 
 class UnitType(Value):
@@ -66,56 +59,35 @@ UNIT = UnitType()
 class Under(Value):
     """arg \\ result: consumes arg on the left."""
 
-    __slots__ = ("arg", "result", "_h")
+    __slots__ = ("arg", "result", "_k", "_h")
 
     def __init__(self, arg: LambekType, result: LambekType) -> None:
         set_field(self, "arg", arg)
         set_field(self, "result", result)
+        set_field(self, "_k", (arg, result))
         set_field(self, "_h", hash(("un", arg, result)))
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.arg, self.result) == (other.arg, other.result)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return self._h
 
 
 class Over(Value):
     """result / arg: consumes arg on the right."""
 
-    __slots__ = ("result", "arg", "_h")
+    __slots__ = ("result", "arg", "_k", "_h")
 
     def __init__(self, result: LambekType, arg: LambekType) -> None:
         set_field(self, "result", result)
         set_field(self, "arg", arg)
+        set_field(self, "_k", (result, arg))
         set_field(self, "_h", hash(("ov", result, arg)))
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.result, self.arg) == (other.result, other.arg)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return self._h
 
 
 class Prod(Value):
-    __slots__ = ("left", "right", "_h")
+    __slots__ = ("left", "right", "_k", "_h")
 
     def __init__(self, left: LambekType, right: LambekType) -> None:
         set_field(self, "left", left)
         set_field(self, "right", right)
+        set_field(self, "_k", (left, right))
         set_field(self, "_h", hash(("pr", left, right)))
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.left, self.right) == (other.left, other.right)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return self._h
 
 
 LambekType = Atom | UnitType | Under | Over | Prod
@@ -130,6 +102,7 @@ class Sequent(Value):
         set_field(self, "antecedent", antecedent)
         set_field(self, "succedent", succedent)
 
+    # hand-written, with no cached key: built on every search step, looked up once
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
             return (self.antecedent, self.succedent) == (other.antecedent, other.succedent)
@@ -177,7 +150,9 @@ def render_type(t: LambekType) -> str:
 
 
 def render_context(ctx: Sequence[LambekType], render: Callable[[LambekType], str] = render_type) -> str:
-    return " , ".join(map(render, ctx))
+    """The antecedent's text.  A unit is written (1): a bare 1 there names the
+    terminal 1 where the grammar declares one."""
+    return " , ".join("(1)" if isinstance(t, UnitType) else render(t) for t in ctx)
 
 
 def render_sequent(s: Sequent, render: Callable[[LambekType], str] = render_type) -> str:
@@ -279,14 +254,19 @@ def parse_type(text: str, g: Grammar) -> LambekType:
     return t
 
 
+# antecedent items are cut at the commas outside quoted tokens: "a,b" names one atom
+_QUOTE_OR_COMMA = re.compile(r'"[^"\s]*"|,')
+
+
 def parse_sequent(text: str, g: Grammar) -> Sequent:
     if text.count("|-") != 1:
         raise TypeSyntaxError("a sequent needs exactly one '|-'")
     left, right = text.split("|-")
     antecedent: list[LambekType] = []
     if left.strip():
-        for item in left.split(","):
-            item = item.strip()
+        cuts = [m.start() for m in _QUOTE_OR_COMMA.finditer(left) if m.group() == ","]
+        for start, end in zip([-1, *cuts], [*cuts, len(left)]):
+            item = left[start + 1:end].strip()
             if not item:
                 raise TypeSyntaxError("empty antecedent item")
             # word tokens: a bare declared terminal stands for its atom

@@ -820,3 +820,30 @@ def test_classifications_mirror_on_the_templates(bool_g, name):
     )
     for text in INPUTS:
         _assert_mirrored(bool_g, ctx, word_from_text(bool_g, text))
+
+
+def _assert_hole_languages_mirrored(g, ctx, n):
+    """hole_language at (prefix, suffix) over g is the reversal of
+    hole_language at (reversed suffix, reversed prefix) over g's rules reversed."""
+    mirror = InjectionContext(ctx.suffix[::-1], ctx.prefix[::-1], ctx.goal, ctx.expected)
+    here = hole_language(g, ctx, n)
+    assert hole_language(_reversed_grammar(g), mirror, n) == {w[::-1] for w in here}, (ctx, n)
+
+
+@ignore_swallowed_alarms
+@settings(max_examples=100)
+@given(cyclic_grammars(), st.data())
+def test_hole_languages_mirror_on_random_grammars(g, data):
+    words = st.lists(st.sampled_from(_by_name(g.terminals)), max_size=3).map(tuple)
+    nonterminals = st.sampled_from(_by_name(g.nonterminals))
+    ctx = InjectionContext(data.draw(words), data.draw(words), data.draw(nonterminals), data.draw(nonterminals))
+    _within_two_seconds(_assert_hole_languages_mirrored, g, ctx, data.draw(st.integers(0, 3)))
+
+
+@pytest.mark.parametrize("name", sorted(TEMPLATES))
+def test_hole_languages_mirror_on_the_templates(bool_g, name):
+    prefix, suffix, goal, expected = TEMPLATES[name]
+    ctx = InjectionContext(
+        word_from_text(bool_g, prefix), word_from_text(bool_g, suffix), bool_g.symbol(goal), bool_g.symbol(expected)
+    )
+    _assert_hole_languages_mirrored(bool_g, ctx, 3)

@@ -6,7 +6,8 @@ module-level function or class is used somewhere in src/lambek or is public
 line with ``# noqa: F401``.  A CLI process starts without loading the
 standard library's heavy introspection modules.  Every module parses as
 the oldest Python that pyproject.toml promises.  Every name that the
-benchmark's traced run rebinds or calls is still there.
+benchmark's traced run rebinds or calls is still there.  Equality and
+hashing are written once, on grammar.Value.
 """
 import ast
 import json
@@ -94,6 +95,21 @@ def test_every_module_level_definition_is_used_or_public():
             if used[node.name] - Counter(_uses(node))[node.name] <= 0:
                 unused.append(f"{name}:{node.lineno} {node.name}")
     assert unused == []
+
+
+def test_only_value_writes_equality_and_hashing():
+    """A sequent keeps its own pair, built on every search step and looked up
+    once, and the unit its constant hash."""
+    written = {
+        (name, cls.name, f.name)
+        for name, (_, tree) in _modules().items()
+        for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+        for f in cls.body if isinstance(f, ast.FunctionDef) and f.name in ("__eq__", "__hash__")
+    }
+    assert written == {
+        ("grammar.py", "Value", "__eq__"), ("grammar.py", "Value", "__hash__"),
+        ("types.py", "Sequent", "__eq__"), ("types.py", "Sequent", "__hash__"), ("types.py", "UnitType", "__hash__"),
+    }
 
 
 def test_every_name_the_traced_benchmark_wraps_exists():

@@ -40,14 +40,14 @@ def mirror_type(t: LambekType) -> LambekType:
     return t
 
 
-def atoms_strategy():
-    syms = sorted(GRAMMAR.terminals | GRAMMAR.nonterminals, key=lambda s: s.name)
+def atoms_strategy(g=GRAMMAR):
+    syms = sorted(g.terminals | g.nonterminals, key=lambda s: s.name)
     return st.sampled_from([Atom(s) for s in syms])
 
 
-def types_strategy():
+def types_strategy(g=GRAMMAR):
     return st.recursive(
-        atoms_strategy() | st.just(UNIT),
+        atoms_strategy(g) | st.just(UNIT),
         lambda sub: st.one_of(
             st.builds(Under, sub, sub),
             st.builds(Over, sub, sub),
@@ -207,3 +207,23 @@ def test_type_universe_rejects_foreign_atoms():
     other = parse_grammar_file("start S\nS ::= x ;\n")
     with pytest.raises(Exception, match="not declared"):
         type_universe(GRAMMAR, [other.symbol("x")], 1)
+
+
+# terminals spelled a,b (a comma inside a name) and 1 (the unit's spelling)
+COMMA_GRAMMAR, _ = validate(parse_grammar_file('start S\nS ::= "a,b" S | "1" | c ;\n'))
+
+
+def test_sequent_text_names_the_unit_and_a_comma_terminal():
+    s = parse_sequent('"a,b" , (1) , c , 1 |- S', COMMA_GRAMMAR)
+    a_b, one = COMMA_GRAMMAR.symbol("a,b"), COMMA_GRAMMAR.symbol("1")
+    assert s.antecedent == (Atom(a_b), UNIT, Atom(COMMA_GRAMMAR.symbol("c")), Atom(one))
+    assert render_sequent(s) == '"a,b" , (1) , c , "1" |- S'
+    # the bare 1 of bool.g's antecedents is its terminal, so the unit prints as (1)
+    assert render_sequent(parse_sequent("(1) , b |- V", GRAMMAR)) == "(1) , b |- V"
+
+
+@pytest.mark.parametrize("g", [GRAMMAR, COMMA_GRAMMAR], ids=["bool", "comma"])
+@given(data=st.data())
+def test_parse_sequent_inverts_render_sequent(g, data):
+    s = data.draw(st.builds(Sequent, st.lists(types_strategy(g), max_size=4).map(tuple), types_strategy(g)))
+    assert parse_sequent(render_sequent(s), g) == s
