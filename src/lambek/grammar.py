@@ -211,6 +211,11 @@ def memo(g: Grammar, fn: Callable[..., T], *args: Any) -> T:
         return out
 
 
+def memoized(g: Grammar, fn: Callable[..., Any], *args: Any) -> bool:
+    """Has memo computed fn(g, *args) already?"""
+    return (fn, *args) in g._memo
+
+
 def _symbols_by_name(g: Grammar) -> dict[str, Symbol]:
     return {s.name: s for s in g.terminals | g.nonterminals}
 
@@ -322,18 +327,17 @@ def parse_grammar_file(text: str) -> Grammar:
         for alt in alts:
             all_names.update(alt)
 
-    def classify(name: str) -> Symbol:
-        return nonterminal(name) if name in lhs_names else terminal(name)
-
     if start_name not in lhs_names:
         raise GrammarError(f"start symbol {start_name!r} has no productions")
 
+    # one Symbol per name, so that tables keyed by symbols match by identity
+    syms = {n: nonterminal(n) if n in lhs_names else terminal(n) for n in all_names}
     productions: list[Production] = []
     seen: set[Production] = set()
     for lineno, lhs_name, alts in rules:
-        lhs = nonterminal(lhs_name)
+        lhs = syms[lhs_name]
         for alt in alts:
-            p = Production(lhs, tuple(classify(n) for n in alt))
+            p = Production(lhs, tuple(syms[n] for n in alt))
             if p in seen:
                 raise GrammarError(
                     f"line {lineno}: duplicate production {lhs_name} ::= {' '.join(alt) or 'ε'}"
@@ -342,10 +346,10 @@ def parse_grammar_file(text: str) -> Grammar:
             productions.append(p)
 
     return Grammar(
-        terminals=frozenset(classify(n) for n in all_names if n not in lhs_names),
-        nonterminals=frozenset(nonterminal(n) for n in lhs_names),
+        terminals=frozenset(syms[n] for n in all_names - lhs_names),
+        nonterminals=frozenset(syms[n] for n in lhs_names),
         productions=tuple(productions),
-        start=nonterminal(start_name),
+        start=syms[start_name],
     )
 
 

@@ -18,11 +18,11 @@ Rules, written forward (Φ, Ψ, Π are contexts, φ, ψ, π types):
 Search runs backward and goal-directed, with no depth bound and no cycle
 check, and memoizes every answer, proof or failure.  Invertible steps
 (stripping units, splitting antecedent products, the two right rules) are
-applied eagerly; everything else backtracks, an L-rule over every split of
-its context for the argument premise.  The search never tries a general
-cut: the calculus is cut-free (Lambek 1958), so CUT appears in proofs only
-as a fold against a production or a typing axiom, and in the composites
-the tactics build.
+applied eagerly; everything else backtracks, a split rule (UNDER_L, OVER_L,
+PROD_R) over the splits of its context in order.  The search never tries a
+general cut: the calculus is cut-free (Lambek 1958), so CUT appears in
+proofs only as a fold against a production or a typing axiom, and in the
+composites the tactics build.
 
 The search terminates by construction.  No typing axiom's type may name an
 axiom token (Prover rejects one that does), so every premise the search
@@ -43,16 +43,23 @@ however many provers over the grammar, or the analyzer's capture search,
 ask.  A production's fold cuts the production's GRAM axiom in where its
 right-hand side stands, with a proof of  ⊢ X  cut in for each nullable X
 the parse leaves out.
+
+A split rule's flat premises are read off charts: one Earley chart over
+the longest run of atoms beside a premise's fixed end decides it at every
+split (Chart.ends, or Chart.goals for the outer premise of an edge
+functor), and a split whose flat premise fails is dropped unmade.  Kept
+splits are searched like any premise, so proofs do not change, and an
+L-rule beside n atoms costs a chart or two and one parse, not n (_splits).
 """
 from __future__ import annotations
 
 import enum
 from typing import Iterator, Sequence
 
-from .earley import Ambiguous, ParseTree, Reject, parse_tree
+from .earley import Ambiguous, Chart, ParseTree, Reject, parse_tree
 # not called here, but perfbench/spans.py rebinds lambek.prover.recognize and fails without it
 from .earley import recognize  # noqa: F401
-from .grammar import Grammar, Symbol, Value, Word, lhs_index, memo, nullable_ids, production_ids, set_field
+from .grammar import Grammar, Symbol, Value, Word, lhs_index, memo, memoized, nullable_ids, production_ids, set_field
 from .types import (
     Atom,
     LambekType,
@@ -270,6 +277,19 @@ def _flat_proof(g: Grammar, s: Sequent) -> ProofTree | None:
     return fold_chain(g, s, outcome.first if isinstance(outcome, Ambiguous) else outcome.tree)
 
 
+def _run_ends(g: Grammar, run: tuple[Symbol, ...], x: Symbol, reverse: bool, psi: Symbol | None) -> frozenset[int]:
+    """The k for which x derives run[:k], followed by psi if given; with
+    reverse, over g's rules read in reverse, so for run reversed it is the
+    k for which x derives psi, if given, then the last k symbols of the run.
+    One chart over the run answers every k (Chart.ends, Chart.goals);
+    reach it through memo."""
+    chart = Chart(g, (x,), reverse)
+    chart.push(run)
+    if psi is None:
+        return frozenset(chart.ends(x))
+    return frozenset([k for k in range(len(run) + 1) if chart.goals(k, psi)])
+
+
 def require_declared(g: Grammar, s: Sequent) -> None:
     """Raise ValueError unless every atom of s is a symbol of g."""
     for t in (*s.antecedent, s.succedent):
@@ -376,21 +396,63 @@ class Prover:
                         prem2 = Sequent(ante[:i] + (ax.type,) + ante[i + 1 :], succ)
                         yield (RuleName.CUT, (i, i + 1, ax.type), (prem1, prem2))
 
+        # each split rule's premises that may be flat, as _splits reads them;
+        # the outer premise only beside a functor at the antecedent's edge
+        n = len(ante)
         for i, t in enumerate(ante):
             if isinstance(t, Under):
-                for j in range(i + 1):
+                outer = (succ, 0, False, t.result) if i == n - 1 else None
+                for j in self._splits(ante, range(i + 1), (t.arg, i, True, None), outer):
                     prem1 = Sequent(ante[j:i], t.arg)
                     prem2 = Sequent(ante[:j] + (t.result,) + ante[i + 1 :], succ)
                     yield (RuleName.UNDER_L, (i, j), (prem1, prem2))
             elif isinstance(t, Over):
-                for j in range(i + 1, len(ante) + 1):
+                outer = (succ, n, True, t.result) if i == 0 else None
+                for j in self._splits(ante, range(i + 1, n + 1), (t.arg, i + 1, False, None), outer):
                     prem1 = Sequent(ante[i + 1 : j], t.arg)
                     prem2 = Sequent(ante[:i] + (t.result,) + ante[j:], succ)
                     yield (RuleName.OVER_L, (i, j), (prem1, prem2))
 
         if isinstance(succ, Prod):
-            for k in range(len(ante) + 1):
+            for k in self._splits(ante, range(n + 1), (succ.left, 0, False, None), (succ.right, n, True, None)):
                 yield (RuleName.PROD_R, (k,), (Sequent(ante[:k], succ.left), Sequent(ante[k:], succ.right)))
+
+    def _plain(self, t: LambekType) -> bool:
+        return isinstance(t, Atom) and t.symbol not in self._axiom_tokens
+
+    def _splits(self, ante: tuple[LambekType, ...], splits: range, *flat: tuple | None) -> Iterator[int]:
+        """The splits in order, but those after the first at which a flat premise fails are dropped.
+
+        A premise (x, e, right, psi) of flat is the antecedent between
+        position e and the split, then psi at the split end if given, over
+        x.  Where it is flat, x derives it exactly when the distance from e
+        to the split is among the ends of one chart over the longest run of
+        atoms from e (see _run_ends).  The ends are read only once the first
+        split has failed, and only where three or more splits would read them
+        and the grammar has not decided the first of those premises already:
+        on fewer, or on premises that earlier queries decided, a chart costs
+        more than the parses or memo lookups it replaces.
+        """
+        yield splits[0]
+        rest = splits[1:]
+        for x, e, right, psi in filter(None, flat) if len(rest) > 2 else ():
+            if not isinstance(x, Atom) or x.symbol.is_terminal or (psi is not None and not self._plain(psi)):
+                continue
+            run = []
+            for p in range(e - 1, -1, -1) if right else range(e, len(ante)):
+                if not self._plain(ante[p]):
+                    break
+                run.append(ante[p].symbol)
+            # no three splits lie within a run of one atom
+            inside = [s for s in rest if abs(s - e) <= len(run)] if len(run) > 1 else ()
+            if len(inside) < 3:
+                continue
+            s, edge = inside[0], () if psi is None else (psi,)
+            if memoized(self.g, _flat_proof, Sequent(edge + ante[s:e] if right else ante[e:s] + edge, x)):
+                continue
+            ends = memo(self.g, _run_ends, tuple(run), x.symbol, right, psi and psi.symbol)
+            rest = [s for s in rest if abs(s - e) > len(run) or abs(s - e) in ends]
+        yield from rest
 
 
 class CheckResult(Value):

@@ -32,7 +32,9 @@ from lambek.prover import Prover, Side, check_proof, proof_to_json
 from lambek.semantics import OraclePass, SemBound, member_bounded, prove_with_prescreen, soundness_check
 from lambek.types import Atom, Over, Sequent, Under, parse_sequent, parse_type, render_sequent, render_type, type_universe
 from test_earley import _Deadline, chart_state
-from test_prover import _within_two_seconds, assert_capture_shape, cyclic_grammars, ignore_swallowed_alarms
+from test_prover import (
+    _within_two_seconds, assert_capture_shape, cyclic_grammars, ignore_swallowed_alarms, reversed_grammar,
+)
 from test_types import mirror_type
 
 
@@ -774,11 +776,6 @@ def test_reports_are_the_same_on_a_cold_and_a_warm_grammar(load_bundled):
     assert [report(warm_g, *case) for case in reversed(cases)] == cold[::-1]
 
 
-def _reversed_grammar(g):
-    """g with every right-hand side reversed."""
-    return Grammar(g.terminals, g.nonterminals, tuple(Production(p.lhs, p.rhs[::-1]) for p in g.productions), g.start)
-
-
 def _outcome(g, ctx, w):
     """classify_input's classification and its captures as (side, type), or the class of the error it raises."""
     try:
@@ -793,7 +790,7 @@ def _assert_mirrored(g, ctx, w):
     over g's rules reversed, w and reversed w classify alike, with sides
     swapped and capture types mirrored."""
     mirror = InjectionContext(ctx.suffix[::-1], ctx.prefix[::-1], ctx.goal, ctx.expected)
-    here, there = _outcome(g, ctx, w), _outcome(_reversed_grammar(g), mirror, w[::-1])
+    here, there = _outcome(g, ctx, w), _outcome(reversed_grammar(g), mirror, w[::-1])
     if isinstance(here, type):
         assert there is here, (ctx, w)
         return
@@ -827,7 +824,7 @@ def _assert_hole_languages_mirrored(g, ctx, n):
     hole_language at (reversed suffix, reversed prefix) over g's rules reversed."""
     mirror = InjectionContext(ctx.suffix[::-1], ctx.prefix[::-1], ctx.goal, ctx.expected)
     here = hole_language(g, ctx, n)
-    assert hole_language(_reversed_grammar(g), mirror, n) == {w[::-1] for w in here}, (ctx, n)
+    assert hole_language(reversed_grammar(g), mirror, n) == {w[::-1] for w in here}, (ctx, n)
 
 
 @ignore_swallowed_alarms

@@ -19,9 +19,9 @@ from lambek.analyzer import InjectionContext, classify_input
 from lambek.cli import run
 from lambek.earley import parse_tree, recognize
 from lambek.grammar import word_from_text
-from lambek.prover import Prover, proof_to_json
+from lambek.prover import Prover, RuleName, _flat_proof, proof_to_json
 from lambek.types import parse_sequent
-from test_prover import _time_limit, ignore_swallowed_alarms
+from test_prover import _preorder, _time_limit, ignore_swallowed_alarms
 
 LIMIT_S = 5
 
@@ -65,6 +65,11 @@ def _units(n):
 def _proof_chain(tests):
     """The sequent of `"1" = a AND …` over E, with 4 tests - 1 tokens."""
     return " , AND , ".join(['"1" , = , a'] * tests) + " |- E"
+
+
+def _ladder(functors, tests):
+    """`E/E , … , "1" , = , a , AND , … ⊢ E`: functors E/E before a chain of 4 tests - 1 tokens."""
+    return "E/E , " * functors + _proof_chain(tests)
 
 
 def _a_equals_hole(g):
@@ -113,6 +118,33 @@ def test_prove_json_cli_of_a_799_token_chain():
     with _case():
         code, out = _cli("prove", _proof_chain(200), "--grammar", "bool", "--json")
         assert code == 0 and out.startswith('{"status": "Proved"')
+
+
+@pytest.mark.parametrize("functors, tests", [(1, 200), (2, 100)])
+def test_prove_of_an_l_rule_ladder(bool_g, functors, tests):
+    with _case():
+        s = parse_sequent(_ladder(functors, tests), bool_g)
+        assert Prover(bool_g).prove(s).proof.conclusion == s
+
+
+@pytest.mark.parametrize("functors, tests", [(1, 200), (2, 100)])
+def test_check_cli_of_an_l_rule_ladder(functors, tests):
+    with _case():
+        assert _cli("check", _ladder(functors, tests), "--grammar", "bool") == (0, "Proved\n")
+
+
+def test_an_l_rule_ladder_keeps_few_flat_decisions(load_bundled):
+    """The grammar keeps at most one flat decision per fold of the proof, and
+    a longer run adds no memo entry: the splits come off charts, not parses."""
+    sizes = []
+    for tests in (50, 200):
+        g = load_bundled("bool")
+        with _case():
+            proof = Prover(g).prove(parse_sequent(_ladder(1, tests), g)).proof
+        folds = sum(node.rule is RuleName.CUT for node, _ in _preorder(proof))
+        assert sum(key[0] is _flat_proof for key in g._memo) <= folds
+        sizes.append(len(g._memo))
+    assert sizes[0] == sizes[1]
 
 
 @pytest.mark.xfail(strict=True, raises=RecursionError, reason="item 10: the tree walk recurses per span")

@@ -39,6 +39,7 @@ from lambek.prover import (
 from lambek.prover import _DETAIL_FIELDS, CheckResult, ProofTree, _replayed, fold_chain
 from lambek.semantics import prove_with_prescreen, soundness_check
 from lambek.types import UNIT, Atom, Over, Prod, Sequent, Under, iter_atoms, parse_sequent, parse_type, render_sequent, type_size
+from test_types import mirror_type
 
 
 @st.composite
@@ -1339,11 +1340,93 @@ def test_pinned_corpus_matches_every_split(bool_g, name):
     _assert_order_independent(g, sequents, order)
 
 
+@st.composite
+def split_sequents(draw, g):
+    """A word of X beside an edge functor over X, or a word of X then one of
+    Y under X*Y, perhaps with one atom swapped: the shapes whose every flat
+    premise comes off a chart."""
+    atoms = [Atom(s) for s in sorted(g.terminals | g.nonterminals, key=lambda s: s.name)]
+    x, y, z = (Atom(draw(st.sampled_from(sorted(g.nonterminals, key=lambda s: s.name)))) for _ in range(3))
+
+    def word(t):
+        words = sorted(enumerate_words(g, t.symbol, 4), key=length_lex_key)
+        return [Atom(s) for s in draw(st.sampled_from(words))] if words else []
+
+    ante, succ = draw(st.sampled_from([
+        lambda: ([Over(z, x)] + word(x), z),
+        lambda: (word(x) + [Under(x, z)], z),
+        lambda: (word(x) + word(y), Prod(x, y)),
+    ]))()
+    if ante and draw(st.integers(0, 3)) == 0:
+        ante[draw(st.integers(0, len(ante) - 1))] = draw(st.sampled_from(atoms))
+    return Sequent(tuple(ante), succ)
+
+
+class _EverySplit(Prover):
+    """The search that makes every split's move, as the rules are stated."""
+
+    def _splits(self, ante, splits, *flat):
+        return iter(splits)
+
+
+def _assert_as_every_split(g, sequents, axioms=()):
+    """The search answers each sequent with the proof that trying every split finds."""
+    for s in sequents:
+        r, every = Prover(g, axioms).prove(s), _EverySplit(g, axioms).prove(s)
+        assert r.status is every.status, render_sequent(s)
+        assert r.proof is None or proof_to_json(r.proof) == proof_to_json(every.proof), render_sequent(s)
+
+
+@ignore_swallowed_alarms
+@settings(max_examples=100)
+@given(st.data())
+def test_dropped_splits_are_those_every_split_rejects(data):
+    # fresh grammars, whose flat premises come off charts
+    g, axioms = data.draw(
+        st.one_of(
+            st.builds(lambda: (load_grammar("bool")[0], ())),
+            st.builds(lambda: (load_grammar("eng")[0], ENG_AXIOMS)),
+            cyclic_grammars().map(lambda g: (g, ())),
+        )
+    )
+    sequents = st.one_of(split_sequents(g), mixed_sequents(g), l_rule_sequents(g))
+    _within_two_seconds(_assert_as_every_split, g, data.draw(st.lists(sequents, min_size=1, max_size=4)), axioms)
+
+
+def reversed_grammar(g):
+    """g with every right-hand side reversed."""
+    return Grammar(g.terminals, g.nonterminals, tuple(Production(p.lhs, p.rhs[::-1]) for p in g.productions), g.start)
+
+
+def mirror_sequent(s):
+    """s read right to left: the antecedent reversed and every type mirrored."""
+    return Sequent(tuple(mirror_type(t) for t in reversed(s.antecedent)), mirror_type(s.succedent))
+
+
+def _assert_proofs_mirrored(g, s):
+    """s over g and its mirror over g's rules reversed get the same status,
+    and each proof checks: the forward and the reversed charts answer alike."""
+    rg = reversed_grammar(g)
+    here, there = Prover(g).prove(s), Prover(rg).prove(mirror_sequent(s))
+    assert here.status is there.status, render_sequent(s)
+    assert not here.proved or check_proof(g, here.proof).ok, render_sequent(s)
+    assert not there.proved or check_proof(rg, there.proof).ok, render_sequent(s)
+
+
+@ignore_swallowed_alarms
+@settings(max_examples=150)
+@given(st.data())
+def test_proofs_mirror(data):
+    # a fresh bool.g, so that neither side finds its flat premises decided
+    g = data.draw(st.one_of(st.builds(lambda: load_grammar("bool")[0]), cyclic_grammars()))
+    s = data.draw(st.one_of(split_sequents(g), mixed_sequents(g), l_rule_sequents(g)))
+    _within_two_seconds(_assert_proofs_mirrored, g, s)
+
+
 @ignore_swallowed_alarms
 def test_long_l_rule_searches_finish(load_bundled):
-    """An L-rule beside a long chain tries every split of it; each flat
-    argument premise is one Earley parse, so the three shapes still answer
-    within seconds."""
+    """An L-rule beside a long chain reads its flat premises off one chart
+    per run, so the three shapes answer within seconds."""
     g = load_bundled("bool.g")
     E = parse_type("E", g)
     cases = [
