@@ -211,11 +211,6 @@ def memo(g: Grammar, fn: Callable[..., T], *args: Any) -> T:
         return out
 
 
-def memoized(g: Grammar, fn: Callable[..., Any], *args: Any) -> bool:
-    """Has memo computed fn(g, *args) already?"""
-    return (fn, *args) in g._memo
-
-
 def _symbols_by_name(g: Grammar) -> dict[str, Symbol]:
     return {s.name: s for s in g.terminals | g.nonterminals}
 

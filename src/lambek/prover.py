@@ -59,7 +59,7 @@ from typing import Iterator, Sequence
 from .earley import Ambiguous, Chart, ParseTree, Reject, parse_tree
 # not called here, but perfbench/spans.py rebinds lambek.prover.recognize and fails without it
 from .earley import recognize  # noqa: F401
-from .grammar import Grammar, Symbol, Value, Word, lhs_index, memo, memoized, nullable_ids, production_ids, set_field
+from .grammar import Grammar, Symbol, Value, Word, lhs_index, memo, nullable_ids, production_ids, set_field
 from .types import (
     Atom,
     LambekType,
@@ -428,10 +428,8 @@ class Prover:
         x.  Where it is flat, x derives it exactly when the distance from e
         to the split is among the ends of one chart over the longest run of
         atoms from e (see _run_ends).  The ends are read only once the first
-        split has failed, and only where three or more splits would read them
-        and the grammar has not decided the first of those premises already:
-        on fewer, or on premises that earlier queries decided, a chart costs
-        more than the parses or memo lookups it replaces.
+        split has failed, and only where three or more splits would read them:
+        on fewer, a chart costs more than the parses it replaces.
         """
         yield splits[0]
         rest = splits[1:]
@@ -446,9 +444,6 @@ class Prover:
             # no three splits lie within a run of one atom
             inside = [s for s in rest if abs(s - e) <= len(run)] if len(run) > 1 else ()
             if len(inside) < 3:
-                continue
-            s, edge = inside[0], () if psi is None else (psi,)
-            if memoized(self.g, _flat_proof, Sequent(edge + ante[s:e] if right else ante[e:s] + edge, x)):
                 continue
             ends = memo(self.g, _run_ends, tuple(run), x.symbol, right, psi and psi.symbol)
             rest = [s for s in rest if abs(s - e) > len(run) or abs(s - e) in ends]

@@ -147,6 +147,20 @@ def test_an_l_rule_ladder_keeps_few_flat_decisions(load_bundled):
     assert sizes[0] == sizes[1]
 
 
+def test_a_warm_grammar_adds_no_flat_decision(load_bundled):
+    """A second Prover over a grammar that decided a product's and a
+    ladder's split premises reads the same chart ends, not a parse per split."""
+    g = load_bundled("bool")
+    texts = ['a , = , "1" , AND , ' + _proof_chain(50).replace("|- E", "|- V*E"), _ladder(1, 50)]
+    decided = []
+    for _ in range(2):
+        with _case():
+            for text in texts:
+                Prover(g).prove(parse_sequent(text, g))
+        decided.append(sum(key[0] is _flat_proof for key in g._memo))
+    assert decided[0] == decided[1]
+
+
 @pytest.mark.xfail(strict=True, raises=RecursionError, reason="item 10: the tree walk recurses per span")
 def test_classify_input_of_the_330_rung_ladder(bool_g):
     with _case():

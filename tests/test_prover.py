@@ -36,7 +36,7 @@ from lambek.prover import (
     proof_to_json,
     render_proof,
 )
-from lambek.prover import _DETAIL_FIELDS, CheckResult, ProofTree, _replayed, fold_chain
+from lambek.prover import _DETAIL_FIELDS, CheckResult, ProofTree, _replayed, _run_ends, fold_chain
 from lambek.semantics import prove_with_prescreen, soundness_check
 from lambek.types import UNIT, Atom, Over, Prod, Sequent, Under, iter_atoms, parse_sequent, parse_type, render_sequent, type_size
 from test_types import mirror_type
@@ -1421,6 +1421,55 @@ def test_proofs_mirror(data):
     g = data.draw(st.one_of(st.builds(lambda: load_grammar("bool")[0]), cyclic_grammars()))
     s = data.draw(st.one_of(split_sequents(g), mixed_sequents(g), l_rule_sequents(g)))
     _within_two_seconds(_assert_proofs_mirrored, g, s)
+
+
+@st.composite
+def runs(draw, g):
+    """A run of atoms in reading order: words of a few symbols, perhaps one swapped."""
+    symbols = sorted(g.terminals | g.nonterminals, key=lambda s: s.name)
+    run = []
+    for x in draw(st.lists(st.sampled_from(symbols), max_size=3)):
+        words = sorted(enumerate_words(g, x, 4), key=length_lex_key)
+        run += draw(st.sampled_from(words)) if words else [x]
+    if run and draw(st.booleans()):
+        run[draw(st.integers(0, len(run) - 1))] = draw(st.sampled_from(symbols))
+    return tuple(run)
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_run_ends_are_the_splits_recognize_accepts(data):
+    """A forward chart's ends are the k with x ⇒* run[:k] ψ, a reversed
+    chart's (over the run reversed) the k with x ⇒* ψ run[-k:]."""
+    g = data.draw(st.one_of(st.builds(lambda: load_grammar("bool")[0]), cyclic_grammars()))
+    symbols = sorted(g.terminals | g.nonterminals, key=lambda s: s.name)
+    x = data.draw(st.sampled_from(sorted(g.nonterminals, key=lambda s: s.name)))
+    psi = data.draw(st.none() | st.sampled_from(symbols))
+    run, edge = data.draw(runs(g)), () if psi is None else (psi,)
+    ks = range(len(run) + 1)
+    assert _run_ends(g, run, x, False, psi) == {k for k in ks if recognize(g, x, run[:k] + edge)}
+    assert _run_ends(g, run[::-1], x, True, psi) == {k for k in ks if recognize(g, x, edge + run[len(run) - k :])}
+
+
+# Each case reads a flat premise of one split rule off a chart, so each
+# fails when that premise's chart is read in the wrong direction.
+SPLIT_CASES = [
+    # PROD_R's two premises; on the mirror, B derives y x…x
+    ("start S\nS ::= | B | R ;\nB ::= S ;\nR ::= x R | y ;\n", "x , y , x , x , y |- B*B"),
+    # OVER_L's argument, and UNDER_L's on the mirror: only x x y ⊢ S
+    ("start S\nS ::= y | x S ;\nY ::= Z x ;\nZ ::= x ;\n", "Z/S , x , x , y , x |- Y"),
+    # OVER_L's outer premise at the edge, and UNDER_L's on the mirror: only Z , y ⊢ Y
+    ("start S\nS ::= | x S ;\nY ::= Z y ;\nZ ::= x ;\n", "Z/S , x , x , x , y |- Y"),
+]
+
+
+@pytest.mark.parametrize("grammar, text", SPLIT_CASES)
+def test_split_charts_read_each_premise_in_its_direction(grammar, text):
+    g = parse_grammar_file(grammar)
+    s = parse_sequent(text, g)
+    _assert_as_every_split(g, [s])
+    _assert_as_every_split(reversed_grammar(g), [mirror_sequent(s)])
+    _assert_proofs_mirrored(g, s)
 
 
 @ignore_swallowed_alarms
