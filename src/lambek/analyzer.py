@@ -47,7 +47,7 @@ from itertools import product
 from typing import Sequence
 
 from .earley import Ambiguous, Chart, ParseTree, Reject, Unique, parse_tree, recognize, tree_to_json
-from .grammar import Grammar, Symbol, Value, Word, memo, render_word, require_bound, require_word, set_field
+from .grammar import Grammar, Symbol, Value, Word, memo, render_word, require_bound, require_word, set_field, set_key
 from .prover import ProofTree, Prover, Side, capture, flat_proof, fold_chain, proof_to_json
 from .types import Atom, LambekType, Sequent, render_type, type_universe
 
@@ -65,8 +65,7 @@ class InjectionContext(Value):
         set_field(self, "goal", goal)
         set_field(self, "expected", expected)
         # the grammar's memo keeps each template's parse under the template
-        set_field(self, "_k", (prefix, suffix, goal, expected))
-        set_field(self, "_h", hash(self._k))
+        set_key(self, (prefix, suffix, goal, expected))
 
 
 class Classification(enum.Enum):
@@ -195,7 +194,7 @@ def hole_language(g: Grammar, ctx: InjectionContext, out_len: int) -> frozenset[
     """Every word of length at most out_len the hole accepts syntactically."""
     _require_context(g, ctx)
     require_bound(out_len, "out_len")
-    sigma = sorted(g.terminals, key=lambda s: s.name)
+    sigma = g.symbol_table().terminals
     found: set[Word] = set()
     for n in range(out_len + 1):
         for w in product(sigma, repeat=n):
@@ -318,11 +317,12 @@ def capture_typings(g: Grammar, ctx: InjectionContext, w: Word) -> tuple[Capture
     Those charts decide both premises, so at the smallest such k or j each
     is the grammar's fold chain (flat_proof, decided once per sequent), the
     hole's share only at a split that a capture uses, and capture composes
-    the two.  Captures come in the order ψ, π, Left before Right.
+    the two.  Captures come in the grammar's name order of ψ, then of π,
+    the order of its symbol table, Left before Right.
     """
     _require_context(g, ctx)
     require_word(g, w)
-    nts = tuple(sorted(g.nonterminals, key=lambda s: s.name))
+    nts = g.symbol_table().nonterminals
     hole = ctx.expected
     n = len(w)
 

@@ -103,10 +103,7 @@ def _cmd_prove(g: Grammar, args: argparse.Namespace) -> Answer:
 
 def _cmd_infer(g: Grammar, args: argparse.Namespace) -> Answer:
     w = word_from_text(g, args.word)
-    if args.atoms:
-        atoms = tuple(g.symbol(name.strip()) for name in args.atoms.split(","))
-    else:
-        atoms = tuple(sorted(g.nonterminals, key=lambda s: s.name))
+    atoms = tuple(g.symbol(n.strip()) for n in args.atoms.split(",")) if args.atoms else g.symbol_table().nonterminals
     types = [render_type(t) for t, _ in infer_typings(g, w, atoms, args.depth)]
     return (0 if types else 1), {"word": render_word(w), "depth": args.depth, "types": types}, types
 

@@ -114,14 +114,6 @@ class Reject(Value):
 ParseOutcome = Unique | Ambiguous | Reject
 
 
-def _symbol_ids(g: Grammar) -> tuple[dict[Symbol, int], list[Symbol]]:
-    """Each declared symbol's id and the symbols by id (nonterminals, then
-    terminals, each by name); reach them through memo.  A symbol that g does
-    not declare gets len(ids), which no production uses."""
-    syms = sorted(g.nonterminals, key=lambda s: s.name) + sorted(g.terminals, key=lambda s: s.name)
-    return {s: k for k, s in enumerate(syms)}, syms
-
-
 def _dotted_rules(
     g: Grammar, reverse: bool
 ) -> tuple[list[Symbol | None], list[Symbol | None], dict[Symbol, tuple[int, ...]], list[int]]:
@@ -139,9 +131,9 @@ def _dotted_rules(
     its id (None and -1 for an augmented rule); ``predict[X]`` holds the
     rules of X's productions at dot 0, in grammar order.
     """
-    ids, syms = memo(g, _symbol_ids)
+    ids = g.symbol_table().ids
     nxt: list[Symbol | None] = []
-    for a in [*syms, None]:
+    for a in [*ids, None]:
         nxt += [a, None]
     lhs: list[Symbol | None] = [None] * len(nxt)
     lhs_ids = [-1] * len(nxt)
@@ -283,7 +275,7 @@ def _run(
 
 def _goal(g: Grammar, a: Symbol) -> Item:
     """S'ₐ → a• with origin 0, which a column holds exactly when a derives the input before it."""
-    ids = memo(g, _symbol_ids)[0]
+    ids = g.symbol_table().ids
     return 2 * ids.get(a, len(ids)) + 1, 0
 
 
@@ -400,7 +392,7 @@ def _span_ends(g: Grammar, chart: Chart) -> dict[tuple[int, int], list[int]]:
     skipped.  A nonterminal of the input spans itself.
     """
     nxt, lhs, _, lhs_ids = memo(g, _dotted_rules, False)
-    ids = memo(g, _symbol_ids)[0]
+    ids = g.symbol_table().ids
     w, columns, waits, leo = chart.word, chart.columns, chart.waits, chart.leo
     ends: dict[tuple[int, int], list[int]] = {}
     for j, col in enumerate(columns):
@@ -446,7 +438,7 @@ _Shape = tuple[Production, tuple[int, ...], tuple[bool, ...], tuple[int, ...]]
 def _rhs_shapes(g: Grammar) -> list[list[_Shape]]:
     """Per left-hand-side id, in grammar order, the shape of each production;
     reach it through memo."""
-    ids = memo(g, _symbol_ids)[0]
+    ids = g.symbol_table().ids
     shapes: list[list[_Shape]] = [[] for _ in range(len(ids) + 1)]
     for p in g.productions:
         flags = tuple(s.is_terminal for s in p.rhs)
@@ -583,13 +575,13 @@ def _trees(
 
 def _leaves(g: Grammar) -> list[tuple[ParseTree]]:
     """Per symbol id, the one-tree list of the symbol's leaf; reach it through memo."""
-    return [(token_leaf(x),) for x in memo(g, _symbol_ids)[1]]
+    return [(token_leaf(x),) for x in g.symbol_table().ids]
 
 
 def _walk(g: Grammar, chart: Chart) -> _Walk:
     """A fresh walk over a forward chart's input, which it accepted; its trees share the grammar's leaves."""
     w = tuple(chart.word)
-    ids = memo(g, _symbol_ids)[0]
+    ids = g.symbol_table().ids
     unknown = len(ids)
     wids = [ids.get(x, unknown) for x in w]
     by_id = memo(g, _leaves)
@@ -612,7 +604,7 @@ def parse_tree(g: Grammar, a: Symbol, w: Word, prefix: Chart | None = None) -> P
         chart.push(w[mark[0] :])
         if not chart.accepts(a):
             return Reject()
-        ids = memo(g, _symbol_ids)[0]
+        ids = g.symbol_table().ids
         found = _trees(memo(g, _rhs_shapes), _walk(g, chart), ids.get(a, len(ids)), 0, len(w), ())
     finally:
         chart.pop(mark)

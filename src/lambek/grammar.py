@@ -51,11 +51,11 @@ set_field = object.__setattr__
 class Value:
     """An immutable value: its fields are its __slots__, which its own __init__
     sets through set_field.  It equals a value of its class with equal fields,
-    hashes the tuple of its fields and reprs as Class(field=value, ...); slots
-    named with a leading underscore are caches, outside all three.  A class
-    with slots _k and _h sets them to its fields' tuple and its hash, which its
-    equality and hash then read; every other class reads its fields' tuple
-    through _key, one attrgetter per class."""
+    hashes the tuple of its fields, read by _key, and reprs as Class(field=value,
+    ...); slots named with a leading underscore are caches, outside all three.
+    A keyed class, one with slots _k and _h, builds one tuple instead: set_key
+    caches it as _k, the tuple that its equality compares and its hash hashes,
+    and its hash as _h."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -63,8 +63,8 @@ class Value:
     def __init_subclass__(cls) -> None:
         cls._fields = fields = tuple(s for s in cls.__slots__ if not s.startswith("_"))
         if "_k" in cls.__slots__:
-            cls.__eq__, cls.__hash__, key = _own_code(_eq_cached), _own_code(_hash_cached), attrgetter("_k")
-        elif len(fields) == 1:
+            cls.__eq__, cls.__hash__ = _own_code(_eq_cached), _own_code(_hash_cached)
+        if len(fields) == 1:
             # a tuple still, so that identical fields short-circuit
             get = attrgetter(*fields)
             key = lambda v: (get(v),)
@@ -85,7 +85,7 @@ class Value:
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self) -> tuple:
-        # copy and pickle rebuild through __init__, which recomputes the caches
+        # copy and pickle rebuild through __init__ from the fields, recomputing the caches
         return type(self), self._key(self)
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -93,6 +93,12 @@ class Value:
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+def set_key(v: Value, key: tuple) -> None:
+    """Cache a keyed value's key, the one tuple it compares and hashes, and its hash."""
+    set_field(v, "_k", key)
+    set_field(v, "_h", hash(key))
 
 
 def _own_code(f: Callable) -> Callable:
@@ -118,8 +124,7 @@ class Symbol(Value):
         set_field(self, "kind", kind)
         set_field(self, "name", name)
         # symbols end up hashed millions of times during proof search
-        set_field(self, "_k", (kind, name))
-        set_field(self, "_h", hash((kind.value, name)))
+        set_key(self, (kind.value, name))
 
     @property
     def is_terminal(self) -> bool:
@@ -152,8 +157,7 @@ class Production(Value):
         set_field(self, "lhs", lhs)
         set_field(self, "rhs", rhs)
         # parse trees look their productions up during folds
-        set_field(self, "_k", (lhs, rhs))
-        set_field(self, "_h", hash(self._k))
+        set_key(self, (lhs, rhs))
 
 
 class Grammar(Value):
@@ -189,13 +193,17 @@ class Grammar(Value):
 
     def symbol(self, name: str) -> Symbol:
         """Look up a declared symbol by name."""
-        sym = memo(self, _symbols_by_name).get(name)
+        sym = self.symbol_table().by_name.get(name)
         if sym is None:
             raise GrammarError(f"unknown symbol {name!r}")
         return sym
 
     def declares(self, name: str) -> bool:
-        return name in memo(self, _symbols_by_name)
+        return name in self.symbol_table().by_name
+
+    def symbol_table(self) -> SymbolTable:
+        """The grammar's one symbol table, built at its first use."""
+        return memo(self, SymbolTable)
 
 
 def memo(g: Grammar, fn: Callable[..., T], *args: Any) -> T:
@@ -211,8 +219,21 @@ def memo(g: Grammar, fn: Callable[..., T], *args: Any) -> T:
         return out
 
 
-def _symbols_by_name(g: Grammar) -> dict[str, Symbol]:
-    return {s.name: s for s in g.terminals | g.nonterminals}
+class SymbolTable:
+    """A grammar's symbols in its one order: its nonterminals, then its
+    terminals, each in name order.  ids holds them in that order, each with
+    its index (readers give an undeclared symbol len(ids), which no
+    production uses), and by_name each by its name.  The chart's ids, the
+    capture search's ψ and π, and the words that the oracle and the hole
+    search try all come in this order.  Reach it through Grammar.symbol_table."""
+
+    __slots__ = ("nonterminals", "terminals", "ids", "by_name")
+
+    def __init__(self, g: Grammar) -> None:
+        self.nonterminals = tuple(sorted(g.nonterminals, key=attrgetter("name")))
+        self.terminals = tuple(sorted(g.terminals, key=attrgetter("name")))
+        self.ids = {s: k for k, s in enumerate(self.nonterminals + self.terminals)}
+        self.by_name = {s.name: s for s in self.ids}
 
 
 def lhs_index(g: Grammar) -> dict[Symbol, tuple[int, ...]]:
@@ -592,10 +613,6 @@ def _concatenations(layers: list[_Layer], rhs: tuple[Symbol, ...], n: int) -> _C
     return prefixes.get(n, (set(), set()))
 
 
-def _declared(g: Grammar, x: Symbol) -> bool:
-    return x in (g.terminals if x.is_terminal else g.nonterminals)
-
-
 def require_bound(n: int, name: str) -> None:
     """Raise ValueError, naming the parameter, unless the bound n is a nonnegative integer."""
     if not isinstance(n, int):
@@ -608,7 +625,7 @@ def _table_to(g: Grammar, x: Symbol, max_len: int) -> list[_Layer]:
     """The word table's layers 0 … max_len, grown as needed, once x and the
     bound are checked."""
     require_bound(max_len, "max_len")
-    if not _declared(g, x):
+    if x not in g.symbol_table().ids:
         raise GrammarError(f"symbol {x.name!r} is not declared in the grammar")
     return _grow_words(g, max_len)[: max_len + 1]
 
@@ -635,7 +652,7 @@ def enumerated_member(g: Grammar, x: Symbol, w: Word) -> bool | None:
         return None
     words = layers[len(w)][0].get(x)
     if words is None:
-        return False if _declared(g, x) else None
+        return False if x in g.symbol_table().ids else None
     return w in words
 
 

@@ -181,11 +181,8 @@ def _implication_candidates(g: Grammar, t: Under | Over, out_len: int, max_len: 
 
 
 def _all_words(g: Grammar, out_len: int) -> tuple[Word, ...]:
-    sigma = sorted(g.terminals, key=lambda s: s.name)
-    out: list[Word] = []
-    for n in range(out_len + 1):
-        out.extend(product(sigma, repeat=n))
-    return tuple(out)
+    sigma = g.symbol_table().terminals
+    return tuple(w for n in range(out_len + 1) for w in product(sigma, repeat=n))
 
 
 def _length_sup(g: Grammar, cap: int) -> dict[Symbol, int]:

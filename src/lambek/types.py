@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 from typing import Callable, Iterator, Sequence
 
-from .grammar import Grammar, GrammarError, Symbol, Value, require_bound, set_field
+from .grammar import Grammar, GrammarError, Symbol, Value, require_bound, set_field, set_key
 
 
 class TypeSyntaxError(ValueError):
@@ -30,8 +30,8 @@ class TypeSyntaxError(ValueError):
 
 
 # Types and sequents are dict keys throughout proof search, where a deep hash
-# per probe would dominate: every type caches its fields' tuple and its hash at
-# construction (see Value), and a sequent caches its hash at its first use.
+# per probe would dominate: every type caches its key, its tagged fields, and
+# the key's hash at construction (see Value); a sequent hashes at first use.
 
 
 class Atom(Value):
@@ -39,8 +39,7 @@ class Atom(Value):
 
     def __init__(self, symbol: Symbol) -> None:
         set_field(self, "symbol", symbol)
-        set_field(self, "_k", (symbol,))
-        set_field(self, "_h", hash(("at", symbol)))
+        set_key(self, ("at", symbol))
 
 
 class UnitType(Value):
@@ -64,8 +63,7 @@ class Under(Value):
     def __init__(self, arg: LambekType, result: LambekType) -> None:
         set_field(self, "arg", arg)
         set_field(self, "result", result)
-        set_field(self, "_k", (arg, result))
-        set_field(self, "_h", hash(("un", arg, result)))
+        set_key(self, ("un", arg, result))
 
 
 class Over(Value):
@@ -76,8 +74,7 @@ class Over(Value):
     def __init__(self, result: LambekType, arg: LambekType) -> None:
         set_field(self, "result", result)
         set_field(self, "arg", arg)
-        set_field(self, "_k", (result, arg))
-        set_field(self, "_h", hash(("ov", result, arg)))
+        set_key(self, ("ov", result, arg))
 
 
 class Prod(Value):
@@ -86,8 +83,7 @@ class Prod(Value):
     def __init__(self, left: LambekType, right: LambekType) -> None:
         set_field(self, "left", left)
         set_field(self, "right", right)
-        set_field(self, "_k", (left, right))
-        set_field(self, "_h", hash(("pr", left, right)))
+        set_key(self, ("pr", left, right))
 
 
 LambekType = Atom | UnitType | Under | Over | Prod

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from lambek import earley
+from lambek import earley, grammar
 from lambek.earley import (
     EPS_LEAF,
     Ambiguous,
@@ -25,7 +25,6 @@ from lambek.earley import (
     _chart,
     _rhs_shapes,
     _span_ends,
-    _symbol_ids,
     _trees,
     _walk,
 )
@@ -326,7 +325,7 @@ def _symbol_ends(g, form, chart):
 
     The id past the declared symbols is an undeclared nonterminal of the form
     spanning itself."""
-    syms = memo(g, _symbol_ids)[1]
+    syms = [*g.symbol_table().ids]
     return {(syms[x] if x < len(syms) else form[o], o): es for (x, o), es in _span_ends(g, chart).items()}
 
 
@@ -611,7 +610,7 @@ def test_symbol_ids_are_built_once_per_grammar(load_bundled, spy):
     """parse_tree's walk and Chart.goals read the grammar's one id table,
     and fold_chain builds no other."""
     g = load_bundled("bool")
-    built = spy(earley, "_symbol_ids")
+    built = spy(grammar, "SymbolTable")
     E, V = g.symbol("E"), g.symbol("V")
     form = w(g, "1 = a AND b = b")
     tree = parse_tree(g, E, form).tree
@@ -718,7 +717,7 @@ def test_tree_table_grows_linearly_on_right_recursion(bool_g):
     for tests in (25, 50, 100, 200):  # 99 … 799 tokens
         chain = w(bool_g, " AND ".join(["1 = a"] * tests))
         walk = _walk(bool_g, pushed(bool_g, (E,), chain))
-        found = _trees(memo(bool_g, _rhs_shapes), walk, memo(bool_g, _symbol_ids)[0][E], 0, len(chain), ())
+        found = _trees(memo(bool_g, _rhs_shapes), walk, bool_g.symbol_table().ids[E], 0, len(chain), ())
         assert len(found) == 1 and found[0].word == chain
         lengths.append(len(chain))
         entries.append(len(walk[-1]))

@@ -7,7 +7,8 @@ line with ``# noqa: F401``.  A CLI process starts without loading the
 standard library's heavy introspection modules.  Every module parses as
 the oldest Python that pyproject.toml promises.  Every name that the
 benchmark's traced run rebinds or calls is still there.  Equality and
-hashing are written once, on grammar.Value.
+hashing are written once, on grammar.Value, and a grammar's symbols are
+sorted once, in grammar.py.
 """
 import ast
 import json
@@ -110,6 +111,29 @@ def test_only_value_writes_equality_and_hashing():
         ("grammar.py", "Value", "__eq__"), ("grammar.py", "Value", "__hash__"),
         ("types.py", "Sequent", "__eq__"), ("types.py", "Sequent", "__hash__"), ("types.py", "UnitType", "__hash__"),
     }
+
+
+def test_only_grammar_sorts_a_grammars_symbols():
+    """Each grammar keeps its symbols in name order in one table,
+    grammar.SymbolTable; no other module sorts its terminals or nonterminals."""
+    sorting = []
+    for name, (_, tree) in _modules().items():
+        if name == "grammar.py":
+            continue
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            if isinstance(f, ast.Name) and f.id == "sorted":
+                operands = node.args
+            elif isinstance(f, ast.Attribute) and f.attr == "sort":
+                operands = [f.value]
+            else:
+                continue
+            if any(isinstance(n, ast.Attribute) and n.attr in ("terminals", "nonterminals")
+                   for arg in operands for n in ast.walk(arg)):
+                sorting.append(f"{name}:{node.lineno}")
+    assert sorting == []
 
 
 def test_every_name_the_traced_benchmark_wraps_exists():

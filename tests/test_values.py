@@ -143,6 +143,9 @@ OWN_HASH = {
 
 IDS = [cls.__name__ for cls, _, _ in CASES]
 
+# the classes that build one tuple, their key, which they compare and hash
+KEYED = [case for case in CASES if "_k" in case[0].__slots__]
+
 
 def test_every_public_value_class_is_covered():
     assert len({cls for cls, _, _ in CASES}) == len(CASES) == 28
@@ -153,6 +156,17 @@ def test_equal_fields_give_equal_values_and_hashes(cls, fields, text):
     x, y = cls(**fields), cls(*fields.values())
     assert x == y and not (x != y)
     assert hash(x) == hash(y) == OWN_HASH.get(cls, lambda f: hash(tuple(f.values())))(fields)
+
+
+def test_the_keyed_classes():
+    assert {cls for cls, _, _ in KEYED} == {Symbol, Production, Atom, Under, Over, Prod, InjectionContext}
+
+
+@pytest.mark.parametrize("cls, fields, text", KEYED, ids=[cls.__name__ for cls, _, _ in KEYED])
+def test_a_keyed_value_caches_the_hash_of_its_key(cls, fields, text):
+    """A keyed value builds one tuple: the key it compares is the tuple it hashes."""
+    x = cls(**fields)
+    assert type(x._k) is tuple and x._h == hash(x._k) == hash(x)
 
 
 @pytest.mark.parametrize("cls, fields, text", CASES, ids=IDS)
