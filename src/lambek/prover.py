@@ -283,8 +283,7 @@ def _run_ends(g: Grammar, run: tuple[Symbol, ...], x: Symbol, reverse: bool, psi
     k for which x derives psi, if given, then the last k symbols of the run.
     One chart over the run answers every k (Chart.ends, Chart.goals);
     reach it through memo."""
-    chart = Chart(g, (x,), reverse)
-    chart.push(run)
+    chart = Chart(g, (x,), reverse, run)
     if psi is None:
         return frozenset(chart.ends(x))
     return frozenset([k for k in range(len(run) + 1) if chart.goals(k, psi)])

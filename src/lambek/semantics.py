@@ -118,8 +118,7 @@ def _continues(g: Grammar, w: Word, a: Symbol, dom: tuple[Word, ...], before: bo
         known = enumerated_member(g, a, v + w if before else w + v)
         if known is None:
             if chart is None:
-                chart = Chart(g, (a,), before)
-                chart.push(w[::-1] if before else w)
+                chart = Chart(g, (a,), before, w[::-1] if before else w)
                 mark = chart.mark()
             chart.push(v[::-1] if before else v)
             known = chart.accepts(a)

@@ -476,10 +476,11 @@ def test_captures_match_the_pair_loop_on_random_grammars(g, data):
 
 def test_attack_ladder_search_does_not_grow_with_the_input(bool_g, tmpl, mirrored, load_bundled, spy):
     """The captures of  b (OR 1 = 1)^k  at  a = _, and of  (1 = 1 OR)^k b  at
-    _ = a, read their splits off one chart from the hole and one from every
-    nonterminal, and fold two flat sequents each: the search folds as many
-    sequents and builds 4 charts at every k.  Each rung is counted on a
-    fresh grammar, which has decided no flat sequent yet."""
+    _ = a, read their splits off two charts from every nonterminal, one in
+    each reading, and fold two flat sequents each, whose parses build the
+    other two charts: the search folds as many sequents and builds 4 charts
+    at every k.  Each rung is counted on a fresh grammar, which has decided
+    no flat sequent yet."""
     ks = (1, 8, 16, 32, 64)
     ladders = {
         tmpl: lambda k: "b" + " OR 1 = 1" * k,
@@ -497,9 +498,10 @@ def test_attack_ladder_search_does_not_grow_with_the_input(bool_g, tmpl, mirrore
 
 def test_many_split_search_does_not_grow_with_the_splits(bool_g, load_bundled, spy):
     """A C hole splits  (1 = 1 AND)^k 1 = 1 OR 1 = 1  after every  1 = 1; the
-    search reads all k + 1 splits off one chart and folds only the shares
-    that a capture uses, so it folds as many sequents and builds 6 charts at
-    every k, each counted on a fresh grammar."""
+    search reads all k + 1 splits off the forward chart from every
+    nonterminal and folds only the shares that a capture uses, so it folds
+    as many sequents and builds 6 charts at every k, the two from every
+    nonterminal and one per flat parse, each counted on a fresh grammar."""
     ctx = InjectionContext(word_from_text(bool_g, "a = 1 OR"), (), bool_g.symbol("E"), bool_g.symbol("C"))
     ks = (1, 8, 16, 32, 64)
     words = [word_from_text(bool_g, "1 = 1 AND " * k + "1 = 1 OR 1 = 1") for k in ks]
@@ -511,6 +513,23 @@ def test_many_split_search_does_not_grow_with_the_splits(bool_g, load_bundled, s
     assert {(len(asked), charts) for _, asked, charts in out} == {(len(out[0][1]), 6)}
     captures = [[(c.direction, render_type(c.type)) for c in found] for found, _, _ in out]
     assert captures == [[(Side.LEFT, "(C/C)\\E"), (Side.LEFT, "(T/C)\\E")]] * len(ks)
+
+
+@pytest.mark.parametrize(
+    "prefix, suffix, text",
+    [("1 = b AND a =", "OR b = 1", "b OR 1 = 1"), ("a =", "", "b OR 1 = 1"), ("", "= a", "1 = 1 OR b")],
+)
+def test_the_capture_search_builds_one_chart_per_reading(load_bundled, spy, prefix, suffix, text):
+    """capture_typings charts through analyzer.Chart (a flat proof parses
+    through earley's own name): one chart over the input and one over it
+    reversed, both from every nonterminal, whichever sides the template
+    has, and none from the hole alone."""
+    g = load_bundled("bool")
+    ctx = InjectionContext(word_from_text(g, prefix), word_from_text(g, suffix), g.symbol("E"), g.symbol("V"))
+    charts = spy(analyzer, "Chart")
+    assert capture_typings(g, ctx, word_from_text(g, text))
+    nts = g.symbol_table().nonterminals
+    assert len(charts) == 2 and {args[1:3] for args in charts} == {(nts, False), (nts, True)}
 
 
 def test_the_capture_search_shares_its_flat_decisions_with_provers(load_bundled, spy):
@@ -702,7 +721,7 @@ def test_a_second_input_closes_no_prefix_column_and_no_column_0(load_bundled, sp
         classify_input(g, ctx, word_from_text(g, first))
         runs.clear()
         rep = classify_input(g, ctx, word_from_text(g, second))
-        prefix = g._memo[(analyzer._prefix_chart, ctx.goal, ctx.prefix)]
+        prefix = g._memo[(Chart, (ctx.goal,), False, ctx.prefix)]
         # _run(tables, columns, waits, leo, col, wait, i, w) closes column i and the ones after it
         assert runs and all(args[6] > 0 for args in runs), second
         continued = [args[6] for args in runs if args[1] is prefix.columns]
@@ -734,7 +753,7 @@ def test_a_deadline_inside_a_parse_leaves_the_template_chart_as_it_was(load_bund
     g = load_bundled("bool")
     ctx = InjectionContext(word_from_text(g, "1 = b AND a ="), word_from_text(g, "OR b = 1"), g.symbol("E"), g.symbol("V"))
     classify_input(g, ctx, word_from_text(g, "b"))
-    chart = g._memo[(analyzer._prefix_chart, ctx.goal, ctx.prefix)]
+    chart = g._memo[(Chart, (ctx.goal,), False, ctx.prefix)]
     before = chart_state(chart)
     inputs = [word_from_text(g, text) for text in ("a AND 1 = 1 AND b = b", "b OR 1 = 1 AND a = a", "b")]
     for name in ("_run", "_leo_top", "_span_ends", "_trees"):
@@ -798,15 +817,18 @@ def _assert_mirrored(g, ctx, w):
     assert there == (here[0], {(swap[side], mirror_type(t)) for side, t in here[1]}), (ctx, w)
 
 
+def _assert_classified_and_mirrored(g, ctx, w):
+    """A cut template parses, so w classifies or raises AmbiguityError, and its mirror agrees."""
+    here = _outcome(g, ctx, w)
+    assert here is AmbiguityError or not isinstance(here, type), (ctx, w, here)
+    _assert_mirrored(g, ctx, w)
+
+
 @ignore_swallowed_alarms
 @settings(max_examples=150)
-@given(cyclic_grammars(), st.data())
-def test_classifications_mirror_on_random_grammars(g, data):
-    words = st.lists(st.sampled_from(_by_name(g.terminals)), max_size=3).map(tuple)
-    hole = data.draw(st.sampled_from(_by_name(g.nonterminals)))
-    ctx = InjectionContext(data.draw(words), data.draw(words), g.start, hole)
-    w = data.draw(st.one_of(st.just(()), words))
-    _within_two_seconds(_assert_mirrored, g, ctx, w)
+@given(cut_sentences())
+def test_classifications_mirror_on_random_grammars(cut):
+    _within_two_seconds(_assert_classified_and_mirrored, *cut)
 
 
 @pytest.mark.parametrize("name", sorted(TEMPLATES))

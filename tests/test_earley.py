@@ -46,7 +46,10 @@ from lambek.grammar import (
 )
 from lambek.prover import fold_chain
 from lambek.types import Atom, Sequent
-from test_prover import NESTED_NULLABLE_CYCLES, PINNED_GRAMMARS, _time_limit, _TooSlow, cyclic_grammars, ignore_swallowed_alarms
+from test_prover import (
+    NESTED_NULLABLE_CYCLES, PINNED_GRAMMARS, _time_limit, _TooSlow, _within_two_seconds, cyclic_grammars,
+    ignore_swallowed_alarms, reversed_grammar,
+)
 
 
 def w(g, text):
@@ -986,3 +989,44 @@ def test_parse_tree_continues_a_prefix_chart_and_pops_it_back(bool_g):
         assert chart_state(chart) == before
     with pytest.raises(ValueError, match="not a prefix"):
         parse_tree(bool_g, E, w(bool_g, "1 = b"), pushed(bool_g, (E,), w(bool_g, "1 = a")))
+
+
+def _mirror_tree(t):
+    """t read right to left: a tree over the grammar's rules reversed."""
+    if t.production is None:
+        return t
+    prod = Production(t.production.lhs, t.production.rhs[::-1])
+    return ParseTree(t.root, prod, tuple(_mirror_tree(c) for c in reversed(t.children)), t.word[::-1])
+
+
+def _assert_earley_mirrored(g, forms, max_len):
+    """Over g's rules reversed, each nonterminal derives the reversed words,
+    the reversed ones twice, and is as ambiguous; each reversed form parses
+    to the same outcome, a unique tree to the mirrored tree."""
+    rg = reversed_grammar(g)
+    for x in sorted(g.nonterminals, key=lambda s: s.name):
+        assert enumerate_words(rg, x, max_len) == {u[::-1] for u in enumerate_words(g, x, max_len)}, x
+        assert ambiguous_words(rg, x, max_len) == {u[::-1] for u in ambiguous_words(g, x, max_len)}, x
+        assert type(check_unambiguous(rg, x, max_len)) is type(check_unambiguous(g, x, max_len)), x
+        for form in forms:
+            here, there = parse_tree(g, x, form), parse_tree(rg, x, form[::-1])
+            assert type(there) is type(here), (x, form)
+            if isinstance(here, Unique):
+                assert there.tree == _mirror_tree(here.tree), (x, form)
+
+
+@ignore_swallowed_alarms
+@settings(max_examples=150)
+@given(cyclic_grammars(), st.lists(st.lists(st.sampled_from(_SYMBOLS), max_size=4), max_size=4))
+def test_earley_answers_mirror_on_random_grammars(g, names):
+    forms = [tuple(g.symbol(n) for n in form) for form in names]
+    _within_two_seconds(_assert_earley_mirrored, g, forms, 4)
+
+
+def test_earley_answers_mirror_on_bool(load_bundled):
+    g = load_bundled("bool")
+    symbols = sorted(g.terminals | g.nonterminals, key=lambda s: s.name)
+    texts = ("b", "1 = a", "a = b OR 1 = 1", "1 = a AND b = b OR a = 1", "V = V", "T AND T", "b = = a", "C OR")
+    forms = [tuple(map(g.symbol, text.split())) for text in texts]
+    forms += [form for n in range(3) for form in product(symbols, repeat=n)]
+    _assert_earley_mirrored(g, forms, 5)

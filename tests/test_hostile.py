@@ -15,12 +15,12 @@ from contextlib import contextmanager
 
 import pytest
 
-from lambek.analyzer import InjectionContext, classify_input
+from lambek.analyzer import AmbiguityError, Classification, InjectionContext, classify_input
 from lambek.cli import run
 from lambek.earley import parse_tree, recognize
-from lambek.grammar import word_from_text
-from lambek.prover import Prover, RuleName, _flat_proof, proof_to_json
-from lambek.types import parse_sequent
+from lambek.grammar import parse_grammar_file, word_from_text
+from lambek.prover import Prover, RuleName, SearchStatus, _flat_proof, proof_to_json
+from lambek.types import Atom, Over, Sequent, parse_sequent, parse_type
 from test_prover import _preorder, _time_limit, ignore_swallowed_alarms
 
 LIMIT_S = 5
@@ -75,6 +75,24 @@ def _ladder(functors, tests):
 def _a_equals_hole(g):
     """The template `a = _`, an E whose hole is a V."""
     return InjectionContext(word_from_text(g, "a ="), (), g.symbol("E"), g.symbol("V"))
+
+
+def _attack(rungs):
+    """`b (OR 1 = 1)^rungs`, which captures the `a =` before it."""
+    return "b" + " OR 1 = 1" * rungs
+
+
+def _nested_text(depth):
+    """`E/(E/(… E …))`, depth levels deep."""
+    return "E/(" * depth + "E" + ")" * depth
+
+
+def _nested_type(g, depth):
+    """The type that _nested_text(depth) names, built without the parser."""
+    t = Atom(g.symbol("E"))
+    for _ in range(depth):
+        t = Over(Atom(g.symbol("E")), t)
+    return t
 
 
 @pytest.mark.xfail(strict=True, raises=RecursionError, reason="item 10: the tree walk recurses per span")
@@ -173,3 +191,63 @@ def test_classify_input_of_a_2000_token_soup(bool_g):
         soup = word_from_text(bool_g, " ".join(["1 AND"] * 1000))
         assert len(soup) == 2000
         assert classify_input(bool_g, _a_equals_hole(bool_g), soup).classification
+
+
+@pytest.mark.xfail(strict=True, raises=RecursionError, reason="item 2: parse_type recurses per nesting level")
+@pytest.mark.parametrize("depth", [400, 10_000])
+def test_parse_type_of_a_deeply_nested_type(bool_g, depth):
+    with _case():
+        assert isinstance(parse_type(_nested_text(depth), bool_g), Over)
+
+
+@pytest.mark.xfail(strict=True, raises=RecursionError, reason="item 2: parse_type recurses per nesting level")
+@pytest.mark.parametrize("depth", [400, 10_000])
+def test_check_cli_of_a_deeply_nested_type(depth):
+    with _case():
+        _cli("check", "E |- " + _nested_text(depth), "--grammar", "bool")
+
+
+def test_prove_of_a_type_400_levels_deep(bool_g):
+    with _case():
+        s = Sequent((Atom(bool_g.symbol("E")),), _nested_type(bool_g, 400))
+        assert Prover(bool_g).prove(s).status is SearchStatus.NOT_FOUND_WITHIN_BOUNDS
+
+
+@pytest.mark.xfail(strict=True, raises=RecursionError, reason="item 2: iter_atoms recurses per nesting level")
+def test_prove_of_a_type_10000_levels_deep(bool_g):
+    with _case():
+        s = Sequent((Atom(bool_g.symbol("E")),), _nested_type(bool_g, 10_000))
+        assert Prover(bool_g).prove(s).status is SearchStatus.NOT_FOUND_WITHIN_BOUNDS
+
+
+def test_classify_input_of_the_256_rung_ladder(bool_g):
+    with _case():
+        attack = word_from_text(bool_g, _attack(256))
+        assert classify_input(bool_g, _a_equals_hole(bool_g), attack).classification is Classification.CAPTURING
+
+
+def test_classify_input_of_the_256_split_ladder(bool_g):
+    """A C hole at `a = 1 OR _` splits the input after every `1 = 1`."""
+    ctx = InjectionContext(word_from_text(bool_g, "a = 1 OR"), (), bool_g.symbol("E"), bool_g.symbol("C"))
+    with _case():
+        w = word_from_text(bool_g, "1 = 1 AND " * 256 + "1 = 1 OR 1 = 1")
+        assert classify_input(bool_g, ctx, w).classification is Classification.CAPTURING
+
+
+def test_analyze_json_cli_of_the_256_rung_ladder():
+    with _case():
+        argv = ["analyze", "--grammar", "bool", "--prefix", "a =", "--goal", "E", "--expect", "V"]
+        code, out = _cli(*argv, "--input", _attack(256), "--json")
+        # the proofs nest as deep as the input is long, past what json.loads decodes (item 3)
+        assert code == 1 and out.startswith('{"classification": "Capturing"')
+
+
+@pytest.mark.parametrize(
+    "rules, prefix, text", [("E ::= E + E | a ;", "a +", "a + a"), ("S ::= S S | x ;", "x", "x x")]
+)
+def test_classify_input_on_an_ambiguous_grammar(rules, prefix, text):
+    """The spliced string parses two ways: an AmbiguityError, a ValueError with a message."""
+    g = parse_grammar_file(f"start {rules[0]}\n{rules}\n")
+    ctx = InjectionContext(word_from_text(g, prefix), (), g.start, g.start)
+    with _case(), pytest.raises(AmbiguityError, match="parses ambiguously"):
+        classify_input(g, ctx, word_from_text(g, text))

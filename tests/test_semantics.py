@@ -132,6 +132,16 @@ def test_denotation_of_left_extension_type(bool_g):
     assert w(bool_g, "AND 1 = 1") not in d
 
 
+def test_an_implication_over_an_empty_domain_holds_of_every_word(load_bundled):
+    """T derives no word of at most 2 tokens, so under SemBound(2) E/T
+    quantifies over nothing and every word of at most one token is in it."""
+    g = load_bundled("bool")
+    assert not enumerate_words(g, g.symbol("T"), 2)
+    every = {()} | {(x,) for x in g.terminals}
+    assert len(every) == 7
+    assert denotation_bounded(g, parse_type("E/T", g), SemBound(2), 1) == every
+
+
 def test_implication_denotations_match_brute_force(bool_g):
     """The prefix/suffix candidate refinement must not drop members."""
     b = SemBound(3)
