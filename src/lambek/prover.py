@@ -44,6 +44,10 @@ ask.  A production's fold cuts the production's GRAM axiom in where its
 right-hand side stands, with a proof of  ⊢ X  cut in for each nullable X
 the parse leaves out.
 
+A sequent is searched only if it balances (Prover._balanced): every derivable
+sequent's two sides weigh the same under the grammar's count weights (counts.py),
+so most underivable goals and subgoals are refuted by one sum, with no step.
+
 A split rule's flat premises are read off charts: one Earley chart over
 the longest run of atoms beside a premise's fixed end decides it at every
 split (Chart.ends, or Chart.goals for the outer premise of an edge
@@ -56,6 +60,7 @@ from __future__ import annotations
 import enum
 from typing import Iterator, Sequence
 
+from .counts import weights
 from .earley import Ambiguous, Chart, ParseTree, Reject, parse_tree
 # not called here, but perfbench/spans.py rebinds lambek.prover.recognize and fails without it
 from .earley import recognize  # noqa: F401
@@ -319,6 +324,7 @@ class Prover:
                 # or the search need not terminate
                 raise ValueError(f"axiom type {render_type(ax.type)!r} names the axiom token {named.name!r}")
         self._proofs: dict[Sequent, ProofTree | None] = {}
+        self._weights = memo(g, weights, self.axioms)
 
     def prove(self, s: Sequent) -> SearchResult:
         require_declared(self.g, s)
@@ -330,8 +336,13 @@ class Prover:
     def _search(self, s: Sequent) -> ProofTree | None:
         """A proof of s as a premise, without its conclusion, or None."""
         if s not in self._proofs:
-            self._proofs[s] = self._step(s)
+            self._proofs[s] = self._step(s) if self._balanced(s) else None
         return self._proofs[s]
+
+    def _balanced(self, s: Sequent) -> bool:
+        """Whether s's antecedent weighs what its succedent does, as every derivable sequent's does."""
+        w = self._weights
+        return not w or sum(map(w.__getitem__, s.antecedent)) == w[s.succedent]
 
     def _step(self, s: Sequent) -> ProofTree | None:
         ante, succ = s.antecedent, s.succedent

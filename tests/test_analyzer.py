@@ -673,11 +673,42 @@ def test_classify_matches_the_reference_on_random_grammars(g, data):
     _within_two_seconds(_assert_classify_matches_the_reference, g, ctx, w)
 
 
+def _parse_nodes(g, x, u):
+    """Each node of a parse of u from x, as (start, end, node)."""
+    out = parse_tree(g, x, u)
+    found, stack = [], [(out.first if isinstance(out, Ambiguous) else out.tree, 0)]
+    while stack:
+        node, i = stack.pop()
+        found.append((i, i + len(node.word), node))
+        for c in node.children:
+            stack.append((c, i))
+            i += len(c.word)
+    return found
+
+
+def _edge_splices(g, x, u):
+    """(i, j, hole, s, e) per nonterminal node u[i:j] that is its parent's
+    first or last child of a nonempty yield, beside another, and has template
+    material on its other side: the parent's yield u[s:e] in that node's hole
+    is a hole word with its siblings' yields spliced on, which a production
+    of the parent's derives, a capture."""
+    found = []
+    for s, e, node in _parse_nodes(g, x, u):
+        kids = [c for c in node.children if c.word]
+        if len(kids) > 1 and kids[0].production is not None and s > 0:
+            found.append((s, s + len(kids[0].word), kids[0].root, s, e))
+        if len(kids) > 1 and kids[-1].production is not None and e < len(u):
+            found.append((e - len(kids[-1].word), e, kids[-1].root, s, e))
+    return found
+
+
 @st.composite
 def cut_sentences(draw):
     """A random grammar, with no cycle forced in, and a template cut from a
     parse of one of its words at a node: the node's symbol is the hole, and
-    the input is either the node's yield or any short word."""
+    the input is either the node's yield or any short word.  Or, in half the
+    draws where the grammar has one, an edge splice (_edge_splices) of any
+    nonterminal's word of at most 5 symbols."""
     nts = ["S", "A", "B", "C"]
     terms = ["x", "y", "z"]
     rhs = st.lists(st.sampled_from(nts + terms), max_size=3).map(tuple)
@@ -685,16 +716,17 @@ def cut_sentences(draw):
     sym = {n: nonterminal(n) for n in nts} | {t: terminal(t) for t in terms}
     prods = tuple(Production(sym[lhs], tuple(sym[s] for s in body)) for lhs, body in sorted(rules))
     g = Grammar(frozenset(sym[t] for t in terms), frozenset(sym[n] for n in nts), prods, sym["S"])
+    splices = [
+        (sym[x], v, splice)
+        for x in nts
+        for v in iter_words_sorted(enumerate_words(g, sym[x], 5))
+        for splice in _edge_splices(g, sym[x], v)
+    ]
+    if splices and draw(st.booleans()):
+        goal, u, (i, j, hole, s, e) = draw(st.sampled_from(splices))
+        return g, InjectionContext(u[:i], u[j:], goal, hole), u[s:e]
     u = draw(st.sampled_from(list(iter_words_sorted(enumerate_words(g, g.start, 5)))))
-    out = parse_tree(g, g.start, u)
-    nodes, stack = [], [(out.first if isinstance(out, Ambiguous) else out.tree, 0)]
-    while stack:
-        node, i = stack.pop()
-        if node.production is not None:
-            nodes.append((i, i + len(node.word), node.root))
-        for c in node.children:
-            stack.append((c, i))
-            i += len(c.word)
+    nodes = [(i, j, node.root) for i, j, node in _parse_nodes(g, g.start, u) if node.production is not None]
     i, j, hole = draw(st.sampled_from(nodes))
     words = st.lists(st.sampled_from([sym[t] for t in terms]), max_size=3).map(tuple)
     w = u[i:j] if draw(st.booleans()) else draw(words)

@@ -19,7 +19,7 @@ from lambek.analyzer import AmbiguityError, Classification, InjectionContext, cl
 from lambek.cli import run
 from lambek.earley import parse_tree, recognize
 from lambek.grammar import parse_grammar_file, word_from_text
-from lambek.prover import Prover, RuleName, SearchStatus, _flat_proof, proof_to_json
+from lambek.prover import Prover, RuleName, SearchStatus, _flat_proof, check_proof, proof_to_json
 from lambek.types import Atom, Over, Sequent, parse_sequent, parse_type
 from test_prover import _preorder, _time_limit, ignore_swallowed_alarms
 
@@ -29,15 +29,15 @@ pytestmark = ignore_swallowed_alarms
 
 
 @contextmanager
-def _case():
-    """Run a case under the default recursion limit and within LIMIT_S seconds.
+def _case(limit_s=LIMIT_S):
+    """Run a case under the default recursion limit and within limit_s seconds.
 
     A RecursionError is raised again from here, so that the report shows
     one frame, not the thousand that pytest would take seconds to render.
     """
     assert sys.getrecursionlimit() == 1000
     try:
-        with _time_limit(LIMIT_S):
+        with _time_limit(limit_s):
             yield
     except RecursionError as e:
         raise RecursionError(str(e)) from None
@@ -177,6 +177,36 @@ def test_a_warm_grammar_adds_no_flat_decision(load_bundled):
                 Prover(g).prove(parse_sequent(text, g))
         decided.append(sum(key[0] is _flat_proof for key in g._memo))
     assert decided[0] == decided[1]
+
+
+def _mixed_ladder(n):
+    """`(E/E , E , E\\E) ×n ⊢ E`: underivable, and unbalanced by n - 1 E's."""
+    return " , ".join(["E/E , E , E\\E"] * n) + " |- E"
+
+
+def _order_2_ladder(n):
+    """`(E/E)/(E/E) ×n , E/E , E ⊢ E`: provable, though most argument splits do not balance."""
+    return "(E/E)/(E/E) , " * n + "E/E , E |- E"
+
+
+def test_prove_of_the_64_rung_mixed_direction_ladder(load_bundled):
+    """The count check refutes the root, so the memo holds it alone."""
+    g = load_bundled("bool")
+    with _case(1):
+        pr = Prover(g)
+        assert pr.prove(parse_sequent(_mixed_ladder(64), g)).status is SearchStatus.NOT_FOUND_WITHIN_BOUNDS
+    assert len(pr._proofs) == 1
+
+
+def test_prove_of_the_32_rung_order_2_ladder(load_bundled):
+    """Each rung's balanced argument split is the only one searched: at most 4n + 3 memo entries."""
+    g = load_bundled("bool")
+    s = parse_sequent(_order_2_ladder(32), g)
+    with _case(1):
+        pr = Prover(g)
+        r = pr.prove(s)
+    assert r.proved and check_proof(g, r.proof).ok
+    assert len(pr._proofs) <= 4 * 32 + 3
 
 
 @pytest.mark.xfail(strict=True, raises=RecursionError, reason="item 10: the tree walk recurses per span")

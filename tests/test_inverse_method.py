@@ -245,6 +245,17 @@ def test_the_search_agrees_with_forward_saturation_on_small_grammars(case):
     _check_both_directions(*case)
 
 
+@settings(max_examples=100)
+@given(st.one_of(cases(small_grammars()), cases(cyclic_grammars())))
+def test_no_derived_sequent_is_count_refuted(case):
+    """Count invariance: whatever the reference derives balances under the
+    prover's weight, so the count check never refutes a derivable sequent."""
+    g, gs, axioms = case
+    prover = Prover(g, axioms)
+    for ante, succ in sorted(saturate(g, universe(g, gs, axioms), CAP, axioms), key=repr):
+        assert prover._balanced(Sequent(ante, succ)), render_sequent(Sequent(ante, succ))
+
+
 def test_saturation_derives_what_the_calculus_gives_and_no_more(bool_g):
     """Fixed answers on bool.g: a flat sequent, a lifted value, an
     incomplete comparison, and three sequents the search refutes."""

@@ -2,6 +2,7 @@ import json
 import random
 import signal
 from contextlib import contextmanager
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +27,7 @@ from lambek.prover import (
     SearchStatus,
     Side,
     TacticError,
+    TypingAxiom,
     capture,
     check_proof,
     dni,
@@ -746,8 +748,9 @@ def test_a_flat_sequent_is_parsed_once_per_grammar(load_bundled, spy):
     no chart and answers with an equal proof."""
     g = load_bundled("bool.g")
     charts = spy(earley.Chart, "__init__")
-    # OVER_R leaves the flat  a , = , V |- T; the second's OVER_L asks the flat  b |- V
-    for text in ("a , = |- T/V", "a , (V\\T)/V , b |- T"):
+    # OVER_R leaves the flat  a , = , V |- T; the second's OVER_L reads its
+    # argument's splits off a chart over  a , = , b  and parses  a , = , b |- T
+    for text in ("a , = |- T/V", "C/T , a , = , b |- C"):
         s = parse_sequent(text, g)
         first = Prover(g).prove(s)
         assert first.proved and charts, text
@@ -1391,6 +1394,110 @@ def test_dropped_splits_are_those_every_split_rejects(data):
     )
     sequents = st.one_of(split_sequents(g), mixed_sequents(g), l_rule_sequents(g))
     _within_two_seconds(_assert_as_every_split, g, data.draw(st.lists(sequents, min_size=1, max_size=4)), axioms)
+
+
+class _Uncounted(Prover):
+    """The search without the count check: every sequent balances."""
+
+    def _balanced(self, s):
+        return True
+
+
+@st.composite
+def typing_axioms(draw, g):
+    """No axiom, or one for x whose type is a nonterminal or an implication over two."""
+    nts = st.sampled_from([Atom(s) for s in sorted(g.nonterminals, key=lambda s: s.name)])
+    tau = draw(st.one_of(nts, st.builds(Over, nts, nts), st.builds(Under, nts, nts)))
+    return draw(st.sampled_from([(), (TypingAxiom(terminal("x"), tau),)]))
+
+
+def _assert_as_uncounted(g, sequents, axioms):
+    """The search answers each sequent with the proof that it finds without the count check."""
+    for s in sequents:
+        r, plain = Prover(g, axioms).prove(s), _Uncounted(g, axioms).prove(s)
+        assert r.status is plain.status, render_sequent(s)
+        assert r.proof is None or proof_to_json(r.proof) == proof_to_json(plain.proof), render_sequent(s)
+
+
+@ignore_swallowed_alarms
+@settings(max_examples=100)
+@given(st.data())
+def test_the_count_check_changes_no_answer(data):
+    g, axioms = data.draw(
+        st.one_of(
+            cyclic_grammars().flatmap(lambda g: typing_axioms(g).map(lambda axioms: (g, axioms))),
+            st.just((BOOL_G, ())),
+            st.just((ENG_G, ENG_AXIOMS)),
+        )
+    )
+    sequents = st.one_of(split_sequents(g), mixed_sequents(g), l_rule_sequents(g))
+    _within_two_seconds(_assert_as_uncounted, g, data.draw(st.lists(sequents, min_size=1, max_size=4)), axioms)
+
+
+def _null_space(rows, n):
+    """A basis of the rational vectors h with r·h = 0 for every row r, by Gauss-Jordan over fractions."""
+    rows, pivots = [[Fraction(x) for x in r] for r in rows], []
+    for c in range(n):
+        p = next((r for r in rows if r[c]), None)
+        if p is None:
+            continue
+        rows.remove(p)
+        p = [x / p[c] for x in p]
+        rows = [[x - r[c] * y for x, y in zip(r, p)] for r in rows]
+        pivots = [(k, [x - q[c] * y for x, y in zip(q, p)]) for k, q in pivots] + [(c, p)]
+    free = [f for f in range(n) if f not in {k for k, _ in pivots}]
+    basis = []
+    for f in free:
+        h = [Fraction(0)] * n
+        h[f] = Fraction(1)
+        for k, q in pivots:
+            h[k] = -q[f]
+        basis.append(h)
+    return basis
+
+
+def _signed_counts(t, sign=1, out=None):
+    """Each symbol's count in t, an implication's argument counted against it."""
+    out = {} if out is None else out
+    if isinstance(t, Atom):
+        out[t.symbol] = out.get(t.symbol, 0) + sign
+    elif isinstance(t, (Under, Over)):
+        _signed_counts(t.arg, -sign, out)
+        _signed_counts(t.result, sign, out)
+    elif isinstance(t, Prod):
+        _signed_counts(t.left, sign, out)
+        _signed_counts(t.right, sign, out)
+    return out
+
+
+def _assert_balanced_as_every_weight(g, sequents, axioms):
+    """A sequent balances under the prover's one weight exactly when it
+    balances under every weight of an independent basis."""
+    symbols = sorted(g.terminals | g.nonterminals, key=lambda s: s.name)
+    ids = {x: k for k, x in enumerate(symbols)}
+
+    def row(ante, succ):
+        r = [0] * len(symbols)
+        for t, sign in [(succ, 1)] + [(t, -1) for t in ante]:
+            for x, c in _signed_counts(t, sign).items():
+                r[ids[x]] += c
+        return r
+
+    rows = [row(tuple(map(Atom, p.rhs)), Atom(p.lhs)) for p in g.productions]
+    basis = _null_space(rows + [row((Atom(ax.token),), ax.type) for ax in axioms], len(symbols))
+    pr = Prover(g, axioms)
+    for s in sequents:
+        r = row(s.antecedent, s.succedent)
+        assert pr._balanced(s) == all(sum(h[k] * r[k] for k in range(len(r))) == 0 for h in basis), render_sequent(s)
+
+
+@settings(max_examples=100)
+@given(st.data())
+def test_a_sequent_balances_as_it_does_under_every_weight(data):
+    g = data.draw(st.one_of(st.just(BOOL_G), cyclic_grammars()))
+    axioms = data.draw(typing_axioms(g)) if g is not BOOL_G else ()
+    sequents = data.draw(st.lists(st.one_of(mixed_sequents(g), l_rule_sequents(g)), min_size=1, max_size=4))
+    _assert_balanced_as_every_weight(g, sequents, axioms)
 
 
 def reversed_grammar(g):

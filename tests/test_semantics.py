@@ -26,7 +26,8 @@ from lambek.semantics import (
     soundness_check,
 )
 from lambek.types import UNIT, Atom, Over, Prod, Sequent, Under, parse_sequent, parse_type, type_universe
-from test_prover import cyclic_grammars
+from test_inverse_method import small_grammars
+from test_prover import BOOL_G, cyclic_grammars, mirror_sequent, reversed_grammar
 
 
 def w(bool_g, text):
@@ -290,6 +291,48 @@ def test_soundness_of_proved_judgments_at_higher_bound(bool_g):
     ]:
         s = parse_sequent(text, bool_g)
         assert isinstance(soundness_check(bool_g, s, SemBound(6), out), OraclePass), text
+
+
+@st.composite
+def oracle_sequents(draw, g):
+    """At most 3 antecedent types over a succedent: in half the draws atoms
+    only, else atoms with implications and products of two atoms."""
+    atoms = st.sampled_from([Atom(x) for x in sorted(g.terminals | g.nonterminals, key=lambda x: x.name)])
+    item = atoms
+    if draw(st.booleans()):
+        item = st.one_of(atoms, st.builds(Under, atoms, atoms), st.builds(Over, atoms, atoms), st.builds(Prod, atoms, atoms))
+    return Sequent(tuple(draw(st.lists(item, max_size=3))), draw(item))
+
+
+def _certified(g, s, word):
+    """An atomic s's counterexample, checked by recognize alone: word splits
+    into a word of each antecedent atom, and the succedent does not derive it."""
+    ante = [t.symbol for t in s.antecedent]
+    ends = {0}
+    for x in ante:
+        ends = {j for i in ends for j in range(i, len(word) + 1) if recognize(g, x, word[i:j])}
+    return len(word) in ends and not recognize(g, s.succedent.symbol, word)
+
+
+def _assert_oracle_mirrored(g, s, b):
+    """s over g and its mirror over g's rules reversed get the same verdict
+    kind, and a pass over as many words; on atoms, each counterexample and
+    the other's reversed are certified by recognize."""
+    rg, ms = reversed_grammar(g), mirror_sequent(s)
+    here, there = soundness_check(g, s, b), soundness_check(rg, ms, b)
+    assert type(there) is type(here), s
+    if isinstance(here, OraclePass):
+        assert there == here, s
+    elif all(isinstance(t, Atom) for t in (*s.antecedent, s.succedent)):
+        assert _certified(g, s, here.word) and _certified(g, s, there.word[::-1]), s
+        assert _certified(rg, ms, there.word) and _certified(rg, ms, here.word[::-1]), s
+
+
+@settings(max_examples=100)
+@given(st.data())
+def test_oracle_verdicts_mirror(data):
+    g = data.draw(st.one_of(st.just(BOOL_G), small_grammars(), cyclic_grammars()))
+    _assert_oracle_mirrored(g, data.draw(oracle_sequents(g)), SemBound(4))
 
 
 def test_soundness_verdicts_do_not_depend_on_the_word_tables(load_bundled, monkeypatch):
