@@ -124,25 +124,27 @@ def _render_atom(name: str) -> str:
 
 
 def render_type(t: LambekType) -> str:
-    """Canonical rendering; parse_type inverts it."""
-
-    def rec(x: LambekType, min_level: int) -> str:
-        if isinstance(x, Atom):
-            return _render_atom(x.symbol.name)
-        if isinstance(x, UnitType):
-            return "1"
+    """Canonical rendering; parse_type inverts it.  Off a stack of the texts
+    and the (type, least level left bare) pairs still to write, as types nest deep."""
+    out: list[str] = []
+    stack: list[str | tuple[LambekType, int]] = [(t, 0)]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, str):
+            out.append(x)
+            continue
+        x, min_level = x
         if isinstance(x, Under):
-            body = f"{rec(x.arg, 1)}\\{rec(x.result, 1)}"
-            lvl = 0
+            parts, lvl = [(x.arg, 1), "\\", (x.result, 1)], 0
         elif isinstance(x, Over):
-            body = f"{rec(x.result, 1)}/{rec(x.arg, 1)}"
-            lvl = 0
+            parts, lvl = [(x.result, 1), "/", (x.arg, 1)], 0
+        elif isinstance(x, Prod):
+            parts, lvl = [(x.left, 1), "*", (x.right, 2)], 1
         else:
-            body = f"{rec(x.left, 1)}*{rec(x.right, 2)}"
-            lvl = 1
-        return f"({body})" if lvl < min_level else body
-
-    return rec(t, 0)
+            out.append(_render_atom(x.symbol.name) if isinstance(x, Atom) else "1")
+            continue
+        stack += [")", *parts[::-1], "("] if lvl < min_level else parts[::-1]
+    return "".join(out)
 
 
 def render_context(ctx: Sequence[LambekType], render: Callable[[LambekType], str] = render_type) -> str:
@@ -158,13 +160,16 @@ def render_sequent(s: Sequent, render: Callable[[LambekType], str] = render_type
 
 
 def type_size(t: LambekType) -> int:
-    if isinstance(t, (Atom, UnitType)):
-        return 1
-    if isinstance(t, Under):
-        return 1 + type_size(t.arg) + type_size(t.result)
-    if isinstance(t, Over):
-        return 1 + type_size(t.result) + type_size(t.arg)
-    return 1 + type_size(t.left) + type_size(t.right)
+    """The number of t's nodes, atoms and units included."""
+    n, stack = 0, [t]
+    while stack:
+        t = stack.pop()
+        n += 1
+        if isinstance(t, (Under, Over)):
+            stack += (t.arg, t.result)
+        elif isinstance(t, Prod):
+            stack += (t.left, t.right)
+    return n
 
 
 _TOKEN = re.compile(r'"[^"\s]*"|[\\/*()]|[^\s\\/*(),|"]+')
@@ -185,69 +190,52 @@ def _lex(text: str) -> list[str]:
     return out
 
 
-class _TypeParser:
-    def __init__(self, tokens: list[str], g: Grammar):
-        self.tokens = tokens
-        self.g = g
-        self.pos = 0
-
-    def peek(self) -> str | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self) -> str:
-        tok = self.peek()
-        if tok is None:
+def parse_type(text: str, g: Grammar) -> LambekType:
+    """Read a type off its tokens in one loop.  An open parenthesis saves the
+    frame (left, op, prod): the implication's left side and operator, once
+    read, and the product read since; its closing one restores it, with the
+    group read as a factor of prod."""
+    tokens = _lex(text)
+    frames: list[tuple] = []
+    left = op = prod = None
+    pos = 0
+    while True:
+        if pos == len(tokens):
             raise TypeSyntaxError("unexpected end of type")
-        self.pos += 1
-        return tok
-
-    def atom(self, name: str) -> Atom:
+        tok = tokens[pos]
+        pos += 1
+        if tok == "(":
+            frames.append((left, op, prod))
+            left = op = prod = None
+            continue
+        if tok in (")", "\\", "/", "*"):
+            raise TypeSyntaxError(f"unexpected {tok!r}")
+        name = tok[1:-1] if tok[0] == '"' else tok
         try:
-            return Atom(self.g.symbol(name))
+            t = UNIT if tok == "1" else Atom(g.symbol(name))
         except GrammarError:
             raise TypeSyntaxError(f"unknown atom {name!r}") from None
-
-    def factor(self) -> LambekType:
-        tok = self.take()
-        if tok == "(":
-            inner = self.implication()
-            if self.peek() != ")":
+        # t is a factor of prod: end each implication, and close each group, that ends after it
+        while True:
+            prod = t if prod is None else Prod(prod, t)
+            nxt = tokens[pos] if pos < len(tokens) else None
+            if nxt == "*":
+                break
+            if nxt in ("\\", "/"):
+                if op is not None:
+                    raise TypeSyntaxError("implications are non-associative; parenthesize")
+                left, op, prod = prod, nxt, None
+                break
+            t = prod if op is None else Under(left, prod) if op == "\\" else Over(left, prod)
+            if not frames:
+                if nxt is not None:
+                    raise TypeSyntaxError(f"trailing input at token {pos}: {nxt!r}")
+                return t
+            if nxt != ")":
                 raise TypeSyntaxError("missing ')'")
-            self.take()
-            return inner
-        if tok in {")", "\\", "/", "*"}:
-            raise TypeSyntaxError(f"unexpected {tok!r}")
-        if tok.startswith('"'):
-            return self.atom(tok[1:-1])
-        if tok == "1":
-            return UNIT
-        return self.atom(tok)
-
-    def product(self) -> LambekType:
-        t = self.factor()
-        while self.peek() == "*":
-            self.take()
-            t = Prod(t, self.factor())
-        return t
-
-    def implication(self) -> LambekType:
-        t = self.product()
-        op = self.peek()
-        if op in {"\\", "/"}:
-            self.take()
-            rhs = self.product()
-            t = Under(t, rhs) if op == "\\" else Over(t, rhs)
-            if self.peek() in {"\\", "/"}:
-                raise TypeSyntaxError("implications are non-associative; parenthesize")
-        return t
-
-
-def parse_type(text: str, g: Grammar) -> LambekType:
-    parser = _TypeParser(_lex(text), g)
-    t = parser.implication()
-    if parser.peek() is not None:
-        raise TypeSyntaxError(f"trailing input at token {parser.pos}: {parser.peek()!r}")
-    return t
+            pos += 1
+            left, op, prod = frames.pop()
+        pos += 1
 
 
 # antecedent items are cut at the commas outside quoted tokens: "a,b" names one atom
@@ -255,9 +243,12 @@ _QUOTE_OR_COMMA = re.compile(r'"[^"\s]*"|,')
 
 
 def parse_sequent(text: str, g: Grammar) -> Sequent:
+    """Each distinct item text is read once, so that repeated items are one
+    object, which equality and hashing answer by identity however deep it is."""
     if text.count("|-") != 1:
         raise TypeSyntaxError("a sequent needs exactly one '|-'")
     left, right = text.split("|-")
+    read: dict[str, LambekType] = {}
     antecedent: list[LambekType] = []
     if left.strip():
         cuts = [m.start() for m in _QUOTE_OR_COMMA.finditer(left) if m.group() == ","]
@@ -265,12 +256,14 @@ def parse_sequent(text: str, g: Grammar) -> Sequent:
             item = left[start + 1:end].strip()
             if not item:
                 raise TypeSyntaxError("empty antecedent item")
-            # word tokens: a bare declared terminal stands for its atom
-            if _PLAIN_NAME.match(item) and g.declares(item) and g.symbol(item).is_terminal:
-                antecedent.append(Atom(g.symbol(item)))
-            else:
-                antecedent.append(parse_type(item, g))
-    succedent = parse_type(right.strip(), g)
+            if item not in read:
+                # word tokens: a bare declared terminal stands for its atom
+                word = _PLAIN_NAME.match(item) and g.declares(item) and g.symbol(item).is_terminal
+                read[item] = Atom(g.symbol(item)) if word else parse_type(item, g)
+            antecedent.append(read[item])
+    # a bare 1 is the unit in the succedent, though an antecedent item 1 may name a terminal
+    right = right.strip()
+    succedent = read[right] if right in read and right != "1" else parse_type(right, g)
     return Sequent(tuple(antecedent), succedent)
 
 
@@ -301,14 +294,20 @@ def type_universe(g: Grammar, atoms: Sequence[Symbol], depth: int) -> list[Lambe
 
 
 def iter_atoms(t: LambekType) -> Iterator[Symbol]:
+    """t's atoms in written order, an implication's result before or after its
+    argument as they are written; off a stack, as types nest deep."""
     if isinstance(t, Atom):
+        # most types a sequent holds are word tokens' atoms, walked on every prove call
         yield t.symbol
-    elif isinstance(t, Under):
-        yield from iter_atoms(t.arg)
-        yield from iter_atoms(t.result)
-    elif isinstance(t, Over):
-        yield from iter_atoms(t.result)
-        yield from iter_atoms(t.arg)
-    elif isinstance(t, Prod):
-        yield from iter_atoms(t.left)
-        yield from iter_atoms(t.right)
+        return
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Atom):
+            yield t.symbol
+        elif isinstance(t, Under):
+            stack += (t.result, t.arg)
+        elif isinstance(t, Over):
+            stack += (t.arg, t.result)
+        elif isinstance(t, Prod):
+            stack += (t.right, t.left)

@@ -309,13 +309,12 @@ def test_json_output_is_what_json_dumps_writes(argv):
 
 
 def test_too_deep_input_is_an_error_not_a_negative():
-    """Exit 1 is a sound negative; an input too deep to parse is an error.
-    A type nested 2 000 parentheses deep is past the default recursion
-    limit for any reader that recurses per nesting level."""
-    sequent = "b |- " + "(" * 2000 + "V" + ")" * 2000
-    code, out, err = cli("check", sequent, "--grammar", "bool")
+    """Exit 1 is a sound negative; an input too deep to search is an error.
+    600 units before a word take the proof search, which recurses once per
+    proof step, past the default recursion limit."""
+    code, out, err = cli("check", "(1) , " * 600 + "b |- V", "--grammar", "bool")
     assert code == 2 and out == ""
-    assert err.startswith("error:") and "recursion" in err
+    assert err.startswith("error:") and "maximum recursion depth exceeded" in err
 
 
 def test_input_errors_are_reported():

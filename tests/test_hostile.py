@@ -20,7 +20,7 @@ from lambek.cli import run
 from lambek.earley import parse_tree, recognize
 from lambek.grammar import parse_grammar_file, word_from_text
 from lambek.prover import Prover, RuleName, SearchStatus, _flat_proof, check_proof, proof_to_json
-from lambek.types import Atom, Over, Sequent, parse_sequent, parse_type
+from lambek.types import Atom, Over, Sequent, iter_atoms, parse_sequent, parse_type, render_type, type_size
 from test_prover import _preorder, _time_limit, ignore_swallowed_alarms
 
 LIMIT_S = 5
@@ -198,15 +198,23 @@ def test_prove_of_the_64_rung_mixed_direction_ladder(load_bundled):
     assert len(pr._proofs) == 1
 
 
-def test_prove_of_the_32_rung_order_2_ladder(load_bundled):
+def _assert_the_order_2_ladder_proves(g, n):
     """Each rung's balanced argument split is the only one searched: at most 4n + 3 memo entries."""
-    g = load_bundled("bool")
-    s = parse_sequent(_order_2_ladder(32), g)
+    s = parse_sequent(_order_2_ladder(n), g)
     with _case(1):
         pr = Prover(g)
         r = pr.prove(s)
     assert r.proved and check_proof(g, r.proof).ok
-    assert len(pr._proofs) <= 4 * 32 + 3
+    assert len(pr._proofs) <= 4 * n + 3
+
+
+def test_prove_of_the_32_rung_order_2_ladder(load_bundled):
+    _assert_the_order_2_ladder_proves(load_bundled("bool"), 32)
+
+
+def test_prove_of_the_128_rung_order_2_ladder(load_bundled):
+    """Its n functors are one object, read once, so the memo's lookups compare them by identity."""
+    _assert_the_order_2_ladder_proves(load_bundled("bool"), 128)
 
 
 @pytest.mark.xfail(strict=True, raises=RecursionError, reason="item 10: the tree walk recurses per span")
@@ -223,18 +231,47 @@ def test_classify_input_of_a_2000_token_soup(bool_g):
         assert classify_input(bool_g, _a_equals_hole(bool_g), soup).classification
 
 
-@pytest.mark.xfail(strict=True, raises=RecursionError, reason="item 2: parse_type recurses per nesting level")
 @pytest.mark.parametrize("depth", [400, 10_000])
 def test_parse_type_of_a_deeply_nested_type(bool_g, depth):
     with _case():
         assert isinstance(parse_type(_nested_text(depth), bool_g), Over)
 
 
-@pytest.mark.xfail(strict=True, raises=RecursionError, reason="item 2: parse_type recurses per nesting level")
 @pytest.mark.parametrize("depth", [400, 10_000])
 def test_check_cli_of_a_deeply_nested_type(depth):
     with _case():
-        _cli("check", "E |- " + _nested_text(depth), "--grammar", "bool")
+        assert _cli("check", "E |- " + _nested_text(depth), "--grammar", "bool") == (1, "NotFoundWithinBounds\n")
+
+
+def test_render_size_and_atoms_of_a_type_10000_levels_deep(bool_g):
+    """Two distinct types this deep compare by recursion (grammar.Value), so
+    the round trip is checked on the canonical text, which names one type."""
+    t = _nested_type(bool_g, 10_000)
+    with _case():
+        text = render_type(t)
+        assert text == "E/(" * 9_999 + "E/E" + ")" * 9_999
+        assert render_type(parse_type(text, bool_g)) == text
+        assert type_size(t) == 20_001
+        assert list(iter_atoms(t)) == [bool_g.symbol("E")] * 10_001
+
+
+def test_oracle_cli_of_a_type_10000_levels_deep():
+    with _case():
+        assert _cli("oracle", "E |- " + _nested_text(10_000), "--grammar", "bool") == (0, "Pass: 0 words checked\n")
+
+
+def test_prove_json_cli_of_a_type_10000_levels_deep_against_itself():
+    """The two sides are one object, read once, so the axiom matches them without comparing their nodes."""
+    x = _nested_text(10_000)
+    with _case():
+        code, out = _cli("prove", f"{x} |- {x}", "--grammar", "bool", "--json")
+        assert code == 0 and out.startswith('{"status": "Proved"')
+
+
+def test_check_cli_of_two_types_10000_levels_deep():
+    x = _nested_text(10_000)
+    with _case():
+        assert _cli("check", f"{x} , {x} |- E", "--grammar", "bool") == (1, "NotFoundWithinBounds\n")
 
 
 def test_prove_of_a_type_400_levels_deep(bool_g):
@@ -243,7 +280,6 @@ def test_prove_of_a_type_400_levels_deep(bool_g):
         assert Prover(bool_g).prove(s).status is SearchStatus.NOT_FOUND_WITHIN_BOUNDS
 
 
-@pytest.mark.xfail(strict=True, raises=RecursionError, reason="item 2: iter_atoms recurses per nesting level")
 def test_prove_of_a_type_10000_levels_deep(bool_g):
     with _case():
         s = Sequent((Atom(bool_g.symbol("E")),), _nested_type(bool_g, 10_000))

@@ -8,7 +8,7 @@ standard library's heavy introspection modules.  Every module parses as
 the oldest Python that pyproject.toml promises.  Every name that the
 benchmark's traced run rebinds or calls is still there.  Equality and
 hashing are written once, on grammar.Value, and a grammar's symbols are
-sorted once, in grammar.py.
+sorted once, in grammar.py.  No function of types.py recurses.
 """
 import ast
 import json
@@ -111,6 +111,25 @@ def test_only_value_writes_equality_and_hashing():
         ("grammar.py", "Value", "__eq__"), ("grammar.py", "Value", "__hash__"),
         ("types.py", "Sequent", "__eq__"), ("types.py", "Sequent", "__hash__"), ("types.py", "UnitType", "__hash__"),
     }
+
+
+def test_types_py_has_no_recursive_function():
+    """Types are read, written and walked by loops, as they may nest any
+    depth: no function of types.py calls back into itself, directly or
+    through others (a call is matched by the name it calls), and none
+    defines a function inside it, the way a closure would recurse."""
+    _, tree = _modules()["types.py"]
+    defs = [f for f in ast.walk(tree) if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    nested = [f"{f.name} defines {n.name}" for f in defs for n in ast.walk(f) if n is not f and n in defs]
+    calls = {
+        f.name: {getattr(n.func, "id", getattr(n.func, "attr", None)) for n in ast.walk(f) if isinstance(n, ast.Call)}
+        for f in defs
+    }
+    # drop each function that calls none left; those that stay are on a cycle or call into one
+    while done := [f for f, called in calls.items() if not called & calls.keys()]:
+        for f in done:
+            del calls[f]
+    assert (nested, sorted(calls)) == ([], [])
 
 
 def test_only_grammar_sorts_a_grammars_symbols():

@@ -1500,6 +1500,15 @@ def test_a_sequent_balances_as_it_does_under_every_weight(data):
     _assert_balanced_as_every_weight(g, sequents, axioms)
 
 
+@pytest.mark.parametrize("text", ["AND , AND |- V", "AND , OR |- V", "OR , AND |- V", "OR , OR |- V"])
+def test_a_sequent_that_overlapping_weights_would_balance_is_unbalanced(text):
+    """bool.g's weight packs a basis of several weights; packed with shifts
+    that overlap, it would take these four for balanced."""
+    s = parse_sequent(text, BOOL_G)
+    assert not Prover(BOOL_G)._balanced(s)
+    _assert_balanced_as_every_weight(BOOL_G, [s], ())
+
+
 def reversed_grammar(g):
     """g with every right-hand side reversed."""
     return Grammar(g.terminals, g.nonterminals, tuple(Production(p.lhs, p.rhs[::-1]) for p in g.productions), g.start)

@@ -117,6 +117,16 @@ def test_parse_sequent_mixed_types():
     assert isinstance(s2.antecedent[1], UnitType)
 
 
+def test_parse_sequent_reads_each_item_text_once():
+    """Repeated items are one object, the succedent's text included; a bare 1
+    is the terminal in the antecedent and still the unit in the succedent."""
+    s = parse_sequent("(E/E)/(E/E) , E/E , (E/E)/(E/E) , E/E |- E/E", GRAMMAR)
+    f, x = s.antecedent[:2]
+    assert s.antecedent[2] is f and s.antecedent[3] is x and s.succedent is x
+    s = parse_sequent("1 , 1 |- 1", GRAMMAR)
+    assert s.antecedent[0] is s.antecedent[1] == Atom(GRAMMAR.symbol("1")) and s.succedent is UNIT
+
+
 def test_parse_sequent_errors():
     with pytest.raises(TypeSyntaxError, match="exactly one"):
         parse_sequent("T |- V |- E", GRAMMAR)
