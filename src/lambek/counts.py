@@ -8,7 +8,7 @@ import math
 from typing import Iterator
 
 from .grammar import Grammar, Symbol
-from .types import Atom, LambekType, Over, Prod, Under
+from .types import Atom, LambekType, Over, Prod, Under, iter_atoms, render_type
 
 
 def _signed_atoms(t: LambekType, sign: int) -> Iterator[tuple[Symbol, int]]:
@@ -25,9 +25,12 @@ def _signed_atoms(t: LambekType, sign: int) -> Iterator[tuple[Symbol, int]]:
 
 
 class Weights(dict):
-    """Types' count weights: each atom's from weights, any other type's summed from its atoms' when first asked."""
+    """Types' count weights: each declared atom's from weights, any other type's summed from its atoms' when
+    first asked; ValueError for a type that holds an undeclared atom."""
 
     def __missing__(self, t: LambekType) -> int:
+        if isinstance(t, Atom):
+            raise ValueError(f"atom {t.symbol.name!r} is not declared in the grammar")
         w = self[t] = sum(sign * self[Atom(x)] for x, sign in _signed_atoms(t, 1))
         return w
 
@@ -40,10 +43,19 @@ def _cancel(r: list[int], p: list[int], c: int) -> list[int]:
 
 
 def weights(g: Grammar, axioms: tuple) -> Weights:
-    """Each atom's weight h, with h(A) = Σ h(Xi) per production A ::= X1 ... Xn and h(tok) = h(τ) per axiom
-    tok ⊢ τ, or none if only h = 0 does; reach it through memo.  Fraction-free Gauss-Jordan elimination gives
-    an integer basis b of such h, and Σ 2^(64j)·bj tells apart sums whose weights under each bj differ by < 2^63."""
+    """Each declared atom's weight h, with h(A) = Σ h(Xi) per production A ::= X1 ... Xn and h(tok) = h(τ) per
+    axiom tok ⊢ τ (checked first), all 0 if only h = 0 does; reach it through memo.  Fraction-free Gauss-Jordan
+    elimination gives an integer basis b of such h; Σ 2^(64j)·bj separates sums differing under each bj by < 2^63."""
     ids = g.symbol_table().ids
+    tokens = {a.token for a in axioms}
+    for a in axioms:
+        if a.token not in g.terminals:
+            raise ValueError(f"axiom token {a.token.name!r} is not a declared terminal")
+        for x in iter_atoms(a.type):
+            if x in tokens:  # a lexicon cut must trade its token for a type free of tokens, or the search may not end
+                raise ValueError(f"axiom type {render_type(a.type)!r} names the axiom token {x.name!r}")
+            if x not in ids:
+                raise ValueError(f"atom {x.name!r} is not declared in the grammar")
     rows = []
     sides = [(map(Atom, p.rhs), Atom(p.lhs)) for p in g.productions] + [([Atom(a.token)], a.type) for a in axioms]
     for ante, succ in sides:
@@ -64,4 +76,4 @@ def weights(g: Grammar, axioms: tuple) -> Weights:
         d = math.gcd(*b.values())
         weight = [w + (b.get(k, 0) // d << shift) for k, w in enumerate(weight)]
         shift += 64
-    return Weights({Atom(x): weight[k] for x, k in ids.items()} if shift else {})
+    return Weights({Atom(x): weight[k] for x, k in ids.items()})

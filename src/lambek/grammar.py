@@ -108,9 +108,22 @@ def _own_code(f: Callable) -> Callable:
 
 
 def _eq_cached(self: Value, other: object) -> bool:
-    if other.__class__ is self.__class__:
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    try:
         return self._k == other._k
-    return NotImplemented
+    except RecursionError:  # keys some hundreds deep, as a type's may be: compare them off a stack, hashes first
+        pairs = [(self, other)]
+    while pairs:
+        a, b = pairs.pop()
+        if a._h != b._h:
+            return False
+        for x, y in zip(a._k, b._k):
+            if x is not y and x.__class__ is y.__class__ and hasattr(x, "_k"):
+                pairs.append((x, y))
+            elif x != y:
+                return False
+    return True
 
 
 def _hash_cached(self: Value) -> int:

@@ -73,7 +73,7 @@ from .types import (
     Sequent,
     Under,
     UnitType,
-    iter_atoms,
+    parse_sequent,
     parse_type,
     render_sequent,
     render_type,
@@ -138,8 +138,6 @@ class TypingAxiom(Value):
 
 
 def parse_axiom(text: str, g: Grammar) -> TypingAxiom:
-    from .types import parse_sequent
-
     s = parse_sequent(text, g)
     if len(s.antecedent) != 1 or not isinstance(s.antecedent[0], Atom):
         raise ValueError(f"axiom antecedent must be a single token: {text!r}")
@@ -294,40 +292,24 @@ def _run_ends(g: Grammar, run: tuple[Symbol, ...], x: Symbol, reverse: bool, psi
     return frozenset([k for k in range(len(run) + 1) if chart.goals(k, psi)])
 
 
-def require_declared(g: Grammar, s: Sequent) -> None:
-    """Raise ValueError unless every atom of s is a symbol of g."""
-    for t in (*s.antecedent, s.succedent):
-        for sym in iter_atoms(t):
-            if sym not in g.terminals and sym not in g.nonterminals:
-                raise ValueError(f"atom {sym.name!r} is not declared in the grammar")
-
-
 class Prover:
     """Holds the search memo for one grammar and its axioms; it persists across prove calls.
 
     Tables derived from the grammar alone live on the grammar (see memo), so
     they are shared by every prover over it: among them the decision of each
     flat sequent (flat_proof).  A new prover thus parses only the flat
-    sequents that no earlier query on the grammar decided.
+    sequents that no earlier query on the grammar decided.  So do the count
+    weights (counts.weights), which check the axioms and each type once.
     """
 
     def __init__(self, g: Grammar, axioms: Sequence[TypingAxiom] = ()):
         self.g = g
         self.axioms = tuple(axioms)
         self._axiom_tokens = frozenset(ax.token for ax in self.axioms)
-        for ax in self.axioms:
-            if ax.token not in g.terminals:
-                raise ValueError(f"axiom token {ax.token.name!r} is not a declared terminal")
-            named = next((a for a in iter_atoms(ax.type) if a in self._axiom_tokens), None)
-            if named is not None:
-                # a lexicon cut must trade its token for a type free of tokens,
-                # or the search need not terminate
-                raise ValueError(f"axiom type {render_type(ax.type)!r} names the axiom token {named.name!r}")
         self._proofs: dict[Sequent, ProofTree | None] = {}
         self._weights = memo(g, weights, self.axioms)
 
     def prove(self, s: Sequent) -> SearchResult:
-        require_declared(self.g, s)
         tree = self._search(s)
         if tree is None:
             return SearchResult(SearchStatus.NOT_FOUND_WITHIN_BOUNDS)
@@ -342,7 +324,7 @@ class Prover:
     def _balanced(self, s: Sequent) -> bool:
         """Whether s's antecedent weighs what its succedent does, as every derivable sequent's does."""
         w = self._weights
-        return not w or sum(map(w.__getitem__, s.antecedent)) == w[s.succedent]
+        return sum(map(w.__getitem__, s.antecedent)) == w[s.succedent]
 
     def _step(self, s: Sequent) -> ProofTree | None:
         ante, succ = s.antecedent, s.succedent

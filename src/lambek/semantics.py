@@ -31,10 +31,11 @@ from __future__ import annotations
 from itertools import product
 from typing import Sequence
 
+from .counts import weights
 from .earley import Chart, recognize
 from .grammar import Grammar, Symbol, Value, Word, enumerate_words, enumerated_member, iter_words_sorted, memo
 from .grammar import require_bound, require_word, set_field
-from .prover import Prover, SearchResult, SearchStatus, TypingAxiom, require_declared
+from .prover import Prover, SearchResult, SearchStatus, TypingAxiom
 from .types import Atom, LambekType, Over, Prod, Sequent, TypeContext, Under, UnitType
 
 
@@ -291,10 +292,7 @@ def _antecedent_words(g: Grammar, antecedent: TypeContext, out_len: int, max_len
 
 
 def prove_with_prescreen(
-    g: Grammar,
-    s: Sequent,
-    b: SemBound = SemBound(),
-    axioms: Sequence[TypingAxiom] = (),
+    g: Grammar, s: Sequent, b: SemBound = SemBound(), axioms: Sequence[TypingAxiom] = ()
 ) -> SearchResult:
     """Run the oracle before searching; a counterexample skips the search.
 
@@ -305,15 +303,13 @@ def prove_with_prescreen(
     Typing axioms are not reflected in the language semantics, so the
     prescreen is skipped whenever axioms are supplied.  A sequent naming an
     atom the grammar does not declare raises ValueError, as the search does.
-    It is validated once: the oracle reads an undeclared atom as deriving
-    nothing or raises, and a refutation is returned only for a sequent that
-    passes the search's check.
+    The oracle reads such an atom as deriving nothing or raises, so a
+    refutation is returned only for a sequent that passes the search's check,
+    the grammar's count weights (counts.weights), which walk each type once.
     """
     if not axioms:
         verdict = soundness_check(g, s, b)
         if isinstance(verdict, Counterexample):
-            require_declared(g, s)
-            return SearchResult(
-                SearchStatus.REFUTED_BY_ORACLE, counterexample=verdict.word
-            )
+            sum(map(memo(g, weights, ()).__getitem__, (*s.antecedent, s.succedent)))  # the search's check
+            return SearchResult(SearchStatus.REFUTED_BY_ORACLE, counterexample=verdict.word)
     return Prover(g, axioms).prove(s)

@@ -296,10 +296,6 @@ def type_universe(g: Grammar, atoms: Sequence[Symbol], depth: int) -> list[Lambe
 def iter_atoms(t: LambekType) -> Iterator[Symbol]:
     """t's atoms in written order, an implication's result before or after its
     argument as they are written; off a stack, as types nest deep."""
-    if isinstance(t, Atom):
-        # most types a sequent holds are word tokens' atoms, walked on every prove call
-        yield t.symbol
-        return
     stack = [t]
     while stack:
         t = stack.pop()

@@ -17,9 +17,10 @@ import pytest
 
 from lambek.analyzer import AmbiguityError, Classification, InjectionContext, classify_input
 from lambek.cli import run
-from lambek.earley import parse_tree, recognize
+from lambek.earley import parse_tree, recognize, render_tree_text, tree_to_json
 from lambek.grammar import parse_grammar_file, word_from_text
-from lambek.prover import Prover, RuleName, SearchStatus, _flat_proof, check_proof, proof_to_json
+from lambek.prover import Prover, RuleName, SearchStatus, _flat_proof, check_proof, proof_to_json, render_proof
+from lambek.semantics import prove_with_prescreen
 from lambek.types import Atom, Over, Sequent, iter_atoms, parse_sequent, parse_type, render_type, type_size
 from test_prover import _preorder, _time_limit, ignore_swallowed_alarms
 
@@ -130,6 +131,56 @@ def test_json_of_the_proof_of_a_799_token_chain(bool_g):
     with _case():
         proof = Prover(bool_g).prove(parse_sequent(_proof_chain(200), bool_g)).proof
         assert json.loads(json.dumps(proof_to_json(proof)))["rule"] == proof.rule.value
+
+
+@pytest.fixture(scope="module")
+def proof_of_a_1199_token_chain(bool_g):
+    return Prover(bool_g).prove(parse_sequent(_proof_chain(300), bool_g)).proof
+
+
+@pytest.fixture(scope="module")
+def tree_of_a_1199_token_chain(bool_g):
+    return parse_tree(bool_g, bool_g.symbol("E"), _chain(bool_g, 300)).tree
+
+
+def test_prove_with_prescreen_of_a_1199_token_chain(bool_g):
+    s = parse_sequent(_proof_chain(300), bool_g)
+    assert len(s.antecedent) == 1199
+    with _case():
+        r = prove_with_prescreen(bool_g, s)
+    assert r.status is SearchStatus.PROVED and r.proof.conclusion == s
+
+
+def test_check_proof_of_a_1199_token_chain(bool_g, proof_of_a_1199_token_chain):
+    with _case():
+        assert check_proof(bool_g, proof_of_a_1199_token_chain).ok
+
+
+def test_render_proof_of_a_1199_token_chain(proof_of_a_1199_token_chain):
+    """The text is 7.4 MB: each line repeats what is left of the antecedent (item 3)."""
+    with _case():
+        lines = render_proof(proof_of_a_1199_token_chain).splitlines()
+    assert len(lines) == len(list(_preorder(proof_of_a_1199_token_chain)))
+    assert lines[0].startswith('"1" , = , a , AND') and lines[0].endswith("|- E   [CUT]")
+
+
+def test_proof_to_json_of_a_1199_token_chain(proof_of_a_1199_token_chain):
+    """The object nests as deep as the proof; only encoding it recurses (item 2)."""
+    with _case():
+        obj = proof_to_json(proof_of_a_1199_token_chain)
+    assert len(obj["conclusion"]["antecedent"]) == 1199 and obj["rule"] == "CUT"
+
+
+def test_tree_to_json_of_a_1199_token_chain(bool_g, tree_of_a_1199_token_chain):
+    with _case():
+        obj = tree_to_json(tree_of_a_1199_token_chain, bool_g)
+    assert obj["sym"] == "E" and obj["children"]
+
+
+def test_render_tree_text_of_a_1199_token_chain(tree_of_a_1199_token_chain):
+    with _case():
+        lines = render_tree_text(tree_of_a_1199_token_chain).splitlines()
+    assert lines[0] == "E" and sum(line.strip() in ("1", "=", "a", "AND") for line in lines) == 1199
 
 
 def test_prove_json_cli_of_a_799_token_chain():
@@ -244,8 +295,6 @@ def test_check_cli_of_a_deeply_nested_type(depth):
 
 
 def test_render_size_and_atoms_of_a_type_10000_levels_deep(bool_g):
-    """Two distinct types this deep compare by recursion (grammar.Value), so
-    the round trip is checked on the canonical text, which names one type."""
     t = _nested_type(bool_g, 10_000)
     with _case():
         text = render_type(t)
@@ -253,6 +302,24 @@ def test_render_size_and_atoms_of_a_type_10000_levels_deep(bool_g):
         assert render_type(parse_type(text, bool_g)) == text
         assert type_size(t) == 20_001
         assert list(iter_atoms(t)) == [bool_g.symbol("E")] * 10_001
+
+
+@pytest.mark.parametrize("depth", [400, 10_000])
+def test_two_equal_types_nested_deep_compare_equal(bool_g, depth):
+    """Distinct but equal types compare off a stack once their keys nest too deep to compare by recursion."""
+    t = _nested_type(bool_g, depth)
+    with _case():
+        assert parse_type(render_type(t), bool_g) == t
+        assert t == _nested_type(bool_g, depth) and t != _nested_type(bool_g, depth - 1)
+        assert t != Over(_nested_type(bool_g, depth - 1), Atom(bool_g.symbol("T")))
+
+
+@pytest.mark.parametrize("depth", [400, 10_000])
+def test_check_cli_of_a_deep_type_against_itself_in_parentheses(depth):
+    """The two sides are read as two items, so the axiom compares two distinct types."""
+    x = _nested_text(depth)
+    with _case():
+        assert _cli("check", f"{x} |- ({x})", "--grammar", "bool") == (0, "Proved\n")
 
 
 def test_oracle_cli_of_a_type_10000_levels_deep():

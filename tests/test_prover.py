@@ -704,6 +704,21 @@ def test_axiom_type_may_not_name_an_axiom_token(eng_g, texts, token):
         Prover(eng_g, axioms)
 
 
+def test_a_bad_axiom_raises_on_every_prover(eng_g):
+    """The axioms are checked where their count weights are computed, once per
+    axiom set; a computation that raises is not kept, so neither is the check."""
+    he, sent = eng_g.symbol("he"), Atom(eng_g.symbol("Sent"))
+    for axiom, message in (
+        (TypingAxiom(terminal("zz"), sent), "axiom token 'zz' is not a declared terminal"),
+        (TypingAxiom(eng_g.symbol("Sent"), sent), "axiom token 'Sent' is not a declared terminal"),
+        (parse_axiom("he |- he*he", eng_g), "names the axiom token 'he'"),
+        (TypingAxiom(he, Over(sent, Atom(nonterminal("Z")))), "atom 'Z' is not declared"),
+    ):
+        for _ in range(3):
+            with pytest.raises(ValueError, match=message):
+                Prover(eng_g, (axiom,))
+
+
 def test_axiom_type_may_name_a_token_without_an_axiom(eng_g):
     axioms = (parse_axiom("he |- him\\Sent", eng_g),)
     r = Prover(eng_g, axioms).prove(parse_sequent("him , he |- Sent", eng_g))

@@ -11,9 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lambek
-from lambek import earley, semantics
+from lambek import counts, earley, semantics
 from lambek.earley import recognize
-from lambek.grammar import _word_layers, enumerate_words, enumerated_member, memo, nonterminal, terminal, word_from_text
+from lambek.grammar import _word_layers, enumerate_words, enumerated_member, memo, nonterminal, parse_grammar_file, terminal
+from lambek.grammar import word_from_text
 from lambek.prover import SearchStatus, parse_axiom
 from lambek.semantics import (
     Counterexample,
@@ -458,28 +459,37 @@ def test_prescreen_skipped_under_axioms(eng_g):
     assert with_ax.status is SearchStatus.NOT_FOUND_WITHIN_BOUNDS
 
 
-def test_prescreen_validates_each_sequent_once(bool_g, monkeypatch, spy):
-    """The oracle runs unvalidated, and a refutation or the search checks the
-    sequent, once; an undeclared atom anywhere still raises ValueError."""
-    checked = spy(lambek.prover, "require_declared")
-    monkeypatch.setattr(semantics, "require_declared", lambek.prover.require_declared)
-    for text in ("a , = , b |- T", "a , = |- T", "E/T , T |- E"):
-        checked.clear()
-        prove_with_prescreen(bool_g, parse_sequent(text, bool_g))
-        assert len(checked) == 1, text
-    T, E = Atom(bool_g.symbol("T")), Atom(bool_g.symbol("E"))
-    for z in (Atom(nonterminal("Z")), Atom(terminal("z"))):
-        for s in (
-            Sequent((z,), T),
-            Sequent((T, z), E),
-            Sequent((Over(E, z),), E),
-            Sequent((Under(z, E),), E),
-            Sequent((Prod(T, z),), E),
-            Sequent((T,), Over(E, z)),
-            Sequent((T,), Under(z, E)),
-        ):
-            with pytest.raises(ValueError, match=f"'{z.symbol.name}' is not declared"):
-                prove_with_prescreen(bool_g, s)
+def test_prescreen_checks_each_type_once_per_grammar(load_bundled, spy):
+    """The oracle runs unchecked.  A refutation, or the search at its root,
+    looks the sequent's types up in the count-weight table of the grammar and
+    axioms (counts.weights), which walks each type at most once and raises
+    ValueError for an undeclared atom anywhere, also on a grammar whose only
+    weight is 0."""
+    g = load_bundled("bool")
+    table = memo(g, counts.weights, ())
+    walked = spy(counts, "_signed_atoms")
+    texts = ("a , = , b |- T", "a , = |- T", "E/T , T |- E", "OR , 1 , = , 1 |- T\\T", "OR |- (T\\T)/T")
+    statuses = {prove_with_prescreen(g, parse_sequent(text, g)).status for text in texts * 2}
+    assert statuses == {SearchStatus.PROVED, SearchStatus.REFUTED_BY_ORACLE}
+    types = [t for t, _ in walked]
+    assert types and len(types) == len(set(types))
+    assert all(t in table for text in texts for s in [parse_sequent(text, g)] for t in (*s.antecedent, s.succedent))
+    zero = parse_grammar_file("start S\nS ::= S S | a ;\n")
+    assert set(memo(zero, counts.weights, ()).values()) == {0}
+    for h, (x, y) in ((g, "TE"), (zero, "Sa")):
+        T, E = Atom(h.symbol(x)), Atom(h.symbol(y))
+        for z in (Atom(nonterminal("Z")), Atom(terminal("z"))):
+            for s in (
+                Sequent((z,), T),
+                Sequent((T, z), E),
+                Sequent((Over(E, z),), E),
+                Sequent((Under(z, E),), E),
+                Sequent((Prod(T, z),), E),
+                Sequent((T,), Over(E, z)),
+                Sequent((T,), Under(z, E)),
+            ):
+                with pytest.raises(ValueError, match=f"'{z.symbol.name}' is not declared"):
+                    prove_with_prescreen(h, s)
 
 
 # soundness_check queries whose implications fail on some test words
