@@ -55,7 +55,8 @@ class Value:
     ...); slots named with a leading underscore are caches, outside all three.
     A keyed class, one with slots _k and _h, builds one tuple instead: set_key
     caches it as _k, the tuple that its equality compares and its hash hashes,
-    and its hash as _h."""
+    and its hash as _h.  Types are hash-consed instead (see types.py): one
+    object per type, compared and hashed by identity."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -85,7 +86,7 @@ class Value:
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self) -> tuple:
-        # copy and pickle rebuild through __init__ from the fields, recomputing the caches
+        # copy and pickle rebuild through the constructor from the fields, recomputing the caches
         return type(self), self._key(self)
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -103,27 +104,14 @@ def set_key(v: Value, key: tuple) -> None:
 
 def _own_code(f: Callable) -> Callable:
     """f on a copy of its code.  CPython caches an attribute load's slot per
-    code object and class, so a method shared by seven classes would miss."""
+    code object and class, so a method shared by the keyed classes would miss."""
     return type(f)(f.__code__.replace(), f.__globals__)
 
 
 def _eq_cached(self: Value, other: object) -> bool:
-    if other.__class__ is not self.__class__:
-        return NotImplemented
-    try:
+    if other.__class__ is self.__class__:
         return self._k == other._k
-    except RecursionError:  # keys some hundreds deep, as a type's may be: compare them off a stack, hashes first
-        pairs = [(self, other)]
-    while pairs:
-        a, b = pairs.pop()
-        if a._h != b._h:
-            return False
-        for x, y in zip(a._k, b._k):
-            if x is not y and x.__class__ is y.__class__ and hasattr(x, "_k"):
-                pairs.append((x, y))
-            elif x != y:
-                return False
-    return True
+    return NotImplemented
 
 
 def _hash_cached(self: Value) -> int:

@@ -205,10 +205,8 @@ def _segment_proof(g: Grammar, pid: int, skipped: tuple[int, ...]) -> ProofTree:
 
 
 def _production_atoms(g: Grammar) -> list[tuple[tuple[Atom, ...], Atom]]:
-    """Per production id, its right-hand and left-hand sides as atoms, one
-    atom per symbol; reach it through memo."""
-    atoms = {x: Atom(x) for x in g.nonterminals | g.terminals}
-    return [(tuple([atoms[x] for x in p.rhs]), atoms[p.lhs]) for p in g.productions]
+    """Per production id, its right-hand and left-hand sides as atoms; reach it through memo."""
+    return [(tuple(map(Atom, p.rhs)), Atom(p.lhs)) for p in g.productions]
 
 
 def fold_chain(g: Grammar, s: Sequent, tree: ParseTree) -> ProofTree:

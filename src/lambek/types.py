@@ -20,70 +20,99 @@ the unit is written (1) there.  Items are cut at the commas outside quotes.
 from __future__ import annotations
 
 import re
+import threading
+import weakref
 from typing import Callable, Iterator, Sequence
 
-from .grammar import Grammar, GrammarError, Symbol, Value, require_bound, set_field, set_key
+from .grammar import Grammar, GrammarError, Symbol, Value, require_bound, set_field
 
 
 class TypeSyntaxError(ValueError):
     """Bad type or sequent text; carries a human-readable position."""
 
 
-# Types and sequents are dict keys throughout proof search, where a deep hash
-# per probe would dominate: every type caches its key, its tagged fields, and
-# the key's hash at construction (see Value); a sequent hashes at first use.
+# Types are hash-consed (Ershov 1958; Filliâtre & Conchon 2006): building one
+# returns the live type of its class and fields in _TYPES, if any, so equal
+# types are one object, compared and hashed by identity in C at any depth; an
+# atom's key holds its symbol, which compares by value.  The table's weak
+# references keep no type alive.  The lock keeps two threads from building one
+# key twice; it is reentrant, as a type freed while it is held runs _forget.
+_TYPES: dict[tuple, weakref.KeyedRef] = {}
+_LOCK = threading.RLock()
 
 
-class Atom(Value):
-    __slots__ = ("symbol", "_k", "_h")
+def _forget(ref: weakref.KeyedRef) -> None:
+    # a dead type's entry may already name its successor, built while it was being freed
+    with _LOCK:
+        if _TYPES.get(ref.key) is ref:
+            del _TYPES[ref.key]
 
-    def __init__(self, symbol: Symbol) -> None:
-        set_field(self, "symbol", symbol)
-        set_key(self, ("at", symbol))
+
+def _intern(key: tuple) -> LambekType:
+    """The live type of key, (class, *fields), built if there is none."""
+    ref = _TYPES.get(key)
+    t = ref and ref()
+    if t is None:
+        with _LOCK:
+            ref = _TYPES.get(key)  # again: another thread may have built it
+            t = ref and ref()
+            if t is None:
+                t = object.__new__(key[0])
+                for name, value in zip(key[0]._fields, key[1:]):
+                    set_field(t, name, value)
+                _TYPES[key] = weakref.KeyedRef(t, _forget, key)
+    return t
 
 
-class UnitType(Value):
+# copy and pickle rebuild a type from its fields (see Value), so through _intern
+class _Type(Value):
+    __slots__ = ("__weakref__",)
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+
+class Atom(_Type):
+    __slots__ = ("symbol",)
+
+    def __new__(cls, symbol: Symbol) -> Atom:
+        return _intern((cls, symbol))
+
+
+class UnitType(_Type):
     __slots__ = ()
+
+    def __new__(cls) -> UnitType:
+        return _intern((cls,))
 
     def __repr__(self) -> str:
         return "Unit"
-
-    def __hash__(self) -> int:
-        return 0x1E9
 
 
 UNIT = UnitType()
 
 
-class Under(Value):
+class Under(_Type):
     """arg \\ result: consumes arg on the left."""
 
-    __slots__ = ("arg", "result", "_k", "_h")
+    __slots__ = ("arg", "result")
 
-    def __init__(self, arg: LambekType, result: LambekType) -> None:
-        set_field(self, "arg", arg)
-        set_field(self, "result", result)
-        set_key(self, ("un", arg, result))
+    def __new__(cls, arg: LambekType, result: LambekType) -> Under:
+        return _intern((cls, arg, result))
 
 
-class Over(Value):
+class Over(_Type):
     """result / arg: consumes arg on the right."""
 
-    __slots__ = ("result", "arg", "_k", "_h")
+    __slots__ = ("result", "arg")
 
-    def __init__(self, result: LambekType, arg: LambekType) -> None:
-        set_field(self, "result", result)
-        set_field(self, "arg", arg)
-        set_key(self, ("ov", result, arg))
+    def __new__(cls, result: LambekType, arg: LambekType) -> Over:
+        return _intern((cls, result, arg))
 
 
-class Prod(Value):
-    __slots__ = ("left", "right", "_k", "_h")
+class Prod(_Type):
+    __slots__ = ("left", "right")
 
-    def __init__(self, left: LambekType, right: LambekType) -> None:
-        set_field(self, "left", left)
-        set_field(self, "right", right)
-        set_key(self, ("pr", left, right))
+    def __new__(cls, left: LambekType, right: LambekType) -> Prod:
+        return _intern((cls, left, right))
 
 
 LambekType = Atom | UnitType | Under | Over | Prod
@@ -243,8 +272,8 @@ _QUOTE_OR_COMMA = re.compile(r'"[^"\s]*"|,')
 
 
 def parse_sequent(text: str, g: Grammar) -> Sequent:
-    """Each distinct item text is read once, so that repeated items are one
-    object, which equality and hashing answer by identity however deep it is."""
+    """Each distinct item text is read once: words repeat their tokens, and
+    a repeated type text is read once, not once per occurrence."""
     if text.count("|-") != 1:
         raise TypeSyntaxError("a sequent needs exactly one '|-'")
     left, right = text.split("|-")

@@ -306,17 +306,18 @@ def test_render_size_and_atoms_of_a_type_10000_levels_deep(bool_g):
 
 @pytest.mark.parametrize("depth", [400, 10_000])
 def test_two_equal_types_nested_deep_compare_equal(bool_g, depth):
-    """Distinct but equal types compare off a stack once their keys nest too deep to compare by recursion."""
+    """Equal types are one object, however deep, so they compare by identity, with no walk."""
     t = _nested_type(bool_g, depth)
     with _case():
-        assert parse_type(render_type(t), bool_g) == t
+        assert parse_type(render_type(t), bool_g) is t
         assert t == _nested_type(bool_g, depth) and t != _nested_type(bool_g, depth - 1)
+        assert _nested_type(bool_g, depth) is t
         assert t != Over(_nested_type(bool_g, depth - 1), Atom(bool_g.symbol("T")))
 
 
 @pytest.mark.parametrize("depth", [400, 10_000])
 def test_check_cli_of_a_deep_type_against_itself_in_parentheses(depth):
-    """The two sides are read as two items, so the axiom compares two distinct types."""
+    """The two sides are read as two items, into one object, so the axiom matches them by identity."""
     x = _nested_text(depth)
     with _case():
         assert _cli("check", f"{x} |- ({x})", "--grammar", "bool") == (0, "Proved\n")
@@ -325,6 +326,20 @@ def test_check_cli_of_a_deep_type_against_itself_in_parentheses(depth):
 def test_oracle_cli_of_a_type_10000_levels_deep():
     with _case():
         assert _cli("oracle", "E |- " + _nested_text(10_000), "--grammar", "bool") == (0, "Pass: 0 words checked\n")
+
+
+def test_oracle_json_cli_of_a_type_10000_levels_deep():
+    with _case():
+        code, out = _cli("oracle", "E |- " + _nested_text(10_000), "--grammar", "bool", "--json")
+        assert code == 0 and json.loads(out)["checked"] == 0
+
+
+@pytest.mark.xfail(strict=True, raises=RecursionError, reason="item 2: the oracle's walks recurse per nesting level")
+def test_oracle_json_cli_of_an_under_type_10000_levels_deep():
+    """`E\\(E\\(… E …))`: the oracle walks each implication's result, where `E/(…)` stops at its first argument."""
+    with _case():
+        code, out = _cli("oracle", "E |- " + "E\\(" * 10_000 + "E" + ")" * 10_000, "--grammar", "bool", "--json")
+        assert code == 0 and json.loads(out)["status"] == "Pass"
 
 
 def test_prove_json_cli_of_a_type_10000_levels_deep_against_itself():

@@ -1,9 +1,16 @@
+import copy
+import gc
+import pickle
+import sys
+import threading
+import weakref
 from importlib import resources
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from lambek import types
 from lambek.grammar import parse_grammar_file, validate
 from lambek.types import (
     UNIT,
@@ -169,6 +176,73 @@ def test_equal_types_hash_alike(t1, t2):
     if t1 == t2:
         assert hash(t1) == hash(t2)
     assert hash(Sequent((t1,), t2)) == hash(Sequent((t1,), t2))
+
+
+def type_texts():
+    """Type texts with every operand in parentheses, some doubled, so that
+    distinct texts often name one type."""
+    return st.recursive(
+        st.sampled_from(["E", "T", "V", "1", '"1"']),
+        lambda sub: st.builds(
+            lambda x, op, y, extra: f"{'(' * extra}({x}){op}({y}){')' * extra}",
+            sub, st.sampled_from(["\\", "/", "*"]), sub, st.integers(0, 1),
+        ),
+        max_leaves=4,
+    )
+
+
+@given(type_texts(), type_texts())
+def test_types_are_equal_exactly_when_they_render_alike(x, y):
+    """Types are hash-consed: equal types are one object, which its own text reads back."""
+    a, b = parse_type(x, GRAMMAR), parse_type(y, GRAMMAR)
+    assert (a == b) is (a is b) is (render_type(a) == render_type(b))
+    assert parse_type(render_type(a), GRAMMAR) is a
+
+
+def test_a_type_built_or_copied_is_the_parsed_one():
+    t = parse_type("(T/V)\\E*1", GRAMMAR)
+    T, V, E = (GRAMMAR.symbol(n) for n in "TVE")
+    assert Under(Over(Atom(T), Atom(V)), Prod(Atom(E), UNIT)) is t
+    assert Under(result=Prod(right=UnitType(), left=Atom(symbol=E)), arg=Over(arg=Atom(V), result=Atom(T))) is t
+    assert copy.copy(t) is t and copy.deepcopy(t) is t and pickle.loads(pickle.dumps(t)) is t
+
+
+def test_the_intern_table_keeps_no_dropped_type():
+    before = set(types._TYPES)
+    t = parse_type("(C*C*V*E)/(T\\(V*C*V*E))", GRAMMAR)
+    dropped = weakref.ref(t)
+    assert (Over, t.result, t.arg) in set(types._TYPES) - before
+    del t
+    gc.collect()
+    assert dropped() is None and set(types._TYPES) <= before
+
+
+def test_threads_that_build_one_type_build_one_object():
+    """Four threads build E/(E/(… E …)) one level deeper each round, so each
+    round's top level is new to all four at once; under a short switch
+    interval a lost update would leave two equal types alive."""
+    e, rounds = Atom(GRAMMAR.symbol("E")), 300
+    start = threading.Barrier(4, timeout=10)
+    built = [[] for _ in range(4)]
+
+    def build(out):
+        for _ in range(rounds):
+            start.wait()
+            out.append(Over(e, out[-1] if out else e))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(out,)) for out in built]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(len(out) == rounds for out in built)
+    assert all(x is y for out in built[1:] for x, y in zip(built[0], out))
 
 
 def test_type_size():

@@ -2,7 +2,8 @@
 
 Values are immutable, compare equal exactly when class and fields are equal,
 hash by their fields, take their fields by position or keyword (with the
-documented defaults), and repr as `Class(field=value, ...)`.
+documented defaults), and repr as `Class(field=value, ...)`.  Types are
+hash-consed: equal types are one object, which hashes by identity.
 """
 import copy
 import os
@@ -131,14 +132,13 @@ CASES = [
     ),
 ]
 
+# the types, hash-consed: one object per value, which compares and hashes by identity
+TYPES = [case for case in CASES if case[0] in (Atom, UnitType, Under, Over, Prod)]
+
 # the classes that cache a hash of their own; every other one hashes the tuple of its fields
 OWN_HASH = {
     Symbol: lambda f: hash((f["kind"].value, f["name"])),
-    Atom: lambda f: hash(("at", f["symbol"])),
-    UnitType: lambda f: 0x1E9,
-    Under: lambda f: hash(("un", f["arg"], f["result"])),
-    Over: lambda f: hash(("ov", f["result"], f["arg"])),
-    Prod: lambda f: hash(("pr", f["left"], f["right"])),
+    **{cls: lambda f, cls=cls: object.__hash__(cls(**f)) for cls, _, _ in TYPES},
 }
 
 IDS = [cls.__name__ for cls, _, _ in CASES]
@@ -159,7 +159,7 @@ def test_equal_fields_give_equal_values_and_hashes(cls, fields, text):
 
 
 def test_the_keyed_classes():
-    assert {cls for cls, _, _ in KEYED} == {Symbol, Production, Atom, Under, Over, Prod, InjectionContext}
+    assert {cls for cls, _, _ in KEYED} == {Symbol, Production, InjectionContext}
 
 
 @pytest.mark.parametrize("cls, fields, text", KEYED, ids=[cls.__name__ for cls, _, _ in KEYED])
@@ -167,6 +167,16 @@ def test_a_keyed_value_caches_the_hash_of_its_key(cls, fields, text):
     """A keyed value builds one tuple: the key it compares is the tuple it hashes."""
     x = cls(**fields)
     assert type(x._k) is tuple and x._h == hash(x._k) == hash(x)
+
+
+@pytest.mark.parametrize("cls, fields, text", TYPES, ids=[cls.__name__ for cls, _, _ in TYPES])
+def test_a_type_is_one_object_per_value(cls, fields, text):
+    """Built by position or keyword, copied or pickled, a type is the object
+    already built from equal fields, and compares and hashes by identity in C."""
+    x = cls(**fields)
+    assert cls(*fields.values()) is x
+    assert copy.copy(x) is x and copy.deepcopy(x) is x and pickle.loads(pickle.dumps(x)) is x
+    assert cls.__eq__ is object.__eq__ and cls.__hash__ is object.__hash__
 
 
 @pytest.mark.parametrize("cls, fields, text", CASES, ids=IDS)
